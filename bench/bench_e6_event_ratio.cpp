@@ -82,17 +82,23 @@ int main(int argc, char** argv) {
     const auto& st = hdl.stats();
     const std::uint64_t events =
         st.process_activations + st.value_changes;
+    const std::uint64_t writes_issued = st.transactions + st.writes_elided;
     report.begin_row("event_driven_hdl");
     report.metric("events", events);
     report.metric("events_per_cell", static_cast<double>(events) / kCells);
+    report.metric("writes_issued", writes_issued);
+    report.metric("writes_elided", st.writes_elided);
     std::printf("%-34s %10zu %12llu %14.1f\n",
                 "event-driven HDL (RTL switch)", kCells,
                 static_cast<unsigned long long>(events),
                 static_cast<double>(events) / kCells);
-    std::printf("    (%llu activations, %llu signal changes, %llu deltas)\n",
+    std::printf("    (%llu activations, %llu deltas; writes: %llu issued, "
+                "%llu elided, %llu committed)\n",
                 static_cast<unsigned long long>(st.process_activations),
-                static_cast<unsigned long long>(st.value_changes),
-                static_cast<unsigned long long>(st.delta_cycles));
+                static_cast<unsigned long long>(st.delta_cycles),
+                static_cast<unsigned long long>(writes_issued),
+                static_cast<unsigned long long>(st.writes_elided),
+                static_cast<unsigned long long>(st.value_changes));
   }
 
   // --- cycle-based level ---------------------------------------------------

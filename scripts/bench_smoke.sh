@@ -79,8 +79,8 @@ for key, base in floors.items():
             f"({(1 - got / base) * 100:.1f}% under the floor)")
 
 # Activations are deterministic per configuration: exceeding the ceiling
-# means the levelized/gated scheduling stopped suppressing wakeups (a
-# semantic scheduling regression), independent of machine speed.
+# means activity gating stopped suppressing wakeups (a semantic
+# scheduling regression), independent of machine speed.
 for key, ceiling in ceilings.items():
     got = activations.get(key)
     if got is None:
@@ -92,7 +92,7 @@ for key, ceiling in ceilings.items():
     if got > ceiling:
         failures.append(
             f"config {key}: {got:.0f} kernel activations exceed the "
-            f"ceiling {ceiling} (gating/levelization regression)")
+            f"ceiling {ceiling} (activity-gating regression)")
 
 if failures:
     print("bench_smoke: FAIL", file=sys.stderr)

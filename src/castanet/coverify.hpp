@@ -29,14 +29,6 @@
 //     from serial mode.  Use serial mode when a feedback rig must be
 //     reproduced exactly.
 //
-//     Either mode runs the HDL kernel with levelized two-phase evaluation
-//     on by default (DESIGN.md §7.7).  That optimization's guarantee —
-//     settled signal values at every time point bit-identical to the delta
-//     loop — composes with the caveat above: the sync protocol and the
-//     comparators only observe settled values at window boundaries, so
-//     levelization changes neither the serial baseline nor the pipelined
-//     equivalence class.
-//
 // Rigs that want more than one device under the same testbench (RTL +
 // reference model + board) should use VerificationSession directly — see
 // session.hpp.

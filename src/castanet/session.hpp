@@ -26,10 +26,7 @@
 //     response channels.  Workers never share state; the §3.1 windows are
 //     the only synchronization points.  The determinism caveat of
 //     coverify.hpp applies unchanged (feed-forward topologies are
-//     bit-identical to serial mode), and so does its levelized-kernel
-//     note: backends run their HDL kernels with §7.7 two-phase evaluation
-//     on by default, which preserves every settled value the protocol and
-//     comparators can observe.
+//     bit-identical to serial mode).
 #pragma once
 
 #include <atomic>

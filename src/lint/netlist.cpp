@@ -185,27 +185,6 @@ void analyze_netlist(rtl::Simulator& sim, const NetlistOptions& opts,
                    "serial mode for signoff");
       }
     }
-
-    // Name every region the two-phase scheduler refuses to levelize
-    // (DESIGN.md §7.7): these processes evaluate under the delta loop on
-    // every wake, so they are where a redesign buys simulation speed.
-    if (!rule_fully_suppressed(opts.suppressions, "LEVELIZE-FALLBACK")) {
-      const rtl::LevelSchedule sched = rtl::levelize(sim);
-      for (const rtl::FallbackRegion& region : sched.fallback_regions) {
-        std::string members;
-        for (std::size_t i = 0; i < region.members.size(); ++i) {
-          if (i) members += ", ";
-          members += "'" + sim.process_name(region.members[i]) + "'";
-        }
-        report.add("LEVELIZE-FALLBACK", Severity::kNote, kFamily,
-                   qualify(opts.scope, "design"),
-                   "combinational region {" + members +
-                       "} is cyclic: the levelized two-phase scheduler falls "
-                       "back to delta iteration for time points that wake it",
-                   "break the combinational cycle (register one path) to let "
-                   "the kernel evaluate these processes in one ranked pass");
-      }
-    }
   }
 }
 

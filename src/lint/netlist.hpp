@@ -39,10 +39,9 @@ struct NetlistOptions {
   std::vector<RuleSuppression> suppressions;
 };
 
-/// The §3.2/§7 topology classification now lives in the shared rtl
-/// elaboration facility (src/rtl/levelize.hpp) — the kernel's two-phase
-/// scheduler and these rules consume one implementation.  The lint names
-/// stay valid for existing callers.
+/// The §3.2/§7 topology classification lives in the rtl netlist-topology
+/// facility (src/rtl/levelize.hpp) beside the levelization the dataflow
+/// engine uses.  The lint names stay valid for existing callers.
 using TopologyInfo = rtl::TopologyInfo;
 using rtl::classify_topology;
 

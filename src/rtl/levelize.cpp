@@ -221,15 +221,14 @@ LevelSchedule levelize(const Simulator& sim) {
     }
   }
 
-  // Cyclic regions evaluate with the delta loop.
+  // Cyclic regions get no rank.
   fallback_sccs(g, in_graph, self_loop, out.fallback_regions);
   for (const FallbackRegion& r : out.fallback_regions) {
     for (ProcessId p : r.members) out.kind[p] = ProcKind::kFallback;
   }
 
   // Kahn levelization of the remaining (acyclic) combinational subgraph;
-  // edges touching a fallback process are dropped — a fallback wake degrades
-  // the whole time point to the delta loop anyway.
+  // edges touching a fallback process are dropped.
   std::vector<std::uint32_t> indegree(n, 0);
   for (ProcessId p = 1; p < n; ++p) {
     if (out.kind[p] != ProcKind::kCombinational) continue;

@@ -1,27 +1,23 @@
-// Netlist topology analysis shared by the kernel's two-phase scheduler and
-// the lint analyzers (DESIGN.md §7.7).
+// Netlist topology analysis for the lint analyzers (DESIGN.md §7.7, §13).
 //
-// CCSS-style co-simulation (PAPERS.md) splits hardware evaluation into fast
-// single-pass combinational-logic computing plus sequential-logic
-// synchronization at clock boundaries.  This pass derives that split from
-// the elaborated process/signal graph the kernel already exposes:
+// CCSS-style co-simulation (PAPERS.md) splits hardware evaluation into
+// combinational-logic computing plus sequential-logic synchronization at
+// clock boundaries.  This pass derives that split from the elaborated
+// process/signal graph the kernel exposes:
 //
 //   * every process is classified (sequential = all sensitivity entries
 //     edge-restricted, combinational = at least one level-sensitive entry),
 //   * the combinational dependency subgraph (P -> Q when P drives a signal
 //     Q is level-sensitive to) is topologically levelized with Kahn ranks,
+//     which order the dataflow engine's cone fixpoint,
 //   * processes on combinational cycles — genuine delta feedback, latches
 //     modelled as level-sensitive self-loops — are grouped into fallback
-//     regions (strongly connected components) that the kernel evaluates
-//     with the classic delta loop instead of ranked single-pass execution.
+//     regions (strongly connected components).
 //
 // Driver edges are harvested from execution (a driver slot appears the
 // first time a process writes a signal), so a schedule is only as complete
-// as the runs behind it; the kernel re-levelizes lazily whenever a new
-// driver slot, process or edge restriction appears, and guards ranked
-// execution with dynamic checks that degrade a time point to the delta
-// loop whenever the schedule proves stale.  Either way the committed
-// signal trajectory is bit-identical by construction.
+// as the runs behind it.  The kernel itself evaluates every time point
+// with the delta loop and never consults this schedule.
 #pragma once
 
 #include <cstdint>
@@ -36,17 +32,17 @@ namespace castanet::rtl {
 enum class ProcKind : std::uint8_t {
   kExternal = 0,       ///< reserved slot 0 (test-bench writes)
   kSequential = 1,     ///< woken only by edges (clocked processes)
-  kCombinational = 2,  ///< level-sensitive, acyclic: ranked evaluation
-  kFallback = 3,       ///< level-sensitive on a cycle: delta-loop region
+  kCombinational = 2,  ///< level-sensitive, acyclic: has a Kahn rank
+  kFallback = 3,       ///< level-sensitive on a combinational cycle
 };
 
-/// One cyclic region of the combinational graph (an SCC with a back edge):
-/// its member processes are evaluated with the generic delta loop.
+/// One cyclic region of the combinational graph (an SCC with a back edge).
 struct FallbackRegion {
   std::vector<ProcessId> members;
 };
 
-/// The two-phase evaluation schedule for one elaborated simulator.
+/// The process classification and combinational ranks of one elaborated
+/// simulator.
 struct LevelSchedule {
   std::vector<ProcKind> kind;       ///< per process slot (index 0 included)
   std::vector<std::uint32_t> rank;  ///< Kahn rank; meaningful for kCombinational

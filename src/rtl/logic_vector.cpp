@@ -88,22 +88,6 @@ LogicVector& LogicVector::operator=(const LogicVector& o) {
   return *this;
 }
 
-LogicVector::LogicVector(LogicVector&& o) noexcept
-    : width_(o.width_), sbo_(o.sbo_), heap_(std::move(o.heap_)) {
-  o.width_ = 0;
-  o.sbo_.fill(0);
-}
-
-LogicVector& LogicVector::operator=(LogicVector&& o) noexcept {
-  if (this == &o) return *this;
-  width_ = o.width_;
-  sbo_ = o.sbo_;
-  heap_ = std::move(o.heap_);
-  o.width_ = 0;
-  o.sbo_.fill(0);
-  return *this;
-}
-
 LogicVector LogicVector::from_string(const std::string& s) {
   LogicVector v;
   v.allocate(s.size());
@@ -111,16 +95,6 @@ LogicVector LogicVector::from_string(const std::string& s) {
     // Leftmost char is the MSB.
     v.set_bit(s.size() - 1 - i, from_char(s[i]));
   }
-  return v;
-}
-
-LogicVector LogicVector::from_uint(std::uint64_t value, std::size_t width) {
-  require(width <= 64, "LogicVector::from_uint: width > 64");
-  LogicVector v;
-  v.allocate(width);
-  if (width == 0) return v;
-  v.sbo_[0] = value & v.tail_mask();  // value plane
-  v.sbo_[1] = v.tail_mask();          // every bit a strong '0'/'1'
   return v;
 }
 
@@ -268,12 +242,6 @@ void LogicVector::swap(LogicVector& o) noexcept {
 LogicVector resolve(const LogicVector& a, const LogicVector& b) {
   LogicVector out = a;
   out.resolve_with(b);
-  return out;
-}
-
-LogicVector scalar(Logic v) {
-  LogicVector out(1);
-  out.set_bit(0, v);
   return out;
 }
 

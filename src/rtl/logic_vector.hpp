@@ -42,13 +42,35 @@ class LogicVector {
   explicit LogicVector(std::size_t width, Logic fill = Logic::U);
   /// From a literal like "10ZX" — leftmost character is the MSB, as in VHDL.
   static LogicVector from_string(const std::string& s);
-  /// Low `width` bits of `value`, bit 0 = LSB.
-  static LogicVector from_uint(std::uint64_t value, std::size_t width);
+  /// Low `width` bits of `value`, bit 0 = LSB.  Inline: every staged
+  /// Bus::write_uint builds one.
+  static LogicVector from_uint(std::uint64_t value, std::size_t width) {
+    require(width <= 64, "LogicVector::from_uint: width > 64");
+    LogicVector v;
+    v.width_ = width;
+    if (width != 0) {
+      v.sbo_[0] = value & v.tail_mask();  // value plane
+      v.sbo_[1] = v.tail_mask();          // every bit a strong '0'/'1'
+    }
+    return v;
+  }
 
   LogicVector(const LogicVector& o);
   LogicVector& operator=(const LogicVector& o);
-  LogicVector(LogicVector&& o) noexcept;
-  LogicVector& operator=(LogicVector&& o) noexcept;
+  LogicVector(LogicVector&& o) noexcept
+      : width_(o.width_), sbo_(o.sbo_), heap_(std::move(o.heap_)) {
+    o.width_ = 0;
+    o.sbo_.fill(0);
+  }
+  LogicVector& operator=(LogicVector&& o) noexcept {
+    if (this == &o) return *this;
+    width_ = o.width_;
+    sbo_ = o.sbo_;
+    heap_ = std::move(o.heap_);
+    o.width_ = 0;
+    o.sbo_.fill(0);
+    return *this;
+  }
   ~LogicVector() = default;
 
   std::size_t width() const { return width_; }
@@ -127,6 +149,20 @@ class LogicVector {
 
   bool operator==(const LogicVector& o) const;
   bool operator!=(const LogicVector& o) const { return !(*this == o); }
+  /// True when this equals scalar(v) — the kernel's scalar write-elision
+  /// check, made without building the vector.
+  bool equals_scalar(Logic v) const {
+    const auto code = static_cast<std::uint64_t>(v);
+    return width_ == 1 && sbo_[0] == (code & 1) &&
+           sbo_[1] == ((code >> 1) & 1) && sbo_[2] == ((code >> 2) & 1) &&
+           sbo_[3] == (code >> 3);
+  }
+  /// True when this equals from_uint(value, width()) — every bit a strong
+  /// '0'/'1' matching `value` — without building the vector.
+  bool equals_uint(std::uint64_t value) const {
+    return width_ <= 64 && sbo_[1] == tail_mask() && sbo_[2] == 0 &&
+           sbo_[3] == 0 && sbo_[0] == (value & tail_mask());
+  }
 
   /// In-place element-wise resolution: *this := resolve(*this, o), never
   /// allocating.  The kernel's multi-driver commit folds every contribution
@@ -141,6 +177,7 @@ class LogicVector {
 
   /// Element-wise resolution of two equal-width vectors.
   friend LogicVector resolve(const LogicVector& a, const LogicVector& b);
+  friend LogicVector scalar(Logic v);
 
  private:
   static constexpr std::size_t kPlanes = 4;
@@ -171,7 +208,16 @@ class LogicVector {
 };
 
 /// A width-1 vector holding `v` (scalars travel as 1-bit vectors through the
-/// kernel so there is a single transaction type).
-LogicVector scalar(Logic v);
+/// kernel so there is a single transaction type).  Inline, one word per
+/// plane: every staged scalar write builds one.
+inline LogicVector scalar(Logic v) {
+  LogicVector out;
+  out.width_ = 1;
+  const auto code = static_cast<std::uint64_t>(v);
+  for (std::size_t p = 0; p < LogicVector::kPlanes; ++p) {
+    out.sbo_[p] = (code >> p) & 1;
+  }
+  return out;
+}
 
 }  // namespace castanet::rtl

@@ -50,11 +50,17 @@ class Bus {
   const LogicVector& read() const { return sim_->value(id_); }
   /// Throws LogicError when any bit is undefined (X-propagation guard).
   std::uint64_t read_uint() const { return read().to_uint(); }
+  /// Compares against the driver slot before copying, so re-asserting an
+  /// unchanged 424-bit cell costs no heap copy.
   void write(const LogicVector& v, SimTime delay = SimTime::zero()) const {
     sim_->schedule_write(id_, v, delay);
   }
+  void write(LogicVector&& v, SimTime delay = SimTime::zero()) const {
+    sim_->schedule_write(id_, std::move(v), delay);
+  }
+  /// Width <= 64; no LogicVector is built for an elided write.
   void write_uint(std::uint64_t v, SimTime delay = SimTime::zero()) const {
-    sim_->schedule_write(id_, LogicVector::from_uint(v, width()), delay);
+    sim_->schedule_write_uint(id_, v, delay);
   }
   /// Releases this process's contribution to a resolved bus (drives all-Z).
   void release(SimTime delay = SimTime::zero()) const {

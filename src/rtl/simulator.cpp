@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "src/core/error.hpp"
-#include "src/rtl/levelize.hpp"
 
 namespace castanet::rtl {
 
@@ -32,7 +31,6 @@ SignalId Simulator::create_signal(std::string name, std::size_t width,
   st.effective = LogicVector(width, init);
   st.previous = st.effective;
   signals_.push_back(std::move(st));
-  schedule_dirty_ = true;
   return static_cast<SignalId>(signals_.size() - 1);
 }
 
@@ -46,11 +44,11 @@ ProcessId Simulator::add_process(std::string name,
   const auto pid = static_cast<ProcessId>(processes_.size() - 1);
   runnable_stamp_.resize(processes_.size(), 0);
   gated_.resize(processes_.size(), 0);
-  schedule_dirty_ = true;
   for (SignalId s : sensitivity) {
     require(s < signals_.size(), "add_process: unknown signal in sensitivity");
     signals_[s].sensitive.push_back(pid);
     signals_[s].sensitive_rising.push_back(0);
+    ++signals_[s].level_entries;
   }
   return pid;
 }
@@ -62,8 +60,8 @@ void Simulator::restrict_sensitivity_to_rising(ProcessId p, SignalId s) {
           "restrict_sensitivity_to_rising: signal is not a scalar");
   for (std::size_t i = 0; i < st.sensitive.size(); ++i) {
     if (st.sensitive[i] == p) {
+      if (st.sensitive_rising[i] == 0) --st.level_entries;
       st.sensitive_rising[i] = 1;
-      schedule_dirty_ = true;
       return;
     }
   }
@@ -101,11 +99,6 @@ bool Simulator::process_gated(ProcessId p) const {
 const std::string& Simulator::signal_name(SignalId s) const {
   require(s < signals_.size(), "signal_name: unknown signal");
   return signals_[s].name;
-}
-
-std::size_t Simulator::width(SignalId s) const {
-  require(s < signals_.size(), "width: unknown signal");
-  return signals_[s].width;
 }
 
 void Simulator::harvest_read(SignalId s) const {
@@ -245,29 +238,44 @@ Simulator::TimeBucket& Simulator::bucket_for(SimTime when) {
   return buckets_[it->second];
 }
 
-void Simulator::schedule_write(SignalId s, LogicVector v, SimTime delay) {
-  require(s < signals_.size(), "schedule_write: unknown signal");
-  if (v.width() != signals_[s].width) {
-    throw LogicError("schedule_write: width mismatch on signal '" +
-                     signals_[s].name + "'");
+void Simulator::throw_width_mismatch(SignalId s) const {
+  throw LogicError("schedule_write: width mismatch on signal '" +
+                   signals_[s].name + "'");
+}
+
+void Simulator::schedule_write(SignalId s, const LogicVector& v,
+                               SimTime delay) {
+  const LogicVector* slot = write_target(s, v.width(), delay);
+  if (slot != nullptr && *slot == v) {
+    ++stats_.writes_elided;
+    return;
   }
-  require(delay >= SimTime::zero(), "schedule_write: negative delay");
+  enqueue(s, LogicVector(v), delay);
+}
+
+void Simulator::schedule_write(SignalId s, LogicVector&& v, SimTime delay) {
+  const LogicVector* slot = write_target(s, v.width(), delay);
+  if (slot != nullptr && *slot == v) {
+    ++stats_.writes_elided;
+    return;
+  }
+  enqueue(s, std::move(v), delay);
+}
+
+void Simulator::enqueue(SignalId s, LogicVector&& v, SimTime delay) {
   if (probing_) {
     // Analysis sandbox: capture the write instead of staging it.  The
     // transport delay is irrelevant to the value abstraction.
     probe_writes_.push_back({s, std::move(v)});
     return;
   }
-  Transaction t{s, current_process_, std::move(v)};
   if (delay == SimTime::zero()) {
-    next_delta_.push_back(std::move(t));
+    signals_[s].queued_drain = drain_serial_;
+    next_delta_.push_back({s, current_process_, std::move(v)});
   } else {
-    bucket_for(now_ + delay).txns.push_back(std::move(t));
+    bucket_for(now_ + delay)
+        .txns.push_back({s, current_process_, std::move(v)});
   }
-}
-
-void Simulator::schedule_write(SignalId s, Logic v, SimTime delay) {
-  schedule_write(s, scalar(v), delay);
 }
 
 bool Simulator::event(SignalId s) const {
@@ -315,17 +323,15 @@ void Simulator::stage(Transaction& t) {
                          [&](const DriverSlot& d) { return d.pid == t.pid; });
   if (it == st.drivers.end()) {
     st.drivers.push_back({t.pid, std::move(t.value)});
-    // A first-time driver slot is a new dependency edge the level schedule
-    // has not seen; re-levelize before the next time point.
-    schedule_dirty_ = true;
   } else if (it->value != t.value) {
     it->value = std::move(t.value);
   } else {
-    // Identical re-stage (modules re-assert unchanged outputs every clock,
-    // VHDL style): no resolution input changed, so the resolved value can't
-    // have either — skip dirtying the signal and the whole commit pass.
-    // If another driver of this net did change this delta, that driver's
-    // stage marked it dirty and commit still sees every contribution.
+    // Identical re-stage (a write schedule_write could not elide: external,
+    // delayed, or queued behind another write): no resolution input
+    // changed, so the resolved value can't have either — skip dirtying the
+    // signal and the whole commit pass.  If another driver of this net did
+    // change this delta, that driver's stage marked it dirty and commit
+    // still sees every contribution.
     return;
   }
   if (st.staged_serial != delta_serial_) {
@@ -358,17 +364,23 @@ void Simulator::commit(SignalId sig) {
   st.effective = *next;
   st.changed_serial = delta_serial_;
   ++stats_.value_changes;
+  // Edge filter, computed at most once: a change that is not a rising edge
+  // of bit 0 wakes no edge-restricted entry, so on a net with only such
+  // entries (a clock's falling edge) the walk is skipped outright.
   bool rising_known = false, rising = false;
-  for (std::size_t i = 0; i < st.sensitive.size(); ++i) {
-    if (st.sensitive_rising[i] != 0) {
-      if (!rising_known) {
-        rising =
-            to_bool(st.effective.bit(0)) && !to_bool(st.previous.bit(0), false);
-        rising_known = true;
-      }
-      if (!rising) continue;
+  const auto is_rising = [&] {
+    if (!rising_known) {
+      rising =
+          to_bool(st.effective.bit(0)) && !to_bool(st.previous.bit(0), false);
+      rising_known = true;
     }
-    enqueue_runnable(st.sensitive[i]);
+    return rising;
+  };
+  if (!st.sensitive.empty() && (st.level_entries != 0 || is_rising())) {
+    for (std::size_t i = 0; i < st.sensitive.size(); ++i) {
+      if (st.sensitive_rising[i] != 0 && !is_rising()) continue;
+      enqueue_runnable(st.sensitive[i]);
+    }
   }
   for (ProcessId w : st.wake_watch) gated_[w] = 0;
   for (const auto& obs : observers_) obs(sig, st.effective, now_);
@@ -387,12 +399,15 @@ void Simulator::execute_runnable() {
   current_process_ = kExternalProcess;
 }
 
-void Simulator::run_delta_loop(std::vector<Transaction>& batch,
-                               const std::vector<ProcessId>& preactivated) {
+void Simulator::run_time_point(std::vector<Transaction>& batch,
+                               std::span<const ProcessId> preactivated) {
   bool first = true;
   while (!batch.empty() || !next_delta_.empty() ||
          (first && !preactivated.empty())) {
-    if (batch.empty()) batch.swap(next_delta_);
+    if (batch.empty()) {
+      batch.swap(next_delta_);
+      ++drain_serial_;  // every queued zero-delay write is staged below
+    }
     ++delta_serial_;
     ++stats_.delta_cycles;
     runnable_.clear();
@@ -411,129 +426,6 @@ void Simulator::run_delta_loop(std::vector<Transaction>& batch,
   ++delta_serial_;
 }
 
-void Simulator::rebuild_schedule() {
-  schedule_dirty_ = false;
-  const LevelSchedule ls = levelize(*this);
-  proc_kind_.assign(ls.kind.size(), 0);
-  for (std::size_t i = 0; i < ls.kind.size(); ++i) {
-    proc_kind_[i] = static_cast<std::uint8_t>(ls.kind[i]);
-  }
-  proc_rank_ = ls.rank;
-  max_rank_ = ls.max_rank;
-  rank_buckets_.assign(static_cast<std::size_t>(max_rank_) + 1, {});
-  pending_member_.assign(processes_.size(), 0);
-  if (telemetry::enabled()) {
-    auto& hub = telemetry::Hub::instance();
-    hub.counter("rtl.levelize.rebuilds").add(1);
-    hub.gauge("rtl.levelize.max_rank").set(static_cast<double>(max_rank_));
-    hub.gauge("rtl.levelize.comb_procs")
-        .set(static_cast<double>(ls.combinational_count));
-    hub.gauge("rtl.levelize.fallback_procs")
-        .set(static_cast<double>(ls.fallback_count));
-  }
-}
-
-void Simulator::run_time_point(std::vector<Transaction>& batch) {
-  if (!levelize_enabled_) {
-    run_delta_loop(batch, {});
-    return;
-  }
-  if (schedule_dirty_) rebuild_schedule();
-
-  // Wave 1 — the triggering delta.  Runs exactly like the first delta of
-  // the generic loop: every woken process executes with full event()/rose()
-  // visibility of the trigger (clock edges, external stimulus), whatever
-  // its scheduling class.  This is the "sequential-logic synchronization"
-  // half of the CCSS split.
-  if (batch.empty()) batch.swap(next_delta_);
-  if (batch.empty()) return;  // callbacks scheduled nothing
-  ++delta_serial_;
-  ++stats_.delta_cycles;
-  runnable_.clear();
-  for (Transaction& t : batch) stage(t);
-  batch.clear();
-  for (SignalId s : dirty_signals_) commit(s);
-  dirty_signals_.clear();
-  execute_runnable();
-
-  // Settling waves — the "combinational-logic computing" half: drain the
-  // produced transactions, then run woken acyclic combinational processes
-  // in topological-rank order, each at most once, lowest rank first.  Any
-  // surprise (a sequential or fallback-region process woken by settling, or
-  // a wake at an already-passed rank — a dynamic back edge the schedule
-  // missed) degrades the remainder of the time point to the delta loop,
-  // which is bit-identical by construction.
-  bool degrade = false;
-  std::uint32_t next_rank = 0;
-  std::size_t pending = 0;
-  while (true) {
-    if (!next_delta_.empty()) {
-      ++delta_serial_;
-      ++stats_.delta_cycles;
-      runnable_.clear();
-      batch.swap(next_delta_);
-      for (Transaction& t : batch) stage(t);
-      batch.clear();
-      for (SignalId s : dirty_signals_) commit(s);
-      dirty_signals_.clear();
-      for (ProcessId p : runnable_) {
-        if (proc_kind_[p] ==
-            static_cast<std::uint8_t>(ProcKind::kCombinational)) {
-          if (proc_rank_[p] < next_rank) degrade = true;
-          if (!pending_member_[p]) {
-            pending_member_[p] = 1;
-            rank_buckets_[proc_rank_[p]].push_back(p);
-            ++pending;
-          }
-        } else {
-          degrade = true;
-        }
-      }
-      if (degrade) break;
-      runnable_.clear();
-      continue;  // drain every transaction before running the next rank
-    }
-    if (pending == 0) break;
-    while (rank_buckets_[next_rank].empty()) ++next_rank;
-    std::vector<ProcessId>& bucket = rank_buckets_[next_rank];
-    runnable_.clear();
-    for (ProcessId p : bucket) {
-      pending_member_[p] = 0;
-      runnable_.push_back(p);
-    }
-    pending -= bucket.size();
-    bucket.clear();
-    ++next_rank;
-    execute_runnable();
-  }
-
-  if (degrade) {
-    ++stats_.fallback_points;
-    // The schedule told us nothing useful about this wave; recompute it
-    // before the next time point (a dynamic back edge means a stale rank).
-    schedule_dirty_ = true;
-    // Merge the still-pending ranked processes into the current delta's
-    // runnable set (the generation stamp dedups against the processes the
-    // triggering commit already enqueued) and finish the time point with
-    // the generic loop.
-    for (std::uint32_t r = 0; r <= max_rank_; ++r) {
-      for (ProcessId p : rank_buckets_[r]) {
-        if (pending_member_[p]) {
-          pending_member_[p] = 0;
-          enqueue_runnable(p);
-        }
-      }
-      rank_buckets_[r].clear();
-    }
-    execute_runnable();
-    run_delta_loop(batch, {});
-    return;
-  }
-  ++stats_.levelized_points;
-  // Close the event window exactly as the generic loop does.
-  ++delta_serial_;
-}
-
 void Simulator::initialize() {
   if (initialized_) return;
   initialized_ = true;
@@ -541,7 +433,7 @@ void Simulator::initialize() {
     std::vector<ProcessId> all;
     for (ProcessId p = 1; p < processes_.size(); ++p) all.push_back(p);
     batch_scratch_.clear();
-    run_delta_loop(batch_scratch_, all);
+    run_time_point(batch_scratch_, all);
   }
   if (g_elaboration_hook) g_elaboration_hook(*this);
 }
@@ -590,6 +482,7 @@ void Simulator::run_until(SimTime limit) {
   if (telemetry::enabled()) {
     const std::uint64_t activations0 = stats_.process_activations;
     const std::uint64_t deltas0 = stats_.delta_cycles;
+    const std::uint64_t elided0 = stats_.writes_elided;
     telemetry::Span span("rtl.slice", telemetry_track_);
     span.arg("from_us", now_.seconds() * 1e6);
     span.arg("to_us", limit.seconds() * 1e6);
@@ -602,6 +495,8 @@ void Simulator::run_until(SimTime limit) {
              static_cast<double>(stats_.process_activations - activations0));
     span.arg("delta_cycles",
              static_cast<double>(stats_.delta_cycles - deltas0));
+    span.arg("writes_elided",
+             static_cast<double>(stats_.writes_elided - elided0));
   } else {
     while (true) {
       const SimTime t = next_activity();

@@ -12,16 +12,19 @@
 // callbacks live in per-time-point buckets indexed by a binary min-heap of
 // time points (instead of a balanced tree), bucket storage is pooled and
 // recycled, and runnable processes are deduplicated with a delta-generation
-// stamp per process instead of sort+unique scans.
+// stamp per process instead of sort+unique scans.  Modules re-assert
+// unchanged outputs on every clock, VHDL style; such a write is dropped at
+// schedule_write, before any transaction exists (DESIGN.md §7.7).
 //
-// The kernel counts transactions, events, process activations and delta
-// cycles; experiment E7 uses these to reproduce the paper's claim that the
-// event-driven HDL simulator evaluates an order of magnitude more events
-// than the system-level network simulation.
+// The kernel counts writes (staged and elided), events, process activations
+// and delta cycles; experiment E7 uses these to reproduce the paper's claim
+// that the event-driven HDL simulator evaluates an order of magnitude more
+// events than the system-level network simulation.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -39,15 +42,16 @@ using ProcessId = std::uint32_t;
 /// the co-simulation entity).
 constexpr ProcessId kExternalProcess = 0;
 
+/// Writes issued = transactions + writes_elided; writes committed =
+/// value_changes.
 struct KernelStats {
-  std::uint64_t transactions = 0;        ///< signal updates applied
+  std::uint64_t transactions = 0;        ///< writes staged into a driver slot
+  std::uint64_t writes_elided = 0;       ///< no-op writes dropped unstaged
   std::uint64_t value_changes = 0;       ///< updates that changed the value
   std::uint64_t process_activations = 0; ///< process executions
   std::uint64_t delta_cycles = 0;        ///< apply+execute rounds
   std::uint64_t time_points = 0;         ///< distinct times with activity
   std::uint64_t gated_skips = 0;         ///< wakeups suppressed by a gate
-  std::uint64_t levelized_points = 0;    ///< time points settled rank-ordered
-  std::uint64_t fallback_points = 0;     ///< time points degraded to deltas
 };
 
 /// Direction of a declared port binding (module-level contract on a signal,
@@ -119,8 +123,8 @@ class Simulator {
   // or the process is re-armed some other way.  Soundness contract for the
   // caller: gate only at a point where every future run, with the wake
   // signals and internal C++ state unchanged, would re-issue exactly the
-  // writes already committed (identical re-writes are elided by stage(), so
-  // the skipped runs are observationally void).  Declare *every* signal the
+  // writes already committed (identical re-writes are elided, so the
+  // skipped runs are observationally void).  Declare *every* signal the
   // remaining behavior depends on — a missing wake signal silently freezes
   // the process.
   /// Declares the signals whose value change re-arms `p` after it gates
@@ -135,26 +139,12 @@ class Simulator {
   /// True while `p` is gated (introspection for tests/telemetry).
   bool process_gated(ProcessId p) const;
 
-  // --- two-phase evaluation ---------------------------------------------
-  /// Levelized two-phase evaluation (DESIGN.md §7.7) is on by default: the
-  /// triggering delta of each time point runs generically, then acyclic
-  /// combinational wakeups settle in topological-rank order — each process
-  /// at most once per wave — while cyclic/latch regions and any dynamic
-  /// surprise (sequential wakeup mid-settling, stale rank) degrade the
-  /// remainder of the time point to the classic delta loop.  Off: every
-  /// time point uses the delta loop.  For processes honouring the
-  /// combinational purity contract (compute from value() reads only) the
-  /// settled value of every signal at every time point is bit-identical
-  /// either way; ranked settling may elide intermediate stale-input glitch
-  /// commits *within* a time point (a deferred process runs once with
-  /// fresh inputs instead of re-running), so delta-granular change counts
-  /// can only shrink, never diverge at settled points.
-  void set_levelized(bool on) { levelize_enabled_ = on; }
-  bool levelized() const { return levelize_enabled_; }
-
   std::size_t signal_count() const { return signals_.size(); }
   const std::string& signal_name(SignalId s) const;
-  std::size_t width(SignalId s) const;
+  std::size_t width(SignalId s) const {
+    require(s < signals_.size(), "width: unknown signal");
+    return signals_[s].width;
+  }
 
   // --- netlist introspection (read-only; consumed by src/lint) ----------
   /// Number of process slots, including the reserved external slot 0 (0
@@ -164,8 +154,8 @@ class Simulator {
   /// Processes on `s`'s sensitivity list (static, set at add_process).
   const std::vector<ProcessId>& sensitive_processes(SignalId s) const;
   /// Parallel to sensitive_processes(s): non-zero entries are restricted to
-  /// rising edges (see restrict_sensitivity_to_rising).  Consumed by the
-  /// levelization pass to separate sequential from combinational wakeups.
+  /// rising edges (see restrict_sensitivity_to_rising).  Consumed by
+  /// rtl::levelize (lint) to separate sequential from combinational wakeups.
   const std::vector<std::uint8_t>& sensitive_rising(SignalId s) const;
   /// Distinct processes that have driven `s` so far (driver slots persist
   /// for the simulator's lifetime; kExternalProcess marks test-bench
@@ -253,11 +243,37 @@ class Simulator {
   }
   /// Schedules a transaction on `s` for now+delay, driven by the currently
   /// executing process (or kExternalProcess outside any process).  Transport
-  /// delay semantics; delay 0 lands in the next delta cycle.
-  void schedule_write(SignalId s, LogicVector v,
+  /// delay semantics; delay 0 lands in the next delta cycle.  A zero-delay
+  /// write by a running process that re-drives the value its driver slot
+  /// already holds is dropped before it is copied or queued
+  /// (stats().writes_elided; the conditions are in write_target).
+  void schedule_write(SignalId s, const LogicVector& v,
                       SimTime delay = SimTime::zero());
-  /// Convenience for scalar signals.
-  void schedule_write(SignalId s, Logic v, SimTime delay = SimTime::zero());
+  void schedule_write(SignalId s, LogicVector&& v,
+                      SimTime delay = SimTime::zero());
+  /// Scalar signals.  Inline: the elision check compares the driver slot
+  /// in place, with no LogicVector built for a dropped write.
+  void schedule_write(SignalId s, Logic v, SimTime delay = SimTime::zero()) {
+    const LogicVector* slot = write_target(s, 1, delay);
+    if (slot != nullptr && slot->equals_scalar(v)) {
+      ++stats_.writes_elided;
+      return;
+    }
+    enqueue(s, scalar(v), delay);
+  }
+  /// The low width(s) bits of `v` as strong '0'/'1' (width(s) <= 64), with
+  /// the same in-place elision check as the scalar overload.
+  void schedule_write_uint(SignalId s, std::uint64_t v,
+                           SimTime delay = SimTime::zero()) {
+    const std::size_t w = width(s);
+    require(w <= 64, "schedule_write_uint: width > 64");
+    const LogicVector* slot = write_target(s, w, delay);
+    if (slot != nullptr && slot->equals_uint(v)) {
+      ++stats_.writes_elided;
+      return;
+    }
+    enqueue(s, LogicVector::from_uint(v, w), delay);
+  }
 
   /// True if `s` changed value in the current delta cycle.
   bool event(SignalId s) const;
@@ -312,6 +328,12 @@ class Simulator {
     /// Parallel to `sensitive`: non-zero entries wake only on rising edges
     /// of bit 0 (see restrict_sensitivity_to_rising).
     std::vector<std::uint8_t> sensitive_rising;
+    /// Entries of `sensitive` not restricted to rising edges.  Zero on a
+    /// clock net, whose non-rising changes wake nobody.
+    std::uint32_t level_entries = 0;
+    /// drain_serial_ when a zero-delay write to this signal was last queued;
+    /// equal to drain_serial_ while that write sits unstaged in next_delta_.
+    std::uint64_t queued_drain = 0;
     /// Gated processes re-armed by any value change of this signal (see
     /// set_wake_signals).  Empty for almost every signal.
     std::vector<ProcessId> wake_watch;
@@ -341,6 +363,34 @@ class Simulator {
     std::uint32_t bucket;
   };
 
+  /// The checks every schedule_write overload makes first (known signal,
+  /// matching width, non-negative delay), then the write-elision gate.
+  /// Returns the running process's driver-slot value when a write equal to
+  /// it may be dropped, nullptr when the write must be staged.  A write is
+  /// droppable only when (1) it has zero delay and comes from a running
+  /// process — external and callback writes may precede the time point's
+  /// delayed batch, which stages first; (2) that process already drives
+  /// `s` — its first write creates the slot; (3) no zero-delay write to `s`
+  /// is still queued unstaged — an earlier write of this activation
+  /// (`out <= '0'; out <= '1'`) would otherwise win over the elided one.
+  const LogicVector* write_target(SignalId s, std::size_t width,
+                                  SimTime delay) const {
+    require(s < signals_.size(), "schedule_write: unknown signal");
+    const SignalState& st = signals_[s];
+    if (width != st.width) [[unlikely]] throw_width_mismatch(s);
+    require(delay >= SimTime::zero(), "schedule_write: negative delay");
+    if (delay != SimTime::zero() || current_process_ == kExternalProcess ||
+        probing_ || st.queued_drain == drain_serial_) {
+      return nullptr;
+    }
+    for (const DriverSlot& d : st.drivers) {
+      if (d.pid == current_process_) return &d.value;
+    }
+    return nullptr;
+  }
+  [[noreturn]] void throw_width_mismatch(SignalId s) const;
+  /// Queues a validated write (or captures it under probe_process).
+  void enqueue(SignalId s, LogicVector&& v, SimTime delay);
   TimeBucket& bucket_for(SimTime when);
   void enqueue_runnable(ProcessId p);
   /// Apply phase, first half: moves the transaction's value into its driver
@@ -354,18 +404,13 @@ class Simulator {
   /// wakes the (edge-filtered) sensitive processes.
   void commit(SignalId sig);
   /// Runs every process in runnable_ (skipping gated ones) and resets
-  /// current_process_; shared by the delta loop and the ranked waves.
+  /// current_process_.
   void execute_runnable();
-  void run_delta_loop(std::vector<Transaction>& batch,
-                      const std::vector<ProcessId>& preactivated);
-  /// Executes one complete time point: levelized two-phase evaluation when
-  /// enabled (with dynamic degradation to the delta loop), the classic
-  /// delta loop otherwise.
-  void run_time_point(std::vector<Transaction>& batch);
-  /// Recomputes the flattened LevelSchedule (see levelize.hpp) from the
-  /// current netlist structure; called lazily from run_time_point whenever
-  /// elaboration or a newly discovered driver edge marked it dirty.
-  void rebuild_schedule();
+  /// Executes one complete time point: delta cycles (stage, commit,
+  /// execute) until no transaction is pending.  `preactivated` processes
+  /// run in the first delta whether or not a signal woke them.
+  void run_time_point(std::vector<Transaction>& batch,
+                      std::span<const ProcessId> preactivated = {});
   /// Cold half of value(): records the lint-only read-set entry.
   void harvest_read(SignalId s) const;
 
@@ -380,6 +425,9 @@ class Simulator {
   mutable std::vector<SignalId> probe_reads_;
   std::vector<ProbeWrite> probe_writes_;
   std::uint64_t delta_serial_ = 0;  ///< increments every delta cycle
+  /// Increments whenever next_delta_ is drained into a delta's batch (see
+  /// SignalState::queued_drain).
+  std::uint64_t drain_serial_ = 1;
   ProcessId current_process_ = kExternalProcess;
 
   std::vector<SignalState> signals_;
@@ -402,17 +450,6 @@ class Simulator {
   // Activity gates (see gate_current_process): per-process suppression
   // flags, cleared by wake-signal commits and wake_process().
   std::vector<std::uint8_t> gated_;
-
-  // Flattened LevelSchedule (rtl/levelize.hpp), rebuilt lazily: per-process
-  // scheduling kind (ProcKind as uint8) and topological rank, plus the
-  // rank-bucket scratch used while settling a levelized time point.
-  bool levelize_enabled_ = true;
-  bool schedule_dirty_ = true;
-  std::uint32_t max_rank_ = 0;
-  std::vector<std::uint8_t> proc_kind_;
-  std::vector<std::uint32_t> proc_rank_;
-  std::vector<std::vector<ProcessId>> rank_buckets_;
-  std::vector<std::uint8_t> pending_member_;
 
   // Scratch buffers recycled across time points.
   std::vector<Transaction> batch_scratch_;

@@ -1,10 +1,20 @@
 // Deeper VHDL-semantics coverage of the event-driven kernel: transaction
 // ordering, last-write-wins per driver, delayed vs delta writes, X
-// propagation through logic, and stability of the delta loop under
-// pathological feedback.
+// propagation through logic, stability of the delta loop under
+// pathological feedback, and the write elision at schedule_write — fixtures
+// for each of its conditions plus a randomized differential against runs
+// that defeat it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <functional>
+#include <random>
+#include <string>
+#include <vector>
+
 #include "src/core/error.hpp"
+#include "src/rtl/module.hpp"
 #include "src/rtl/simulator.hpp"
 
 namespace castanet::rtl {
@@ -172,6 +182,348 @@ TEST(KernelSemantics, ManySignalsManyProcessesScale) {
   }
   // After 64+ clocks the '1' has filled the register.
   EXPECT_EQ(sim.value(stages[64]).bit(0), Logic::L1);
+}
+
+// --- write elision ------------------------------------------------------------
+
+TEST(WriteElision, SameActivationOverrideKeepsLastWriteWins) {
+  // The driver slot holds '1'.  Writing '0' then '1' must commit nothing:
+  // the '1' equals the slot but may not be dropped behind the queued '0'.
+  // Writing '1' then '0' drops the re-assert and commits the '0'.
+  for (const bool reassert_last : {true, false}) {
+    Simulator sim;
+    const SignalId trig = sim.create_signal("trig", 1, Logic::L0);
+    const SignalId out = sim.create_signal("out", 1, Logic::L0);
+    sim.add_process("p", {trig}, [&] {
+      if (sim.value(trig).bit(0) != Logic::L1) {
+        sim.schedule_write(out, Logic::L1);  // initialization: slot := '1'
+        return;
+      }
+      sim.schedule_write(out, reassert_last ? Logic::L0 : Logic::L1);
+      sim.schedule_write(out, reassert_last ? Logic::L1 : Logic::L0);
+    });
+    sim.initialize();
+    ASSERT_EQ(sim.value(out).bit(0), Logic::L1);
+    const KernelStats before = sim.stats();
+    sim.schedule_write(trig, Logic::L1, SimTime::from_ns(1));
+    sim.run_until(SimTime::from_ns(1));
+    const KernelStats& after = sim.stats();
+    if (reassert_last) {
+      EXPECT_EQ(sim.value(out).bit(0), Logic::L1);
+      EXPECT_EQ(after.writes_elided, before.writes_elided);
+      EXPECT_EQ(after.value_changes - before.value_changes, 1u);  // trig
+    } else {
+      EXPECT_EQ(sim.value(out).bit(0), Logic::L0);
+      EXPECT_EQ(after.writes_elided - before.writes_elided, 1u);
+      EXPECT_EQ(after.value_changes - before.value_changes, 2u);
+    }
+  }
+}
+
+TEST(WriteElision, ResolvedBusReassertWhileOtherDriverChanges) {
+  Simulator sim;
+  const SignalId clk = sim.create_signal("clk", 1, Logic::L0);
+  const SignalId bus = sim.create_signal("bus", 4, Logic::Z);
+  const std::vector<std::string> toggle_seq = {"ZZZZ", "10ZZ", "0111", "ZZZZ"};
+  std::size_t step = 0;
+  const ProcessId hold = sim.add_process("hold", {clk}, [&] {
+    sim.schedule_write(bus, LogicVector::from_string("ZZ01"));
+  });
+  const ProcessId toggle = sim.add_process("toggle", {clk}, [&] {
+    sim.schedule_write(bus, LogicVector::from_string(toggle_seq[step]));
+  });
+  sim.initialize();
+  EXPECT_EQ(sim.drivers_of(bus), (std::vector<ProcessId>{hold, toggle}));
+  EXPECT_EQ(sim.value(bus).to_string(), "ZZ01");
+
+  const std::vector<std::string> resolved = {"ZZ01", "1001", "01X1", "ZZ01"};
+  for (step = 1; step < toggle_seq.size(); ++step) {
+    const KernelStats before = sim.stats();
+    sim.schedule_write(clk, step % 2 ? Logic::L1 : Logic::L0,
+                       SimTime::from_ns(1));
+    sim.run_until(sim.now() + SimTime::from_ns(1));
+    EXPECT_EQ(sim.value(bus).to_string(), resolved[step]) << "step " << step;
+    // Only `hold`'s unchanged contribution is dropped.
+    EXPECT_EQ(sim.stats().writes_elided - before.writes_elided, 1u);
+    EXPECT_EQ(sim.driver_value(bus, hold)->to_string(), "ZZ01");
+    EXPECT_EQ(sim.driver_value(bus, toggle)->to_string(), toggle_seq[step]);
+  }
+}
+
+TEST(WriteElision, ExternalCallbackAndDelayedWritesAlwaysStage) {
+  Simulator sim;
+  const SignalId s = sim.create_signal("s", 1, Logic::L0);
+  const SignalId d = sim.create_signal("d", 1, Logic::L0);
+  const SignalId trig = sim.create_signal("trig", 1, Logic::L0);
+  sim.add_process("delayed", {trig}, [&] {
+    sim.schedule_write(d, Logic::L1, SimTime::from_ns(2));  // same each run
+  });
+  sim.initialize();
+  for (int i = 0; i < 3; ++i) {
+    sim.schedule_write(s, Logic::L1);  // external, same value every round
+    sim.schedule_callback(SimTime::from_ns(1),
+                          [&] { sim.schedule_write(s, Logic::L1); });
+    sim.schedule_write(trig, i % 2 ? Logic::L0 : Logic::L1,
+                       SimTime::from_ns(1));
+    sim.run_until(sim.now() + SimTime::from_ns(5));
+  }
+  EXPECT_EQ(sim.stats().writes_elided, 0u);
+  // 3 external + 3 callback + 3 trig + 4 delayed (initialization + 3 runs).
+  EXPECT_EQ(sim.stats().transactions, 13u);
+  EXPECT_EQ(sim.value(s).bit(0), Logic::L1);
+  EXPECT_EQ(sim.value(d).bit(0), Logic::L1);
+}
+
+TEST(WriteElision, FirstWriteCreatesDriverSlot) {
+  // Both writes equal the signals' current values, yet stage: the process
+  // has no driver slot on either signal until they do.
+  Simulator sim;
+  const SignalId s = sim.create_signal("s", 1, Logic::L0);
+  const SignalId b = sim.create_signal("b", 8, Logic::L0);
+  const ProcessId p = sim.add_process("p", {}, [&] {
+    sim.schedule_write(s, Logic::L0);
+    sim.schedule_write_uint(b, 0);
+  });
+  sim.initialize();
+  EXPECT_EQ(sim.stats().transactions, 2u);
+  EXPECT_EQ(sim.stats().writes_elided, 0u);
+  EXPECT_EQ(sim.stats().value_changes, 0u);
+  EXPECT_EQ(sim.drivers_of(s), std::vector<ProcessId>{p});
+  EXPECT_EQ(sim.drivers_of(b), std::vector<ProcessId>{p});
+  ASSERT_NE(sim.driver_value(s, p), nullptr);
+  EXPECT_TRUE(sim.driver_value(s, p)->equals_scalar(Logic::L0));
+  ASSERT_NE(sim.driver_value(b, p), nullptr);
+  EXPECT_TRUE(sim.driver_value(b, p)->equals_uint(0));
+}
+
+TEST(WriteElision, ProbeCapturesWriteTheKernelWouldElide) {
+  Simulator sim;
+  const SignalId a = sim.create_signal("a", 1, Logic::L1);
+  const SignalId y = sim.create_signal("y", 1, Logic::L0);
+  const ProcessId p = sim.add_process(
+      "buf", {a}, [&] { sim.schedule_write(y, sim.value(a).bit(0)); });
+  sim.initialize();  // y's slot for `buf` now holds '1'
+  ASSERT_EQ(sim.value(y).bit(0), Logic::L1);
+  const KernelStats before = sim.stats();
+  const Simulator::ProbeResult r = sim.probe_process(p);
+  ASSERT_EQ(r.writes.size(), 1u);
+  EXPECT_EQ(r.writes[0].sig, y);
+  EXPECT_TRUE(r.writes[0].value.equals_scalar(Logic::L1));
+  EXPECT_EQ(sim.stats().writes_elided, before.writes_elided);
+  EXPECT_EQ(sim.stats().transactions, before.transactions);
+  EXPECT_TRUE(sim.quiescent());
+}
+
+// --- randomized differential: elided vs shadowed writes -----------------------
+
+/// One committed value change.  `delta` ranks the committing delta among
+/// the committing deltas of its time point.
+struct Commit {
+  std::int64_t t_ps;
+  int delta;
+  SignalId sig;
+  std::string value;
+  auto operator<=>(const Commit&) const = default;
+};
+
+struct NetlistRun {
+  std::vector<Commit> commits;
+  KernelStats stats;
+};
+
+/// Writes through the scalar, uint and vector paths.  A shadowing writer
+/// first writes a different value in the same activation: last-write-wins
+/// discards it, but it leaves a write queued, so the real write is staged
+/// even when it re-drives the slot's value.
+struct Writer {
+  Simulator* sim;
+  bool shadow;
+
+  void scalar(SignalId s, Logic v) const {
+    if (shadow) sim->schedule_write(s, v == Logic::L0 ? Logic::L1 : Logic::L0);
+    sim->schedule_write(s, v);
+  }
+  void uint(SignalId s, std::uint64_t v) const {
+    if (shadow) sim->schedule_write_uint(s, v ^ 1);
+    sim->schedule_write_uint(s, v);
+  }
+  void vector(SignalId s, LogicVector v, bool as_lvalue) const {
+    if (shadow) {
+      LogicVector other = v;
+      other.set_bit(0, v.bit(0) == Logic::L0 ? Logic::L1 : Logic::L0);
+      sim->schedule_write(s, std::move(other));
+    }
+    if (as_lvalue) {
+      sim->schedule_write(s, v);
+    } else {
+      sim->schedule_write(s, std::move(v));
+    }
+  }
+};
+
+/// Seeded random netlist: scalars and buses (one wider than 64 bits),
+/// clocked processes with private state, an acyclic layer of combinational
+/// processes, multi-driver nets whose drivers alternate between a value
+/// and release, and external stimulus.  Runs `cycles` clock periods.
+NetlistRun run_random_netlist(std::uint32_t seed, bool shadow,
+                              int cycles = 120) {
+  std::mt19937 rng(seed);
+  const auto roll = [&](std::uint32_t n) {
+    return static_cast<std::uint32_t>(rng() % n);
+  };
+  Simulator sim;
+  const Writer out{&sim, shadow};
+  const Signal clk(&sim, sim.create_signal("clk", 1, Logic::L0));
+
+  constexpr std::size_t kWidths[] = {1, 1, 4, 8, 100};
+  std::vector<SignalId> sigs;
+  const auto add_signal = [&](std::size_t width) {
+    const Logic init = roll(4) == 0 ? Logic::U : Logic::L0;
+    sigs.push_back(sim.create_signal("s" + std::to_string(sigs.size()),
+                                     width, init));
+    return sigs.back();
+  };
+  for (int i = 0; i < 6; ++i) add_signal(kWidths[roll(5)]);
+  const SignalId ext_in = add_signal(4);
+  sigs.push_back(clk.id());
+
+  // A deterministic function of the read values (hashing the MSB-first
+  // strings covers U/X/Z/W bits too).
+  const auto digest = [&sim](const std::vector<SignalId>& reads,
+                             std::uint64_t salt) {
+    std::uint64_t h = salt * 0x9e3779b97f4a7c15ULL;
+    for (SignalId r : reads) {
+      h = (h ^ std::hash<std::string>{}(sim.value(r).to_string())) *
+          0x100000001b3ULL;
+    }
+    return h;
+  };
+  // Writes a value derived from `h` through the path `s`'s width allows.
+  const auto drive = [&sim, out](SignalId s, std::uint64_t h, bool release) {
+    const std::size_t w = sim.width(s);
+    if (release) {
+      out.vector(s, LogicVector(w, Logic::Z), (h & 1) != 0);
+    } else if (w == 1) {
+      constexpr Logic kScalar[] = {Logic::L0, Logic::L1, Logic::L0,
+                                   Logic::L1, Logic::X,  Logic::Z};
+      out.scalar(s, kScalar[h % 6]);
+    } else if (w <= 64) {
+      out.uint(s, h >> 3);
+    } else {
+      LogicVector v(w, Logic::L0);
+      v.set_value_word(0, h);
+      v.set_value_word(1, h >> 17);
+      out.vector(s, std::move(v), (h & 2) != 0);
+    }
+  };
+
+  // Clocked processes: private state that advances every few edges, so
+  // most writes re-assert the value already driven.
+  std::vector<SignalId> multi;  // nets given a second clocked driver
+  for (int p = 0; p < 5; ++p) {
+    std::vector<SignalId> reads;
+    for (std::uint32_t k = 0, n = 1 + roll(3); k < n; ++k) {
+      reads.push_back(sigs[roll(static_cast<std::uint32_t>(sigs.size()))]);
+    }
+    const SignalId target = add_signal(kWidths[roll(5)]);
+    if (p < 2) multi.push_back(target);
+    const std::uint32_t period = 1 + roll(4);
+    const ProcessId pid = sim.add_process(
+        "clocked" + std::to_string(p), {clk.id()},
+        [clk, reads, target, period, drive, digest,
+         tick = std::uint64_t{0}]() mutable {
+          if (!clk.rose()) return;
+          ++tick;
+          drive(target, digest(reads, tick / period), false);
+        });
+    sim.restrict_sensitivity_to_rising(pid, clk.id());
+  }
+  // Second drivers of the multi-driver nets: alternate between releasing
+  // the net and driving a conflicting value.
+  for (std::size_t m = 0; m < multi.size(); ++m) {
+    const SignalId net = multi[m];
+    const std::uint32_t period = 2 + roll(3);
+    const ProcessId pid = sim.add_process(
+        "second" + std::to_string(m), {clk.id()},
+        [clk, net, period, drive, tick = std::uint64_t{0}]() mutable {
+          if (!clk.rose()) return;
+          ++tick;
+          const std::uint64_t phase = tick / period;
+          drive(net, phase * 0x51ed27ULL, phase % 2 == 0);
+        });
+    sim.restrict_sensitivity_to_rising(pid, clk.id());
+  }
+  // Combinational layer: each process reads earlier signals only (acyclic)
+  // and drives a fresh one.
+  for (int c = 0; c < 8; ++c) {
+    std::vector<SignalId> reads;
+    for (std::uint32_t k = 0, n = 1 + roll(3); k < n; ++k) {
+      reads.push_back(sigs[roll(static_cast<std::uint32_t>(sigs.size()))]);
+    }
+    const SignalId target = add_signal(kWidths[roll(5)]);
+    // Few distinct outputs, so most re-evaluations re-assert.
+    sim.add_process("comb" + std::to_string(c), reads,
+                    [reads, target, drive, digest, c] {
+                      const std::uint64_t h = digest(reads, 1000 + c) % 5;
+                      drive(target, h * 0x2545f4914f6cdd1dULL, false);
+                    });
+  }
+
+  std::vector<Commit> raw;
+  sim.add_change_observer([&](SignalId s, const LogicVector& v, SimTime t) {
+    raw.push_back({t.ps(), static_cast<int>(sim.stats().delta_cycles), s,
+                   v.to_string()});
+  });
+
+  sim.initialize();
+  for (int e = 1; e <= 2 * cycles; ++e) {
+    sim.schedule_write(clk.id(), e % 2 ? Logic::L1 : Logic::L0,
+                       SimTime::from_ns(5 * e));
+    if (roll(5) == 0) {
+      sim.schedule_write(ext_in, LogicVector::from_uint(roll(16), 4),
+                         SimTime::from_ns(5 * e + 2));
+    }
+  }
+  sim.run_until(SimTime::from_ns(10 * cycles + 20));
+
+  // Rank each commit's delta within its time point; order within one delta
+  // follows signal discovery and is not part of the contract.
+  NetlistRun run{{}, sim.stats()};
+  std::int64_t t = -1;
+  int last_serial = -1, rank = -1;
+  for (Commit c : raw) {
+    if (c.t_ps != t) {
+      t = c.t_ps;
+      rank = -1;
+      last_serial = -1;
+    }
+    if (c.delta != last_serial) {
+      last_serial = c.delta;
+      ++rank;
+    }
+    c.delta = rank;
+    run.commits.push_back(std::move(c));
+  }
+  std::sort(run.commits.begin(), run.commits.end());
+  return run;
+}
+
+TEST(WriteElision, RandomNetlistsMatchShadowedRuns) {
+  for (std::uint32_t seed = 1; seed <= 12; ++seed) {
+    const NetlistRun plain = run_random_netlist(seed, false);
+    const NetlistRun shadowed = run_random_netlist(seed, true);
+    ASSERT_FALSE(plain.commits.empty()) << "seed " << seed;
+    EXPECT_EQ(plain.commits, shadowed.commits) << "seed " << seed;
+    EXPECT_EQ(plain.stats.process_activations,
+              shadowed.stats.process_activations)
+        << "seed " << seed;
+    EXPECT_EQ(plain.stats.value_changes, shadowed.stats.value_changes)
+        << "seed " << seed;
+    // The plain run elides; the shadowed run stages every real write.
+    EXPECT_GT(plain.stats.writes_elided, 0u) << "seed " << seed;
+    EXPECT_GT(shadowed.stats.transactions, plain.stats.transactions)
+        << "seed " << seed;
+  }
 }
 
 }  // namespace

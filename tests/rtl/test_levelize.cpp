@@ -1,12 +1,11 @@
-// Levelized two-phase evaluation (DESIGN.md §7.7): schedule classification,
-// bit-identity of levelized vs delta-loop execution on randomized
-// feed-forward netlists, fallback on cyclic/latch regions (including U/X/Z/W
-// propagation), dynamic degradation, and activity gating.
+// Netlist levelization (rtl::levelize, which the lint dataflow engine uses
+// for cone ranks): process classification and cyclic regions.  Then the
+// kernel's delta loop on the fixtures levelization singles out — a NOR latch
+// (including U/X/Z/W propagation), a transparent latch and a comb-derived
+// clock — checked by value, and activity gating (DESIGN.md §7.7).
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <map>
-#include <random>
 #include <string>
 #include <vector>
 
@@ -26,34 +25,6 @@ struct Change {
     return os << c.sig << "=" << c.value << "@" << c.t_ps << "ps";
   }
 };
-
-/// Collapses a raw change log to time-point granularity: one entry per
-/// (signal, time) where the signal's settled value differs from its settled
-/// value at the previous time point.  Ranked settling legitimately elides
-/// stale-input glitch commits inside a time point (a deferred gate runs once
-/// with fresh inputs instead of re-running), so delta-level interleaving is
-/// not part of the §7.7 equivalence — settled trajectories are.
-std::vector<Change> settled(const std::vector<Change>& raw) {
-  std::vector<Change> out;
-  std::map<std::string, std::string> last;
-  for (std::size_t i = 0; i < raw.size();) {
-    std::size_t j = i;
-    std::map<std::string, std::string> at_t;  // last write per signal wins
-    while (j < raw.size() && raw[j].t_ps == raw[i].t_ps) {
-      at_t[raw[j].sig] = raw[j].value;
-      ++j;
-    }
-    for (const auto& [sig, v] : at_t) {
-      auto it = last.find(sig);
-      if (it == last.end() || it->second != v) {
-        out.push_back({sig, v, raw[i].t_ps});
-        last[sig] = v;
-      }
-    }
-    i = j;
-  }
-  return out;
-}
 
 std::vector<Change>* capture(Simulator& sim) {
   auto* out = new std::vector<Change>;
@@ -136,105 +107,13 @@ TEST(Levelize, SelfLoopIsItsOwnFallbackRegion) {
   EXPECT_EQ(sched.fallback_regions[0].members, std::vector<ProcessId>{latch});
 }
 
-// --- bit-identity: levelized vs delta loop ----------------------------------
-
-/// Builds a randomized feed-forward netlist: `inputs` externally driven
-/// signals, then `gates` combinational processes, each reading two earlier
-/// signals (DAG by construction) and driving a fresh output, plus one
-/// rising-edge process sampling the last output.  Drives a deterministic
-/// random stimulus and returns the committed change trajectory.
-std::vector<Change> run_random_feed_forward(std::uint32_t seed, bool levelized,
-                                            KernelStats* stats_out) {
-  std::mt19937 rng(seed);
-  Simulator sim;
-  sim.set_levelized(levelized);
-  auto* changes = capture(sim);
-
-  constexpr int kInputs = 4;
-  constexpr int kGates = 24;
-  std::vector<SignalId> sigs;
-  for (int i = 0; i < kInputs; ++i) {
-    sigs.push_back(sim.create_signal("in" + std::to_string(i), 1, Logic::L0));
-  }
-  for (int g = 0; g < kGates; ++g) {
-    std::uniform_int_distribution<std::size_t> pick(0, sigs.size() - 1);
-    const SignalId a = sigs[pick(rng)];
-    const SignalId b = sigs[pick(rng)];
-    const SignalId y =
-        sim.create_signal("g" + std::to_string(g), 1, Logic::L0);
-    const int op = static_cast<int>(rng() % 3);
-    sim.add_process("gate" + std::to_string(g), {a, b}, [&sim, a, b, y, op] {
-      const Logic va = sim.value(a).bit(0);
-      const Logic vb = sim.value(b).bit(0);
-      Logic r;
-      switch (op) {
-        case 0: r = logic_and(va, vb); break;
-        case 1: r = logic_or(va, vb); break;
-        default: r = logic_not(logic_and(va, vb)); break;
-      }
-      sim.schedule_write(y, r);
-    });
-    sigs.push_back(y);
-  }
-  const SignalId clk = sim.create_signal("clk", 1, Logic::L0);
-  const SignalId sample = sim.create_signal("sample", 1, Logic::L0);
-  const SignalId last = sigs.back();
-  const ProcessId seq = sim.add_process("sampler", {clk}, [&sim, clk, sample,
-                                                          last] {
-    if (sim.rose(clk)) sim.schedule_write(sample, sim.value(last).bit(0));
-  });
-  sim.restrict_sensitivity_to_rising(seq, clk);
-
-  sim.initialize();
-  // Deterministic stimulus: every 10 ns flip a random subset of the inputs
-  // (occasionally to X/Z/U) and toggle the clock.
-  const Logic specials[] = {Logic::X, Logic::Z, Logic::U, Logic::W};
-  for (int step = 1; step <= 40; ++step) {
-    const SimTime t = SimTime::from_ns(10 * step);
-    for (int i = 0; i < kInputs; ++i) {
-      const std::uint32_t roll = rng() % 8;
-      if (roll < 3) {
-        sim.schedule_write(sigs[static_cast<std::size_t>(i)],
-                           roll & 1 ? Logic::L1 : Logic::L0, t);
-      } else if (roll == 3) {
-        sim.schedule_write(sigs[static_cast<std::size_t>(i)],
-                           specials[rng() % 4], t);
-      }
-    }
-    sim.schedule_write(clk, step % 2 ? Logic::L1 : Logic::L0, t);
-  }
-  sim.run_until(SimTime::from_ns(450));
-  if (stats_out) *stats_out = sim.stats();
-  std::vector<Change> out = std::move(*changes);
-  delete changes;
-  return out;
-}
-
-TEST(Levelize, RandomFeedForwardNetlistsBitIdentical) {
-  for (std::uint32_t seed : {11u, 23u, 57u, 91u, 140u}) {
-    KernelStats lv{}, dl{};
-    const std::vector<Change> levelized =
-        run_random_feed_forward(seed, true, &lv);
-    const std::vector<Change> delta =
-        run_random_feed_forward(seed, false, &dl);
-    EXPECT_EQ(settled(levelized), settled(delta)) << "seed " << seed;
-    EXPECT_GT(lv.levelized_points, 0u) << "seed " << seed;
-    EXPECT_EQ(lv.fallback_points, 0u) << "seed " << seed;
-    // Ranked settling never runs a gate twice in one wave, so the levelized
-    // pass cannot activate more processes than the delta loop.
-    EXPECT_LE(lv.process_activations, dl.process_activations)
-        << "seed " << seed;
-  }
-}
+// --- delta-loop value checks ----------------------------------------------
 
 /// Cross-coupled NOR latch (the canonical cyclic region) driven through
-/// set/reset, plus U/X/Z/W pulses: the levelized kernel must take the
-/// fallback path and commit exactly the delta loop's trajectory.
-std::vector<Change> run_nor_latch(bool levelized, KernelStats* stats_out) {
+/// set/reset, plus X/Z/W/U pulses on `set`: each time point must settle to
+/// the latch's truth table.
+TEST(DeltaLoop, NorLatchSettles) {
   Simulator sim;
-  sim.set_levelized(levelized);
-  auto* changes = capture(sim);
-
   const SignalId set = sim.create_signal("set", 1, Logic::L0);
   const SignalId rst = sim.create_signal("rst", 1, Logic::L1);
   const SignalId q = sim.create_signal("q", 1, Logic::L0);
@@ -260,36 +139,29 @@ std::vector<Change> run_nor_latch(bool levelized, KernelStats* stats_out) {
   sim.schedule_write(set, Logic::W, SimTime::from_ns(90));   // W in
   sim.schedule_write(set, Logic::U, SimTime::from_ns(100));  // U in
   sim.schedule_write(set, Logic::L0, SimTime::from_ns(110));
-  sim.run_until(SimTime::from_ns(130));
 
-  if (stats_out) *stats_out = sim.stats();
-  std::vector<Change> out = std::move(*changes);
-  delete changes;
-  return out;
-}
-
-TEST(Levelize, NorLatchFallsBackAndMatchesDeltaLoop) {
-  KernelStats lv{}, dl{};
-  const std::vector<Change> levelized = run_nor_latch(true, &lv);
-  const std::vector<Change> delta = run_nor_latch(false, &dl);
-  EXPECT_EQ(levelized, delta);
-  EXPECT_GT(lv.fallback_points, 0u);  // the cyclic region engaged the loop
-  EXPECT_EQ(dl.fallback_points, 0u);  // delta mode never "degrades"
-  EXPECT_EQ(dl.levelized_points, 0u);
-
-  // The set pulse latches q high; the trajectory must show q reaching '1'
-  // and, after the X pulse at 60 ns, unknowns propagating into the loop.
-  bool q_high = false, saw_x = false;
-  for (const Change& c : levelized) {
-    if (c.sig == "q" && c.value == "1" && c.t_ps < 40'000'000) q_high = true;
-    if (c.value == "X" || c.value == "W") saw_x = true;
+  struct Sample {
+    std::int64_t t_ns;
+    Logic q, qn;
+  };
+  const Sample samples[] = {
+      {15, Logic::L0, Logic::L1},  {25, Logic::L1, Logic::L0},
+      {35, Logic::L1, Logic::L0},  // held
+      {45, Logic::L0, Logic::L1},  {55, Logic::L0, Logic::L1},
+      {65, Logic::X, Logic::X},    // X on set enters the loop
+      {75, Logic::L1, Logic::L0},  // '1' on set dominates the X
+      {85, Logic::L1, Logic::L0},  {95, Logic::L1, Logic::L0},
+      {105, Logic::L1, Logic::L0}, {125, Logic::L1, Logic::L0},
+  };
+  for (const Sample& s : samples) {
+    sim.run_until(SimTime::from_ns(s.t_ns));
+    EXPECT_EQ(sim.value(q).bit(0), s.q) << "at " << s.t_ns << " ns";
+    EXPECT_EQ(sim.value(qn).bit(0), s.qn) << "at " << s.t_ns << " ns";
   }
-  EXPECT_TRUE(q_high);
-  EXPECT_TRUE(saw_x);
 }
 
-TEST(Levelize, LatchFixtureHoldsValueUnderFallback) {
-  Simulator sim;  // levelized default-on
+TEST(DeltaLoop, TransparentLatchHoldsValue) {
+  Simulator sim;
   const SignalId en = sim.create_signal("en", 1, Logic::L1);
   const SignalId d = sim.create_signal("d", 1, Logic::L0);
   const SignalId lq = sim.create_signal("lq", 1, Logic::U);
@@ -306,54 +178,38 @@ TEST(Levelize, LatchFixtureHoldsValueUnderFallback) {
   sim.schedule_write(d, Logic::L0, SimTime::from_ns(30));   // must not pass
   sim.run_until(SimTime::from_ns(40));
   EXPECT_EQ(sim.value(lq).bit(0), Logic::L1);  // held
-  EXPECT_GT(sim.stats().fallback_points, 0u);
 }
 
-// --- dynamic degradation ------------------------------------------------------
-
-TEST(Levelize, GatedClockDegradesSettlingWithoutDivergence) {
+TEST(DeltaLoop, CombDerivedClockWakesSequentialProcess) {
   // A combinational process drives a derived clock; a rising-edge process
-  // hangs off it.  When the comb wave commits the derived edge, a
-  // *sequential* process wakes mid-settling — the kernel must degrade that
-  // time point to the delta loop and still match delta-mode results.
-  auto run = [](bool levelized, KernelStats* stats_out) {
-    Simulator sim;
-    sim.set_levelized(levelized);
-    auto* changes = capture(sim);
-    const SignalId clk = sim.create_signal("clk", 1, Logic::L0);
-    const SignalId en = sim.create_signal("en", 1, Logic::L1);
-    const SignalId gclk = sim.create_signal("gclk", 1, Logic::L0);
-    const SignalId cnt = sim.create_signal("cnt", 8, Logic::L0);
-    sim.add_process("clkgate", {clk, en}, [&] {
-      sim.schedule_write(gclk, logic_and(sim.value(clk).bit(0),
-                                         sim.value(en).bit(0)));
-    });
-    const ProcessId ff = sim.add_process("counter", {gclk}, [&] {
-      if (!sim.rose(gclk)) return;
-      sim.schedule_write(
-          cnt, LogicVector::from_uint(sim.value(cnt).to_uint() + 1, 8));
-    });
-    sim.restrict_sensitivity_to_rising(ff, gclk);
-    sim.initialize();
-    for (int edge = 1; edge <= 10; ++edge) {
-      sim.schedule_write(clk, edge % 2 ? Logic::L1 : Logic::L0,
-                         SimTime::from_ns(5 * edge));
-    }
-    sim.schedule_write(en, Logic::L0, SimTime::from_ns(22));  // gate 2 edges
-    sim.schedule_write(en, Logic::L1, SimTime::from_ns(42));
-    sim.run_until(SimTime::from_ns(60));
-    if (stats_out) *stats_out = sim.stats();
-    const std::uint64_t count = sim.value(cnt).to_uint();
-    std::vector<Change> out = std::move(*changes);
-    delete changes;
-    out.push_back({"final_cnt", std::to_string(count), 0});
-    return out;
-  };
-  KernelStats lv{}, dl{};
-  const std::vector<Change> levelized = run(true, &lv);
-  const std::vector<Change> delta = run(false, &dl);
-  EXPECT_EQ(levelized, delta);
-  EXPECT_GT(lv.fallback_points, 0u);  // degradations counted here
+  // hangs off it.  The derived edge commits one delta after the clock edge
+  // and must still wake the sequential process in the same time point.
+  Simulator sim;
+  const SignalId clk = sim.create_signal("clk", 1, Logic::L0);
+  const SignalId en = sim.create_signal("en", 1, Logic::L1);
+  const SignalId gclk = sim.create_signal("gclk", 1, Logic::L0);
+  const SignalId cnt = sim.create_signal("cnt", 8, Logic::L0);
+  sim.add_process("clkgate", {clk, en}, [&] {
+    sim.schedule_write(gclk, logic_and(sim.value(clk).bit(0),
+                                       sim.value(en).bit(0)));
+  });
+  const ProcessId ff = sim.add_process("counter", {gclk}, [&] {
+    if (!sim.rose(gclk)) return;
+    sim.schedule_write(
+        cnt, LogicVector::from_uint(sim.value(cnt).to_uint() + 1, 8));
+  });
+  sim.restrict_sensitivity_to_rising(ff, gclk);
+  sim.initialize();
+  for (int edge = 1; edge <= 10; ++edge) {
+    sim.schedule_write(clk, edge % 2 ? Logic::L1 : Logic::L0,
+                       SimTime::from_ns(5 * edge));
+  }
+  sim.schedule_write(en, Logic::L0, SimTime::from_ns(22));  // gate 2 edges
+  sim.schedule_write(en, Logic::L1, SimTime::from_ns(42));
+  sim.run_until(SimTime::from_ns(60));
+  // Rising clock edges at 5, 15, 25, 35 and 45 ns; 25 and 35 are gated.
+  EXPECT_EQ(sim.value(cnt).to_uint(), 3u);
+  EXPECT_EQ(sim.value(gclk).bit(0), Logic::L0);
 }
 
 // --- activity gating ----------------------------------------------------------
