@@ -30,7 +30,7 @@
 #include "bench/bench_util.hpp"
 #include "src/atm/hec.hpp"
 #include "src/castanet/comparator.hpp"
-#include "src/castanet/coverify.hpp"
+#include "src/castanet/session.hpp"
 #include "src/hw/atm_switch.hpp"
 #include "src/hw/cell_bits.hpp"
 #include "src/hw/reference.hpp"
@@ -250,10 +250,15 @@ Row run_pure_rtl(const std::vector<std::vector<traffic::CellArrival>>& traffic) 
           hdl.stats().process_activations};
 }
 
-// (B) Co-simulation with the full RTL switch; optionally pipelined (the RTL
-// kernel on its own worker thread, window grants over the SPSC channel).
-Row run_cosim_full(const std::vector<std::vector<traffic::CellArrival>>& traffic,
-                   bool pipelined) {
+cosim::ConservativeSync::Params sync_params() {
+  cosim::ConservativeSync::Params p;
+  p.policy = cosim::SyncPolicy::kGlobalOrder;
+  p.clock_period = kClk;
+  return p;
+}
+
+// (B) Co-simulation with the full RTL switch.
+Row run_cosim_full(const std::vector<std::vector<traffic::CellArrival>>& traffic) {
   netsim::Simulation net;
   netsim::Node& env = net.add_node("env");
   rtl::Simulator hdl;
@@ -263,13 +268,10 @@ Row run_cosim_full(const std::vector<std::vector<traffic::CellArrival>>& traffic
   hw::AtmSwitch sw(hdl, "sw", clk, rst);
   install_routes(sw);
 
-  cosim::CoVerification::Params params;
-  params.sync.policy = cosim::SyncPolicy::kGlobalOrder;
-  params.sync.clock_period = kClk;
-  params.pipelined = pipelined;
-  params.channel_capacity = 8192;
-  cosim::CoVerification cov(net, hdl, env, kPorts, params);
-  cov.set_response_handler([](const cosim::TimedMessage&) {});
+  cosim::RtlBackend rtl("rtl", hdl, sync_params());
+  cosim::VerificationSession session(net, env, kPorts, {});
+  session.attach(rtl);
+  session.set_response_handler([](const cosim::TimedMessage&) {});
   cosim::ResponseComparator cmp;
 
   std::vector<std::unique_ptr<hw::CellPortDriver>> drivers;
@@ -282,7 +284,7 @@ Row run_cosim_full(const std::vector<std::vector<traffic::CellArrival>>& traffic
     monitors.push_back(std::make_unique<hw::CellPortMonitor>(
         hdl, "mon" + std::to_string(p), clk, sw.phys_out(p)));
     monitors[p]->set_callback([&cmp](const atm::Cell& c) { cmp.actual(c); });
-    cov.entity().register_input(
+    rtl.entity().register_input(
         static_cast<cosim::MessageType>(p), 53,
         [&, p](const cosim::TimedMessage& m) { drivers[p]->enqueue(*m.cell); });
     traffic::CellTrace trace;
@@ -290,27 +292,18 @@ Row run_cosim_full(const std::vector<std::vector<traffic::CellArrival>>& traffic
     auto& gen = env.add_process<traffic::GeneratorProcess>(
         "gen" + std::to_string(p),
         std::make_unique<traffic::TraceSource>(trace), trace.size());
-    net.connect(gen, 0, cov.gateway(), static_cast<unsigned>(p));
+    net.connect(gen, 0, session.gateway(), static_cast<unsigned>(p));
   }
   WallTimer timer;
-  cov.run_until(horizon_of(traffic));
+  session.run_until(horizon_of(traffic));
   const double wall = timer.seconds();
-  if (g_quiet) {
-  } else if (pipelined) {
-    const auto cs = cov.stats();
-    std::printf("  pipelined: %llu windows, %llu worker batches, %llu grant "
-                "stalls, channel high-water %llu\n",
-                static_cast<unsigned long long>(cs.windows),
-                static_cast<unsigned long long>(cs.worker_batches),
-                static_cast<unsigned long long>(cs.window_grant_stalls),
-                static_cast<unsigned long long>(cs.max_channel_occupancy));
-  } else {
-    std::printf("  serial: %llu windows\n",
-                static_cast<unsigned long long>(cov.stats().windows));
+  if (!g_quiet) {
+    std::printf("  co-sim: %llu sync windows\n",
+                static_cast<unsigned long long>(
+                    session.stats().backends[0].windows));
   }
-  return {pipelined ? "B': co-sim pipelined (RTL switch)"
-                    : "B: co-sim (RTL switch)",
-          cells, clock.rising_edges(), wall, hdl.stats().process_activations};
+  return {"B: co-sim (RTL switch)", cells, clock.rising_edges(), wall,
+          hdl.stats().process_activations};
 }
 
 // (C) Co-simulation with only the GCU in RTL; ports abstracted.
@@ -376,15 +369,14 @@ Row run_cosim_gcu(const std::vector<std::vector<traffic::CellArrival>>& traffic)
     }
   });
 
-  cosim::CoVerification::Params params;
-  params.sync.policy = cosim::SyncPolicy::kGlobalOrder;
-  params.sync.clock_period = kClk;
-  cosim::CoVerification cov(net, hdl, env, kPorts, params);
-  cov.set_response_handler([](const cosim::TimedMessage&) {});
+  cosim::RtlBackend rtl("rtl", hdl, sync_params());
+  cosim::VerificationSession session(net, env, kPorts, {});
+  session.attach(rtl);
+  session.set_response_handler([](const cosim::TimedMessage&) {});
   std::uint64_t cells = 0;
   for (std::size_t p = 0; p < kPorts; ++p) {
     cells += traffic[p].size();
-    cov.entity().register_input(
+    rtl.entity().register_input(
         static_cast<cosim::MessageType>(p), 2,
         [&, p](const cosim::TimedMessage& m) {
           const auto routed = ref.route(p, *m.cell);
@@ -398,10 +390,10 @@ Row run_cosim_gcu(const std::vector<std::vector<traffic::CellArrival>>& traffic)
     auto& gen = env.add_process<traffic::GeneratorProcess>(
         "gen" + std::to_string(p),
         std::make_unique<traffic::TraceSource>(trace), trace.size());
-    net.connect(gen, 0, cov.gateway(), static_cast<unsigned>(p));
+    net.connect(gen, 0, session.gateway(), static_cast<unsigned>(p));
   }
   WallTimer timer;
-  cov.run_until(horizon_of(traffic));
+  session.run_until(horizon_of(traffic));
   const double wall = timer.seconds();
   if (delivered != cells) {
     std::printf("  !! GCU harness delivered %llu of %llu cells\n",
@@ -434,9 +426,9 @@ int main(int argc, char** argv) {
     total = std::strtoull(env, nullptr, 10);
   }
   const auto traffic = make_traffic(total);
-  // Restrict to a subset of configurations for profiling one mode in
-  // isolation: CASTANET_E1_ONLY is any combination of the letters
-  // A (pure HDL), B (serial co-sim), P (pipelined co-sim), C (GCU only).
+  // Restrict to a subset of configurations for profiling one configuration
+  // in isolation: CASTANET_E1_ONLY is any combination of the letters
+  // A (pure HDL), B (co-sim), C (GCU only).
   std::string only;
   if (const char* env = std::getenv("CASTANET_E1_ONLY")) only = env;
   const auto want = [&only](char key) {
@@ -451,11 +443,11 @@ int main(int argc, char** argv) {
               "clk cyc", "wall s", "clk cyc/s", "speedup");
   bench::rule();
   // CASTANET_E1_REPS > 1 runs the selected configurations round-robin
-  // (A,B,B',C, A,B,B',C, ...) and reports each configuration's
+  // (A,B,C, A,B,C, ...) and reports each configuration's
   // best-by-wall-clock row, which is what BENCH_PR*.json records.
   // Alternation matters: single runs on a shared box are too noisy for
-  // mode-vs-mode comparisons, and sequential blocks would fold machine
-  // drift into the comparison.  The minimum (not the median) is the
+  // comparisons between configurations, and sequential blocks would fold
+  // machine drift into the comparison.  The minimum (not the median) is the
   // estimator because external load is strictly additive noise: the
   // fastest sample is the least-contaminated one each configuration got.
   std::size_t reps = 1;
@@ -466,12 +458,7 @@ int main(int argc, char** argv) {
   g_quiet = reps > 1;
   std::vector<std::function<Row()>> runs;
   if (want('A')) runs.push_back([&] { return run_pure_rtl(traffic); });
-  if (want('B')) {
-    runs.push_back([&] { return run_cosim_full(traffic, /*pipelined=*/false); });
-  }
-  if (want('P')) {
-    runs.push_back([&] { return run_cosim_full(traffic, /*pipelined=*/true); });
-  }
+  if (want('B')) runs.push_back([&] { return run_cosim_full(traffic); });
   if (want('C')) runs.push_back([&] { return run_cosim_gcu(traffic); });
 
   // Rotate the within-round order each round: with a fixed order, later

@@ -10,7 +10,7 @@
 
 #include "bench/bench_util.hpp"
 #include "src/castanet/comparator.hpp"
-#include "src/castanet/coverify.hpp"
+#include "src/castanet/session.hpp"
 #include "src/hw/accounting.hpp"
 #include "src/hw/reference.hpp"
 #include "src/traffic/mpeg.hpp"
@@ -75,19 +75,21 @@ Verdict run_flow(const traffic::CellTrace& trace, hw::AccountingFault fault) {
   acct.bind_connection({2, 200}, 0, 0);
   acct.bind_connection({1, 100}, 1, 1);
 
-  cosim::CoVerification::Params params;
-  params.sync.policy = cosim::SyncPolicy::kGlobalOrder;
-  params.sync.clock_period = kClk;
-  cosim::CoVerification cov(net, hdl, env, 1, params);
-  cov.set_response_handler([](const cosim::TimedMessage&) {});
-  cov.entity().register_input(0, 53, [&](const cosim::TimedMessage& m) {
+  cosim::ConservativeSync::Params sync;
+  sync.policy = cosim::SyncPolicy::kGlobalOrder;
+  sync.clock_period = kClk;
+  cosim::RtlBackend rtl("rtl", hdl, sync);
+  cosim::VerificationSession session(net, env, 1, {});
+  session.attach(rtl);
+  session.set_response_handler([](const cosim::TimedMessage&) {});
+  rtl.entity().register_input(0, 53, [&](const cosim::TimedMessage& m) {
     driver.enqueue(*m.cell);
   });
   auto& gen = env.add_process<traffic::GeneratorProcess>(
       "gen", std::make_unique<traffic::TraceSource>(trace), trace.size());
-  net.connect(gen, 0, cov.gateway(), 0);
+  net.connect(gen, 0, session.gateway(), 0);
 
-  cov.run_until(trace.arrivals().back().time + SimTime::from_ms(1));
+  session.run_until(trace.arrivals().back().time + SimTime::from_ms(1));
 
   cosim::ResponseComparator cmp;
   for (std::uint64_t c = 0; c < 2; ++c) {
@@ -98,7 +100,7 @@ Verdict run_flow(const traffic::CellTrace& trace, hw::AccountingFault fault) {
   }
   cmp.finish();
   return {cmp.mismatches().size(), acct.cells_observed(),
-          cov.stats().messages_to_hdl};
+          session.stats().messages_to_hdl};
 }
 
 }  // namespace

@@ -17,7 +17,7 @@
 
 #include "bench/bench_util.hpp"
 #include "src/castanet/board_driver.hpp"
-#include "src/castanet/coverify.hpp"
+#include "src/castanet/session.hpp"
 #include "src/hw/accounting.hpp"
 #include "src/hw/reference.hpp"
 #include "src/traffic/conformance.hpp"
@@ -65,18 +65,20 @@ std::uint64_t run_cosim_level(const traffic::CellTrace& trace) {
   hw::AccountingUnit acct(hdl, "acct", clk, rst, snoop, 8);
   acct.set_tariff(0, hw::Tariff{2, 1});
   acct.bind_connection({1, 100}, 0, 0);
-  cosim::CoVerification::Params params;
-  params.sync.policy = cosim::SyncPolicy::kGlobalOrder;
-  params.sync.clock_period = kClk;
-  cosim::CoVerification cov(net, hdl, env, 1, params);
-  cov.set_response_handler([](const cosim::TimedMessage&) {});
-  cov.entity().register_input(0, 53, [&](const cosim::TimedMessage& m) {
+  cosim::ConservativeSync::Params sync;
+  sync.policy = cosim::SyncPolicy::kGlobalOrder;
+  sync.clock_period = kClk;
+  cosim::RtlBackend rtl("rtl", hdl, sync);
+  cosim::VerificationSession session(net, env, 1, {});
+  session.attach(rtl);
+  session.set_response_handler([](const cosim::TimedMessage&) {});
+  rtl.entity().register_input(0, 53, [&](const cosim::TimedMessage& m) {
     driver.enqueue(*m.cell);
   });
   auto& gen = env.add_process<traffic::GeneratorProcess>(
       "gen", std::make_unique<traffic::TraceSource>(trace), trace.size());
-  net.connect(gen, 0, cov.gateway(), 0);
-  cov.run_until(trace.arrivals().back().time + SimTime::from_ms(1));
+  net.connect(gen, 0, session.gateway(), 0);
+  session.run_until(trace.arrivals().back().time + SimTime::from_ms(1));
   return acct.charge(0);
 }
 

@@ -12,8 +12,8 @@
 #   BUILD_DIR          build tree containing bench/ binaries (default: build)
 #   PR_NUMBER          stamped into the report and the default filename
 #   CASTANET_E1_REPS   E1 repetitions per configuration (default here: 9 —
-#                      E1 compares co-simulation modes, and single runs on a
-#                      shared machine are too noisy for mode-vs-mode ratios)
+#                      E1 compares configurations A/B/C, and single runs on
+#                      a shared machine are too noisy for their ratios)
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -48,9 +48,9 @@ META=$(printf '"meta": {"host": "%s", "os": "%s", "cpu": "%s", "cpus": %s, "comp
   "$(json_escape "$META_CPU")" "$META_NCPU" "$(json_escape "$META_CXX")" \
   "$(json_escape "$META_COMMIT")" "$META_DIRTY" "$META_DATE")
 
-# Shield the benches from external scheduler noise when allowed to: mode
-# comparisons (serial vs pipelined co-simulation) are decided by a few
-# percent, and a background task preempting one rep skews the verdict.
+# Shield the benches from external scheduler noise when allowed to: a
+# background task preempting one rep skews the E1 configuration ratios and
+# every wall-clock rate.
 NICE=""
 if nice -n -10 true 2>/dev/null; then
   NICE="nice -n -10"

@@ -12,7 +12,7 @@
 #include <cstdio>
 
 #include "src/castanet/comparator.hpp"
-#include "src/castanet/coverify.hpp"
+#include "src/castanet/session.hpp"
 #include "src/castanet/mapping.hpp"
 #include "src/hw/accounting.hpp"
 #include "src/hw/reference.hpp"
@@ -28,7 +28,6 @@ struct RunResult {
   std::uint64_t count[2];
   std::uint64_t clp1[2];
   std::uint64_t charge[2];
-  cosim::CoVerification::Stats stats;
 };
 
 /// Runs the accounting unit under co-simulation for the given stimulus and
@@ -52,22 +51,24 @@ RunResult run_dut(const traffic::CellTrace& trace, hw::AccountingFault fault) {
   acct.bind_connection({2, 200}, 0, 0);   // MPEG VC
   acct.bind_connection({1, 100}, 1, 1);   // CBR VC
 
-  cosim::CoVerification::Params params;
-  params.sync.policy = cosim::SyncPolicy::kGlobalOrder;
-  params.sync.clock_period = kClk;
-  cosim::CoVerification cov(net, hdl, env, 1, params);
-  cov.set_response_handler([](const cosim::TimedMessage&) {});
-  cov.entity().register_input(0, 53, [&](const cosim::TimedMessage& m) {
+  cosim::ConservativeSync::Params sync;
+  sync.policy = cosim::SyncPolicy::kGlobalOrder;
+  sync.clock_period = kClk;
+  cosim::RtlBackend rtl("rtl", hdl, sync);
+  cosim::VerificationSession session(net, env, 1, {});
+  session.attach(rtl);
+  session.set_response_handler([](const cosim::TimedMessage&) {});
+  rtl.entity().register_input(0, 53, [&](const cosim::TimedMessage& m) {
     driver.enqueue(*m.cell);
   });
 
   auto& gen = env.add_process<traffic::GeneratorProcess>(
       "gen", std::make_unique<traffic::TraceSource>(trace), trace.size());
-  net.connect(gen, 0, cov.gateway(), 0);
+  net.connect(gen, 0, session.gateway(), 0);
 
   const SimTime horizon =
       trace.arrivals().back().time + SimTime::from_ms(1);
-  cov.run_until(horizon);
+  session.run_until(horizon);
 
   // Read the counters out over the microprocessor bus, like the embedded
   // control software would.
@@ -87,7 +88,6 @@ RunResult run_dut(const traffic::CellTrace& trace, hw::AccountingFault fault) {
     r.clp1[conn] = clp_lo;
     r.charge[conn] = static_cast<std::uint64_t>(charge_mid) << 16 | charge_lo;
   }
-  r.stats = cov.stats();
   return r;
 }
 

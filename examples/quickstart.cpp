@@ -9,7 +9,7 @@
 #include <cstdio>
 
 #include "src/castanet/comparator.hpp"
-#include "src/castanet/coverify.hpp"
+#include "src/castanet/session.hpp"
 #include "src/hw/cell_bits.hpp"
 #include "src/hw/cell_rx.hpp"
 #include "src/traffic/processes.hpp"
@@ -31,20 +31,24 @@ int main() {
   hw::CellReceiver dut(hdl, "dut", clk, rst, lane);
 
   // --- the coupling (Fig. 2) ---------------------------------------------
-  cosim::CoVerification::Params params;
-  params.sync.policy = cosim::SyncPolicy::kGlobalOrder;
-  params.sync.clock_period = clock_period_hz(20'000'000);
-  cosim::CoVerification cov(net, hdl, env, /*streams=*/1, params);
+  // The RTL backend owns the HDL-side co-simulation entity and its
+  // conservative sync; the session owns the network-side gateway.
+  cosim::ConservativeSync::Params sync;
+  sync.policy = cosim::SyncPolicy::kGlobalOrder;
+  sync.clock_period = clock_period_hz(20'000'000);
+  cosim::RtlBackend rtl("rtl", hdl, sync);
+  cosim::VerificationSession session(net, env, /*streams=*/1, {});
+  session.attach(rtl);
 
   // Abstract cells are lowered onto the byte lane (53 clocks + cellsync).
-  cov.entity().register_input(0, /*delta_cycles=*/53,
+  rtl.entity().register_input(0, /*delta_cycles=*/53,
                               [&](const cosim::TimedMessage& m) {
                                 driver.enqueue(*m.cell);
                               });
   // DUT responses are raised back to the abstract level.
   hdl.add_process("respond", {dut.cell_valid.id()}, [&] {
     if (dut.cell_valid.rose()) {
-      cov.entity().send_cell_response(
+      rtl.entity().send_cell_response(
           0, hw::bits_to_cell(dut.cell_out.read(), false));
     }
   });
@@ -57,8 +61,8 @@ int main() {
                                            SimTime::from_us(5)),
       kCells);
   auto& sink = env.add_process<traffic::SinkProcess>("sink");
-  net.connect(gen, 0, cov.gateway(), 0);
-  net.connect(cov.gateway(), 0, sink, 0);
+  net.connect(gen, 0, session.gateway(), 0);
+  net.connect(session.gateway(), 0, sink, 0);
 
   // Reference model: the receiver must deliver exactly what was sent.
   cosim::ResponseComparator cmp;
@@ -66,11 +70,12 @@ int main() {
   for (std::uint64_t i = 0; i < kCells; ++i) cmp.expect(reference.next().cell);
 
   // --- run the coupled simulation ----------------------------------------
-  cov.run_until(SimTime::from_us(5 * kCells + 100));
+  session.run_until(SimTime::from_us(5 * kCells + 100));
   for (const auto& arrival : sink.log()) cmp.actual(arrival.cell);
   cmp.finish();
 
-  const auto stats = cov.stats();
+  const auto stats = session.stats();
+  const auto& rtl_stats = stats.backends[0];
   std::printf("quickstart: %llu cells through the RTL DUT\n",
               static_cast<unsigned long long>(dut.cells_accepted()));
   std::printf("  network events ........ %llu\n",
@@ -78,13 +83,14 @@ int main() {
   std::printf("  messages net->hdl ..... %llu\n",
               static_cast<unsigned long long>(stats.messages_to_hdl));
   std::printf("  messages hdl->net ..... %llu\n",
-              static_cast<unsigned long long>(stats.messages_to_net));
+              static_cast<unsigned long long>(
+                  rtl.response_channel().messages_sent()));
   std::printf("  sync windows granted .. %llu\n",
-              static_cast<unsigned long long>(stats.windows));
+              static_cast<unsigned long long>(rtl_stats.windows));
   std::printf("  causality errors ...... %llu\n",
-              static_cast<unsigned long long>(stats.causality_errors));
+              static_cast<unsigned long long>(rtl_stats.causality_errors));
   std::printf("  max HDL lag ........... %.3f us\n",
-              stats.max_lag_seconds * 1e6);
+              rtl_stats.max_lag_seconds * 1e6);
   std::printf("comparison: %s\n%s", cmp.clean() ? "PASS" : "FAIL",
               cmp.report().c_str());
   return cmp.clean() ? 0 : 1;

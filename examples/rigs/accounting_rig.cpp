@@ -96,9 +96,8 @@ AccountingRig::AccountingRig(Params params)
   });
 
   // --- one testbench drives all three -------------------------------------
-  cosim::VerificationSession::Params sp = p.session;
-  sp.clock_period = p.clk_period;
-  session = std::make_unique<cosim::VerificationSession>(net, env, 1, sp);
+  session =
+      std::make_unique<cosim::VerificationSession>(net, env, 1, p.session);
   session->attach(rtl);
   session->attach(refb);
   session->attach(*brd);

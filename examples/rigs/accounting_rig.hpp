@@ -43,7 +43,7 @@ class AccountingRig {
     std::chrono::microseconds board_real_time_per_test_cycle{0};
     SimTime clk_period = clock_period_hz(20'000'000);
     cosim::SyncPolicy policy = cosim::SyncPolicy::kGlobalOrder;
-    /// Session parameters; clock_period is forced to clk_period.
+    /// Session parameters (transport, modeled IPC cost).
     cosim::VerificationSession::Params session;
   };
 

@@ -17,13 +17,6 @@ cosim::ConservativeSync::Params sync_params(const SwitchRig::Params& p) {
   return sync;
 }
 
-cosim::VerificationSession::Params session_params(
-    const SwitchRig::Params& p) {
-  cosim::VerificationSession::Params sp = p.session;
-  sp.clock_period = p.clk_period;
-  return sp;
-}
-
 SwitchRig::Ports make_ports(rtl::Simulator& hdl, rtl::Signal& clk,
                             hw::AtmSwitch& sw) {
   SwitchRig::Ports ports;
@@ -51,7 +44,7 @@ SwitchRig::SwitchRig(Params params)
       ref(kPorts),
       rtl("rtl", hdl, sync_params(p)),
       refb("reference", sync_params(p)),
-      session(net, env, kPorts, session_params(p)) {
+      session(net, env, kPorts, p.session) {
   session.attach(rtl);   // index 0: primary
   session.attach(refb);  // checked against the primary per output stream
 

@@ -32,7 +32,7 @@ class SwitchRig {
   struct Params {
     SimTime clk_period = clock_period_hz(20'000'000);
     cosim::SyncPolicy policy = cosim::SyncPolicy::kGlobalOrder;
-    /// Session parameters; clock_period is forced to clk_period.
+    /// Session parameters (transport, modeled IPC cost).
     cosim::VerificationSession::Params session;
   };
 

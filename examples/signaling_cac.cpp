@@ -18,7 +18,7 @@
 #include <cstdio>
 
 #include "src/castanet/comparator.hpp"
-#include "src/castanet/coverify.hpp"
+#include "src/castanet/session.hpp"
 #include "src/hw/atm_switch.hpp"
 #include "src/hw/reference.hpp"
 #include "src/signaling/cac.hpp"
@@ -100,12 +100,14 @@ void coverified_dynamic_connections() {
   net.connect(gen, 0, cac, 0);
   net.connect(cac, 0, gen, 0);
 
-  cosim::CoVerification::Params params;
-  params.sync.policy = cosim::SyncPolicy::kGlobalOrder;
-  params.sync.clock_period = kClk;
-  cosim::CoVerification cov(net, hdl, env, 1, params);
-  cov.set_response_handler([](const cosim::TimedMessage&) {});
-  cov.entity().register_input(0, 53, [&](const cosim::TimedMessage& m) {
+  cosim::ConservativeSync::Params sync;
+  sync.policy = cosim::SyncPolicy::kGlobalOrder;
+  sync.clock_period = kClk;
+  cosim::RtlBackend rtl("rtl", hdl, sync);
+  cosim::VerificationSession session(net, env, 1, {});
+  session.attach(rtl);
+  session.set_response_handler([](const cosim::TimedMessage&) {});
+  rtl.entity().register_input(0, 53, [&](const cosim::TimedMessage& m) {
     driver.enqueue(*m.cell);
   });
 
@@ -125,7 +127,8 @@ void coverified_dynamic_connections() {
           const SimTime at =
               net.now() + SimTime::from_us(3) * static_cast<std::int64_t>(i + 1);
           net.scheduler().schedule_at(at, [&, c, at] {
-            cov.net_to_hdl().send(cosim::make_cell_message(0, at, c));
+            session.gateway_transport().send(
+                cosim::make_cell_message(0, at, c));
             if (const auto routed = ref.route(0, c)) cmp.expect(routed->cell);
             ++bearer_cells;
           });
@@ -134,7 +137,7 @@ void coverified_dynamic_connections() {
       [](std::uint64_t) {});
   monitor.set_callback([&](const atm::Cell& c) { cmp.actual(c); });
 
-  cov.run_until(SimTime::from_ms(800));
+  session.run_until(SimTime::from_ms(800));
   cmp.finish();
 
   std::printf("\nco-verified dynamic connections\n");

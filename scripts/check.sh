@@ -126,12 +126,13 @@ if [ "$run_bench_smoke" -eq 1 ]; then
 fi
 
 if [ "$run_tsan" -eq 1 ]; then
-  # The threaded co-simulation paths (pipelined VerificationSession /
-  # CoVerification workers, SPSC channels) carry their own ctest label so
-  # the slow TSan pass is restricted to the tests that exercise threads.
+  # The threaded co-simulation paths (the in-process FramePipe and the
+  # serve_backend host thread behind RemoteBackend) carry their own ctest
+  # label so the slow TSan pass is restricted to the tests that exercise
+  # threads.
   echo "== configure + build ($TSAN_BUILD, CASTANET_SANITIZE=thread)"
   cmake -B "$TSAN_BUILD" -S . -DCASTANET_SANITIZE=thread >/dev/null
-  cmake --build "$TSAN_BUILD" -j "$JOBS" --target test_cosim_pipelined
+  cmake --build "$TSAN_BUILD" -j "$JOBS" --target test_cosim_threaded
   echo "== ctest -L cosim_threaded ($TSAN_BUILD)"
   ctest --test-dir "$TSAN_BUILD" -L cosim_threaded --output-on-failure
 fi

@@ -9,11 +9,6 @@
 namespace castanet::cosim {
 
 void DutBackend::catch_up(SimTime limit) {
-  catch_up(limit, nullptr);
-}
-
-bool DutBackend::catch_up(SimTime limit,
-                          const std::function<bool()>& after_step) {
   // First window probe before any span: a catch-up that cannot advance at
   // all is a lookahead stall (the protocol granted nothing new), counted
   // but not traced — stalls are visible as gaps between grant spans.
@@ -21,7 +16,7 @@ bool DutBackend::catch_up(SimTime limit,
     const SimTime target = std::min(window() - SimTime::from_ps(1), limit);
     if (target <= now()) {
       sync().note_lookahead_stall();
-      return true;
+      return;
     }
   }
   std::optional<telemetry::Span> span;
@@ -34,14 +29,12 @@ bool DutBackend::catch_up(SimTime limit,
     const SimTime target = std::min(w - SimTime::from_ps(1), limit);
     if (target <= now()) break;
     advance_to(target);
-    if (after_step && !after_step()) return false;
   }
   if (span) {
     span->arg("to_us", now().seconds() * 1e6);
     span->arg("lag_us",
               std::max(0.0, (sync().network_time() - now()).seconds() * 1e6));
   }
-  return true;
 }
 
 // ---------------------------------------------------------------------------

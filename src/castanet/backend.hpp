@@ -16,10 +16,6 @@
 //   BoardBackend     — the RAVEN board model (§3.3): deliverable cells are
 //                      batched into hardware test cycles and replayed
 //                      through a HardwareTestBoard in (modeled) real time.
-//
-// Thread discipline: a VerificationSession in pipelined mode hands each
-// backend to its own worker thread for the duration of a run; nothing in a
-// backend may be shared with another backend.
 #pragma once
 
 #include <chrono>
@@ -70,17 +66,11 @@ class DutBackend {
   /// Grants windows until the protocol stops making progress below `limit`
   /// (the same convergence loop for every backend: message-driven policies
   /// converge in one iteration, lockstep needs one per clock period).
-  /// `after_step`, when set, runs after every granted advance — the
-  /// pipelined worker drains responses there so its bounded response
-  /// channel applies back-pressure mid-catch-up; returning false aborts
-  /// the catch-up (channel closed / shutting down).
   void catch_up(SimTime limit);
-  bool catch_up(SimTime limit, const std::function<bool()>& after_step);
 
   /// End-of-run hook, invoked once per VerificationSession::run_until after
   /// the final catch-up: flush anything batched (board test cycles) and
-  /// emit final responses (register readbacks).  Runs on the session
-  /// thread, after pipelined workers have joined.
+  /// emit final responses (register readbacks).
   virtual void finish(SimTime at) { (void)at; }
 
   /// Moves every response produced since the last call into `out`

@@ -8,12 +8,8 @@
 // per-message transport overhead accounted for the benches.
 #pragma once
 
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <mutex>
 #include <optional>
 #include <vector>
 
@@ -102,275 +98,6 @@ class MessageChannel final : public MessageTransport {
   std::deque<TimedMessage> queue_;
   std::uint64_t sent_ = 0;
   SimTime overhead_;
-};
-
-/// Bounded single-producer/single-consumer channel used by the pipelined
-/// co-simulation to feed the RTL worker thread (and to carry DUT responses
-/// back).  The bound provides back-pressure: a full channel stalls the
-/// producer, which the orchestrator counts as a window-grant stall.
-///
-/// Discipline: exactly one producer thread and one consumer thread at a
-/// time.  Blocking waits use a condition variable (no spinning — the
-/// co-simulation threads share cores with the simulators themselves).
-template <typename T>
-class SpscChannel {
- public:
-  explicit SpscChannel(std::size_t capacity)
-      : capacity_(capacity == 0 ? 1 : capacity) {}
-
-  /// Moves `v` into the channel; returns false (leaving `v` intact) when
-  /// the channel is full or closed.
-  bool try_send(T& v) {
-    bool wake = false;
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      if (closed_ || queue_.size() >= capacity_) return false;
-      queue_.push_back(std::move(v));
-      size_.store(queue_.size(), std::memory_order_release);
-      if (queue_.size() > max_occupancy_) max_occupancy_ = queue_.size();
-      wake = queue_.size() >= wake_threshold_;
-    }
-    if (wake) ready_.notify_one();
-    return true;
-  }
-
-  /// Blocks until the item is accepted; returns false (dropping the item)
-  /// when the channel is closed.
-  bool send(T v) {
-    bool wake = false;
-    {
-      std::unique_lock<std::mutex> lk(mu_);
-      if (!closed_ && queue_.size() >= capacity_) ++send_blocks_;
-      space_.wait(lk, [&] { return closed_ || queue_.size() < capacity_; });
-      if (closed_) return false;
-      queue_.push_back(std::move(v));
-      size_.store(queue_.size(), std::memory_order_release);
-      if (queue_.size() > max_occupancy_) max_occupancy_ = queue_.size();
-      wake = queue_.size() >= wake_threshold_;
-    }
-    if (wake) ready_.notify_one();
-    return true;
-  }
-
-  /// Moves every element of `batch` into the channel under one lock,
-  /// blocking for space as needed (the batch may exceed the remaining
-  /// capacity).  Returns the number of items accepted — short only when the
-  /// channel is closed mid-batch.  `batch` is cleared on return.
-  std::size_t send_all(std::vector<T>& batch) {
-    std::size_t accepted = 0;
-    bool wake = false;
-    {
-      std::unique_lock<std::mutex> lk(mu_);
-      for (T& v : batch) {
-        if (!closed_ && queue_.size() >= capacity_) {
-          // About to block mid-batch: wake any parked consumer first.  The
-          // partial batch is already published through size_ below, but a
-          // consumer parked in receive()/receive_some() needs the notify,
-          // and one polling try_receive* needs a current size_ — a stale 0
-          // here would mean nobody ever drains and this wait never returns.
-          if (wake) {
-            ready_.notify_one();
-            wake = false;
-          }
-          ++send_blocks_;
-          space_.wait(lk, [&] { return closed_ || queue_.size() < capacity_; });
-        }
-        if (closed_) break;
-        queue_.push_back(std::move(v));
-        size_.store(queue_.size(), std::memory_order_release);
-        ++accepted;
-        if (queue_.size() > max_occupancy_) max_occupancy_ = queue_.size();
-        wake = wake || queue_.size() >= wake_threshold_;
-      }
-    }
-    batch.clear();
-    if (wake) ready_.notify_one();
-    return accepted;
-  }
-
-  /// Non-blocking batch send: moves elements of `batch` starting at `pos`
-  /// into the channel under one lock until it fills (or closes), and
-  /// returns how many were accepted.  Never blocks — the session thread
-  /// uses it to fan a coalesced grant batch out to every worker while
-  /// staying free to drain response channels between retries (the
-  /// two-channel deadlock avoidance that rules out the blocking send_all
-  /// on that thread).
-  std::size_t try_send_some(std::vector<T>& batch, std::size_t pos) {
-    std::size_t accepted = 0;
-    bool wake = false;
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      if (closed_) return 0;
-      while (pos + accepted < batch.size() && queue_.size() < capacity_) {
-        queue_.push_back(std::move(batch[pos + accepted]));
-        ++accepted;
-      }
-      if (accepted) {
-        size_.store(queue_.size(), std::memory_order_release);
-        if (queue_.size() > max_occupancy_) max_occupancy_ = queue_.size();
-        wake = queue_.size() >= wake_threshold_;
-      }
-    }
-    if (wake) ready_.notify_one();
-    return accepted;
-  }
-
-  /// Blocks until an item arrives; returns false once the channel is closed
-  /// and drained.
-  bool receive(T& out) {
-    std::unique_lock<std::mutex> lk(mu_);
-    wake_threshold_ = 1;
-    ready_.wait(lk, [&] { return !queue_.empty() || closed_; });
-    if (queue_.empty()) return false;
-    out = std::move(queue_.front());
-    queue_.pop_front();
-    size_.store(queue_.size(), std::memory_order_release);
-    lk.unlock();
-    space_.notify_one();
-    return true;
-  }
-
-  /// Batched receive with wake-up hysteresis: blocks until at least
-  /// `min_items` are queued, the channel is closed, or `max_wait` elapses,
-  /// then drains everything available into `out` (appended).  While this
-  /// waiter is parked, producers skip the notify until the backlog reaches
-  /// `min_items` — on a shared core this gives the producer long
-  /// uninterrupted runs instead of a wake-up per item, which is where the
-  /// coalescing in the pipelined co-simulation comes from.  Returns false
-  /// only when the channel is closed and fully drained; a timeout simply
-  /// returns true with whatever was there (possibly nothing).
-  bool receive_some(std::vector<T>& out, std::size_t min_items,
-                    std::chrono::microseconds max_wait) {
-    std::unique_lock<std::mutex> lk(mu_);
-    // A pending nudge() is sticky: it forces this call to drain immediately
-    // even if it arrived while the consumer was mid-batch (not parked), in
-    // which case a one-shot wake_threshold_ write would have been
-    // overwritten right here and the backlog would wait out max_wait.
-    wake_threshold_ = (drain_now_ || min_items < 1) ? 1 : min_items;
-    ready_.wait_for(lk, max_wait, [&] {
-      return closed_ || drain_now_ || queue_.size() >= wake_threshold_;
-    });
-    drain_now_ = false;
-    wake_threshold_ = 1;
-    if (queue_.empty()) return !closed_;
-    while (!queue_.empty()) {
-      out.push_back(std::move(queue_.front()));
-      queue_.pop_front();
-    }
-    size_.store(0, std::memory_order_release);
-    lk.unlock();
-    space_.notify_all();
-    return true;
-  }
-
-  /// Non-blocking receive; false when currently empty.  Starts with a
-  /// lock-free emptiness probe so poll loops on the consumer thread cost no
-  /// atomic RMW while the channel is idle (a racing send is picked up by
-  /// the caller's next poll).
-  bool try_receive(T& out) {
-    if (size_.load(std::memory_order_acquire) == 0) return false;
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      if (queue_.empty()) return false;
-      out = std::move(queue_.front());
-      queue_.pop_front();
-      size_.store(queue_.size(), std::memory_order_release);
-    }
-    space_.notify_one();
-    return true;
-  }
-
-  /// Non-blocking batch receive: drains everything currently queued into
-  /// `out` (appended) under a single lock acquisition.  Returns the number
-  /// of items taken; zero-cost (no lock) while the channel is empty.
-  std::size_t try_receive_all(std::vector<T>& out) {
-    if (size_.load(std::memory_order_acquire) == 0) return 0;
-    std::size_t n = 0;
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      n = queue_.size();
-      while (!queue_.empty()) {
-        out.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-      }
-      size_.store(0, std::memory_order_release);
-    }
-    if (n) space_.notify_all();
-    return n;
-  }
-
-  /// Bounded producer-side wait for space; also wakes on close.  The caller
-  /// re-tries try_send afterwards (it may need to drain its own inbound
-  /// queue between waits to avoid a two-channel deadlock).
-  void wait_space() {
-    std::unique_lock<std::mutex> lk(mu_);
-    if (!closed_ && queue_.size() >= capacity_) ++send_blocks_;
-    space_.wait_for(lk, std::chrono::microseconds(200),
-                    [&] { return closed_ || queue_.size() < capacity_; });
-  }
-
-  /// Asks the consumer to drain now rather than at its next backlog
-  /// threshold or timeout (e.g. when the producer has sent everything it
-  /// will send for a while).  Sticky: if the consumer is mid-batch rather
-  /// than parked, its next receive_some() call consumes the request.
-  void nudge() {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      drain_now_ = true;
-      wake_threshold_ = 1;
-      ++nudges_;
-    }
-    ready_.notify_one();
-  }
-
-  /// Wakes all waiters; subsequent sends fail, pending items stay readable.
-  void close() {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      closed_ = true;
-    }
-    ready_.notify_all();
-    space_.notify_all();
-  }
-
-  std::size_t capacity() const { return capacity_; }
-  /// Lock-free occupancy probe (the size_ mirror): exact at quiescent
-  /// points, approximate while the other side is mid-operation — good
-  /// enough for congestion controllers, not for emptiness decisions.
-  std::size_t size() const { return size_.load(std::memory_order_acquire); }
-  /// High-water mark of queued items (channel-occupancy statistic).
-  std::size_t max_occupancy() const {
-    std::lock_guard<std::mutex> lk(mu_);
-    return max_occupancy_;
-  }
-  /// Times a producer found the channel full and had to wait for space
-  /// (send/send_all blocking mid-batch, or a wait_space after a failed
-  /// try_send) — the back-pressure statistic.
-  std::uint64_t send_blocks() const {
-    std::lock_guard<std::mutex> lk(mu_);
-    return send_blocks_;
-  }
-  /// nudge() calls — producer-requested early drains.
-  std::uint64_t nudges() const {
-    std::lock_guard<std::mutex> lk(mu_);
-    return nudges_;
-  }
-
- private:
-  const std::size_t capacity_;
-  mutable std::mutex mu_;
-  std::condition_variable ready_;
-  std::condition_variable space_;
-  std::deque<T> queue_;
-  /// Mirror of queue_.size(), updated under mu_; lets consumers probe for
-  /// emptiness without taking the lock.
-  std::atomic<std::size_t> size_{0};
-  std::size_t max_occupancy_ = 0;
-  std::uint64_t send_blocks_ = 0;  ///< producer waits on a full channel
-  std::uint64_t nudges_ = 0;       ///< nudge() calls
-  std::size_t wake_threshold_ = 1;  ///< receive_some() hysteresis
-  bool drain_now_ = false;  ///< sticky nudge(); consumed by receive_some()
-  bool closed_ = false;
 };
 
 }  // namespace castanet::cosim

@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
-#include <optional>
 
 #include "src/core/error.hpp"
-#include "src/core/log.hpp"
 #include "src/core/telemetry.hpp"
 
 namespace castanet::cosim {
@@ -33,34 +30,10 @@ VerificationSession::VerificationSession(netsim::Simulation& net,
                                                streams);
 }
 
-MessageChannel& VerificationSession::gateway_channel() {
-  auto* ch = dynamic_cast<MessageChannel*>(from_gateway_.get());
-  require(ch != nullptr,
-          "VerificationSession: gateway_channel() needs the in-process "
-          "transport; use gateway_transport() instead");
-  return *ch;
-}
-
-VerificationSession::~VerificationSession() {
-  // run_until always joins before returning, so live workers here mean an
-  // unwind tore through the session; make sure no thread can outlive the
-  // members it touches.
-  for (auto& w : workers_) {
-    if (w->thread.joinable()) {
-      w->cmd->close();
-      w->resp->close();
-      w->thread.join();
-    }
-  }
-}
-
 std::size_t VerificationSession::attach(DutBackend& backend) {
   require(!ran_, "VerificationSession: attach every backend before running");
   backends_.push_back(&backend);
   responses_drained_.push_back(0);
-  worker_batches_total_.push_back(0);
-  send_blocks_total_.push_back(0);
-  nudges_total_.push_back(0);
   return backends_.size() - 1;
 }
 
@@ -82,11 +55,7 @@ void VerificationSession::run_until(SimTime limit) {
     if (g_session_hook) g_session_hook(*this);
   }
   assign_tracks();
-  if (params_.pipelined) {
-    run_until_pipelined(limit);
-  } else {
-    run_until_serial(limit);
-  }
+  run_loop(limit);
   finish_backends(limit);
   if (telemetry::enabled()) publish_metrics();
 }
@@ -98,8 +67,6 @@ void VerificationSession::run_until(SimTime limit) {
 
 void VerificationSession::assign_tracks() {
   if (!telemetry::enabled()) {
-    fanout_timing_ = nullptr;
-    stride_gauge_ = nullptr;
     compare_timing_ = nullptr;
     return;
   }
@@ -107,8 +74,6 @@ void VerificationSession::assign_tracks() {
   for (DutBackend* b : backends_)
     b->set_telemetry_track(hub.track("backend:" + b->name()));
   net_.scheduler().set_telemetry_track(hub.track("net"));
-  fanout_timing_ = &hub.timing("session.fanout_batch");
-  stride_gauge_ = &hub.gauge("session.effective_stride");
   compare_timing_ = &hub.timing("session.compare_ns");
 }
 
@@ -118,11 +83,6 @@ void VerificationSession::publish_metrics() const {
   hub.publish_count("session.net_events", s.net_events);
   hub.publish_count("session.messages_to_hdl", s.messages_to_hdl);
   hub.publish_count("session.responses", s.responses);
-  hub.publish_count("session.window_grant_stalls", s.window_grant_stalls);
-  hub.publish_count("session.max_channel_occupancy", s.max_channel_occupancy);
-  hub.publish_count("session.fanout_batches", s.fanout_batches);
-  hub.publish_count("session.fanout_messages", s.fanout_messages);
-  hub.publish_count("session.max_effective_stride", s.max_effective_stride);
   hub.publish_count("session.divergences", comparator_.divergences().size());
   // Calendar-queue health for the network-side event list (dsim.wheel.*).
   net_.scheduler().publish_telemetry();
@@ -138,9 +98,6 @@ void VerificationSession::publish_metrics() const {
     hub.publish_count(prefix + "causality_errors", bs.causality_errors);
     hub.publish_count(prefix + "lookahead_stalls", bs.lookahead_stalls);
     hub.publish_count(prefix + "responses", bs.responses);
-    hub.publish_count(prefix + "worker_batches", bs.worker_batches);
-    hub.publish_count(prefix + "send_blocks", bs.send_blocks);
-    hub.publish_count(prefix + "nudge_wakeups", bs.nudge_wakeups);
     hub.publish_stat(prefix + "lag_seconds", b.sync().lag_stat());
     hub.publish_histogram(prefix + "lag_seconds_hist", b.sync().lag_histogram());
     const double net_now = b.sync().network_time().seconds();
@@ -152,7 +109,7 @@ void VerificationSession::publish_metrics() const {
 }
 
 // ---------------------------------------------------------------------------
-// Shared response path.
+// Response path.
 
 void VerificationSession::schedule_response(TimedMessage m) {
   // A response computed at backend time t re-enters the network model no
@@ -237,38 +194,34 @@ void VerificationSession::finish_backends(SimTime limit) {
 }
 
 // ---------------------------------------------------------------------------
-// Serial mode: the N-backend generalization of CoVerification's loop.  Per
-// network event, every backend sees the identical protocol input (gateway
-// messages, then the originator's clock) and catches up to its own window;
-// draining after the full catch-up is equivalent to draining per grant
-// because net time does not advance inside a catch-up (scheduled re-entry
-// times and their order are unchanged).
+// The run loop.  Per network event, every backend sees the identical
+// protocol input (gateway messages, then the originator's clock) and
+// catches up to its own window; draining after the full catch-up is
+// equivalent to draining per grant because net time does not advance inside
+// a catch-up (scheduled re-entry times and their order are unchanged).
 
-void VerificationSession::run_until_serial(SimTime limit) {
+void VerificationSession::fan_out(SimTime clock, SimTime limit) {
+  msg_scratch_.clear();
+  while (auto m = from_gateway_->receive())
+    msg_scratch_.push_back(std::move(*m));
+  const TimedMessage update = make_time_update(clock);
+  for (std::size_t i = 0; i < backends_.size(); ++i) {
+    DutBackend& b = *backends_[i];
+    for (const TimedMessage& m : msg_scratch_) b.push(m);
+    b.push(update);
+    b.catch_up(limit);
+    drain_backend(i, /*in_run=*/true);
+  }
+}
+
+void VerificationSession::run_loop(SimTime limit) {
   net_.start();
   while (true) {
     const SimTime next = net_.scheduler().next_event_time();
     if (next > limit) break;
     net_.scheduler().step();
     ++net_events_;
-
-    msg_scratch_.clear();
-    while (auto m = from_gateway_->receive())
-      msg_scratch_.push_back(std::move(*m));
-    if (!msg_scratch_.empty()) {
-      ++fanout_batches_;
-      fanout_messages_ += msg_scratch_.size();
-      if (telemetry::enabled() && fanout_timing_)
-        fanout_timing_->record(static_cast<double>(msg_scratch_.size()));
-    }
-    const TimedMessage clock = make_time_update(net_.now());
-    for (std::size_t i = 0; i < backends_.size(); ++i) {
-      DutBackend& b = *backends_[i];
-      for (const TimedMessage& m : msg_scratch_) b.push(m);
-      b.push(clock);
-      b.catch_up(limit);
-      drain_backend(i, /*in_run=*/true);
-    }
+    fan_out(net_.now(), limit);
   }
   // Final catch-up: grant every backend the rest of the horizon.  Responses
   // scheduled back into the network may create new events, so iterate until
@@ -276,392 +229,16 @@ void VerificationSession::run_until_serial(SimTime limit) {
   for (;;) {
     net_.scheduler().advance_to(
         std::min(limit, net_.scheduler().next_event_time()));
-    msg_scratch_.clear();
-    while (auto m = from_gateway_->receive())
-      msg_scratch_.push_back(std::move(*m));
-    const TimedMessage horizon = make_time_update(limit);
-    for (std::size_t i = 0; i < backends_.size(); ++i) {
-      DutBackend& b = *backends_[i];
-      for (const TimedMessage& m : msg_scratch_) b.push(m);
-      b.push(horizon);
-      b.catch_up(limit);
-      drain_backend(i, /*in_run=*/true);
-    }
+    fan_out(limit, limit);
     if (net_.scheduler().next_event_time() > limit) break;
     net_.run_until(limit);
   }
 }
 
-// ---------------------------------------------------------------------------
-// Pipelined mode: coverify.cpp's worker protocol, instantiated once per
-// backend.  Each worker owns its backend for the duration of the run; the
-// session thread fans every grant out to all command channels and drains
-// all response channels.  Workers share nothing but done_mu_/done_cv_ (the
-// completion-edge wakeup) — the §3.1 windows remain the only
-// synchronization points between simulators.
-
-void VerificationSession::start_workers() {
-  workers_.clear();
-  for (DutBackend* b : backends_) {
-    auto w = std::make_unique<Worker>();
-    w->backend = b;
-    w->cmd = std::make_unique<SpscChannel<WorkerCmd>>(params_.channel_capacity);
-    w->resp =
-        std::make_unique<SpscChannel<TimedMessage>>(params_.channel_capacity);
-    w->track = b->telemetry_track();  // assign_tracks ran before this
-    workers_.push_back(std::move(w));
-  }
-  for (auto& w : workers_) {
-    Worker* raw = w.get();
-    raw->thread = std::thread([this, raw] { worker_main(*raw); });
-  }
-}
-
-void VerificationSession::worker_main(Worker& w) {
-  set_thread_log_context("worker:" + w.backend->name());
-  try {
-    // Coalesce grants into large catch-up batches (see coverify.cpp for the
-    // tuning rationale of the backlog hint and the chunk size).
-    const std::size_t backlog_hint = std::min<std::size_t>(
-        std::size_t{64},
-        std::max<std::size_t>(std::size_t{1}, params_.channel_capacity / 4));
-    std::size_t chunk = 16;
-    if (const char* env = std::getenv("CASTANET_COSIM_CHUNK")) {
-      chunk = std::strtoull(env, nullptr, 10);
-      if (chunk == 0) chunk = 1;
-    }
-    std::vector<WorkerCmd> cmds;
-    for (;;) {
-      if (!w.cmd->receive_some(cmds, backlog_hint,
-                               std::chrono::milliseconds(10))) {
-        break;
-      }
-      if (cmds.empty()) continue;  // timed out waiting for a backlog
-      for (std::size_t i = 0; i < cmds.size(); i += chunk) {
-        const std::size_t end = std::min(cmds.size(), i + chunk);
-        // The batch span shares the backend's timeline row: it encloses the
-        // grant spans of this catch-up, which enclose the kernel slices.
-        std::optional<telemetry::Span> span;
-        if (telemetry::enabled()) {
-          span.emplace("worker.batch", w.track);
-          span->arg("cmds", static_cast<double>(end - i));
-        }
-        SimTime horizon = SimTime::zero();
-        for (std::size_t c = i; c < end; ++c) {
-          for (TimedMessage& m : cmds[c].msgs) w.backend->push(m);
-          horizon = std::max(horizon, cmds[c].limit);
-        }
-        // One clock update per chunk: net_now is monotone in send order, so
-        // the last command's clock subsumes the earlier ones.
-        w.backend->push(make_time_update(cmds[end - 1].net_now));
-        worker_catch_up(w, horizon);
-        span.reset();
-        w.batches.fetch_add(1, std::memory_order_relaxed);
-        const std::uint64_t done =
-            w.done.fetch_add(end - i, std::memory_order_release) + (end - i);
-        // Only wake the flushing thread on the completion edge; the empty
-        // lock/unlock pairs the counter update with a flusher that has
-        // checked the predicate but not yet parked on done_cv_.
-        if (done >= w.sent.load(std::memory_order_acquire)) {
-          { std::lock_guard<std::mutex> lk(done_mu_); }
-          done_cv_.notify_all();
-        }
-      }
-      cmds.clear();
-    }
-  } catch (...) {
-    {
-      std::lock_guard<std::mutex> lk(done_mu_);
-      w.error = std::current_exception();
-    }
-    w.dead.store(true, std::memory_order_release);
-  }
-  {
-    std::lock_guard<std::mutex> lk(done_mu_);
-    w.exited = true;
-  }
-  done_cv_.notify_all();
-}
-
-bool VerificationSession::worker_catch_up(Worker& w, SimTime limit) {
-  // Same convergence loop as the serial path, but responses are forwarded
-  // over the SPSC channel for the session thread to schedule/compare.  The
-  // responses of one advance ship as a batch: one lock acquisition instead
-  // of one per message.  Draining inside the catch-up lets the bounded
-  // response channel apply back-pressure without deadlock.
-  std::vector<TimedMessage> out;
-  return w.backend->catch_up(limit, [&w, &out]() -> bool {
-    out.clear();
-    w.backend->drain_responses(out);
-    if (!out.empty()) {
-      const std::size_t n = out.size();
-      if (w.resp->send_all(out) < n) return false;  // closed: shutting down
-    }
-    return true;
-  });
-}
-
-void VerificationSession::send_commands(std::vector<WorkerCmd>& cmds) {
-  if (cmds.empty()) return;
-  std::size_t msgs = 0;
-  for (const WorkerCmd& c : cmds) msgs += c.msgs.size();
-  if (msgs > 0) {
-    ++fanout_batches_;
-    fanout_messages_ += msgs;
-    if (telemetry::enabled() && fanout_timing_)
-      fanout_timing_->record(static_cast<double>(msgs));
-  }
-  for (std::size_t i = 0; i < workers_.size(); ++i) {
-    Worker& w = *workers_[i];
-    // The last worker takes the originals; earlier ones get copies.
-    std::vector<WorkerCmd> local =
-        (i + 1 == workers_.size()) ? std::move(cmds) : cmds;
-    std::size_t pos = 0;
-    // Lazily opened on the first full channel: the span's duration is
-    // exactly how long this batch sat blocked on the bottleneck backend.
-    std::optional<telemetry::Span> stall;
-    while (pos < local.size() && !w.dead.load(std::memory_order_acquire)) {
-      const std::size_t accepted = w.cmd->try_send_some(local, pos);
-      if (accepted > 0) {
-        pos += accepted;
-        w.sent.fetch_add(accepted, std::memory_order_release);
-        continue;
-      }
-      // Full channel: this backend is the bottleneck right now.  Drain
-      // responses while stalled so no worker can deadlock blocked on a full
-      // response channel while we block on a full command channel.
-      ++window_grant_stalls_;
-      if (telemetry::enabled() && !stall) {
-        stall.emplace("grant_stall", telemetry::kMainTrack);
-        stall->arg("backend", static_cast<double>(i));
-      }
-      drain_worker_responses();
-      w.cmd->wait_space();
-    }
-    // A dead worker's error is rethrown by shutdown_workers().
-  }
-  cmds.clear();
-}
-
-void VerificationSession::update_stride(std::uint64_t stalls_before) {
-  if (!params_.adaptive_stride) return;
-  const std::uint32_t floor_stride =
-      std::max<std::uint32_t>(1, params_.clock_announce_stride);
-  const std::uint32_t max_stride =
-      params_.max_clock_announce_stride != 0
-          ? std::max(params_.max_clock_announce_stride, floor_stride)
-          : floor_stride * 16;
-  std::size_t max_occ = 0;
-  for (const auto& w : workers_)
-    max_occ = std::max(max_occ, w->cmd->size());
-  // Pressure: this flush had to stall on a full channel, or a command
-  // channel is at half capacity or worse — the workers are falling behind,
-  // so grant them bigger windows (fewer, coarser sync points).  Four calm
-  // flushes in a row decay the stride back towards the configured floor,
-  // restoring the finer-grained overlap once the workers keep up.
-  const bool pressure = window_grant_stalls_ > stalls_before ||
-                        max_occ * 2 >= params_.channel_capacity;
-  if (pressure) {
-    calm_streak_ = 0;
-    if (effective_stride_ < max_stride)
-      effective_stride_ = std::min(max_stride, effective_stride_ * 2);
-  } else if (effective_stride_ > floor_stride && ++calm_streak_ >= 4) {
-    calm_streak_ = 0;
-    effective_stride_ = std::max(floor_stride, effective_stride_ / 2);
-  }
-  max_effective_stride_ = std::max(max_effective_stride_, effective_stride_);
-  if (telemetry::enabled() && stride_gauge_)
-    stride_gauge_->set(static_cast<double>(effective_stride_));
-}
-
-void VerificationSession::drain_worker_responses() {
-  for (std::size_t i = 0; i < workers_.size(); ++i) {
-    resp_scratch_.clear();
-    if (workers_[i]->resp->try_receive_all(resp_scratch_) == 0) continue;
-    for (TimedMessage& m : resp_scratch_)
-      handle_response(i, std::move(m), /*in_run=*/true);
-  }
-  resp_scratch_.clear();
-}
-
-void VerificationSession::flush_workers() {
-  // Notification-driven wait until every worker has executed everything it
-  // was sent; the timeout is only a fallback that lets us drain response
-  // channels if a worker ever blocks on one full.
-  for (auto& w : workers_) w->cmd->nudge();
-  for (;;) {
-    drain_worker_responses();
-    std::unique_lock<std::mutex> lk(done_mu_);
-    bool all_done = true;
-    for (auto& wp : workers_) {
-      Worker& w = *wp;
-      if (!w.dead.load(std::memory_order_acquire) &&
-          w.done.load(std::memory_order_acquire) <
-              w.sent.load(std::memory_order_acquire)) {
-        all_done = false;
-        break;
-      }
-    }
-    if (all_done) break;
-    done_cv_.wait_for(lk, std::chrono::milliseconds(20));
-  }
-  // The last batches may have produced responses after our final drain.
-  drain_worker_responses();
-}
-
-bool VerificationSession::any_worker_dead() const {
-  for (const auto& w : workers_)
-    if (w->dead.load(std::memory_order_acquire)) return true;
-  return false;
-}
-
-void VerificationSession::shutdown_workers() {
-  for (auto& w : workers_) w->cmd->close();
-  // Keep draining responses until every worker returns, so none can sit
-  // blocked on a full response channel while we wait to join.
-  for (;;) {
-    drain_worker_responses();
-    std::unique_lock<std::mutex> lk(done_mu_);
-    bool all_exited = true;
-    for (auto& w : workers_) {
-      if (!w->exited) {
-        all_exited = false;
-        break;
-      }
-    }
-    if (all_exited) break;
-    done_cv_.wait_for(lk, std::chrono::milliseconds(5));
-  }
-  for (auto& w : workers_) w->resp->close();
-  for (auto& w : workers_) w->thread.join();
-  drain_worker_responses();
-  std::exception_ptr err;
-  {
-    std::lock_guard<std::mutex> lk(done_mu_);
-    for (std::size_t i = 0; i < workers_.size(); ++i) {
-      Worker& w = *workers_[i];
-      max_channel_occupancy_ = std::max(
-          {max_channel_occupancy_,
-           static_cast<std::uint64_t>(w.cmd->max_occupancy()),
-           static_cast<std::uint64_t>(w.resp->max_occupancy())});
-      worker_batches_total_[i] += w.batches.load(std::memory_order_relaxed);
-      send_blocks_total_[i] += w.cmd->send_blocks() + w.resp->send_blocks();
-      nudges_total_[i] += w.cmd->nudges() + w.resp->nudges();
-      if (w.error && !err) err = w.error;
-    }
-  }
-  workers_.clear();
-  if (err) std::rethrow_exception(err);
-}
-
-void VerificationSession::run_until_pipelined(SimTime limit) {
-  net_.start();
-  start_workers();
-  SimTime announced = SimTime::zero();
-  effective_stride_ = std::max<std::uint32_t>(1, params_.clock_announce_stride);
-  max_effective_stride_ = std::max(max_effective_stride_, effective_stride_);
-  calm_streak_ = 0;
-  pending_cmds_.clear();
-  pending_msgs_ = 0;
-  if (telemetry::enabled() && stride_gauge_)
-    stride_gauge_->set(static_cast<double>(effective_stride_));
-  const std::size_t batch_msgs =
-      std::max<std::size_t>(1, params_.fanout_batch_messages);
-  try {
-    while (true) {
-      const SimTime next = net_.scheduler().next_event_time();
-      if (next > limit) break;
-      net_.scheduler().step();
-      ++net_events_;
-
-      // Same protocol input the serial loop would push — gateway output
-      // first, then the originator's clock.  Message-carrying grants
-      // accumulate into the pending batch (each keeps its own net_now, so
-      // worker-side clock coalescing stays monotone); the batch flushes to
-      // every worker in one bulk push once enough messages are pending or
-      // the (adaptive) announce stride elapsed.  Delaying a message never
-      // reorders it: per-backend input order is the accumulation order, and
-      // no backend can pass the last ANNOUNCED clock, which only moves at
-      // flush time.
-      WorkerCmd cmd;
-      while (auto m = from_gateway_->receive())
-        cmd.msgs.push_back(std::move(*m));
-      const SimTime now = net_.now();
-      cmd.net_now = now;
-      cmd.limit = limit;
-      if (!cmd.msgs.empty()) {
-        pending_msgs_ += cmd.msgs.size();
-        pending_cmds_.push_back(std::move(cmd));
-      }
-      const bool boundary =
-          now - announced >= params_.clock_period * effective_stride_;
-      if (pending_msgs_ >= batch_msgs || boundary) {
-        // At a stride boundary the clock must reach `now` even if the last
-        // pending grant (or none) is older — append a pure-clock grant.
-        if (boundary &&
-            (pending_cmds_.empty() || pending_cmds_.back().net_now < now)) {
-          WorkerCmd clock;
-          clock.net_now = now;
-          clock.limit = limit;
-          pending_cmds_.push_back(std::move(clock));
-        }
-        if (!pending_cmds_.empty()) {
-          announced = pending_cmds_.back().net_now;
-          const std::uint64_t stalls_before = window_grant_stalls_;
-          send_commands(pending_cmds_);
-          pending_msgs_ = 0;
-          update_stride(stalls_before);
-        }
-      }
-      drain_worker_responses();
-      if (any_worker_dead()) break;
-    }
-    // Final catch-up, mirroring the serial epilogue: flush whatever the
-    // batcher still holds together with a horizon grant, wait for every
-    // worker to finish it, and iterate because responses re-entering the
-    // network can create new events below the limit.
-    for (;;) {
-      net_.scheduler().advance_to(
-          std::min(limit, net_.scheduler().next_event_time()));
-      WorkerCmd cmd;
-      while (auto m = from_gateway_->receive())
-        cmd.msgs.push_back(std::move(*m));
-      cmd.net_now = limit;
-      cmd.limit = limit;
-      pending_msgs_ += cmd.msgs.size();
-      pending_cmds_.push_back(std::move(cmd));
-      const std::uint64_t stalls_before = window_grant_stalls_;
-      send_commands(pending_cmds_);
-      pending_msgs_ = 0;
-      update_stride(stalls_before);
-      flush_workers();
-      if (any_worker_dead()) break;
-      if (net_.scheduler().next_event_time() > limit) break;
-      net_.run_until(limit);
-    }
-  } catch (...) {
-    try {
-      shutdown_workers();
-    } catch (...) {
-      // Prefer the original exception over a secondary worker failure.
-    }
-    throw;
-  }
-  shutdown_workers();
-}
-
 VerificationSession::Stats VerificationSession::stats() const {
-  // Only meaningful between run_until calls; the joins in shutdown_workers()
-  // order every worker-side write before these reads.
   Stats s;
   s.net_events = net_events_;
   s.messages_to_hdl = from_gateway_->messages_sent();
-  s.window_grant_stalls = window_grant_stalls_;
-  s.max_channel_occupancy = max_channel_occupancy_;
-  s.effective_stride = effective_stride_;
-  s.max_effective_stride = max_effective_stride_;
-  s.fanout_batches = fanout_batches_;
-  s.fanout_messages = fanout_messages_;
   for (std::size_t i = 0; i < backends_.size(); ++i) {
     const DutBackend& b = *backends_[i];
     BackendStats bs;
@@ -670,11 +247,8 @@ VerificationSession::Stats VerificationSession::stats() const {
     bs.causality_errors = b.sync().causality_errors();
     bs.max_lag_seconds = b.sync().max_lag_seconds();
     bs.responses = responses_drained_[i];
-    bs.worker_batches = worker_batches_total_[i];
     bs.lookahead_stalls = b.sync().lookahead_stalls();
     bs.mean_lag_seconds = b.sync().lag_stat().mean();
-    bs.send_blocks = send_blocks_total_[i];
-    bs.nudge_wakeups = nudges_total_[i];
     s.responses += bs.responses;
     s.backends.push_back(std::move(bs));
   }

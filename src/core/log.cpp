@@ -6,11 +6,10 @@
 
 namespace castanet {
 namespace {
-// Atomic so a worker thread may consult the level while another thread (a
-// test fixture, an example's CLI handling) changes it.
+// Atomic so one thread may consult the level while another thread (a test
+// fixture, an example's CLI handling) changes it.
 std::atomic<LogLevel> g_level{LogLevel::kOff};
 std::mutex g_sink_mu;
-thread_local std::string t_context;
 
 const char* level_name(LogLevel level) {
   switch (level) {
@@ -29,23 +28,15 @@ void set_log_level(LogLevel level) {
 }
 LogLevel log_level() { return g_level.load(std::memory_order_relaxed); }
 
-void set_thread_log_context(std::string name) { t_context = std::move(name); }
-const std::string& thread_log_context() { return t_context; }
-
 void log_message(LogLevel level, const std::string& component,
                  const std::string& msg) {
   if (level < log_level()) return;
   // Compose the full line first, then emit it with a single write under the
-  // sink mutex: pipelined-mode workers log concurrently, and interleaved
-  // fragments would make the narration useless.
+  // sink mutex: concurrent callers' interleaved fragments would make the
+  // narration useless.
   std::string line = "[";
   line += level_name(level);
   line += "] ";
-  if (!t_context.empty()) {
-    line += "(";
-    line += t_context;
-    line += ") ";
-  }
   line += component;
   line += ": ";
   line += msg;

@@ -4,11 +4,9 @@
 // that callers can silence (default) or direct to stderr.  Benchmarks keep it
 // off; examples turn it on for narration.
 //
-// Thread discipline: log_message is safe to call concurrently (the pipelined
-// co-simulation runs one worker thread per backend).  Each call emits its
-// line with ONE stderr write under a process-wide mutex, so lines never
-// interleave.  Worker threads tag their lines by setting a thread-local
-// context (set_thread_log_context) once at thread start.
+// Thread discipline: log_message is safe to call from any thread.  Each call
+// emits its line with ONE stderr write under a process-wide mutex, so lines
+// never interleave.
 #pragma once
 
 #include <sstream>
@@ -22,14 +20,8 @@ enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
 void set_log_level(LogLevel level);
 LogLevel log_level();
 
-/// Names the calling thread in every subsequent log line it emits, e.g.
-/// "worker:rtl".  Empty (the default) omits the tag; pass "" to clear.
-void set_thread_log_context(std::string name);
-const std::string& thread_log_context();
-
-/// Emits `msg` tagged with `level`, `component` and the calling thread's
-/// context to stderr if enabled.  One write per line; never interleaves
-/// with other threads' lines.
+/// Emits `msg` tagged with `level` and `component` to stderr if enabled.
+/// One write per line; never interleaves with other threads' lines.
 void log_message(LogLevel level, const std::string& component,
                  const std::string& msg);
 

@@ -1,17 +1,18 @@
 // Telemetry: low-overhead counters, gauges, span timers and a bounded
 // in-memory event-trace ring, shared by every layer of the co-verification
-// stack (sync protocol, session, SPSC channels, both simulation kernels).
+// stack (sync protocol, session, both simulation kernels).
 //
 // Design constraints, in order:
 //   1. Compiled-in but CHEAP when no sink is attached: every instrumentation
 //      site guards itself with telemetry::enabled() — one relaxed atomic
 //      load — and does nothing else while the hub is disabled.  Benches run
 //      with the hub disabled and must not regress.
-//   2. Thread-safe under the pipelined co-simulation (one worker thread per
-//      backend): metric handles are plain atomics (relaxed + CAS min/max),
-//      the trace ring is a mutex-guarded drop-oldest buffer.  TSan-clean.
+//   2. Thread-safe, so any thread may record (the remote-backend tests host
+//      a backend on a second thread): metric handles are plain atomics
+//      (relaxed + CAS min/max), the trace ring is a mutex-guarded
+//      drop-oldest buffer.  TSan-clean.
 //   3. Two exporters: a Chrome trace_event JSON file (one timeline row per
-//      backend/worker, openable in chrome://tracing or Perfetto) and a flat
+//      backend, openable in chrome://tracing or Perfetto) and a flat
 //      metrics snapshot (JSON + human-readable table) that benches and
 //      examples emit alongside their --json output.
 //
@@ -20,7 +21,7 @@
 //     handle lives until reset(), updates are lock-free; or
 //   * keep their own local statistics (as ConservativeSync and the session
 //     already do) and publish_* them into the snapshot at a quiescent point
-//     (end of run_until, after workers joined).
+//     (end of run_until).
 // Trace events (spans, instants) are pushed into the ring as they happen.
 #pragma once
 
@@ -44,7 +45,7 @@ class Value;
 
 namespace castanet::telemetry {
 
-/// Identifies one timeline row of the Chrome trace (a backend, a worker, a
+/// Identifies one timeline row of the Chrome trace (a backend, the network
 /// kernel).  Track 0 is the default "main" row; components that were never
 /// assigned a track record there.
 using TrackId = std::uint32_t;

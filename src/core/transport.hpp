@@ -39,8 +39,7 @@ enum class RecvStatus {
 
 /// A reliable, ordered, bidirectional frame pipe between two endpoints.
 /// One endpoint object per side; each side may have at most one sender and
-/// one receiver thread at a time (the SPSC discipline of the in-process
-/// co-simulation channels carries over).
+/// one receiver thread at a time.
 class FramePipe {
  public:
   virtual ~FramePipe() = default;
@@ -77,7 +76,7 @@ class FramePipe {
 
 /// Creates a connected in-process endpoint pair.  `capacity` bounds the
 /// number of queued frames per direction (back-pressure: send blocks on a
-/// full queue, like the SPSC co-simulation channels).
+/// full queue).
 std::pair<std::unique_ptr<FramePipe>, std::unique_ptr<FramePipe>>
 make_inprocess_pipe(std::size_t capacity = 256);
 

@@ -33,8 +33,8 @@ namespace castanet::lint {
 struct Options {
   /// Netlist analysis depth for RTL backends.  kProbed runs settle() on
   /// each backend kernel (read tracking + a short settling window) to
-  /// enable the undriven-input and topology rules; use kElaboration to
-  /// analyze without advancing any kernel.
+  /// enable the undriven-input rules; use kElaboration to analyze without
+  /// advancing any kernel.
   NetlistDepth depth = NetlistDepth::kProbed;
   /// Settling window per RTL backend, in that backend's sync clock periods
   /// (kProbed only).

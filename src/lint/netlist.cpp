@@ -166,25 +166,6 @@ void analyze_netlist(rtl::Simulator& sim, const NetlistOptions& opts,
 
   if (opts.depth == NetlistDepth::kProbed) {
     check_undriven(sim, opts, report);
-    if (!rule_fully_suppressed(opts.suppressions, "NET-TOPOLOGY")) {
-      const TopologyInfo topo = classify_topology(sim);
-      if (topo.feed_forward) {
-        report.add("NET-TOPOLOGY", Severity::kNote, kFamily,
-                   qualify(opts.scope, "design"),
-                   "dataflow topology is feed-forward: pipelined "
-                   "co-simulation preserves bit-identity with serial mode "
-                   "(DESIGN.md §7)",
-                   "");
-      } else {
-        report.add("NET-TOPOLOGY", Severity::kNote, kFamily,
-                   qualify(opts.scope, "design"),
-                   "dataflow topology has feedback (" + join_path(topo.cycle) +
-                       "): the §7 bit-identity guarantee for pipelined mode "
-                       "does not apply automatically",
-                   "verify responses do not influence later stimulus, or use "
-                   "serial mode for signoff");
-      }
-    }
   }
 }
 

@@ -9,9 +9,8 @@
 //   kElaboration — only initialize() ran (every process executed once).
 //                  Combinational logic has driven its outputs; clocked
 //                  processes have not seen an edge yet, so rules that need
-//                  their drive sets (undriven inputs, the feed-forward
-//                  classifier) are skipped.  This is the depth the opt-in
-//                  elaboration hook runs at.
+//                  their drive sets (undriven inputs) are skipped.  This is
+//                  the depth the opt-in elaboration hook runs at.
 //   kProbed      — settle() ran: a short settling window with read tracking
 //                  enabled, long enough for clocked processes to fire.  The
 //                  full rule set applies.  This is what castanet_lint does.
@@ -38,12 +37,6 @@ struct NetlistOptions {
   /// Allowlist applied by every signal-anchored rule.
   std::vector<RuleSuppression> suppressions;
 };
-
-/// The §3.2/§7 topology classification lives in the rtl netlist-topology
-/// facility (src/rtl/levelize.hpp) beside the levelization the dataflow
-/// engine uses.  The lint names stay valid for existing callers.
-using TopologyInfo = rtl::TopologyInfo;
-using rtl::classify_topology;
 
 /// Prepares `sim` for a kProbed analysis: enables read tracking, runs
 /// initialize(), then `cycles` periods of `clock_period` so clocked

@@ -79,46 +79,6 @@ void check_transport(cosim::VerificationSession& session, Report& report) {
   }
 }
 
-void check_channels(cosim::VerificationSession& session, Report& report) {
-  const auto& p = session.params();
-  if (!p.pipelined) return;
-  if (p.fanout_batch_messages > p.channel_capacity) {
-    report.add("SYN-CAPACITY", Severity::kWarning, kFamily, "session",
-               "fan-out batch of " + std::to_string(p.fanout_batch_messages) +
-                   " messages exceeds the SPSC channel capacity " +
-                   std::to_string(p.channel_capacity) +
-                   ": every coalesced flush back-pressures the session "
-                   "thread mid-batch",
-               "keep fanout_batch_messages at or below channel_capacity");
-  }
-  if (p.channel_capacity < 2) {
-    report.add("SYN-CAPACITY", Severity::kWarning, kFamily, "session",
-               "pipelined mode with channel capacity " +
-                   std::to_string(p.channel_capacity) +
-                   ": every command/response transfer blocks on the full "
-                   "channel, serializing the pipeline",
-               "use a channel capacity well above the per-grant message "
-               "batch (default 256)");
-  }
-  for (std::size_t i = 0; i < session.backend_count(); ++i) {
-    const auto* brd =
-        dynamic_cast<const cosim::BoardBackend*>(&session.backend(i));
-    if (brd == nullptr) continue;
-    if (brd->params().cells_per_batch > p.channel_capacity) {
-      report.add(
-          "SYN-CAPACITY", Severity::kWarning, kFamily,
-          backend_loc(session.backend(i)),
-          "board batch size " + std::to_string(brd->params().cells_per_batch) +
-              " exceeds the SPSC channel capacity " +
-              std::to_string(p.channel_capacity) +
-              ": a batch that responds per cell back-pressures its worker "
-              "mid-batch",
-          "raise channel_capacity above cells_per_batch (or shrink the "
-          "batch)");
-    }
-  }
-}
-
 }  // namespace
 
 void analyze_session_sync(cosim::VerificationSession& session,
@@ -135,7 +95,6 @@ void analyze_session_sync(cosim::VerificationSession& session,
                "attach at least one DutBackend before running");
   }
   check_transport(session, report);
-  check_channels(session, report);
 }
 
 }  // namespace castanet::lint

@@ -4,10 +4,9 @@
 // graph: every backend needs a positive effective lookahead δ_j·T (or
 // window grants stop dead), every message type the gateway can emit must
 // have a registered delay on every attached backend (ConservativeSync::push
-// throws on undeclared types — at runtime, possibly hours in), and in
-// pipelined mode the bounded SPSC channels must be sized against the
-// largest response batch a backend can emit inside one grant.  All of that
-// is checkable before the first network event runs; these analyzers do so.
+// throws on undeclared types — at runtime, possibly hours in), and a
+// socket transport must model its IPC cost.  All of that is checkable
+// before the first network event runs; these analyzers do so.
 #pragma once
 
 #include "src/castanet/session.hpp"

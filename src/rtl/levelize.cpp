@@ -81,31 +81,6 @@ Graph comb_graph(const Simulator& sim) {
   return g;
 }
 
-/// Dataflow graph for the topology classifier: P -> Q when P drives a signal
-/// Q is sensitive to *or reads* (read tracking).  Cycles here mean some
-/// process's outputs eventually influence its own inputs — the design has
-/// feedback across the module graph even if every individual path is
-/// registered.
-Graph dataflow_graph(const Simulator& sim) {
-  Graph g(sim.process_count());
-  for (SignalId s = 0; s < sim.signal_count(); ++s) {
-    std::vector<ProcessId> sinks = sim.sensitive_processes(s);
-    for (ProcessId r : sim.readers_of(s)) {
-      if (std::find(sinks.begin(), sinks.end(), r) == sinks.end()) {
-        sinks.push_back(r);
-      }
-    }
-    for (ProcessId p : sim.drivers_of(s)) {
-      if (p == kExternalProcess) continue;
-      for (ProcessId q : sinks) {
-        if (q == kExternalProcess || q == p) continue;
-        g[p].push_back({q, s});
-      }
-    }
-  }
-  return g;
-}
-
 /// Iterative Tarjan SCC over the level-sensitive subgraph.  Returns the SCC
 /// id per node (only meaningful where `in_graph`); fills `regions` with the
 /// node sets of every non-trivial SCC and of trivial SCCs that carry a self
@@ -263,13 +238,6 @@ LevelSchedule levelize(const Simulator& sim) {
     }
   }
   return out;
-}
-
-TopologyInfo classify_topology(const Simulator& sim) {
-  TopologyInfo info;
-  info.cycle = find_cycle(sim, dataflow_graph(sim));
-  info.feed_forward = info.cycle.empty();
-  return info;
 }
 
 std::vector<std::string> find_combinational_cycle(const Simulator& sim) {

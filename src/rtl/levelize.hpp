@@ -57,22 +57,6 @@ struct LevelSchedule {
 /// (sensitivity lists, edge restrictions, harvested driver slots).
 LevelSchedule levelize(const Simulator& sim);
 
-/// Result of the §3.2/§7 dataflow topology classification (moved here from
-/// src/lint so the kernel and the netlist rules share one implementation).
-struct TopologyInfo {
-  bool feed_forward = true;
-  /// When not feed-forward: one process cycle, as "process 'p' -> signal
-  /// 's' -> process 'q' ..." path elements.
-  std::vector<std::string> cycle;
-};
-
-/// Classifies the design's dataflow topology: feed-forward (every dataflow
-/// path moves from sources towards sinks — the precondition DESIGN.md §7
-/// puts on the pipelined-mode bit-identity guarantee) or feedback.
-/// Dataflow edges combine sensitivity lists with read-tracked reads, so the
-/// classification is only meaningful after lint::settle().
-TopologyInfo classify_topology(const Simulator& sim);
-
 /// Finds one zero-delay combinational loop (P drives a signal Q is
 /// *sensitive* to, around to P) and returns it as alternating
 /// process/signal path elements, or empty when the comb graph is acyclic.

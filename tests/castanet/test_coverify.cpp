@@ -1,7 +1,9 @@
-#include "src/castanet/coverify.hpp"
-
+// The two-party Fig. 2 coupling: one RtlBackend attached to a
+// VerificationSession.
 #include <gtest/gtest.h>
 
+#include "src/castanet/backend.hpp"
+#include "src/castanet/session.hpp"
 #include "src/hw/cell_bits.hpp"
 #include "src/hw/cell_rx.hpp"
 #include "src/traffic/processes.hpp"
@@ -10,6 +12,11 @@ namespace castanet::cosim {
 namespace {
 
 constexpr SimTime kClkPeriod = SimTime::from_ns(50);
+
+struct RigParams {
+  ConservativeSync::Params sync;
+  VerificationSession::Params session;
+};
 
 /// Full coupled setup of Fig. 2: traffic generator (network domain) ->
 /// gateway -> [channel] -> co-simulation entity -> serial cell lane -> RTL
@@ -25,45 +32,53 @@ struct CoVerifyRig {
   hw::CellReceiver rx{hdl, "rx", clk, rst, lane};
 
   netsim::Node& env = net.add_node("env");
-  CoVerification cov;
+  RtlBackend rtl;
+  VerificationSession session;
   traffic::SinkProcess* sink = nullptr;
 
-  explicit CoVerifyRig(CoVerification::Params params, std::uint64_t cells,
+  explicit CoVerifyRig(const RigParams& params, std::uint64_t cells,
                        SimTime period)
-      : cov(net, hdl, env, 1, params) {
+      : rtl("rtl", hdl, params.sync,
+            MessageChannel::Params{params.session.ipc_overhead_per_message}),
+        session(net, env, 1, params.session) {
+    session.attach(rtl);
     auto src = std::make_unique<traffic::CbrSource>(atm::VcId{1, 100}, 1,
                                                     period);
     auto& gen = env.add_process<traffic::GeneratorProcess>(
         "gen", std::move(src), cells);
     sink = &env.add_process<traffic::SinkProcess>("sink");
-    net.connect(gen, 0, cov.gateway(), 0);
-    net.connect(cov.gateway(), 0, *sink, 0);
+    net.connect(gen, 0, session.gateway(), 0);
+    net.connect(session.gateway(), 0, *sink, 0);
 
-    cov.entity().register_input(0, 53, [this](const TimedMessage& m) {
+    rtl.entity().register_input(0, 53, [this](const TimedMessage& m) {
       ASSERT_TRUE(m.cell.has_value());
       driver.enqueue(*m.cell);
     });
     // DUT responses: every received cell back to the abstract level.
     hdl.add_process("respond", {rx.cell_valid.id()}, [this] {
       if (rx.cell_valid.rose()) {
-        cov.entity().send_cell_response(
+        rtl.entity().send_cell_response(
             0, hw::bits_to_cell(rx.cell_out.read(), false));
       }
     });
   }
+
+  VerificationSession::BackendStats rtl_stats() const {
+    return session.stats().backends[0];
+  }
 };
 
-CoVerification::Params default_params(SyncPolicy policy) {
-  CoVerification::Params p;
+RigParams default_params(SyncPolicy policy) {
+  RigParams p;
   p.sync.policy = policy;
   p.sync.clock_period = kClkPeriod;
   return p;
 }
 
-TEST(CoVerification, AllCellsRoundTripThroughRtlDut) {
+TEST(CoVerify, AllCellsRoundTripThroughRtlDut) {
   CoVerifyRig rig(default_params(SyncPolicy::kGlobalOrder), 20,
                   SimTime::from_us(5));
-  rig.cov.run_until(SimTime::from_us(400));
+  rig.session.run_until(SimTime::from_us(400));
   EXPECT_EQ(rig.rx.cells_accepted(), 20u);
   EXPECT_EQ(rig.sink->cells_received(), 20u);
   // Content preserved end to end.
@@ -72,65 +87,64 @@ TEST(CoVerification, AllCellsRoundTripThroughRtlDut) {
   }
 }
 
-TEST(CoVerification, HdlTimeAlwaysLagsNetworkTime) {
+TEST(CoVerify, HdlTimeAlwaysLagsNetworkTime) {
   CoVerifyRig rig(default_params(SyncPolicy::kGlobalOrder), 10,
                   SimTime::from_us(5));
-  rig.cov.run_until(SimTime::from_us(200));
-  const auto stats = rig.cov.stats();
+  rig.session.run_until(SimTime::from_us(200));
+  const auto stats = rig.rtl_stats();
   EXPECT_EQ(stats.causality_errors, 0u);
   EXPECT_GT(stats.max_lag_seconds, 0.0);
   EXPECT_GT(stats.windows, 0u);
 }
 
-TEST(CoVerification, MessageCountsMatchTraffic) {
+TEST(CoVerify, MessageCountsMatchTraffic) {
   CoVerifyRig rig(default_params(SyncPolicy::kGlobalOrder), 15,
                   SimTime::from_us(5));
-  rig.cov.run_until(SimTime::from_us(300));
-  const auto stats = rig.cov.stats();
-  EXPECT_EQ(stats.messages_to_hdl, 15u);
-  EXPECT_EQ(stats.messages_to_net, 15u);
-  EXPECT_EQ(rig.cov.gateway().forwarded(), 15u);
-  EXPECT_EQ(rig.cov.gateway().responses_emitted(), 15u);
+  rig.session.run_until(SimTime::from_us(300));
+  EXPECT_EQ(rig.session.stats().messages_to_hdl, 15u);
+  EXPECT_EQ(rig.rtl.response_channel().messages_sent(), 15u);
+  EXPECT_EQ(rig.session.gateway().forwarded(), 15u);
+  EXPECT_EQ(rig.session.gateway().responses_emitted(), 15u);
 }
 
-TEST(CoVerification, TimeWindowPolicyAlsoDelivers) {
+TEST(CoVerify, TimeWindowPolicyAlsoDelivers) {
   // CBR spacing (5 us) exceeds delta (53 cycles = 2.65 us), satisfying the
   // paper's spacing assumption for the time-window rule.
   CoVerifyRig rig(default_params(SyncPolicy::kTimeWindow), 20,
                   SimTime::from_us(5));
-  rig.cov.run_until(SimTime::from_us(400));
+  rig.session.run_until(SimTime::from_us(400));
   EXPECT_EQ(rig.sink->cells_received(), 20u);
-  EXPECT_EQ(rig.cov.stats().causality_errors, 0u);
+  EXPECT_EQ(rig.rtl_stats().causality_errors, 0u);
 }
 
-TEST(CoVerification, LockstepPolicyDeliversSlowly) {
+TEST(CoVerify, LockstepPolicyDeliversSlowly) {
   CoVerifyRig rig(default_params(SyncPolicy::kLockstep), 5,
                   SimTime::from_us(5));
-  rig.cov.run_until(SimTime::from_us(100));
+  rig.session.run_until(SimTime::from_us(100));
   EXPECT_EQ(rig.sink->cells_received(), 5u);
   // Lockstep grants one clock per window: far more windows than the
   // message-driven policies need.
-  EXPECT_GT(rig.cov.stats().windows, 100u);
+  EXPECT_GT(rig.rtl_stats().windows, 100u);
 }
 
-TEST(CoVerification, ResponseLatencyDelaysReinjection) {
+TEST(CoVerify, ResponseLatencyDelaysReinjection) {
   auto params = default_params(SyncPolicy::kGlobalOrder);
-  params.response_latency = SimTime::from_us(50);
+  params.session.response_latency = SimTime::from_us(50);
   CoVerifyRig rig(params, 3, SimTime::from_us(5));
-  rig.cov.run_until(SimTime::from_us(300));
+  rig.session.run_until(SimTime::from_us(300));
   ASSERT_EQ(rig.sink->log().size(), 3u);
   // The response is computed after ~53 HDL cycles and re-enters the network
   // model no earlier than the configured 50 us latency after that.
   EXPECT_GE(rig.sink->log()[0].time, SimTime::from_us(50));
 }
 
-TEST(CoVerification, CustomResponseHandlerOverridesDefault) {
+TEST(CoVerify, CustomResponseHandlerOverridesDefault) {
   CoVerifyRig rig(default_params(SyncPolicy::kGlobalOrder), 4,
                   SimTime::from_us(5));
   std::vector<TimedMessage> captured;
-  rig.cov.set_response_handler(
+  rig.session.set_response_handler(
       [&](const TimedMessage& m) { captured.push_back(m); });
-  rig.cov.run_until(SimTime::from_us(200));
+  rig.session.run_until(SimTime::from_us(200));
   EXPECT_EQ(captured.size(), 4u);
   EXPECT_EQ(rig.sink->cells_received(), 0u);  // default path bypassed
   for (const auto& m : captured) {
@@ -138,13 +152,15 @@ TEST(CoVerification, CustomResponseHandlerOverridesDefault) {
   }
 }
 
-TEST(CoVerification, IpcOverheadAccounted) {
+TEST(CoVerify, IpcOverheadAccounted) {
   auto params = default_params(SyncPolicy::kGlobalOrder);
-  params.ipc_overhead_per_message = SimTime::from_us(1);
+  params.session.ipc_overhead_per_message = SimTime::from_us(1);
   CoVerifyRig rig(params, 10, SimTime::from_us(5));
-  rig.cov.run_until(SimTime::from_us(200));
-  EXPECT_EQ(rig.cov.net_to_hdl().transport_overhead(), SimTime::from_us(10));
-  EXPECT_EQ(rig.cov.hdl_to_net().transport_overhead(), SimTime::from_us(10));
+  rig.session.run_until(SimTime::from_us(200));
+  EXPECT_EQ(rig.session.gateway_transport().transport_overhead(),
+            SimTime::from_us(10));
+  EXPECT_EQ(rig.rtl.response_channel().transport_overhead(),
+            SimTime::from_us(10));
 }
 
 }  // namespace

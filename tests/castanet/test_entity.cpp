@@ -1,5 +1,5 @@
 // Direct tests of the co-simulation entity (Fig. 2's C-language entity in
-// the HDL simulator), independent of the full CoVerification orchestration.
+// the HDL simulator), independent of the VerificationSession run loop.
 #include "src/castanet/entity.hpp"
 
 #include <gtest/gtest.h>

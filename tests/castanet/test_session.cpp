@@ -145,12 +145,11 @@ struct SessionRig {
   traffic::SinkProcess* sink = nullptr;
   std::uint64_t ref_seen = 0;
 
-  SessionRig(VerificationSession::Params sp, ConservativeSync::Params sync,
-             std::uint64_t cells, SimTime period,
-             std::uint64_t corrupt_from = ~std::uint64_t{0})
+  SessionRig(ConservativeSync::Params sync, std::uint64_t cells,
+             SimTime period, std::uint64_t corrupt_from = ~std::uint64_t{0})
       : rtl("rtl", hdl, sync),
         refb("reference", sync),
-        session(net, env, 1, sp) {
+        session(net, env, 1, VerificationSession::Params{}) {
     session.attach(rtl);
     session.attach(refb);
     auto src = std::make_unique<traffic::CbrSource>(atm::VcId{1, 100}, 1,
@@ -186,14 +185,8 @@ ConservativeSync::Params sync_params() {
   return p;
 }
 
-VerificationSession::Params session_params() {
-  VerificationSession::Params p;
-  p.clock_period = kClkPeriod;
-  return p;
-}
-
 TEST(VerificationSession, HonestRigHasZeroDivergences) {
-  SessionRig rig(session_params(), sync_params(), 20, SimTime::from_us(5));
+  SessionRig rig(sync_params(), 20, SimTime::from_us(5));
   rig.session.run_until(SimTime::from_us(400));
   rig.session.comparator().finish();
   // The primary's responses still close the Fig. 2 loop into the network.
@@ -211,8 +204,20 @@ TEST(VerificationSession, HonestRigHasZeroDivergences) {
   EXPECT_EQ(rig.refb.messages_applied(), 20u);
 }
 
+TEST(VerificationSession, RepeatedRunsAccumulate) {
+  // Two run_until calls on one session: the second resumes where the first
+  // stopped, so every cell is delivered and compared exactly once.
+  SessionRig rig(sync_params(), 20, SimTime::from_us(5));
+  rig.session.run_until(SimTime::from_us(60));
+  rig.session.run_until(SimTime::from_us(400));
+  rig.session.comparator().finish();
+  EXPECT_EQ(rig.sink->cells_received(), 20u);
+  EXPECT_TRUE(rig.session.comparator().clean())
+      << rig.session.comparator().report();
+}
+
 TEST(VerificationSession, CorruptedReferenceFlaggedWithStreamAndTime) {
-  SessionRig rig(session_params(), sync_params(), 10, SimTime::from_us(5),
+  SessionRig rig(sync_params(), 10, SimTime::from_us(5),
                  /*corrupt_from=*/3);
   rig.session.run_until(SimTime::from_us(250));
   rig.session.comparator().finish();
@@ -248,7 +253,7 @@ TEST(VerificationSession, ThreeBackendFanOutIsolatesTheLiar) {
       r->respond(0, m.timestamp, cell);
     });
   }
-  VerificationSession session(net, env, 1, session_params());
+  VerificationSession session(net, env, 1, VerificationSession::Params{});
   session.attach(a);
   session.attach(b);
   session.attach(c);
@@ -285,7 +290,7 @@ TEST(VerificationSession, FinishHookResponsesReachComparator) {
   b.set_finish_hook([&](ReferenceBackend& r, SimTime at) {
     r.respond_words(0, at, {count_b + 1});  // off-by-one "bug"
   });
-  VerificationSession session(net, env, 1, session_params());
+  VerificationSession session(net, env, 1, VerificationSession::Params{});
   session.attach(a);
   session.attach(b);
   session.set_response_handler([](const TimedMessage&) {});
@@ -307,7 +312,7 @@ TEST(VerificationSession, AttachAfterRunRejected) {
   netsim::Node& env = net.add_node("env");
   ReferenceBackend a("primary", sync_params());
   a.register_input(0, 1, [](const TimedMessage&) {});
-  VerificationSession session(net, env, 1, session_params());
+  VerificationSession session(net, env, 1, VerificationSession::Params{});
   session.attach(a);
   session.run_until(SimTime::from_us(10));
   ReferenceBackend late("late", sync_params());

@@ -1,7 +1,6 @@
-// Telemetry under the pipelined co-simulation: the hub records spans from
-// the session thread, every backend worker and the HDL kernel concurrently,
-// and the end-of-run published metrics cover every backend.  Runs under TSan
-// in CI (ctest -L cosim_threaded).
+// Session telemetry: the hub records spans from the session's grants, the
+// HDL kernel and the network kernel on per-backend timeline rows, and the
+// end-of-run published metrics cover the session and every backend.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -18,8 +17,8 @@ namespace {
 
 constexpr SimTime kClkPeriod = SimTime::from_ns(50);
 
-/// Same rig as test_session_pipelined.cpp: RTL cell receiver (primary) plus
-/// an echo reference backend.
+/// Same rig as test_session.cpp: RTL cell receiver (primary) plus an echo
+/// reference backend.
 struct TelemetryRig {
   netsim::Simulation net;
   rtl::Simulator hdl;
@@ -36,11 +35,10 @@ struct TelemetryRig {
   VerificationSession session;
   traffic::SinkProcess* sink = nullptr;
 
-  TelemetryRig(VerificationSession::Params sp, std::uint64_t cells,
-               SimTime period)
+  TelemetryRig(std::uint64_t cells, SimTime period)
       : rtl("rtl", hdl, sync_params()),
         refb("reference", sync_params()),
-        session(net, env, 1, sp) {
+        session(net, env, 1, VerificationSession::Params{}) {
     session.attach(rtl);
     session.attach(refb);
     auto src = std::make_unique<traffic::CbrSource>(atm::VcId{1, 100}, 1,
@@ -88,24 +86,20 @@ bool snapshot_has(const telemetry::MetricsSnapshot& snap,
   return false;
 }
 
-TEST_F(SessionTelemetryTest, PipelinedRunRecordsSpansAndMetrics) {
+TEST_F(SessionTelemetryTest, RunRecordsSpansAndMetrics) {
   telemetry::Hub::instance().enable();
-  VerificationSession::Params sp;
-  sp.clock_period = kClkPeriod;
-  sp.pipelined = true;
-  TelemetryRig rig(sp, 20, SimTime::from_us(5));
+  TelemetryRig rig(20, SimTime::from_us(5));
   rig.session.run_until(SimTime::from_us(500));
   rig.session.comparator().finish();
   ASSERT_TRUE(rig.session.comparator().clean())
       << rig.session.comparator().report();
 
-  // Spans from the worker threads (grant, worker.batch, rtl.slice) and the
-  // session thread (net.slice) all landed in the ring.
+  // Grant spans, the kernel slices inside them, and the network kernel's
+  // slices all landed in the ring.
   auto& hub = telemetry::Hub::instance();
   EXPECT_GT(hub.trace_events_recorded(), 0u);
   const std::string trace = hub.chrome_trace_json();
   EXPECT_NE(trace.find("\"grant\""), std::string::npos);
-  EXPECT_NE(trace.find("\"worker.batch\""), std::string::npos);
   EXPECT_NE(trace.find("\"rtl.slice\""), std::string::npos);
   EXPECT_NE(trace.find("\"net.slice\""), std::string::npos);
   // One timeline row per backend plus the network scheduler.
@@ -121,22 +115,17 @@ TEST_F(SessionTelemetryTest, PipelinedRunRecordsSpansAndMetrics) {
   EXPECT_TRUE(snapshot_has(snap, "backend.rtl.lag_seconds"));
   EXPECT_TRUE(snapshot_has(snap, "backend.rtl.queue_depth.0"));
   EXPECT_TRUE(snapshot_has(snap, "backend.reference.windows"));
-  EXPECT_TRUE(snapshot_has(snap, "session.fanout_batch"));
+  EXPECT_TRUE(snapshot_has(snap, "backend.reference.lag_seconds"));
 
-  // The extended per-backend stats are populated in pipelined mode.
   const auto stats = rig.session.stats();
   ASSERT_EQ(stats.backends.size(), 2u);
   for (const auto& b : stats.backends) {
-    EXPECT_GT(b.worker_batches, 0u) << b.name;
     EXPECT_GE(b.mean_lag_seconds, 0.0) << b.name;
   }
 }
 
 TEST_F(SessionTelemetryTest, DisabledHubRecordsNothing) {
-  VerificationSession::Params sp;
-  sp.clock_period = kClkPeriod;
-  sp.pipelined = true;
-  TelemetryRig rig(sp, 10, SimTime::from_us(5));
+  TelemetryRig rig(10, SimTime::from_us(5));
   rig.session.run_until(SimTime::from_us(250));
   rig.session.comparator().finish();
   EXPECT_TRUE(rig.session.comparator().clean());
@@ -146,26 +135,6 @@ TEST_F(SessionTelemetryTest, DisabledHubRecordsNothing) {
   // The always-on component-local statistics still accumulate.
   const auto stats = rig.session.stats();
   EXPECT_GE(stats.backends[0].mean_lag_seconds, 0.0);
-}
-
-TEST_F(SessionTelemetryTest, SerialRunPublishesSameMetricFamilies) {
-  telemetry::Hub::instance().enable();
-  VerificationSession::Params sp;
-  sp.clock_period = kClkPeriod;
-  TelemetryRig rig(sp, 10, SimTime::from_us(5));
-  rig.session.run_until(SimTime::from_us(250));
-  rig.session.comparator().finish();
-  ASSERT_TRUE(rig.session.comparator().clean());
-  const telemetry::MetricsSnapshot snap =
-      telemetry::Hub::instance().snapshot();
-  EXPECT_TRUE(snapshot_has(snap, "session.net_events"));
-  EXPECT_TRUE(snapshot_has(snap, "backend.rtl.windows"));
-  EXPECT_TRUE(snapshot_has(snap, "backend.reference.lag_seconds"));
-  // Serial mode has no workers: batch/back-pressure counters publish as 0.
-  EXPECT_TRUE(snapshot_has(snap, "backend.rtl.worker_batches"));
-  const std::string trace = telemetry::Hub::instance().chrome_trace_json();
-  EXPECT_NE(trace.find("\"grant\""), std::string::npos);
-  EXPECT_NE(trace.find("\"rtl.slice\""), std::string::npos);
 }
 
 }  // namespace

@@ -12,7 +12,6 @@
 
 #include "src/castanet/backend.hpp"
 #include "src/castanet/wire.hpp"
-#include "src/core/error.hpp"
 #include "src/netsim/simulation.hpp"
 #include "src/traffic/processes.hpp"
 
@@ -98,19 +97,6 @@ TEST(SessionTransport, SocketSessionByteIdenticalToInProcess) {
   // The actual response payloads, byte for byte.
   ASSERT_EQ(socket.responses.size(), inproc.responses.size());
   EXPECT_EQ(socket.responses, inproc.responses);
-}
-
-TEST(SessionTransport, GatewayChannelAccessorRequiresInProcess) {
-  netsim::Simulation net;
-  netsim::Node& env = net.add_node("env");
-  VerificationSession::Params sp;
-  sp.transport = TransportKind::kSocket;
-  VerificationSession session(net, env, 1, sp);
-  EXPECT_THROW(session.gateway_channel(), LogicError);
-
-  VerificationSession plain(net, net.add_node("env2"), 1,
-                            VerificationSession::Params{});
-  EXPECT_NO_THROW(plain.gateway_channel());
 }
 
 }  // namespace

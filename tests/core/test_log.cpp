@@ -2,9 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <string>
-#include <thread>
-
 namespace castanet {
 namespace {
 
@@ -45,40 +42,6 @@ TEST(Log, EmitsWhenEnabled) {
   CASTANET_LOG(kInfo, "component") << "value=" << 7;
   CASTANET_LOG(kWarn, "component") << "warn";
   SUCCEED();
-}
-
-TEST(Log, ThreadContextIsPerThread) {
-  set_thread_log_context("main-thread");
-  EXPECT_EQ(thread_log_context(), "main-thread");
-  std::string seen_in_thread;
-  std::thread t([&] {
-    // A fresh thread starts with no context; setting one does not leak to
-    // the spawning thread.
-    seen_in_thread = thread_log_context();
-    set_thread_log_context("worker:x");
-    seen_in_thread += "|" + thread_log_context();
-  });
-  t.join();
-  EXPECT_EQ(seen_in_thread, "|worker:x");
-  EXPECT_EQ(thread_log_context(), "main-thread");
-  set_thread_log_context("");
-}
-
-TEST(Log, ContextAppearsInLine) {
-  LogLevelGuard guard;
-  set_log_level(LogLevel::kInfo);
-  set_thread_log_context("worker:rtl");
-  ::testing::internal::CaptureStderr();
-  CASTANET_LOG(kInfo, "session") << "hello";
-  const std::string line = ::testing::internal::GetCapturedStderr();
-  EXPECT_NE(line.find("(worker:rtl)"), std::string::npos) << line;
-  EXPECT_NE(line.find("session"), std::string::npos) << line;
-  EXPECT_NE(line.find("hello"), std::string::npos) << line;
-  set_thread_log_context("");
-  ::testing::internal::CaptureStderr();
-  CASTANET_LOG(kInfo, "session") << "plain";
-  const std::string bare = ::testing::internal::GetCapturedStderr();
-  EXPECT_EQ(bare.find('('), std::string::npos) << bare;
 }
 
 }  // namespace

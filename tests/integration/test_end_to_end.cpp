@@ -8,7 +8,7 @@
 #include <cstdio>
 
 #include "src/castanet/board_driver.hpp"
-#include "src/castanet/coverify.hpp"
+#include "src/castanet/session.hpp"
 #include "src/hw/accounting.hpp"
 #include "src/hw/cell_bits.hpp"
 #include "src/hw/reference.hpp"
@@ -18,7 +18,6 @@
 namespace castanet {
 namespace {
 
-using cosim::CoVerification;
 using cosim::SyncPolicy;
 using cosim::TimedMessage;
 
@@ -35,26 +34,29 @@ struct AccountingCosim {
   hw::CellPortDriver driver{hdl, "drv", clk, snoop};
   hw::AccountingUnit acct{hdl, "acct", clk, rst, snoop, 8};
   netsim::Node& env = net.add_node("env");
-  CoVerification cov;
+  cosim::RtlBackend rtl;
+  cosim::VerificationSession session;
 
   explicit AccountingCosim(const traffic::CellTrace& trace)
-      : cov(net, hdl, env, 1, make_params()) {
+      : rtl("rtl", hdl, sync_params()),
+        session(net, env, 1, cosim::VerificationSession::Params{}) {
+    session.attach(rtl);
     acct.set_tariff(0, hw::Tariff{3, 1});
     acct.bind_connection({1, 100}, 0, 0);
     auto& gen = env.add_process<traffic::GeneratorProcess>(
         "gen", std::make_unique<traffic::TraceSource>(trace), trace.size());
-    net.connect(gen, 0, cov.gateway(), 0);
+    net.connect(gen, 0, session.gateway(), 0);
     // The accounting unit produces no cell stream; suppress responses.
-    cov.set_response_handler([](const TimedMessage&) {});
-    cov.entity().register_input(0, 53, [this](const TimedMessage& m) {
+    session.set_response_handler([](const TimedMessage&) {});
+    rtl.entity().register_input(0, 53, [this](const TimedMessage& m) {
       driver.enqueue(*m.cell);
     });
   }
 
-  static CoVerification::Params make_params() {
-    CoVerification::Params p;
-    p.sync.policy = SyncPolicy::kGlobalOrder;
-    p.sync.clock_period = kClk;
+  static cosim::ConservativeSync::Params sync_params() {
+    cosim::ConservativeSync::Params p;
+    p.policy = SyncPolicy::kGlobalOrder;
+    p.clock_period = kClk;
     return p;
   }
 };
@@ -82,7 +84,7 @@ TEST(EndToEnd, CosimDutMatchesReferenceModel) {
 
   // RTL DUT consumes it through the simulator coupling.
   AccountingCosim rig(trace);
-  rig.cov.run_until(SimTime::from_us(5 * 30 + 100));
+  rig.session.run_until(SimTime::from_us(5 * 30 + 100));
 
   cosim::ResponseComparator cmp;
   cmp.compare_value(0, ref.count(0), rig.acct.count(0), "count");
@@ -90,7 +92,7 @@ TEST(EndToEnd, CosimDutMatchesReferenceModel) {
   cmp.compare_value(2, ref.charge(0), rig.acct.charge(0), "charge");
   cmp.finish();
   EXPECT_TRUE(cmp.clean()) << cmp.report();
-  EXPECT_EQ(rig.cov.stats().causality_errors, 0u);
+  EXPECT_EQ(rig.session.stats().backends[0].causality_errors, 0u);
 }
 
 TEST(EndToEnd, InjectedRtlFaultIsDetectedBySystemLevelComparison) {
@@ -102,7 +104,7 @@ TEST(EndToEnd, InjectedRtlFaultIsDetectedBySystemLevelComparison) {
 
   AccountingCosim rig(trace);
   rig.acct.set_fault(hw::AccountingFault::kIgnoreClp1);
-  rig.cov.run_until(SimTime::from_us(5 * 30 + 100));
+  rig.session.run_until(SimTime::from_us(5 * 30 + 100));
 
   cosim::ResponseComparator cmp;
   cmp.compare_value(0, ref.count(0), rig.acct.count(0), "count");
@@ -118,7 +120,7 @@ TEST(EndToEnd, SameTraceOnBoardAgreesWithCosim) {
   const traffic::CellTrace trace = accounting_trace(25);
 
   AccountingCosim rig(trace);
-  rig.cov.run_until(SimTime::from_us(5 * 25 + 100));
+  rig.session.run_until(SimTime::from_us(5 * 25 + 100));
 
   board::HardwareTestBoard board;
   board.configure(cosim::make_cell_stream_config());
@@ -142,9 +144,9 @@ TEST(EndToEnd, TraceDumpAndRerunReproducesVerdict) {
   const traffic::CellTrace loaded = traffic::CellTrace::load(path);
 
   AccountingCosim first(loaded);
-  first.cov.run_until(SimTime::from_us(5 * 20 + 100));
+  first.session.run_until(SimTime::from_us(5 * 20 + 100));
   AccountingCosim second(loaded);
-  second.cov.run_until(SimTime::from_us(5 * 20 + 100));
+  second.session.run_until(SimTime::from_us(5 * 20 + 100));
 
   EXPECT_EQ(first.acct.count(0), second.acct.count(0));
   EXPECT_EQ(first.acct.charge(0), second.acct.charge(0));

@@ -84,10 +84,6 @@ TEST(NetlistRules, ClockedRingIsNotACombinationalLoop) {
   settle(sim, kClk);
   const Report r = analyze(sim, NetlistDepth::kProbed);
   EXPECT_FALSE(r.has("NET-COMB-LOOP"));
-  // ...but the dataflow topology classifier still sees the feedback.
-  ASSERT_TRUE(r.has("NET-TOPOLOGY"));
-  EXPECT_NE(r.by_rule("NET-TOPOLOGY").front()->message.find("feedback"),
-            std::string::npos);
 }
 
 // --- port bindings ----------------------------------------------------------
@@ -146,7 +142,6 @@ TEST(NetlistRules, UndrivenRulesNeedProbedDepth) {
   sim.declare_port_binding(s, rtl::PortDir::kIn, 1, "dut.enable");
   const Report r = analyze(sim, NetlistDepth::kElaboration);
   EXPECT_FALSE(r.has("NET-UNDRIVEN"));
-  EXPECT_FALSE(r.has("NET-TOPOLOGY"));
 }
 
 TEST(NetlistRules, ExternallyDrivenInputIsNotUndriven) {
@@ -159,44 +154,6 @@ TEST(NetlistRules, ExternallyDrivenInputIsNotUndriven) {
   const Report r = analyze(sim, NetlistDepth::kProbed);
   EXPECT_FALSE(r.has("NET-UNDRIVEN"));
   EXPECT_FALSE(r.has("NET-UNDRIVEN-CONST"));
-}
-
-// --- topology classifier ----------------------------------------------------
-
-TEST(NetlistRules, FeedForwardChainClassifies) {
-  rtl::Simulator sim;
-  const auto a = sim.create_signal("a", 1, rtl::Logic::L0);
-  const auto b = sim.create_signal("b", 1, rtl::Logic::L0);
-  const auto c = sim.create_signal("c", 1, rtl::Logic::L0);
-  sim.add_process("stage1", {a},
-                  [&] { sim.schedule_write(b, sim.value(a)); });
-  sim.add_process("stage2", {b},
-                  [&] { sim.schedule_write(c, sim.value(b)); });
-  settle(sim, kClk);
-  const TopologyInfo topo = classify_topology(sim);
-  EXPECT_TRUE(topo.feed_forward);
-  EXPECT_TRUE(topo.cycle.empty());
-}
-
-TEST(NetlistRules, ReadTrackedFeedbackClassifies) {
-  rtl::Simulator sim;
-  rtl::Signal clk(&sim, sim.create_signal("clk", 1, rtl::Logic::L0));
-  const auto req = sim.create_signal("req", 1, rtl::Logic::L0);
-  const auto grant = sim.create_signal("grant", 1, rtl::Logic::L0);
-  // The requester watches the clock and *reads* grant (not in its
-  // sensitivity list) — only read tracking reveals the back edge.
-  sim.add_process("requester", {clk.id()}, [&, clk] {
-    if (clk.rose() && !to_bool(sim.value(grant).bit(0))) {
-      sim.schedule_write(req, rtl::Logic::L1);
-    }
-  });
-  sim.add_process("arbiter", {req},
-                  [&] { sim.schedule_write(grant, sim.value(req)); });
-  rtl::ClockGen gen(sim, clk, kClk);
-  settle(sim, kClk);
-  const TopologyInfo topo = classify_topology(sim);
-  EXPECT_FALSE(topo.feed_forward);
-  EXPECT_FALSE(topo.cycle.empty());
 }
 
 // --- elaboration hooks ------------------------------------------------------

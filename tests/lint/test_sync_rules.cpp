@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "examples/rigs/accounting_rig.hpp"
 #include "src/castanet/backend.hpp"
 #include "src/castanet/session.hpp"
 #include "src/netsim/simulation.hpp"
@@ -84,28 +83,6 @@ TEST(SyncRules, FullyDeclaredBackendIsClean) {
   EXPECT_TRUE(r.empty()) << r.to_text();
 }
 
-TEST(SyncRules, PipelinedTinyChannelWarns) {
-  cosim::VerificationSession::Params vp;
-  vp.pipelined = true;
-  vp.channel_capacity = 1;
-  SyncFixture f(1, {}, vp);
-  f.declare(0);
-  f.session.attach(f.backend);
-  const Report r = analyze(f.session);
-  ASSERT_TRUE(r.has("SYN-CAPACITY"));
-  EXPECT_EQ(r.by_rule("SYN-CAPACITY").front()->severity, Severity::kWarning);
-}
-
-TEST(SyncRules, SerialTinyChannelIsFine) {
-  cosim::VerificationSession::Params vp;
-  vp.pipelined = false;
-  vp.channel_capacity = 1;  // serial mode never touches the channels
-  SyncFixture f(1, {}, vp);
-  f.declare(0);
-  f.session.attach(f.backend);
-  EXPECT_FALSE(analyze(f.session).has("SYN-CAPACITY"));
-}
-
 TEST(SyncRules, SocketTransportWithoutModeledIpcCostWarns) {
   cosim::VerificationSession::Params vp;
   vp.transport = cosim::TransportKind::kSocket;  // ipc overhead left at zero
@@ -132,37 +109,6 @@ TEST(SyncRules, SocketTransportWithModeledCostIsClean) {
   g.declare(0);
   g.session.attach(g.backend);
   EXPECT_FALSE(analyze(g.session).has("SYN-TRANSPORT"));
-}
-
-TEST(SyncRules, FanoutBatchBeyondChannelCapacityWarns) {
-  cosim::VerificationSession::Params vp;
-  vp.pipelined = true;
-  vp.channel_capacity = 4;
-  vp.fanout_batch_messages = 8;
-  SyncFixture f(1, {}, vp);
-  f.declare(0);
-  f.session.attach(f.backend);
-  const Report r = analyze(f.session);
-  ASSERT_TRUE(r.has("SYN-CAPACITY"));
-  EXPECT_NE(r.by_rule("SYN-CAPACITY").front()->message.find("fan-out"),
-            std::string::npos);
-  // Serial mode never touches the channels: same params, no warning.
-  vp.pipelined = false;
-  SyncFixture g(1, {}, vp);
-  g.declare(0);
-  g.session.attach(g.backend);
-  EXPECT_FALSE(analyze(g.session).has("SYN-CAPACITY"));
-}
-
-TEST(SyncRules, BoardBatchLargerThanChannelWarns) {
-  rigs::AccountingRig::Params p;
-  p.session.pipelined = true;
-  p.session.channel_capacity = 32;  // board cells_per_batch is 64
-  rigs::AccountingRig rig(p);
-  const Report r = analyze(*rig.session);
-  ASSERT_TRUE(r.has("SYN-CAPACITY"));
-  EXPECT_NE(r.by_rule("SYN-CAPACITY").front()->message.find("batch"),
-            std::string::npos);
 }
 
 }  // namespace

@@ -21,7 +21,6 @@
 //   seed                   varies the stimulus (CLP tagging pattern)
 //   transport              "in-process" | "socket"
 //   cells                  stimulus length (default 40)
-//   pipelined              run backends on worker threads (default false)
 //   ipc_overhead_ns        modeled per-message IPC cost (default 0)
 //   board_us_per_test_cycle  real-time wait per board test cycle (default 0;
 //                            "board" scenario defaults to 200)
@@ -72,7 +71,6 @@ cosim::VerificationSession::Params session_params(const SessionSpec& spec) {
   sp.transport = spec.transport;
   sp.ipc_overhead_per_message =
       SimTime::from_ns(spec.params.int_or("ipc_overhead_ns", 0));
-  sp.pipelined = spec.params.bool_or("pipelined", false);
   return sp;
 }
 
