@@ -16,7 +16,11 @@
 //       abstract level;
 //   (C) CASTANET co-simulation with only the global control unit in RTL and
 //       the port modules abstracted into the network model (the paper's
-//       hybrid configuration).
+//       hybrid configuration);
+//   (R) configuration B with the RTL switch in a forked child process, the
+//       process split of the paper's Fig. 2: the §3.1 protocol crosses a
+//       socketpair, so R's cycles and activations equal B's and its speed
+//       relative to B is the cost of that IPC.
 //
 // Absolute numbers reflect this machine, not a 1997 UltraSPARC; the paper's
 // *shape* is that (B) and (C) beat (A), with (C) fastest.
@@ -30,7 +34,9 @@
 #include "bench/bench_util.hpp"
 #include "src/atm/hec.hpp"
 #include "src/castanet/comparator.hpp"
+#include "src/castanet/remote.hpp"
 #include "src/castanet/session.hpp"
+#include "src/core/transport.hpp"
 #include "src/hw/atm_switch.hpp"
 #include "src/hw/cell_bits.hpp"
 #include "src/hw/reference.hpp"
@@ -257,36 +263,46 @@ cosim::ConservativeSync::Params sync_params() {
   return p;
 }
 
-// (B) Co-simulation with the full RTL switch.
-Row run_cosim_full(const std::vector<std::vector<traffic::CellArrival>>& traffic) {
-  netsim::Simulation net;
-  netsim::Node& env = net.add_node("env");
+/// Configuration B's RTL side: the full switch, a driver and a monitor per
+/// port, and the RtlBackend that declares the four cell inputs (δ = 53).
+/// B builds it in-process; R builds it in its child.
+struct SwitchRtlRig {
   rtl::Simulator hdl;
-  rtl::Signal clk(&hdl, hdl.create_signal("clk", 1, rtl::Logic::L0));
-  rtl::Signal rst(&hdl, hdl.create_signal("rst", 1, rtl::Logic::L0));
-  rtl::ClockGen clock(hdl, clk, kClk);
-  hw::AtmSwitch sw(hdl, "sw", clk, rst);
-  install_routes(sw);
-
-  cosim::RtlBackend rtl("rtl", hdl, sync_params());
-  cosim::VerificationSession session(net, env, kPorts, {});
-  session.attach(rtl);
-  session.set_response_handler([](const cosim::TimedMessage&) {});
+  rtl::Signal clk{&hdl, hdl.create_signal("clk", 1, rtl::Logic::L0)};
+  rtl::Signal rst{&hdl, hdl.create_signal("rst", 1, rtl::Logic::L0)};
+  rtl::ClockGen clock{hdl, clk, kClk};
+  hw::AtmSwitch sw{hdl, "sw", clk, rst};
+  cosim::RtlBackend rtl{"rtl", hdl, sync_params()};
   cosim::ResponseComparator cmp;
-
   std::vector<std::unique_ptr<hw::CellPortDriver>> drivers;
   std::vector<std::unique_ptr<hw::CellPortMonitor>> monitors;
+
+  SwitchRtlRig() {
+    install_routes(sw);
+    for (std::size_t p = 0; p < kPorts; ++p) {
+      drivers.push_back(std::make_unique<hw::CellPortDriver>(
+          hdl, "drv" + std::to_string(p), clk, sw.phys_in(p)));
+      monitors.push_back(std::make_unique<hw::CellPortMonitor>(
+          hdl, "mon" + std::to_string(p), clk, sw.phys_out(p)));
+      monitors[p]->set_callback([this](const atm::Cell& c) { cmp.actual(c); });
+      rtl.entity().register_input(
+          static_cast<cosim::MessageType>(p), 53,
+          [this, p](const cosim::TimedMessage& m) {
+            drivers[p]->enqueue(*m.cell);
+          });
+    }
+  }
+};
+
+/// Connects one trace generator per port to the session's gateway; returns
+/// the number of cells they will send.
+std::uint64_t add_generators(
+    netsim::Simulation& net, netsim::Node& env,
+    cosim::VerificationSession& session,
+    const std::vector<std::vector<traffic::CellArrival>>& traffic) {
   std::uint64_t cells = 0;
   for (std::size_t p = 0; p < kPorts; ++p) {
     cells += traffic[p].size();
-    drivers.push_back(std::make_unique<hw::CellPortDriver>(
-        hdl, "drv" + std::to_string(p), clk, sw.phys_in(p)));
-    monitors.push_back(std::make_unique<hw::CellPortMonitor>(
-        hdl, "mon" + std::to_string(p), clk, sw.phys_out(p)));
-    monitors[p]->set_callback([&cmp](const atm::Cell& c) { cmp.actual(c); });
-    rtl.entity().register_input(
-        static_cast<cosim::MessageType>(p), 53,
-        [&, p](const cosim::TimedMessage& m) { drivers[p]->enqueue(*m.cell); });
     traffic::CellTrace trace;
     for (const auto& a : traffic[p]) trace.append(a);
     auto& gen = env.add_process<traffic::GeneratorProcess>(
@@ -294,6 +310,18 @@ Row run_cosim_full(const std::vector<std::vector<traffic::CellArrival>>& traffic
         std::make_unique<traffic::TraceSource>(trace), trace.size());
     net.connect(gen, 0, session.gateway(), static_cast<unsigned>(p));
   }
+  return cells;
+}
+
+// (B) Co-simulation with the full RTL switch.
+Row run_cosim_full(const std::vector<std::vector<traffic::CellArrival>>& traffic) {
+  netsim::Simulation net;
+  netsim::Node& env = net.add_node("env");
+  SwitchRtlRig rig;
+  cosim::VerificationSession session(net, env, kPorts, {});
+  session.attach(rig.rtl);
+  session.set_response_handler([](const cosim::TimedMessage&) {});
+  const std::uint64_t cells = add_generators(net, env, session, traffic);
   WallTimer timer;
   session.run_until(horizon_of(traffic));
   const double wall = timer.seconds();
@@ -302,8 +330,62 @@ Row run_cosim_full(const std::vector<std::vector<traffic::CellArrival>>& traffic
                 static_cast<unsigned long long>(
                     session.stats().backends[0].windows));
   }
-  return {"B: co-sim (RTL switch)", cells, clock.rising_edges(), wall,
-          hdl.stats().process_activations};
+  return {"B: co-sim (RTL switch)", cells, rig.clock.rising_edges(), wall,
+          rig.hdl.stats().process_activations};
+}
+
+// (R) Configuration B with the RTL switch hosted in a forked child.  The
+// child builds B's RTL rig and serves it; the parent builds B's network side
+// around a RemoteBackend proxy.  Forking first lets the child elaborate while
+// the parent builds its side, outside the timed run.
+Row run_cosim_remote(
+    const std::vector<std::vector<traffic::CellArrival>>& traffic) {
+  transport::Child host = transport::fork_child([](transport::FramePipe& pipe) {
+    // The child's copy of the hub would be lost with it, and a trace stream
+    // the parent attached must not be written from two processes.
+    telemetry::Hub::instance().disable();
+    SwitchRtlRig rig;
+    // The kernel's totals travel back as one word response.
+    rig.rtl.set_finish_hook([&rig](cosim::RtlBackend& b, SimTime) {
+      b.entity().send_word_response(
+          kPorts,
+          {rig.clock.rising_edges(), rig.hdl.stats().process_activations});
+    });
+    return cosim::serve_backend(rig.rtl, pipe) ? 0 : 1;
+  });
+
+  netsim::Simulation net;
+  netsim::Node& env = net.add_node("env");
+  cosim::RemoteBackend rtl("rtl", sync_params(), std::move(host.pipe));
+  for (std::size_t p = 0; p < kPorts; ++p) {
+    rtl.declare_input(static_cast<cosim::MessageType>(p), 53);
+  }
+  cosim::VerificationSession session(net, env, kPorts, {});
+  session.attach(rtl);
+  std::uint64_t cycles = 0;
+  std::uint64_t activations = 0;
+  session.set_response_handler([&](const cosim::TimedMessage& m) {
+    if (m.words.size() == 2) {
+      cycles = m.words[0];
+      activations = m.words[1];
+    }
+  });
+  const std::uint64_t cells = add_generators(net, env, session, traffic);
+  WallTimer timer;
+  session.run_until(horizon_of(traffic));
+  const double wall = timer.seconds();
+  rtl.shutdown();
+  const int status = transport::wait_child(host.pid);
+  if (!g_quiet) {
+    std::printf("  co-sim (remote): %llu sync windows, %llu round trips\n",
+                static_cast<unsigned long long>(
+                    session.stats().backends[0].windows),
+                static_cast<unsigned long long>(rtl.round_trips()));
+  }
+  if (status != 0) {
+    std::printf("  !! backend host exited with status %d\n", status);
+  }
+  return {"R: co-sim (RTL switch in child)", cells, cycles, wall, activations};
 }
 
 // (C) Co-simulation with only the GCU in RTL; ports abstracted.
@@ -428,7 +510,7 @@ int main(int argc, char** argv) {
   const auto traffic = make_traffic(total);
   // Restrict to a subset of configurations for profiling one configuration
   // in isolation: CASTANET_E1_ONLY is any combination of the letters
-  // A (pure HDL), B (co-sim), C (GCU only).
+  // A (pure HDL), B (co-sim), C (GCU only), R (B with the RTL in a child).
   std::string only;
   if (const char* env = std::getenv("CASTANET_E1_ONLY")) only = env;
   const auto want = [&only](char key) {
@@ -443,7 +525,7 @@ int main(int argc, char** argv) {
               "clk cyc", "wall s", "clk cyc/s", "speedup");
   bench::rule();
   // CASTANET_E1_REPS > 1 runs the selected configurations round-robin
-  // (A,B,C, A,B,C, ...) and reports each configuration's
+  // (A,B,C,R, A,B,C,R, ...) and reports each configuration's
   // best-by-wall-clock row, which is what BENCH_PR*.json records.
   // Alternation matters: single runs on a shared box are too noisy for
   // comparisons between configurations, and sequential blocks would fold
@@ -460,6 +542,7 @@ int main(int argc, char** argv) {
   if (want('A')) runs.push_back([&] { return run_pure_rtl(traffic); });
   if (want('B')) runs.push_back([&] { return run_cosim_full(traffic); });
   if (want('C')) runs.push_back([&] { return run_cosim_gcu(traffic); });
+  if (want('R')) runs.push_back([&] { return run_cosim_remote(traffic); });
 
   // Rotate the within-round order each round: with a fixed order, later
   // slots run deeper into the sustained-busy window (frequency/thermal

@@ -12,7 +12,7 @@
 #   BUILD_DIR          build tree containing bench/ binaries (default: build)
 #   PR_NUMBER          stamped into the report and the default filename
 #   CASTANET_E1_REPS   E1 repetitions per configuration (default here: 9 —
-#                      E1 compares configurations A/B/C, and single runs on
+#                      E1 compares configurations A/B/C/R, and single runs on
 #                      a shared machine are too noisy for their ratios)
 set -eu
 

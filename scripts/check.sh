@@ -4,7 +4,6 @@
 # static lint CLI on the shipped designs, or run clang-tidy.
 #
 #   scripts/check.sh           # build + ctest
-#   scripts/check.sh --tsan    # + TSan build, ctest -L cosim_threaded
 #   scripts/check.sh --asan    # + ASan build, full ctest suite
 #   scripts/check.sh --ubsan   # + UBSan build, full ctest suite
 #   scripts/check.sh --lint    # + castanet_lint on both example designs
@@ -21,7 +20,6 @@
 #
 # Environment:
 #   BUILD_DIR       plain build tree      (default: build)
-#   TSAN_BUILD_DIR  TSan build tree       (default: build-tsan)
 #   SAN_BUILD_DIR   ASan/UBSan build tree (default: build-san)
 #   JOBS            parallel build jobs   (default: nproc)
 #   CLANG_TIDY      clang-tidy executable (default: clang-tidy)
@@ -29,12 +27,10 @@ set -eu
 
 cd "$(dirname "$0")/.."
 BUILD=${BUILD_DIR:-build}
-TSAN_BUILD=${TSAN_BUILD_DIR:-build-tsan}
 SAN_BUILD=${SAN_BUILD_DIR:-build-san}
 JOBS=${JOBS:-$(nproc 2>/dev/null || echo 4)}
 CLANG_TIDY=${CLANG_TIDY:-clang-tidy}
 
-run_tsan=0
 run_asan=0
 run_ubsan=0
 run_lint=0
@@ -43,7 +39,6 @@ run_bench_smoke=0
 run_farm=0
 for arg in "$@"; do
   case "$arg" in
-    --tsan)  run_tsan=1 ;;
     --asan)  run_asan=1 ;;
     --ubsan) run_ubsan=1 ;;
     --lint)  run_lint=1 ;;
@@ -123,18 +118,6 @@ fi
 if [ "$run_bench_smoke" -eq 1 ]; then
   echo "== bench smoke (bench_e1 vs checked-in floor)"
   BUILD_DIR="$BUILD" scripts/bench_smoke.sh
-fi
-
-if [ "$run_tsan" -eq 1 ]; then
-  # The threaded co-simulation paths (the in-process FramePipe and the
-  # serve_backend host thread behind RemoteBackend) carry their own ctest
-  # label so the slow TSan pass is restricted to the tests that exercise
-  # threads.
-  echo "== configure + build ($TSAN_BUILD, CASTANET_SANITIZE=thread)"
-  cmake -B "$TSAN_BUILD" -S . -DCASTANET_SANITIZE=thread >/dev/null
-  cmake --build "$TSAN_BUILD" -j "$JOBS" --target test_cosim_threaded
-  echo "== ctest -L cosim_threaded ($TSAN_BUILD)"
-  ctest --test-dir "$TSAN_BUILD" -L cosim_threaded --output-on-failure
 fi
 
 if [ "$run_asan" -eq 1 ] || [ "$run_ubsan" -eq 1 ]; then

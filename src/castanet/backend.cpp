@@ -45,10 +45,8 @@ RtlBackend::RtlBackend(std::string name, rtl::Simulator& hdl,
                        MessageChannel::Params channel_params)
     : DutBackend(std::move(name)),
       hdl_(hdl),
-      from_net_(channel_params),
       to_net_(channel_params),
-      entity_(std::make_unique<CosimEntity>(hdl, from_net_, to_net_,
-                                            sync_params)) {}
+      entity_(std::make_unique<CosimEntity>(hdl, to_net_, sync_params)) {}
 
 SimTime RtlBackend::now() const { return hdl_.now(); }
 

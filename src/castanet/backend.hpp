@@ -135,7 +135,6 @@ class RtlBackend : public DutBackend {
 
  private:
   rtl::Simulator& hdl_;
-  MessageChannel from_net_;  ///< unused by the session (it pushes directly)
   MessageChannel to_net_;
   std::unique_ptr<CosimEntity> entity_;
   std::function<void(RtlBackend&, SimTime)> finish_hook_;

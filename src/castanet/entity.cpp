@@ -4,10 +4,9 @@
 
 namespace castanet::cosim {
 
-CosimEntity::CosimEntity(rtl::Simulator& hdl, MessageChannel& from_net,
-                         MessageChannel& to_net,
+CosimEntity::CosimEntity(rtl::Simulator& hdl, MessageChannel& to_net,
                          ConservativeSync::Params sync_params)
-    : hdl_(hdl), from_net_(from_net), to_net_(to_net), sync_(sync_params) {}
+    : hdl_(hdl), to_net_(to_net), sync_(sync_params) {}
 
 void CosimEntity::register_input(MessageType type, std::uint64_t delta_cycles,
                                  ApplyFn apply) {
@@ -24,12 +23,6 @@ void CosimEntity::send_word_response(MessageType type,
                                      std::vector<std::uint64_t> words) {
   to_net_.send(make_word_message(type, hdl_.now(), std::move(words)));
   ++responses_;
-}
-
-void CosimEntity::pump() {
-  while (auto m = from_net_.receive()) {
-    sync_.push(*m);
-  }
 }
 
 void CosimEntity::advance_hdl_to(SimTime target) {

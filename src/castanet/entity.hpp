@@ -20,8 +20,8 @@ namespace castanet::cosim {
 
 class CosimEntity {
  public:
-  CosimEntity(rtl::Simulator& hdl, MessageChannel& from_net,
-              MessageChannel& to_net, ConservativeSync::Params sync_params);
+  CosimEntity(rtl::Simulator& hdl, MessageChannel& to_net,
+              ConservativeSync::Params sync_params);
 
   /// Registers input message type `type`: δ = `delta_cycles`, and `apply`
   /// invoked inside the HDL simulator at the message's time stamp.
@@ -34,20 +34,19 @@ class CosimEntity {
   void send_cell_response(MessageType type, const atm::Cell& c);
   void send_word_response(MessageType type, std::vector<std::uint64_t> words);
 
-  /// Drains the incoming channel into the synchronization protocol.
-  void pump();
   /// Current safe window (exclusive) for the HDL simulator.
   SimTime window() const { return sync_.window(); }
   /// Schedules every deliverable message's apply at its time stamp and
   /// advances the HDL simulator to `target` (inclusive).
   void advance_hdl_to(SimTime target);
 
+  /// The entity's synchronization instance; the session pushes the
+  /// network side's messages into it directly.
   ConservativeSync& sync() { return sync_; }
   std::uint64_t responses_sent() const { return responses_; }
 
  private:
   rtl::Simulator& hdl_;
-  MessageChannel& from_net_;
   MessageChannel& to_net_;
   ConservativeSync sync_;
   std::map<MessageType, ApplyFn> apply_;

@@ -1,8 +1,6 @@
 #include "src/castanet/farm.hpp"
 
 #include <poll.h>
-#include <sys/socket.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -39,26 +37,25 @@ std::uint32_t g_beat_item = 0;
 struct WorkerProc {
   pid_t pid = -1;
   std::unique_ptr<transport::FramePipe> pipe;
-  int fd = -1;
   std::size_t item = kNoItem;  ///< in-flight item, kNoItem when idle
   bool alive = false;
 };
 
 /// Child-side service loop: execute jobs until kExit (or a vanished
-/// parent).  Never returns — the child must not fall back into the
-/// parent's code path (destructors, atexit, test harness teardown).
-[[noreturn]] void worker_loop(
+/// parent).  Returns the worker's exit status; fork_child ends the process
+/// with it, so the child never falls back into the parent's code path.
+int worker_loop(
     transport::FramePipe& pipe, int worker,
     const std::function<std::vector<std::uint8_t>(std::size_t, int)>& run) {
   std::vector<std::uint8_t> frame;
   for (;;) {
     if (pipe.recv_frame(frame, -1) != transport::RecvStatus::kFrame) {
-      std::_Exit(1);  // parent vanished
+      return 1;  // parent vanished
     }
     wire::Reader r(frame);
     const std::uint8_t op = r.u8();
-    if (op == kExit) std::_Exit(0);
-    if (op != kJob) std::_Exit(2);
+    if (op == kExit) return 0;
+    if (op != kJob) return 2;
     const std::uint32_t item = r.u32();
     wire::Writer w;
     try {
@@ -83,7 +80,7 @@ struct WorkerProc {
       w.u32(item);
       w.str("unknown exception");
     }
-    if (!pipe.send_frame(w.data())) std::_Exit(1);
+    if (!pipe.send_frame(w.data())) return 1;
   }
 }
 
@@ -114,33 +111,23 @@ PoolStats fork_map(
   std::vector<WorkerProc> procs(static_cast<std::size_t>(workers));
 
   for (int w = 0; w < workers; ++w) {
-    int fds[2];
-    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) {
-      throw IoError(std::string("farm: socketpair failed: ") +
-                    std::strerror(errno));
-    }
-    const pid_t pid = ::fork();
-    if (pid < 0) {
-      ::close(fds[0]);
-      ::close(fds[1]);
+    transport::Child child;
+    try {
+      child = transport::fork_child([&](transport::FramePipe& pipe) {
+        // Raw-close the siblings' parent-side ends this child inherited.
+        // Plain close, never shutdown(): those sockets stay live between
+        // the parent and the siblings.
+        for (const WorkerProc& sibling : procs) {
+          if (sibling.pipe) ::close(sibling.pipe->native_handle());
+        }
+        return worker_loop(pipe, w, run);
+      });
+    } catch (const IoError&) {
       break;  // run with the workers we have
     }
-    if (pid == 0) {
-      // Child: raw-close every parent-side fd (ours and the siblings').
-      // Plain close, never shutdown(): these sockets stay live between the
-      // parent and the siblings, and shutdown() would sever them globally.
-      ::close(fds[0]);
-      for (const WorkerProc& sibling : procs) {
-        if (sibling.fd >= 0) ::close(sibling.fd);
-      }
-      auto pipe = transport::wrap_socket(fds[1]);
-      worker_loop(*pipe, w, run);  // never returns
-    }
-    ::close(fds[1]);
     WorkerProc& p = procs[static_cast<std::size_t>(w)];
-    p.pid = pid;
-    p.pipe = transport::wrap_socket(fds[0]);
-    p.fd = fds[0];
+    p.pid = child.pid;
+    p.pipe = std::move(child.pipe);
     p.alive = true;
     ++stats.workers_spawned;
   }
@@ -175,8 +162,7 @@ PoolStats fork_map(
   const auto worker_died = [&](WorkerProc& p) {
     p.alive = false;
     ++stats.workers_failed;
-    int status = 0;
-    ::waitpid(p.pid, &status, 0);
+    transport::wait_child(p.pid);
     p.pid = -1;
     if (p.item != kNoItem) {
       on_failed(p.item, "worker process died mid-session");
@@ -197,7 +183,7 @@ PoolStats fork_map(
     pidx.clear();
     for (std::size_t i = 0; i < procs.size(); ++i) {
       if (!procs[i].alive) continue;
-      pfds.push_back({procs[i].fd, POLLIN, 0});
+      pfds.push_back({procs[i].pipe->native_handle(), POLLIN, 0});
       pidx.push_back(i);
     }
     if (pfds.empty()) {
@@ -256,10 +242,7 @@ PoolStats fork_map(
     if (p.alive) retire(p);
   }
   for (WorkerProc& p : procs) {
-    if (p.pid > 0) {
-      int status = 0;
-      ::waitpid(p.pid, &status, 0);
-    }
+    if (p.pid > 0) transport::wait_child(p.pid);
   }
   return stats;
 }

@@ -106,8 +106,9 @@ FarmReport run_farm(const std::vector<SessionSpec>& specs,
 
 // ---------------------------------------------------------------------------
 // Generic fork()-based work pool (the farm's engine; also used to
-// parallelize RegressionSuite::cross_run).  The parent dispatches item
-// indices; each worker calls `run` and ships the returned bytes back.
+// parallelize RegressionSuite::cross_run).  Workers start through
+// transport::fork_child; the parent dispatches item indices, each worker
+// calls `run` and ships the returned bytes back.
 
 struct PoolStats {
   int workers_spawned = 0;

@@ -2,10 +2,15 @@
 //
 // The paper's Fig. 2 runs the HDL simulator as a SEPARATE UNIX process the
 // CASTANET interface talks to over IPC.  RemoteBackend restores that split
-// for any backend: the session side holds a RemoteBackend proxy, the hosting
-// process runs serve_backend() around the real backend, and the two speak a
-// small framed protocol over a FramePipe (typically an AF_UNIX socketpair
-// carried across fork()).
+// for any backend: the session side holds a RemoteBackend proxy, a child
+// process started by transport::fork_child runs serve_backend() around the
+// real backend, and the two speak a small framed protocol over the
+// socketpair fork_child connects them by.  E1 configuration R runs the full
+// RTL switch this way.
+//
+// Whoever forks the host also reaps it (transport::wait_child) after
+// shutdown(): a host that saw kShutdown exits 0; one whose serve_backend()
+// returned false exits non-zero.
 //
 // The proxy keeps a local MIRROR ConservativeSync fed with the identical
 // push stream the hosted backend receives.  Conservative windows are a

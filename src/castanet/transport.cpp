@@ -28,21 +28,7 @@ SocketMessageTransport::SocketMessageTransport(Params p) : p_(p) {
   rx_ = std::move(b);
 }
 
-SocketMessageTransport::SocketMessageTransport(
-    Params p, std::unique_ptr<transport::FramePipe> tx,
-    std::unique_ptr<transport::FramePipe> rx)
-    : p_(p), tx_(std::move(tx)), rx_(std::move(rx)) {
-  require(tx_ != nullptr || rx_ != nullptr,
-          "SocketMessageTransport: need at least one pipe endpoint");
-}
-
-SocketMessageTransport::~SocketMessageTransport() {
-  if (tx_) tx_->close();
-  if (rx_) rx_->close();
-}
-
 void SocketMessageTransport::send(TimedMessage m) {
-  require(tx_ != nullptr, "SocketMessageTransport: send on a receive-only end");
   const std::vector<std::uint8_t> frame = wire::encode_message(m);
   if (!tx_->send_frame(frame)) {
     throw ProtocolError("socket transport: peer closed while sending");
@@ -55,7 +41,6 @@ void SocketMessageTransport::send(TimedMessage m) {
 }
 
 void SocketMessageTransport::pump() const {
-  if (!rx_) return;
   std::vector<std::uint8_t> frame;
   while (rx_->recv_frame(frame, 0) == transport::RecvStatus::kFrame) {
     inbox_.push_back(wire::decode_message(frame));
@@ -63,7 +48,6 @@ void SocketMessageTransport::pump() const {
 }
 
 std::optional<TimedMessage> SocketMessageTransport::receive() {
-  require(rx_ != nullptr, "SocketMessageTransport: receive on a send-only end");
   if (inbox_.empty()) pump();
   if (inbox_.empty()) return std::nullopt;
   TimedMessage m = std::move(inbox_.front());
@@ -82,7 +66,7 @@ std::size_t SocketMessageTransport::pending() const {
 }
 
 std::uint64_t SocketMessageTransport::bytes_sent() const {
-  return tx_ ? tx_->bytes_sent() : 0;
+  return tx_->bytes_sent();
 }
 
 std::unique_ptr<MessageTransport> make_transport(TransportKind kind,

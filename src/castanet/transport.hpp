@@ -1,14 +1,15 @@
 // Message-level transports over real byte pipes.
 //
 // message.hpp defines the MessageTransport seam and its in-process default
-// (MessageChannel).  This header adds the second implementation the paper
-// actually ran with: messages serialized (castanet/wire.hpp) and carried
-// over an AF_UNIX stream socket (core/transport.hpp), so either endpoint of
-// the co-simulation can live in another process.  Modeled latency semantics
-// are preserved — the same per-message overhead is accounted no matter
-// which transport carries the bytes — which is what the transport
-// conformance suite checks: a session run over either transport produces
-// byte-identical results.
+// (MessageChannel).  This header adds the second implementation, closer to
+// the IPC the paper actually ran with: messages serialized
+// (castanet/wire.hpp) and carried over an AF_UNIX stream socket
+// (core/transport.hpp) looped back inside the session's process.  (Hosting
+// a backend in another process is castanet/remote.hpp's job.)  Modeled
+// latency semantics are preserved — the same per-message overhead is
+// accounted no matter which transport carries the bytes — which is what the
+// transport conformance suite checks: a session run over either transport
+// produces byte-identical results.
 #pragma once
 
 #include <deque>
@@ -33,11 +34,10 @@ TransportKind transport_kind_from_string(const std::string& s);
 
 /// MessageTransport carried over a FramePipe pair: send() encodes the
 /// message with the canonical wire format and writes one frame; receive()
-/// reads frames and decodes.  The default constructor builds an AF_UNIX
-/// socketpair loopback — both endpoints owned by this object, every message
-/// round-trips through real kernel socket buffers and the real serializer,
-/// which is exactly what the conformance suite wants to exercise against
-/// MessageChannel.
+/// reads frames and decodes.  Both endpoints of an AF_UNIX socketpair
+/// loopback are owned by this object, so every message round-trips through
+/// real kernel socket buffers and the real serializer, which is exactly
+/// what the conformance suite wants to exercise against MessageChannel.
 ///
 /// To keep kernel buffer occupancy bounded without threads, every send()
 /// eagerly drains arrived frames into an in-process inbox; receive() serves
@@ -55,12 +55,6 @@ class SocketMessageTransport final : public MessageTransport {
 
   /// Loopback over a fresh AF_UNIX socketpair.  Throws IoError on failure.
   explicit SocketMessageTransport(Params p = {});
-  /// Wraps explicit pipe endpoints (e.g. across a fork(): the parent keeps
-  /// the tx side, the child the rx side; pass nullptr for the absent
-  /// direction).
-  SocketMessageTransport(Params p, std::unique_ptr<transport::FramePipe> tx,
-                         std::unique_ptr<transport::FramePipe> rx);
-  ~SocketMessageTransport() override;
 
   void send(TimedMessage m) override;
   std::optional<TimedMessage> receive() override;

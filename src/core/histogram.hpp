@@ -13,9 +13,9 @@
 // octave (factor of 2), clamped into the exact [min, max] envelope which is
 // tracked sample-exactly alongside the buckets.
 //
-// The class is single-writer (component-owned stats: ConservativeSync lag,
-// per-flow cell latency); the telemetry Hub wraps the same bucketing in an
-// atomic handle (telemetry::HistogramMetric) for multi-threaded recording.
+// Components own their histograms (ConservativeSync lag, per-flow cell
+// latency) and publish them into the telemetry Hub's snapshot at quiescent
+// points (Hub::publish_histogram).
 #pragma once
 
 #include <cstdint>

@@ -14,29 +14,6 @@ namespace {
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
-/// CAS-max on an atomic<double>; `count` gates first-sample initialization.
-void atomic_max(std::atomic<double>& slot, double v, bool first) {
-  if (first) {
-    slot.store(v, std::memory_order_relaxed);
-    return;
-  }
-  double cur = slot.load(std::memory_order_relaxed);
-  while (cur < v &&
-         !slot.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-}
-
-void atomic_min(std::atomic<double>& slot, double v, bool first) {
-  if (first) {
-    slot.store(v, std::memory_order_relaxed);
-    return;
-  }
-  double cur = slot.load(std::memory_order_relaxed);
-  while (cur > v &&
-         !slot.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-}
-
 /// JSON number rendering: finite values as shortest round-trip-ish decimal,
 /// NaN/inf as null (JSON has no NaN literal).
 std::string json_number(double v) {
@@ -116,69 +93,35 @@ bool metric_kind_from_name(const std::string& name, MetricRow::Kind* out) {
 // Metric handles.
 
 void Gauge::set(double v) {
-  const std::uint64_t prev = count_.fetch_add(1, std::memory_order_relaxed);
-  v_.store(v, std::memory_order_relaxed);
-  atomic_max(max_, v, prev == 0);
+  max_ = count_++ == 0 ? v : std::max(max_, v);
+  v_ = v;
 }
 
-double Gauge::max() const {
-  return set_ever() ? max_.load(std::memory_order_relaxed) : kNaN;
-}
+double Gauge::max() const { return set_ever() ? max_ : kNaN; }
 
 void Timing::record(double v) {
-  const std::uint64_t prev = count_.fetch_add(1, std::memory_order_relaxed);
-  sum_.fetch_add(v, std::memory_order_relaxed);
-  atomic_min(min_, v, prev == 0);
-  atomic_max(max_, v, prev == 0);
+  if (count_++ == 0) {
+    min_ = max_ = v;
+  } else {
+    min_ = std::min(min_, v);
+    max_ = std::max(max_, v);
+  }
+  sum_ += v;
 }
 
-double Timing::min() const {
-  return count() ? min_.load(std::memory_order_relaxed) : kNaN;
-}
+double Timing::min() const { return count() ? min_ : kNaN; }
 
-double Timing::max() const {
-  return count() ? max_.load(std::memory_order_relaxed) : kNaN;
-}
+double Timing::max() const { return count() ? max_ : kNaN; }
 
 double Timing::mean() const {
   const std::uint64_t n = count();
   return n ? sum() / static_cast<double>(n) : kNaN;
 }
 
-void HistogramMetric::record(double v) {
-  if (std::isnan(v)) return;  // not a sample
-  const std::uint64_t prev = count_.fetch_add(1, std::memory_order_relaxed);
-  sum_.fetch_add(v, std::memory_order_relaxed);
-  atomic_min(min_, v, prev == 0);
-  atomic_max(max_, v, prev == 0);
-  const int i = Log2Histogram::bucket_of(v);
-  if (i < 0) {
-    zero_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    buckets_[static_cast<std::size_t>(i)].fetch_add(1,
-                                                    std::memory_order_relaxed);
-  }
-}
-
-Log2Histogram HistogramMetric::snapshot() const {
-  std::vector<std::pair<int, std::uint64_t>> buckets;
-  for (int i = 0; i < Log2Histogram::kBuckets; ++i) {
-    const std::uint64_t c =
-        buckets_[static_cast<std::size_t>(i)].load(std::memory_order_relaxed);
-    if (c != 0) buckets.emplace_back(i, c);
-  }
-  const std::uint64_t n = count_.load(std::memory_order_relaxed);
-  return Log2Histogram::from_parts(
-      n, sum_.load(std::memory_order_relaxed),
-      n ? min_.load(std::memory_order_relaxed) : kNaN,
-      n ? max_.load(std::memory_order_relaxed) : kNaN,
-      zero_.load(std::memory_order_relaxed), buckets);
-}
-
 // ---------------------------------------------------------------------------
 // Hub.
 
-std::atomic<bool> Hub::g_enabled{false};
+bool Hub::g_enabled = false;
 
 Hub& Hub::instance() {
   static Hub hub;
@@ -187,64 +130,44 @@ Hub& Hub::instance() {
 
 void Hub::enable(std::size_t ring_capacity) {
   reset();
-  {
-    std::lock_guard<std::mutex> lk(trace_mu_);
-    ring_capacity_ = ring_capacity == 0 ? 1 : ring_capacity;
-    ring_.reserve(std::min<std::size_t>(ring_capacity_, 4096));
-    epoch_ = std::chrono::steady_clock::now();
-  }
-  g_enabled.store(true, std::memory_order_relaxed);
+  ring_capacity_ = ring_capacity == 0 ? 1 : ring_capacity;
+  ring_.reserve(std::min<std::size_t>(ring_capacity_, 4096));
+  epoch_ = std::chrono::steady_clock::now();
+  g_enabled = true;
 }
 
-void Hub::disable() { g_enabled.store(false, std::memory_order_relaxed); }
+void Hub::disable() { g_enabled = false; }
 
 void Hub::reset() {
   disable();
-  {
-    std::lock_guard<std::mutex> lk(metrics_mu_);
-    counters_.clear();
-    gauges_.clear();
-    timings_.clear();
-    histograms_.clear();
-    published_.clear();
-  }
-  {
-    std::lock_guard<std::mutex> lk(trace_mu_);
-    if (stream_ != nullptr) finalize_stream_locked();
-    track_names_.clear();
-    ring_.clear();
-    ring_head_ = 0;
-    ring_full_ = false;
-    dropped_ = 0;
-    streamed_ = 0;
-  }
+  counters_.clear();
+  gauges_.clear();
+  timings_.clear();
+  published_.clear();
+  if (stream_ != nullptr) finalize_stream();
+  track_names_.clear();
+  ring_.clear();
+  ring_head_ = 0;
+  ring_full_ = false;
+  dropped_ = 0;
+  streamed_ = 0;
 }
 
 Counter& Hub::counter(const std::string& name) {
-  std::lock_guard<std::mutex> lk(metrics_mu_);
   auto& slot = counters_[name];
   if (!slot) slot = std::make_unique<Counter>();
   return *slot;
 }
 
 Gauge& Hub::gauge(const std::string& name) {
-  std::lock_guard<std::mutex> lk(metrics_mu_);
   auto& slot = gauges_[name];
   if (!slot) slot = std::make_unique<Gauge>();
   return *slot;
 }
 
 Timing& Hub::timing(const std::string& name) {
-  std::lock_guard<std::mutex> lk(metrics_mu_);
   auto& slot = timings_[name];
   if (!slot) slot = std::make_unique<Timing>();
-  return *slot;
-}
-
-HistogramMetric& Hub::histogram(const std::string& name) {
-  std::lock_guard<std::mutex> lk(metrics_mu_);
-  auto& slot = histograms_[name];
-  if (!slot) slot = std::make_unique<HistogramMetric>();
   return *slot;
 }
 
@@ -255,7 +178,6 @@ void Hub::publish_count(const std::string& name, std::uint64_t value) {
   row.count = value;
   row.sum = static_cast<double>(value);
   row.min = row.max = row.last = kNaN;
-  std::lock_guard<std::mutex> lk(metrics_mu_);
   published_[name] = std::move(row);
 }
 
@@ -266,7 +188,6 @@ void Hub::publish_value(const std::string& name, double value) {
   row.count = 1;
   row.sum = value;
   row.min = row.max = row.last = value;
-  std::lock_guard<std::mutex> lk(metrics_mu_);
   published_[name] = std::move(row);
 }
 
@@ -279,7 +200,6 @@ void Hub::publish_stat(const std::string& name, const SampleStat& s) {
   row.min = s.min();
   row.max = s.max();
   row.last = kNaN;
-  std::lock_guard<std::mutex> lk(metrics_mu_);
   published_[name] = std::move(row);
 }
 
@@ -293,7 +213,6 @@ void Hub::publish_time_avg(const std::string& name, const TimeAverageStat& s,
   row.min = kNaN;
   row.max = s.max();
   row.last = s.current();
-  std::lock_guard<std::mutex> lk(metrics_mu_);
   published_[name] = std::move(row);
 }
 
@@ -307,12 +226,10 @@ void Hub::publish_histogram(const std::string& name, const Log2Histogram& h) {
   row.max = h.max();
   row.last = kNaN;
   row.hist = h;
-  std::lock_guard<std::mutex> lk(metrics_mu_);
   published_[name] = std::move(row);
 }
 
 TrackId Hub::track(const std::string& name) {
-  std::lock_guard<std::mutex> lk(trace_mu_);
   if (track_names_.empty()) track_names_.push_back("main");
   for (std::size_t i = 0; i < track_names_.size(); ++i) {
     if (track_names_[i] == name) return static_cast<TrackId>(i);
@@ -323,7 +240,6 @@ TrackId Hub::track(const std::string& name) {
 
 void Hub::record(const TraceEvent& e) {
   if (!on()) return;
-  std::lock_guard<std::mutex> lk(trace_mu_);
   if (ring_.size() < ring_capacity_ && !ring_full_) {
     ring_.push_back(e);
     if (ring_.size() == ring_capacity_) ring_full_ = true;
@@ -332,7 +248,7 @@ void Hub::record(const TraceEvent& e) {
   if (stream_ != nullptr) {
     // Streaming: a full ring spills to the file and keeps recording — long
     // runs lose nothing.
-    flush_stream_locked();
+    flush_stream();
     ring_.push_back(e);
     return;
   }
@@ -343,8 +259,7 @@ void Hub::record(const TraceEvent& e) {
 }
 
 bool Hub::stream_trace_to(const std::string& path) {
-  std::lock_guard<std::mutex> lk(trace_mu_);
-  if (stream_ != nullptr) finalize_stream_locked();
+  if (stream_ != nullptr) finalize_stream();
   stream_ = std::fopen(path.c_str(), "w");
   if (stream_ == nullptr) return false;
   stream_first_ = true;
@@ -354,16 +269,16 @@ bool Hub::stream_trace_to(const std::string& path) {
 }
 
 bool Hub::stop_trace_stream() {
-  std::lock_guard<std::mutex> lk(trace_mu_);
   if (stream_ == nullptr) return false;
-  finalize_stream_locked();
+  finalize_stream();
   return true;
 }
 
-void Hub::flush_stream_locked() {
-  // Events interleave across producer threads, so each flushed chunk is
-  // sorted locally; chunks flush in wall-clock order, so the file stays
-  // roughly sorted overall — Perfetto re-sorts on load regardless.
+void Hub::flush_stream() {
+  // Spans are recorded when they END, so a parent lands after its children:
+  // each flushed chunk is sorted by start time locally; chunks flush in
+  // wall-clock order, so the file stays roughly sorted overall — Perfetto
+  // re-sorts on load regardless.
   std::stable_sort(ring_.begin(), ring_.end(),
                    [](const TraceEvent& a, const TraceEvent& b) {
                      return a.ts_us < b.ts_us;
@@ -383,8 +298,8 @@ void Hub::flush_stream_locked() {
   std::fflush(stream_);
 }
 
-void Hub::finalize_stream_locked() {
-  flush_stream_locked();
+void Hub::finalize_stream() {
+  flush_stream();
   std::vector<std::string> tracks = track_names_;
   if (tracks.empty()) tracks.push_back("main");
   const auto emit = [&](const std::string& row) {
@@ -414,29 +329,15 @@ void Hub::finalize_stream_locked() {
   stream_first_ = true;
 }
 
-std::uint64_t Hub::trace_events_recorded() const {
-  std::lock_guard<std::mutex> lk(trace_mu_);
-  return ring_.size();
-}
+std::uint64_t Hub::trace_events_recorded() const { return ring_.size(); }
 
-std::uint64_t Hub::trace_events_dropped() const {
-  std::lock_guard<std::mutex> lk(trace_mu_);
-  return dropped_;
-}
+std::uint64_t Hub::trace_events_dropped() const { return dropped_; }
 
-std::uint64_t Hub::trace_events_streamed() const {
-  std::lock_guard<std::mutex> lk(trace_mu_);
-  return streamed_;
-}
+std::uint64_t Hub::trace_events_streamed() const { return streamed_; }
 
 double Hub::now_us() const {
-  std::chrono::steady_clock::time_point epoch;
-  {
-    std::lock_guard<std::mutex> lk(trace_mu_);
-    epoch = epoch_;
-  }
   return std::chrono::duration<double, std::micro>(
-             std::chrono::steady_clock::now() - epoch)
+             std::chrono::steady_clock::now() - epoch_)
       .count();
 }
 
@@ -445,52 +346,37 @@ double Hub::now_us() const {
 
 MetricsSnapshot Hub::snapshot() const {
   MetricsSnapshot snap;
-  {
-    std::lock_guard<std::mutex> lk(metrics_mu_);
-    for (const auto& [name, c] : counters_) {
-      MetricRow row;
-      row.name = name;
-      row.kind = MetricRow::Kind::kCounter;
-      row.count = c->value();
-      row.sum = static_cast<double>(c->value());
-      row.min = row.max = row.last = kNaN;
-      snap.rows.push_back(std::move(row));
-    }
-    for (const auto& [name, g] : gauges_) {
-      MetricRow row;
-      row.name = name;
-      row.kind = MetricRow::Kind::kGauge;
-      row.count = g->count();
-      row.sum = row.min = kNaN;
-      row.max = g->max();
-      row.last = g->set_ever() ? g->value() : kNaN;
-      snap.rows.push_back(std::move(row));
-    }
-    for (const auto& [name, t] : timings_) {
-      MetricRow row;
-      row.name = name;
-      row.kind = MetricRow::Kind::kTiming;
-      row.count = t->count();
-      row.sum = t->sum();
-      row.min = t->min();
-      row.max = t->max();
-      row.last = kNaN;
-      snap.rows.push_back(std::move(row));
-    }
-    for (const auto& [name, h] : histograms_) {
-      MetricRow row;
-      row.name = name;
-      row.kind = MetricRow::Kind::kHistogram;
-      row.hist = h->snapshot();
-      row.count = row.hist.count();
-      row.sum = row.hist.sum();
-      row.min = row.hist.min();
-      row.max = row.hist.max();
-      row.last = kNaN;
-      snap.rows.push_back(std::move(row));
-    }
-    for (const auto& [name, row] : published_) snap.rows.push_back(row);
+  for (const auto& [name, c] : counters_) {
+    MetricRow row;
+    row.name = name;
+    row.kind = MetricRow::Kind::kCounter;
+    row.count = c->value();
+    row.sum = static_cast<double>(c->value());
+    row.min = row.max = row.last = kNaN;
+    snap.rows.push_back(std::move(row));
   }
+  for (const auto& [name, g] : gauges_) {
+    MetricRow row;
+    row.name = name;
+    row.kind = MetricRow::Kind::kGauge;
+    row.count = g->count();
+    row.sum = row.min = kNaN;
+    row.max = g->max();
+    row.last = g->set_ever() ? g->value() : kNaN;
+    snap.rows.push_back(std::move(row));
+  }
+  for (const auto& [name, t] : timings_) {
+    MetricRow row;
+    row.name = name;
+    row.kind = MetricRow::Kind::kTiming;
+    row.count = t->count();
+    row.sum = t->sum();
+    row.min = t->min();
+    row.max = t->max();
+    row.last = kNaN;
+    snap.rows.push_back(std::move(row));
+  }
+  for (const auto& [name, row] : published_) snap.rows.push_back(row);
   std::sort(snap.rows.begin(), snap.rows.end(),
             [](const MetricRow& a, const MetricRow& b) {
               return a.name < b.name;
@@ -781,26 +667,20 @@ std::string MetricsSnapshot::to_table() const {
 }
 
 std::string Hub::chrome_trace_json() const {
-  // Copy under the lock, render outside it.
   std::vector<TraceEvent> events;
-  std::vector<std::string> tracks;
-  std::uint64_t dropped = 0;
-  {
-    std::lock_guard<std::mutex> lk(trace_mu_);
-    tracks = track_names_;
-    dropped = dropped_;
-    if (!ring_full_) {
-      events = ring_;
-    } else {
-      // Oldest-first: the ring wrapped, so head_ is the oldest entry.
-      events.reserve(ring_.size());
-      for (std::size_t i = 0; i < ring_.size(); ++i)
-        events.push_back(ring_[(ring_head_ + i) % ring_.size()]);
-    }
+  std::vector<std::string> tracks = track_names_;
+  if (!ring_full_) {
+    events = ring_;
+  } else {
+    // Oldest-first: the ring wrapped, so head_ is the oldest entry.
+    events.reserve(ring_.size());
+    for (std::size_t i = 0; i < ring_.size(); ++i)
+      events.push_back(ring_[(ring_head_ + i) % ring_.size()]);
   }
   if (tracks.empty()) tracks.push_back("main");
-  // Perfetto sorts complete events per track by ts; interleaved producers
-  // mean the ring is only roughly ordered — sort for well-formed nesting.
+  // Perfetto sorts complete events per track by ts; spans are recorded when
+  // they end, so the ring is only roughly ordered — sort for well-formed
+  // nesting.
   std::stable_sort(events.begin(), events.end(),
                    [](const TraceEvent& a, const TraceEvent& b) {
                      return a.ts_us < b.ts_us;
@@ -830,7 +710,7 @@ std::string Hub::chrome_trace_json() const {
   }
   out += "\n], \"displayTimeUnit\": \"ms\", \"otherData\": "
          "{\"trace_dropped\": " +
-         std::to_string(dropped) + "}}\n";
+         std::to_string(dropped_) + "}}\n";
   return out;
 }
 

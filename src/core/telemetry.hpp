@@ -4,13 +4,14 @@
 //
 // Design constraints, in order:
 //   1. Compiled-in but CHEAP when no sink is attached: every instrumentation
-//      site guards itself with telemetry::enabled() — one relaxed atomic
-//      load — and does nothing else while the hub is disabled.  Benches run
+//      site guards itself with telemetry::enabled() — one load of a plain
+//      bool — and does nothing else while the hub is disabled.  Benches run
 //      with the hub disabled and must not regress.
-//   2. Thread-safe, so any thread may record (the remote-backend tests host
-//      a backend on a second thread): metric handles are plain atomics
-//      (relaxed + CAS min/max), the trace ring is a mutex-guarded
-//      drop-oldest buffer.  TSan-clean.
+//   2. Single-threaded: every process records on its one thread, so metric
+//      handles are plain fields and the trace ring a plain drop-oldest
+//      buffer.  A forked process (farm worker, backend host) records into
+//      its own copy of the hub; farm workers ship snapshots back to the
+//      parent, which merges them.
 //   3. Two exporters: a Chrome trace_event JSON file (one timeline row per
 //      backend, openable in chrome://tracing or Perfetto) and a flat
 //      metrics snapshot (JSON + human-readable table) that benches and
@@ -18,7 +19,7 @@
 //
 // Ownership model: the Hub is a process-wide singleton.  Components either
 //   * hold hub-owned handles (Counter/Gauge/Timing) obtained by name — the
-//     handle lives until reset(), updates are lock-free; or
+//     handle lives until reset(); or
 //   * keep their own local statistics (as ConservativeSync and the session
 //     already do) and publish_* them into the snapshot at a quiescent point
 //     (end of run_until).
@@ -26,12 +27,11 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -51,73 +51,49 @@ namespace castanet::telemetry {
 using TrackId = std::uint32_t;
 constexpr TrackId kMainTrack = 0;
 
-/// Monotonic counter; add() is a relaxed fetch_add, safe from any thread.
+/// Monotonic counter.
 class Counter {
  public:
-  void add(std::uint64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }
-  std::uint64_t value() const { return v_.load(std::memory_order_relaxed); }
+  void add(std::uint64_t n = 1) { v_ += n; }
+  std::uint64_t value() const { return v_; }
 
  private:
-  std::atomic<std::uint64_t> v_{0};
+  std::uint64_t v_ = 0;
 };
 
-/// Last-value gauge with a running maximum (CAS loop), safe from any thread.
+/// Last-value gauge with a running maximum.
 class Gauge {
  public:
   void set(double v);
-  double value() const { return v_.load(std::memory_order_relaxed); }
+  double value() const { return v_; }
   /// NaN until the first set() — an unset gauge is not a real zero.
   double max() const;
-  bool set_ever() const { return count_.load(std::memory_order_relaxed) != 0; }
-  std::uint64_t count() const { return count_.load(std::memory_order_relaxed); }
+  bool set_ever() const { return count_ != 0; }
+  std::uint64_t count() const { return count_; }
 
  private:
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<double> v_{0.0};
-  std::atomic<double> max_{0.0};
+  std::uint64_t count_ = 0;
+  double v_ = 0.0;
+  double max_ = 0.0;
 };
 
 /// Sample aggregation (count/sum/min/max) over doubles — span durations,
-/// batch sizes.  record() is relaxed adds plus CAS min/max; mean() is exact
-/// only at quiescent points (sum and count are updated independently), which
-/// is when snapshots are taken.
+/// batch sizes.
 class Timing {
  public:
   void record(double v);
-  std::uint64_t count() const { return count_.load(std::memory_order_relaxed); }
-  double sum() const { return sum_.load(std::memory_order_relaxed); }
+  std::uint64_t count() const { return count_; }
+  double sum() const { return sum_; }
   /// NaN while empty; see SampleStat::min() for the rationale.
   double min() const;
   double max() const;
   double mean() const;
 
  private:
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<double> sum_{0.0};
-  std::atomic<double> min_{0.0};
-  std::atomic<double> max_{0.0};
-};
-
-/// Hub-owned log2 histogram handle: the same global bucket edges as
-/// Log2Histogram, recorded through relaxed atomics so any thread may record.
-/// Bucket counts are exact; count/sum/min/max follow the Timing discipline
-/// (independent relaxed updates, consistent at quiescent points — which is
-/// when snapshots are taken).
-class HistogramMetric {
- public:
-  void record(double v);
-  /// Materializes the current state as a plain Log2Histogram (relaxed
-  /// loads; exact at quiescent points).
-  Log2Histogram snapshot() const;
-  std::uint64_t count() const { return count_.load(std::memory_order_relaxed); }
-
- private:
-  std::array<std::atomic<std::uint64_t>, Log2Histogram::kBuckets> buckets_{};
-  std::atomic<std::uint64_t> zero_{0};
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<double> sum_{0.0};
-  std::atomic<double> min_{0.0};
-  std::atomic<double> max_{0.0};
+  std::uint64_t count_ = 0;
+  double sum_ = 0.0;
+  double min_ = 0.0;
+  double max_ = 0.0;
 };
 
 /// One entry of the trace ring.  `name` must be a static-lifetime string
@@ -209,19 +185,18 @@ class Hub {
   /// (re)starts the wall-clock epoch.  Instrumentation everywhere begins to
   /// record.  Idempotent w.r.t. capacity only when re-enabling.
   void enable(std::size_t ring_capacity = kDefaultRingCapacity);
-  /// Detaches the sink; instrumentation reverts to the single-atomic-check
+  /// Detaches the sink; instrumentation reverts to the single-flag-check
   /// fast path.  Recorded data stays readable until reset()/enable().
   void disable();
   /// disable() plus discard of all metrics, tracks and trace events.
   void reset();
 
-  static bool on() { return g_enabled.load(std::memory_order_relaxed); }
+  static bool on() { return g_enabled; }
 
   // --- metric handles (hub-owned, created on first use) -------------------
   Counter& counter(const std::string& name);
   Gauge& gauge(const std::string& name);
   Timing& timing(const std::string& name);
-  HistogramMetric& histogram(const std::string& name);
 
   // --- published rows (component-owned stats, pushed at quiescent points) -
   void publish_count(const std::string& name, std::uint64_t value);
@@ -270,22 +245,19 @@ class Hub {
  private:
   Hub() = default;
 
-  static std::atomic<bool> g_enabled;
+  static bool g_enabled;
 
-  mutable std::mutex metrics_mu_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Timing>> timings_;
-  std::map<std::string, std::unique_ptr<HistogramMetric>> histograms_;
   std::map<std::string, MetricRow> published_;
 
   /// Writes the ring's events (sorted by timestamp) to the stream file and
-  /// empties the ring.  Caller holds trace_mu_.
-  void flush_stream_locked();
-  /// flush + metadata + footer + close.  Caller holds trace_mu_.
-  void finalize_stream_locked();
+  /// empties the ring.
+  void flush_stream();
+  /// flush + metadata + footer + close.
+  void finalize_stream();
 
-  mutable std::mutex trace_mu_;
   std::vector<std::string> track_names_;  ///< index == TrackId; [0] = "main"
   std::vector<TraceEvent> ring_;
   std::size_t ring_capacity_ = kDefaultRingCapacity;
@@ -298,7 +270,7 @@ class Hub {
   std::chrono::steady_clock::time_point epoch_{};
 };
 
-/// The single relaxed-atomic check every instrumentation site starts with.
+/// The single flag check every instrumentation site starts with.
 inline bool enabled() { return Hub::on(); }
 
 /// RAII span: construction stamps the start, destruction records one

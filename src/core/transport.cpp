@@ -2,213 +2,106 @@
 
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cstdlib>
 #include <cstring>
+#include <string>
 
 #include "src/core/error.hpp"
 
 namespace castanet::transport {
 
-namespace {
+bool FramePipe::send_frame(const void* data, std::size_t len) {
+  if (fd_ < 0) return false;
+  std::uint8_t hdr[4];
+  const std::uint32_t n = static_cast<std::uint32_t>(len);
+  hdr[0] = static_cast<std::uint8_t>(n);
+  hdr[1] = static_cast<std::uint8_t>(n >> 8);
+  hdr[2] = static_cast<std::uint8_t>(n >> 16);
+  hdr[3] = static_cast<std::uint8_t>(n >> 24);
+  if (!write_all(hdr, sizeof hdr)) return false;
+  if (!write_all(data, len)) return false;
+  ++sent_;
+  bytes_ += len;
+  return true;
+}
 
-// ---------------------------------------------------------------------------
-// In-process pipe: two bounded frame queues shared by an endpoint pair.
-
-struct FrameQueue {
-  std::mutex mu;
-  std::condition_variable ready;
-  std::condition_variable space;
-  std::deque<std::vector<std::uint8_t>> frames;
-  std::size_t capacity = 256;
-  bool closed = false;
-};
-
-class InProcessEndpoint final : public FramePipe {
- public:
-  InProcessEndpoint(std::shared_ptr<FrameQueue> tx, std::shared_ptr<FrameQueue> rx)
-      : tx_(std::move(tx)), rx_(std::move(rx)) {}
-  ~InProcessEndpoint() override { close(); }
-
-  bool send_frame(const void* data, std::size_t len) override {
-    std::vector<std::uint8_t> frame(len);
-    if (len) std::memcpy(frame.data(), data, len);
-    {
-      std::unique_lock<std::mutex> lk(tx_->mu);
-      tx_->space.wait(lk, [&] {
-        return tx_->closed || tx_->frames.size() < tx_->capacity;
-      });
-      if (tx_->closed) return false;
-      tx_->frames.push_back(std::move(frame));
+RecvStatus FramePipe::recv_frame(std::vector<std::uint8_t>& out,
+                                 int timeout_ms) {
+  // SOCK_STREAM has no message boundaries, so frames are reassembled in
+  // buf_.  Deadline-based: partial frames keep waiting within the original
+  // budget.
+  const auto start = std::chrono::steady_clock::now();
+  for (;;) {
+    if (std::size_t flen = 0; frame_complete(flen)) {
+      out.assign(buf_.begin() + 4, buf_.begin() + 4 + flen);
+      buf_.erase(buf_.begin(), buf_.begin() + 4 + flen);
+      ++received_;
+      return RecvStatus::kFrame;
     }
-    tx_->ready.notify_one();
-    ++sent_;
-    bytes_ += len;
-    return true;
-  }
-
-  RecvStatus recv_frame(std::vector<std::uint8_t>& out,
-                        int timeout_ms) override {
-    std::unique_lock<std::mutex> lk(rx_->mu);
-    const auto pred = [&] { return rx_->closed || !rx_->frames.empty(); };
-    if (timeout_ms < 0) {
-      rx_->ready.wait(lk, pred);
-    } else if (!rx_->ready.wait_for(lk, std::chrono::milliseconds(timeout_ms),
-                                    pred)) {
-      return RecvStatus::kTimeout;
+    if (fd_ < 0) return RecvStatus::kClosed;
+    int wait_ms = -1;
+    if (timeout_ms >= 0) {
+      const auto elapsed =
+          std::chrono::duration_cast<std::chrono::milliseconds>(
+              std::chrono::steady_clock::now() - start)
+              .count();
+      wait_ms =
+          static_cast<int>(std::max<std::int64_t>(0, timeout_ms - elapsed));
     }
-    if (rx_->frames.empty()) return RecvStatus::kClosed;
-    out = std::move(rx_->frames.front());
-    rx_->frames.pop_front();
-    lk.unlock();
-    rx_->space.notify_one();
-    ++received_;
-    return RecvStatus::kFrame;
-  }
-
-  void close() override {
-    for (auto& q : {tx_, rx_}) {
-      {
-        std::lock_guard<std::mutex> lk(q->mu);
-        q->closed = true;
-      }
-      q->ready.notify_all();
-      q->space.notify_all();
+    struct pollfd pfd = {fd_, POLLIN, 0};
+    const int pr = ::poll(&pfd, 1, wait_ms);
+    if (pr == 0) return RecvStatus::kTimeout;
+    if (pr < 0) {
+      if (errno == EINTR) continue;
+      return RecvStatus::kClosed;
+    }
+    std::uint8_t chunk[4096];
+    const ssize_t got = ::recv(fd_, chunk, sizeof chunk, 0);
+    if (got > 0) {
+      buf_.insert(buf_.end(), chunk, chunk + got);
+    } else if (got == 0) {
+      return RecvStatus::kClosed;  // peer closed; partial frame is lost
+    } else if (errno != EINTR && errno != EAGAIN) {
+      return RecvStatus::kClosed;
     }
   }
+}
 
-  std::uint64_t frames_sent() const override { return sent_; }
-  std::uint64_t frames_received() const override { return received_; }
-  std::uint64_t bytes_sent() const override { return bytes_; }
-
- private:
-  std::shared_ptr<FrameQueue> tx_;
-  std::shared_ptr<FrameQueue> rx_;
-  std::uint64_t sent_ = 0;
-  std::uint64_t received_ = 0;
-  std::uint64_t bytes_ = 0;
-};
-
-// ---------------------------------------------------------------------------
-// Socket pipe: length-prefixed frames over a stream socket.  The reader
-// keeps a reassembly buffer because SOCK_STREAM has no message boundaries.
-
-class SocketEndpoint final : public FramePipe {
- public:
-  explicit SocketEndpoint(int fd) : fd_(fd) {}
-  ~SocketEndpoint() override { close(); }
-
-  bool send_frame(const void* data, std::size_t len) override {
-    if (fd_ < 0) return false;
-    std::uint8_t hdr[4];
-    const std::uint32_t n = static_cast<std::uint32_t>(len);
-    hdr[0] = static_cast<std::uint8_t>(n);
-    hdr[1] = static_cast<std::uint8_t>(n >> 8);
-    hdr[2] = static_cast<std::uint8_t>(n >> 16);
-    hdr[3] = static_cast<std::uint8_t>(n >> 24);
-    if (!write_all(hdr, sizeof hdr)) return false;
-    if (!write_all(data, len)) return false;
-    ++sent_;
-    bytes_ += len;
-    return true;
+void FramePipe::close() {
+  if (fd_ >= 0) {
+    ::shutdown(fd_, SHUT_RDWR);
+    ::close(fd_);
+    fd_ = -1;
   }
+}
 
-  RecvStatus recv_frame(std::vector<std::uint8_t>& out,
-                        int timeout_ms) override {
-    // Deadline-based: partial frames keep waiting within the original budget.
-    const auto start = std::chrono::steady_clock::now();
-    for (;;) {
-      if (std::size_t flen = 0; frame_complete(flen)) {
-        out.assign(buf_.begin() + 4, buf_.begin() + 4 + flen);
-        buf_.erase(buf_.begin(), buf_.begin() + 4 + flen);
-        ++received_;
-        return RecvStatus::kFrame;
-      }
-      if (fd_ < 0) return RecvStatus::kClosed;
-      int wait_ms = -1;
-      if (timeout_ms >= 0) {
-        const auto elapsed =
-            std::chrono::duration_cast<std::chrono::milliseconds>(
-                std::chrono::steady_clock::now() - start)
-                .count();
-        wait_ms = static_cast<int>(
-            std::max<std::int64_t>(0, timeout_ms - elapsed));
-      }
-      struct pollfd pfd = {fd_, POLLIN, 0};
-      const int pr = ::poll(&pfd, 1, wait_ms);
-      if (pr == 0) return RecvStatus::kTimeout;
-      if (pr < 0) {
-        if (errno == EINTR) continue;
-        return RecvStatus::kClosed;
-      }
-      std::uint8_t chunk[4096];
-      const ssize_t got = ::recv(fd_, chunk, sizeof chunk, 0);
-      if (got > 0) {
-        buf_.insert(buf_.end(), chunk, chunk + got);
-      } else if (got == 0) {
-        return RecvStatus::kClosed;  // peer closed; partial frame is lost
-      } else if (errno != EINTR && errno != EAGAIN) {
-        return RecvStatus::kClosed;
-      }
+bool FramePipe::frame_complete(std::size_t& len) const {
+  if (buf_.size() < 4) return false;
+  len = static_cast<std::size_t>(buf_[0]) |
+        (static_cast<std::size_t>(buf_[1]) << 8) |
+        (static_cast<std::size_t>(buf_[2]) << 16) |
+        (static_cast<std::size_t>(buf_[3]) << 24);
+  return buf_.size() >= 4 + len;
+}
+
+bool FramePipe::write_all(const void* data, std::size_t len) {
+  const std::uint8_t* p = static_cast<const std::uint8_t*>(data);
+  while (len > 0) {
+    const ssize_t n = ::send(fd_, p, len, MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;  // EPIPE and friends: peer is gone
     }
+    p += n;
+    len -= static_cast<std::size_t>(n);
   }
-
-  void close() override {
-    if (fd_ >= 0) {
-      ::shutdown(fd_, SHUT_RDWR);
-      ::close(fd_);
-      fd_ = -1;
-    }
-  }
-
-  std::uint64_t frames_sent() const override { return sent_; }
-  std::uint64_t frames_received() const override { return received_; }
-  std::uint64_t bytes_sent() const override { return bytes_; }
-  int native_handle() const override { return fd_; }
-
- private:
-  bool frame_complete(std::size_t& len) const {
-    if (buf_.size() < 4) return false;
-    len = static_cast<std::size_t>(buf_[0]) |
-          (static_cast<std::size_t>(buf_[1]) << 8) |
-          (static_cast<std::size_t>(buf_[2]) << 16) |
-          (static_cast<std::size_t>(buf_[3]) << 24);
-    return buf_.size() >= 4 + len;
-  }
-
-  bool write_all(const void* data, std::size_t len) {
-    const std::uint8_t* p = static_cast<const std::uint8_t*>(data);
-    while (len > 0) {
-      const ssize_t n = ::send(fd_, p, len, MSG_NOSIGNAL);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        return false;  // EPIPE and friends: peer is gone
-      }
-      p += n;
-      len -= static_cast<std::size_t>(n);
-    }
-    return true;
-  }
-
-  int fd_ = -1;
-  std::vector<std::uint8_t> buf_;  ///< stream reassembly buffer
-  std::uint64_t sent_ = 0;
-  std::uint64_t received_ = 0;
-  std::uint64_t bytes_ = 0;
-};
-
-}  // namespace
-
-std::pair<std::unique_ptr<FramePipe>, std::unique_ptr<FramePipe>>
-make_inprocess_pipe(std::size_t capacity) {
-  auto a = std::make_shared<FrameQueue>();
-  auto b = std::make_shared<FrameQueue>();
-  a->capacity = capacity == 0 ? 1 : capacity;
-  b->capacity = a->capacity;
-  return {std::make_unique<InProcessEndpoint>(a, b),
-          std::make_unique<InProcessEndpoint>(b, a)};
+  return true;
 }
 
 std::pair<std::unique_ptr<FramePipe>, std::unique_ptr<FramePipe>>
@@ -218,13 +111,52 @@ make_socket_pipe() {
     throw IoError(std::string("socketpair(AF_UNIX) failed: ") +
                   std::strerror(errno));
   }
-  return {std::make_unique<SocketEndpoint>(fds[0]),
-          std::make_unique<SocketEndpoint>(fds[1])};
+  return {wrap_socket(fds[0]), wrap_socket(fds[1])};
 }
 
 std::unique_ptr<FramePipe> wrap_socket(int fd) {
   require(fd >= 0, "wrap_socket: invalid fd");
-  return std::make_unique<SocketEndpoint>(fd);
+  return std::make_unique<FramePipe>(fd);
+}
+
+Child fork_child(const std::function<int(FramePipe&)>& body) {
+  int fds[2];
+  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) {
+    throw IoError(std::string("fork_child: socketpair failed: ") +
+                  std::strerror(errno));
+  }
+  const pid_t pid = ::fork();
+  if (pid < 0) {
+    const int err = errno;
+    ::close(fds[0]);
+    ::close(fds[1]);
+    throw IoError(std::string("fork_child: fork failed: ") +
+                  std::strerror(err));
+  }
+  if (pid == 0) {
+    // Child.  Plain close, never FramePipe::close(): the parent keeps using
+    // its end, and shutdown() would sever it for both processes.
+    ::close(fds[0]);
+    int status = 1;
+    try {
+      FramePipe pipe(fds[1]);
+      status = body(pipe);
+    } catch (...) {
+      status = 1;
+    }
+    std::_Exit(status);
+  }
+  ::close(fds[1]);
+  return {pid, wrap_socket(fds[0])};
+}
+
+int wait_child(pid_t pid) {
+  int status = 0;
+  while (::waitpid(pid, &status, 0) < 0) {
+    if (errno != EINTR) return -1;
+  }
+  if (WIFEXITED(status)) return WEXITSTATUS(status);
+  return 128 + WTERMSIG(status);
 }
 
 }  // namespace castanet::transport

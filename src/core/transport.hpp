@@ -1,30 +1,26 @@
 // Byte-frame transport between co-simulation endpoints.
 //
 // The paper couples OPNET and VSS as separate UNIX processes exchanging
-// time-stamped messages over IPC (§3.1); the reproduction originally
-// collapsed both ends into one process.  This header restores the seam: a
-// FramePipe is a reliable, ordered, bidirectional pipe of length-prefixed
-// binary frames, with two implementations —
-//
-//   InProcessPipe — a pair of bounded mutex/cv frame queues; both endpoints
-//                   live in one process (the default co-simulation setup,
-//                   and the loopback used by transport conformance tests).
-//   SocketPipe    — an AF_UNIX SOCK_STREAM socket; endpoints may live in
-//                   different processes (the session farm's worker protocol
-//                   and remote DutBackend hosting).
+// time-stamped messages over IPC (§3.1).  A FramePipe is one end of such a
+// link: a reliable, ordered, bidirectional pipe of length-prefixed binary
+// frames over an AF_UNIX SOCK_STREAM socket.  The two ends may live in one
+// process (the socket gateway transport's loopback) or in two: fork_child()
+// starts a child process holding the other end, which is how the session
+// farm forks its workers and how a DutBackend is hosted in its own process
+// (castanet/remote.hpp).
 //
 // Frames are opaque bytes at this layer; castanet/wire.hpp defines the
 // message serialization on top.  Modeled transport latency is NOT accounted
-// here — it stays a property of the message-level channel (the simulated
-// per-message overhead of MessageChannel), so swapping the real transport
-// never changes simulated time.
+// here — it stays a property of the message-level transport (the simulated
+// per-message overhead), so swapping the real transport never changes
+// simulated time.
 #pragma once
 
-#include <condition_variable>
+#include <sys/types.h>
+
 #include <cstdint>
-#include <deque>
+#include <functional>
 #include <memory>
-#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -37,56 +33,75 @@ enum class RecvStatus {
   kTimeout,  ///< `timeout_ms` elapsed with no complete frame
 };
 
-/// A reliable, ordered, bidirectional frame pipe between two endpoints.
-/// One endpoint object per side; each side may have at most one sender and
-/// one receiver thread at a time.
+/// One endpoint of a connected stream socket carrying length-prefixed
+/// frames (u32 little-endian length, then the bytes).  Owns the fd.
 class FramePipe {
  public:
-  virtual ~FramePipe() = default;
+  explicit FramePipe(int fd) : fd_(fd) {}
+  ~FramePipe() { close(); }
   FramePipe(const FramePipe&) = delete;
   FramePipe& operator=(const FramePipe&) = delete;
 
-  /// Sends one frame; blocks until the peer (or the kernel buffer) accepted
-  /// it.  Returns false when the pipe is closed — the frame is dropped.
-  virtual bool send_frame(const void* data, std::size_t len) = 0;
+  /// Sends one frame; blocks until the kernel buffer accepted it.  Returns
+  /// false when the pipe is closed — the frame is dropped.
+  bool send_frame(const void* data, std::size_t len);
   bool send_frame(const std::vector<std::uint8_t>& frame) {
     return send_frame(frame.data(), frame.size());
   }
 
   /// Receives the next frame into `out` (replaced, not appended).  Blocks up
   /// to `timeout_ms` milliseconds; negative means wait forever.
-  virtual RecvStatus recv_frame(std::vector<std::uint8_t>& out,
-                                int timeout_ms) = 0;
+  RecvStatus recv_frame(std::vector<std::uint8_t>& out, int timeout_ms);
 
-  /// Closes this endpoint: the peer's pending receives return kClosed once
-  /// drained, subsequent sends on either side fail.
-  virtual void close() = 0;
+  /// Shuts the socket down and closes it: the peer's receives return
+  /// kClosed, subsequent sends on either side fail.  Never call this on an
+  /// fd shared with another process that must keep using it (a forked
+  /// child's copy of its parent's end): shutdown() severs the socket for
+  /// every holder — raw-::close such copies instead.
+  void close();
 
-  virtual std::uint64_t frames_sent() const = 0;
-  virtual std::uint64_t frames_received() const = 0;
-  virtual std::uint64_t bytes_sent() const = 0;
+  std::uint64_t frames_sent() const { return sent_; }
+  std::uint64_t frames_received() const { return received_; }
+  std::uint64_t bytes_sent() const { return bytes_; }
 
-  /// OS-pollable handle (the socket fd), or -1 when this endpoint has none
-  /// (in-process pipes).  Lets a dispatcher poll() many pipes at once.
-  virtual int native_handle() const { return -1; }
+  /// The socket fd, so a dispatcher can poll() many pipes at once.
+  int native_handle() const { return fd_; }
 
- protected:
-  FramePipe() = default;
+ private:
+  bool frame_complete(std::size_t& len) const;
+  bool write_all(const void* data, std::size_t len);
+
+  int fd_ = -1;
+  std::vector<std::uint8_t> buf_;  ///< stream reassembly buffer
+  std::uint64_t sent_ = 0;
+  std::uint64_t received_ = 0;
+  std::uint64_t bytes_ = 0;
 };
 
-/// Creates a connected in-process endpoint pair.  `capacity` bounds the
-/// number of queued frames per direction (back-pressure: send blocks on a
-/// full queue).
-std::pair<std::unique_ptr<FramePipe>, std::unique_ptr<FramePipe>>
-make_inprocess_pipe(std::size_t capacity = 256);
-
 /// Creates a connected AF_UNIX SOCK_STREAM endpoint pair (socketpair).
-/// Either endpoint may be carried across fork() into a child process; close
-/// the other endpoint in each process.  Throws IoError on failure.
+/// Throws IoError on failure.
 std::pair<std::unique_ptr<FramePipe>, std::unique_ptr<FramePipe>>
 make_socket_pipe();
 
 /// Wraps an already-connected stream socket fd (takes ownership).
 std::unique_ptr<FramePipe> wrap_socket(int fd);
+
+/// The parent's view of a child started by fork_child().
+struct Child {
+  pid_t pid = -1;
+  std::unique_ptr<FramePipe> pipe;  ///< the parent's end
+};
+
+/// Forks a child connected to the caller by a fresh socketpair.  The child
+/// raw-closes the parent's end, runs `body` on its own end and leaves
+/// through std::_Exit with body's return value (1 if body throws), so it
+/// never unwinds into the parent's code.  The parent gets the child's pid
+/// and its own end; it must reap the child (wait_child).  Throws IoError if
+/// socketpair() or fork() fails.  Fork only from a single-threaded process.
+Child fork_child(const std::function<int(FramePipe&)>& body);
+
+/// Blocks until child `pid` exits and returns its exit status (128 + the
+/// signal number when a signal ended it, -1 if `pid` cannot be waited for).
+int wait_child(pid_t pid);
 
 }  // namespace castanet::transport

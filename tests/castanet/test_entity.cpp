@@ -14,8 +14,8 @@ constexpr SimTime kClk = SimTime::from_ns(50);
 
 struct EntityRig {
   rtl::Simulator hdl;
-  MessageChannel from_net, to_net;
-  CosimEntity entity{hdl, from_net, to_net,
+  MessageChannel to_net;
+  CosimEntity entity{hdl, to_net,
                      ConservativeSync::Params{SyncPolicy::kGlobalOrder, kClk}};
 };
 
@@ -25,10 +25,9 @@ TEST(CosimEntity, AppliesMessagesAtTheirTimeStamps) {
   rig.entity.register_input(0, 1, [&](const TimedMessage& m) {
     applied.emplace_back(rig.hdl.now(), m.words[0]);
   });
-  rig.from_net.send(make_word_message(0, SimTime::from_us(3), {30}));
-  rig.from_net.send(make_word_message(0, SimTime::from_us(7), {70}));
-  rig.from_net.send(make_time_update(SimTime::from_us(20)));
-  rig.entity.pump();
+  rig.entity.sync().push(make_word_message(0, SimTime::from_us(3), {30}));
+  rig.entity.sync().push(make_word_message(0, SimTime::from_us(7), {70}));
+  rig.entity.sync().push(make_time_update(SimTime::from_us(20)));
   rig.entity.advance_hdl_to(rig.entity.window() - SimTime::from_ps(1));
   ASSERT_EQ(applied.size(), 2u);
   EXPECT_EQ(applied[0], std::make_pair(SimTime::from_us(3), std::uint64_t{30}));
@@ -41,9 +40,8 @@ TEST(CosimEntity, ResponsesCarryHdlTime) {
   rig.entity.register_input(0, 1, [&](const TimedMessage&) {
     rig.entity.send_word_response(5, {99});
   });
-  rig.from_net.send(make_word_message(0, SimTime::from_us(2), {1}));
-  rig.from_net.send(make_time_update(SimTime::from_us(10)));
-  rig.entity.pump();
+  rig.entity.sync().push(make_word_message(0, SimTime::from_us(2), {1}));
+  rig.entity.sync().push(make_time_update(SimTime::from_us(10)));
   rig.entity.advance_hdl_to(rig.entity.window() - SimTime::from_ps(1));
   const auto m = rig.to_net.receive();
   ASSERT_TRUE(m.has_value());
@@ -67,15 +65,15 @@ TEST(CosimEntity, CellResponsesPreserved) {
 TEST(CosimEntity, UnregisteredTypeFaults) {
   EntityRig rig;
   rig.entity.register_input(0, 1, [](const TimedMessage&) {});
-  rig.from_net.send(make_word_message(9, SimTime::from_us(1), {1}));
-  EXPECT_THROW(rig.entity.pump(), ProtocolError);
+  EXPECT_THROW(
+      rig.entity.sync().push(make_word_message(9, SimTime::from_us(1), {1})),
+      ProtocolError);
 }
 
 TEST(CosimEntity, AdvanceBelowNowIsNoop) {
   EntityRig rig;
   rig.entity.register_input(0, 1, [](const TimedMessage&) {});
-  rig.from_net.send(make_time_update(SimTime::from_us(5)));
-  rig.entity.pump();
+  rig.entity.sync().push(make_time_update(SimTime::from_us(5)));
   rig.entity.advance_hdl_to(SimTime::from_us(4));
   const SimTime now = rig.hdl.now();
   rig.entity.advance_hdl_to(SimTime::from_us(1));  // behind: no-op
@@ -86,8 +84,7 @@ TEST(CosimEntity, WindowTracksOriginatorClock) {
   EntityRig rig;
   rig.entity.register_input(0, 1, [](const TimedMessage&) {});
   EXPECT_EQ(rig.entity.window(), SimTime::zero());
-  rig.from_net.send(make_time_update(SimTime::from_us(4)));
-  rig.entity.pump();
+  rig.entity.sync().push(make_time_update(SimTime::from_us(4)));
   EXPECT_EQ(rig.entity.window(), SimTime::from_us(4));
 }
 
@@ -101,12 +98,11 @@ TEST(CosimEntity, ManyTypesInterleaved) {
   }
   // Interleave across types in increasing time.
   for (int i = 0; i < 12; ++i) {
-    rig.from_net.send(make_word_message(
+    rig.entity.sync().push(make_word_message(
         static_cast<MessageType>(i % 4),
         SimTime::from_us(static_cast<std::int64_t>(i + 1)), {0}));
   }
-  rig.from_net.send(make_time_update(SimTime::from_us(100)));
-  rig.entity.pump();
+  rig.entity.sync().push(make_time_update(SimTime::from_us(100)));
   rig.entity.advance_hdl_to(rig.entity.window() - SimTime::from_ps(1));
   ASSERT_EQ(order.size(), 12u);
   for (int i = 0; i < 12; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i % 4);

@@ -81,14 +81,13 @@ struct GeneratedRig {
   rtl::Signal clk{&hdl, hdl.create_signal("clk", 1, rtl::Logic::L0)};
   rtl::Signal rst{&hdl, hdl.create_signal("rst", 1, rtl::Logic::L0)};
   rtl::ClockGen clock{hdl, clk, SimTime::from_ns(50)};
-  MessageChannel from_net, to_net;
-  CosimEntity entity{hdl, from_net, to_net,
+  MessageChannel to_net;
+  CosimEntity entity{hdl, to_net,
                      ConservativeSync::Params{SyncPolicy::kGlobalOrder,
                                               SimTime::from_ns(50)}};
 
   void pump_to(SimTime t) {
-    from_net.send(make_time_update(t));
-    entity.pump();
+    entity.sync().push(make_time_update(t));
     entity.advance_hdl_to(entity.window() - SimTime::from_ps(1));
   }
 };
@@ -113,7 +112,7 @@ TEST(GeneratedInterface, DrivesAccountingUnitFromDescription) {
   c.header.vpi = 1;
   c.header.vci = 100;
   for (int i = 0; i < 5; ++i) {
-    rig.from_net.send(make_cell_message(
+    rig.entity.sync().push(make_cell_message(
         gen.type_of("cells"),
         SimTime::from_us(1) * static_cast<std::int64_t>(i + 1), c));
   }
@@ -143,7 +142,7 @@ TEST(GeneratedInterface, SerialOutRaisesResponses) {
   atm::Cell c;
   c.header.vpi = 3;
   c.header.vci = 33;
-  rig.from_net.send(
+  rig.entity.sync().push(
       make_cell_message(gen.type_of("in"), SimTime::from_us(1), c));
   rig.pump_to(SimTime::from_us(30));
 
@@ -177,8 +176,8 @@ TEST(GeneratedInterface, ParallelPortsCarryWords) {
     }
   });
 
-  rig.from_net.send(make_word_message(gen.type_of("cmd"),
-                                      SimTime::from_us(1), {41}));
+  rig.entity.sync().push(
+      make_word_message(gen.type_of("cmd"), SimTime::from_us(1), {41}));
   rig.pump_to(SimTime::from_us(5));
   const auto m = rig.to_net.receive();
   ASSERT_TRUE(m.has_value());

@@ -1,12 +1,20 @@
 // RemoteBackend proxy vs an in-process backend: hosting a backend in a
-// "separate process" (here: a server thread over a real AF_UNIX socketpair,
-// so the whole framed protocol is exercised) must not change a single
-// response byte, and a dead host must surface as a failed shard
-// (ProtocolError), never a hang.
+// separate process (a child forked by transport::fork_child, over a real
+// AF_UNIX socketpair, so the whole framed protocol is exercised) must not
+// change a single response byte; a dead host must surface as a failed shard
+// (ProtocolError), never a hang; and a host whose proxy vanished must exit
+// on its own.  Every test reaps its host and checks the exit status: 0
+// after an orderly kShutdown, non-zero otherwise.
 #include "src/castanet/remote.hpp"
+
+#include <fcntl.h>
+#include <signal.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
@@ -48,6 +56,15 @@ std::unique_ptr<ReferenceBackend> make_echo_backend(const std::string& name) {
   return b;
 }
 
+// Forks a child hosting an echo backend: exit status 0 when serve_backend
+// saw kShutdown, 1 when it returned false.
+transport::Child fork_echo_host() {
+  return transport::fork_child([](transport::FramePipe& pipe) {
+    const auto hosted = make_echo_backend("hosted");
+    return serve_backend(*hosted, pipe) ? 0 : 1;
+  });
+}
+
 std::vector<TimedMessage> stimulus() {
   std::vector<TimedMessage> msgs;
   for (int i = 0; i < 10; ++i) {
@@ -60,15 +77,9 @@ std::vector<TimedMessage> stimulus() {
 
 TEST(RemoteBackend, ProxiedBackendMatchesDirect) {
   const auto direct = make_echo_backend("direct");
-  const auto hosted = make_echo_backend("hosted");
+  transport::Child host = fork_echo_host();
 
-  auto [client, host] = transport::make_socket_pipe();
-  bool served_ok = false;
-  std::thread server([&, host_pipe = std::move(host)]() mutable {
-    served_ok = serve_backend(*hosted, *host_pipe);
-  });
-
-  RemoteBackend proxy("proxy", sync_params(), std::move(client));
+  RemoteBackend proxy("proxy", sync_params(), std::move(host.pipe));
   proxy.declare_input(kCellsIn, 2);
 
   const SimTime horizon = SimTime::from_us(20);
@@ -99,19 +110,18 @@ TEST(RemoteBackend, ProxiedBackendMatchesDirect) {
   EXPECT_LE(proxy.round_trips(), stimulus().size() + 1);
 
   proxy.shutdown();
-  server.join();
-  EXPECT_TRUE(served_ok);
+  EXPECT_EQ(transport::wait_child(host.pid), 0);
 }
 
 TEST(RemoteBackend, HostDeathSurfacesAsProtocolError) {
-  auto [client, host] = transport::make_socket_pipe();
-  std::thread flaky_host([host_pipe = std::move(host)]() mutable {
-    std::vector<std::uint8_t> frame;
-    host_pipe->recv_frame(frame, 5000);  // accept one request, then die
-    host_pipe->close();
-  });
+  transport::Child host =
+      transport::fork_child([](transport::FramePipe& pipe) {
+        std::vector<std::uint8_t> frame;
+        pipe.recv_frame(frame, 5000);  // accept one request, then die
+        return 1;
+      });
 
-  RemoteBackend proxy("proxy", sync_params(), std::move(client));
+  RemoteBackend proxy("proxy", sync_params(), std::move(host.pipe));
   proxy.declare_input(kCellsIn, 2);
   proxy.push(
       make_cell_message(kCellsIn, SimTime::from_us(1), mk_cell(1, 0xAA)));
@@ -121,26 +131,23 @@ TEST(RemoteBackend, HostDeathSurfacesAsProtocolError) {
         proxy.catch_up(SimTime::from_us(10));
       },
       ProtocolError);
-  flaky_host.join();
+  EXPECT_EQ(transport::wait_child(host.pid), 1);
 }
 
 TEST(RemoteBackend, HostSideExceptionPropagatesWithMessage) {
   // The hosted backend throws during apply; the proxy's mirror stays clean
   // (it never runs apply handlers), so the failure must travel back over the
   // wire as a kError frame.
-  auto hosted =
-      std::make_unique<ReferenceBackend>("exploding", sync_params());
-  hosted->register_input(kCellsIn, 2, [](const TimedMessage&) {
-    throw IoError("board fuse blew");
-  });
+  transport::Child host =
+      transport::fork_child([](transport::FramePipe& pipe) {
+        ReferenceBackend hosted("exploding", sync_params());
+        hosted.register_input(kCellsIn, 2, [](const TimedMessage&) {
+          throw IoError("board fuse blew");
+        });
+        return serve_backend(hosted, pipe) ? 0 : 1;
+      });
 
-  auto [client, host] = transport::make_socket_pipe();
-  bool served_ok = true;
-  std::thread server([&, host_pipe = std::move(host)]() mutable {
-    served_ok = serve_backend(*hosted, *host_pipe);
-  });
-
-  RemoteBackend proxy("proxy", sync_params(), std::move(client));
+  RemoteBackend proxy("proxy", sync_params(), std::move(host.pipe));
   proxy.declare_input(kCellsIn, 2);
   proxy.push(
       make_cell_message(kCellsIn, SimTime::from_us(1), mk_cell(2, 0xBB)));
@@ -152,8 +159,39 @@ TEST(RemoteBackend, HostSideExceptionPropagatesWithMessage) {
     EXPECT_NE(std::string(e.what()).find("board fuse blew"), std::string::npos)
         << e.what();
   }
-  server.join();
-  EXPECT_FALSE(served_ok);  // host loop terminated by the backend error
+  // The backend error terminated the host loop: serve_backend returned false.
+  EXPECT_EQ(transport::wait_child(host.pid), 1);
+}
+
+TEST(RemoteBackend, HostExitsWhenProxyVanishes) {
+  transport::Child host = fork_echo_host();
+
+  // Drop the parent's end the way a crashed proxy process would: no
+  // kShutdown and no shutdown(2), only a plain close.  dup2 closes the
+  // socket end and parks /dev/null on its fd number, so the pipe's own
+  // destructor later closes /dev/null instead.  EOF reaches the host only
+  // if no copy of this end leaked into it.
+  const int devnull = ::open("/dev/null", O_RDONLY);
+  ASSERT_GE(devnull, 0);
+  ASSERT_GE(::dup2(devnull, host.pipe->native_handle()), 0);
+  ::close(devnull);
+
+  int status = 0;
+  pid_t reaped = 0;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while ((reaped = ::waitpid(host.pid, &status, WNOHANG)) == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  if (reaped == 0) {
+    ::kill(host.pid, SIGKILL);
+    ::waitpid(host.pid, &status, 0);
+    FAIL() << "host still running 5 s after its proxy vanished";
+  }
+  ASSERT_EQ(reaped, host.pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_NE(WEXITSTATUS(status), 0);
 }
 
 }  // namespace

@@ -1,12 +1,13 @@
-// Transport conformance suite: the same fixtures run over every FramePipe
-// implementation and every MessageTransport implementation, asserting
-// byte-identical observable behavior — the guarantee that lets a session
-// swap its transport without changing results.
+// Transport tests: the socket FramePipe's contract, fork_child, and the
+// MessageTransport conformance suite — the same fixtures over every
+// MessageTransport implementation, asserting byte-identical observable
+// behavior, the guarantee that lets a session swap its transport without
+// changing results.
 #include "src/castanet/transport.hpp"
 
 #include <gtest/gtest.h>
 
-#include <functional>
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -29,16 +30,10 @@ atm::Cell mk_cell(std::uint16_t vci, std::uint8_t fill) {
 }
 
 // ---------------------------------------------------------------------------
-// FramePipe conformance (both endpoints driven from this thread).
+// Socket FramePipe (both endpoints driven from this process).
 
-using PipeFactory = std::function<
-    std::pair<std::unique_ptr<FramePipe>, std::unique_ptr<FramePipe>>()>;
-
-class FramePipeConformance
-    : public ::testing::TestWithParam<std::pair<const char*, PipeFactory>> {};
-
-TEST_P(FramePipeConformance, FramesArriveInOrderAndIntact) {
-  auto [a, b] = GetParam().second();
+TEST(SocketFramePipe, FramesArriveInOrderAndIntact) {
+  auto [a, b] = transport::make_socket_pipe();
   std::vector<std::vector<std::uint8_t>> sent;
   for (int i = 0; i < 10; ++i) {
     std::vector<std::uint8_t> frame(static_cast<std::size_t>(i * 37 + 1));
@@ -57,8 +52,8 @@ TEST_P(FramePipeConformance, FramesArriveInOrderAndIntact) {
   EXPECT_EQ(b->frames_received(), 10u);
 }
 
-TEST_P(FramePipeConformance, EmptyAndLargeFrames) {
-  auto [a, b] = GetParam().second();
+TEST(SocketFramePipe, EmptyAndLargeFrames) {
+  auto [a, b] = transport::make_socket_pipe();
   const std::vector<std::uint8_t> empty;
   // Larger than the socket reader's 4096-byte chunk: exercises reassembly.
   std::vector<std::uint8_t> large(70'000);
@@ -74,8 +69,8 @@ TEST_P(FramePipeConformance, EmptyAndLargeFrames) {
   EXPECT_EQ(got, large);
 }
 
-TEST_P(FramePipeConformance, BothDirectionsIndependent) {
-  auto [a, b] = GetParam().second();
+TEST(SocketFramePipe, BothDirectionsIndependent) {
+  auto [a, b] = transport::make_socket_pipe();
   ASSERT_TRUE(a->send_frame(std::vector<std::uint8_t>{1}));
   ASSERT_TRUE(b->send_frame(std::vector<std::uint8_t>{2}));
   std::vector<std::uint8_t> got;
@@ -85,23 +80,22 @@ TEST_P(FramePipeConformance, BothDirectionsIndependent) {
   EXPECT_EQ(got, (std::vector<std::uint8_t>{2}));
 }
 
-TEST_P(FramePipeConformance, TimeoutWhenIdle) {
-  auto [a, b] = GetParam().second();
+TEST(SocketFramePipe, TimeoutWhenIdle) {
+  auto [a, b] = transport::make_socket_pipe();
   std::vector<std::uint8_t> got;
   EXPECT_EQ(b->recv_frame(got, 0), RecvStatus::kTimeout);
   EXPECT_EQ(b->recv_frame(got, 20), RecvStatus::kTimeout);
   (void)a;
 }
 
-TEST_P(FramePipeConformance, CloseSurfacesAsClosed) {
-  auto [a, b] = GetParam().second();
+TEST(SocketFramePipe, CloseSurfacesAsClosed) {
+  auto [a, b] = transport::make_socket_pipe();
   ASSERT_TRUE(a->send_frame(std::vector<std::uint8_t>{9}));
   a->close();
   std::vector<std::uint8_t> got;
-  // The in-process pipe lets the peer drain queued frames after close; the
-  // socket's shutdown() discards in-flight data on some kernels, so the
-  // conformance contract is only: recv eventually reports kClosed, never
-  // hangs, and a drained frame (if any) is intact.
+  // The socket's shutdown() discards in-flight data on some kernels, so the
+  // contract is only: recv eventually reports kClosed, never hangs, and a
+  // drained frame (if any) is intact.
   RecvStatus st = b->recv_frame(got, 1000);
   if (st == RecvStatus::kFrame) {
     EXPECT_EQ(got, (std::vector<std::uint8_t>{9}));
@@ -111,14 +105,23 @@ TEST_P(FramePipeConformance, CloseSurfacesAsClosed) {
   EXPECT_FALSE(b->send_frame(std::vector<std::uint8_t>{1}));
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Transports, FramePipeConformance,
-    ::testing::Values(
-        std::make_pair("inprocess",
-                       PipeFactory([] { return transport::make_inprocess_pipe(); })),
-        std::make_pair("socket",
-                       PipeFactory([] { return transport::make_socket_pipe(); }))),
-    [](const auto& info) { return std::string(info.param.first); });
+TEST(ForkChild, FramesFlowBothWaysAndBodyStatusIsExitStatus) {
+  transport::Child child = transport::fork_child([](FramePipe& pipe) {
+    std::vector<std::uint8_t> frame;
+    if (pipe.recv_frame(frame, 5000) != RecvStatus::kFrame) return 1;
+    std::reverse(frame.begin(), frame.end());
+    if (!pipe.send_frame(frame)) return 2;
+    return 42;
+  });
+  ASSERT_GT(child.pid, 0);
+  ASSERT_TRUE(child.pipe->send_frame(std::vector<std::uint8_t>{1, 2, 3}));
+  std::vector<std::uint8_t> got;
+  ASSERT_EQ(child.pipe->recv_frame(got, 5000), RecvStatus::kFrame);
+  EXPECT_EQ(got, (std::vector<std::uint8_t>{3, 2, 1}));
+  // The child exited after its reply: its end is closed.
+  EXPECT_EQ(child.pipe->recv_frame(got, 5000), RecvStatus::kClosed);
+  EXPECT_EQ(transport::wait_child(child.pid), 42);
+}
 
 // ---------------------------------------------------------------------------
 // MessageTransport conformance: identical fixture sequence over the
