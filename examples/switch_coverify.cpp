@@ -11,16 +11,18 @@
 // lint clean-design tests.
 //
 // Build & run:  ./build/examples/switch_coverify [cells-per-source]
-//                                                [--vcd PATH] [--trace PATH]
-//                                                [--metrics PATH]
-// The VCD defaults to <binary-dir>/switch_port0.vcd so runs never litter
-// the source tree.  --trace enables the telemetry hub and writes a Chrome
-// trace_event JSON (open in chrome://tracing or https://ui.perfetto.dev)
-// with one timeline row per backend plus the network scheduler, and prints
-// the flat metrics table.  --metrics enables the hub, writes the metrics
-// snapshot JSON, prints the per-flow latency quantile table and checks the
-// per-flow oracle: every recorded cell must enter and leave its flow, with
-// zero drops.
+//                    [--vcd PATH] [--trace PATH] [--trace-out PATH]
+//                    [--metrics PATH]
+// cells-per-source is a positive integer (default 40); any other argument
+// prints a usage line and exits with status 2.  The VCD defaults to
+// <binary-dir>/switch_port0.vcd so runs never litter the source tree.
+// --trace enables the telemetry hub and writes a Chrome trace_event JSON
+// (open in chrome://tracing or https://ui.perfetto.dev) with one timeline
+// row per backend plus the network scheduler, and prints the flat metrics
+// table.  --trace-out streams the same trace to PATH as the run goes.
+// --metrics enables the hub, writes the metrics snapshot JSON, prints the
+// per-flow latency quantile table and checks the per-flow oracle: every
+// recorded cell must enter and leave its flow, with zero drops.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -33,6 +35,18 @@
 #include "src/rtl/waveform.hpp"
 
 using namespace castanet;
+
+namespace {
+
+int usage(const char* argv0) {
+  std::fprintf(stderr,
+               "usage: %s [cells-per-source] [--vcd PATH] [--trace PATH]\n"
+               "       [--trace-out PATH] [--metrics PATH]\n",
+               argv0);
+  return 2;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   std::size_t cells_per_source = 40;
@@ -50,7 +64,12 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--metrics") == 0 && i + 1 < argc) {
       metrics_path = argv[++i];
     } else {
-      cells_per_source = std::strtoull(argv[i], nullptr, 10);
+      // The one positional argument: a positive decimal cell count.
+      char* end = nullptr;
+      const unsigned long long n = std::strtoull(argv[i], &end, 10);
+      if (argv[i][0] < '0' || argv[i][0] > '9' || *end != '\0' || n == 0)
+        return usage(argv[0]);
+      cells_per_source = n;
     }
   }
   if (!trace_path.empty() || !stream_path.empty() || !metrics_path.empty())
@@ -160,7 +179,7 @@ int main(int argc, char** argv) {
                    metrics_path.c_str());
       return 1;
     }
-    mf << telemetry::Hub::instance().snapshot().to_json();
+    mf << telemetry::Hub::instance().snapshot().to_json() << "\n";
     std::printf("metrics written ........ %s\n", metrics_path.c_str());
   }
   return cmp.clean() && flows_ok ? 0 : 1;

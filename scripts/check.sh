@@ -13,8 +13,9 @@
 #                              #   farmed results + merged metrics checked
 #                              #   against serial, run report validated)
 #
-# The default run also validates the metrics JSON schema: switch_coverify
-# --metrics writes a snapshot, castanet_report --validate round-trips it.
+# The default run also validates the metrics JSON schema (switch_coverify
+# --metrics writes a snapshot, castanet_report --validate round-trips it)
+# and parses a switch_coverify --trace file with castanet_report.
 #
 # Flags combine; --asan and --ubsan together use one address,undefined tree.
 #
@@ -56,26 +57,27 @@ cmake --build "$BUILD" -j "$JOBS"
 echo "== ctest ($BUILD)"
 ctest --test-dir "$BUILD" --output-on-failure
 
-echo "== telemetry smoke (switch_coverify --trace)"
-TRACE_OUT="$BUILD/coverify_trace.json"
-"$BUILD/examples/switch_coverify" 8 --trace "$TRACE_OUT" >/dev/null
-test -s "$TRACE_OUT" || { echo "check.sh: trace file missing/empty" >&2; exit 1; }
-if command -v python3 >/dev/null 2>&1; then
-  python3 -c "import json,sys; json.load(open(sys.argv[1]))" "$TRACE_OUT"
-  echo "trace OK: $TRACE_OUT"
-else
-  echo "python3 unavailable; skipped JSON validation of $TRACE_OUT"
-fi
-
 echo "== metrics schema (switch_coverify --metrics, castanet_report --validate)"
 # The validator round-trips the snapshot through from_json/to_json and
-# requires structural identity (counters exact, histogram buckets exact),
-# so any drift between the writer and the parser fails here, not in a
-# downstream consumer.
+# requires identity (names, kinds, counts and values exact, histogram
+# buckets exact), so any drift between the writer and the parser fails
+# here, not in a downstream consumer.
 METRICS_SMOKE="$BUILD/coverify_metrics.json"
 "$BUILD/examples/switch_coverify" 8 --metrics "$METRICS_SMOKE" >/dev/null
 "$BUILD/tools/castanet_report" --validate "$METRICS_SMOKE"
 echo "metrics schema OK: $METRICS_SMOKE"
+
+echo "== telemetry smoke (switch_coverify --trace)"
+# castanet_report is always built and parses the trace with core/json
+# (exit 1 on a parse error), so this gate never depends on python3.
+TRACE_OUT="$BUILD/coverify_trace.json"
+"$BUILD/examples/switch_coverify" 8 --trace "$TRACE_OUT" >/dev/null
+test -s "$TRACE_OUT" || { echo "check.sh: trace file missing/empty" >&2; exit 1; }
+"$BUILD/tools/castanet_report" "$METRICS_SMOKE" --trace "$TRACE_OUT" >/dev/null
+if command -v python3 >/dev/null 2>&1; then
+  python3 -c "import json,sys; json.load(open(sys.argv[1]))" "$TRACE_OUT"
+fi
+echo "trace OK: $TRACE_OUT"
 
 echo "== lint schema (castanet_lint --json, --validate round-trip)"
 # Same contract as the metrics schema gate above, for the lint report

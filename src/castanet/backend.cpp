@@ -41,11 +41,9 @@ void DutBackend::catch_up(SimTime limit) {
 // RtlBackend
 
 RtlBackend::RtlBackend(std::string name, rtl::Simulator& hdl,
-                       ConservativeSync::Params sync_params,
-                       MessageChannel::Params channel_params)
+                       ConservativeSync::Params sync_params)
     : DutBackend(std::move(name)),
       hdl_(hdl),
-      to_net_(channel_params),
       entity_(std::make_unique<CosimEntity>(hdl, to_net_, sync_params)) {}
 
 SimTime RtlBackend::now() const { return hdl_.now(); }

@@ -102,8 +102,7 @@ class DutBackend {
 class RtlBackend : public DutBackend {
  public:
   RtlBackend(std::string name, rtl::Simulator& hdl,
-             ConservativeSync::Params sync_params,
-             MessageChannel::Params channel_params = {});
+             ConservativeSync::Params sync_params);
 
   /// The co-simulation entity: register_input(type, δ, apply) declares
   /// inputs; monitors call entity().send_cell_response(...).
@@ -114,7 +113,7 @@ class RtlBackend : public DutBackend {
   rtl::Simulator& hdl() { return hdl_; }
   const rtl::Simulator& hdl() const { return hdl_; }
 
-  /// Response channel (HDL -> net) for transport-overhead accounting.
+  /// Response channel (HDL -> net); counts the responses sent.
   MessageChannel& response_channel() { return to_net_; }
   const MessageChannel& response_channel() const { return to_net_; }
 

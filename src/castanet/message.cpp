@@ -30,7 +30,6 @@ TimedMessage make_time_update(SimTime ts) {
 void MessageChannel::send(TimedMessage m) {
   queue_.push_back(std::move(m));
   ++sent_;
-  overhead_ += p_.per_message_overhead;
 }
 
 std::optional<TimedMessage> MessageChannel::receive() {

@@ -3,9 +3,8 @@
 // "Communication between both simulators is based on the exchange of
 // time-stamped messages updating the receiving simulator with the current
 // simulation time of the originator" (§3.1).  In the paper the transport is
-// UNIX IPC (to VSS) or the SCSI bus (to the test board); here both ends live
-// in one process, so MessageChannel is an in-process queue with modeled
-// per-message transport overhead accounted for the benches.
+// UNIX IPC (to VSS) or the SCSI bus (to the test board); here both ends
+// usually live in one process, so MessageChannel is an in-process queue.
 #pragma once
 
 #include <cstdint>
@@ -44,8 +43,8 @@ TimedMessage make_time_update(SimTime ts);
 /// coupling occupies.  Two implementations exist: MessageChannel (below),
 /// an in-process queue and the default, and SocketMessageTransport
 /// (castanet/transport.hpp), which serializes every message over an AF_UNIX
-/// stream socket.  Both account identical MODELED per-message overhead, so
-/// swapping the physical transport never changes simulated time.
+/// stream socket.  Neither moves simulated time, so swapping the physical
+/// transport never changes a result.
 ///
 /// Semantics all implementations honor: send() never blocks the simulation
 /// indefinitely, receive() is non-blocking (nullopt when nothing is
@@ -62,27 +61,16 @@ class MessageTransport {
   virtual std::size_t pending() const = 0;
 
   virtual std::uint64_t messages_sent() const = 0;
-  /// Accumulated modeled transport cost (the paper's IPC syscall pair).
-  virtual SimTime transport_overhead() const = 0;
-  /// Stable identifier ("in-process", "socket") for telemetry and lint.
-  virtual const char* kind_name() const = 0;
 
  protected:
   MessageTransport() = default;
 };
 
-/// Unidirectional FIFO channel with transfer accounting — the in-process
-/// MessageTransport implementation (and the zero-regression default).
+/// Unidirectional FIFO channel counting what it carried — the in-process
+/// MessageTransport implementation (and the default).
 class MessageChannel final : public MessageTransport {
  public:
-  struct Params {
-    /// Modeled cost per message (UNIX IPC syscall pair in the paper's
-    /// setup); summed into transport_overhead() for the E1/E3 benches.
-    SimTime per_message_overhead = SimTime::zero();
-  };
-
   MessageChannel() = default;
-  explicit MessageChannel(Params p) : p_(p) {}
 
   void send(TimedMessage m) override;
   std::optional<TimedMessage> receive() override;
@@ -90,14 +78,10 @@ class MessageChannel final : public MessageTransport {
   std::size_t pending() const override { return queue_.size(); }
 
   std::uint64_t messages_sent() const override { return sent_; }
-  SimTime transport_overhead() const override { return overhead_; }
-  const char* kind_name() const override { return "in-process"; }
 
  private:
-  Params p_;
   std::deque<TimedMessage> queue_;
   std::uint64_t sent_ = 0;
-  SimTime overhead_;
 };
 
 }  // namespace castanet::cosim

@@ -17,12 +17,9 @@ std::uint64_t row_count(const telemetry::MetricsSnapshot& s,
   return r != nullptr ? r->count : 0;
 }
 
-bool same_double(double a, double b, double tol) {
-  if (std::isnan(a) && std::isnan(b)) return true;
-  if (std::isnan(a) != std::isnan(b)) return false;
-  if (a == b) return true;
-  const double scale = std::max(std::fabs(a), std::fabs(b));
-  return std::fabs(a - b) <= tol * std::max(1.0, scale);
+/// Exact equality, with NaN (an absent value) equal to NaN.
+bool same_double(double a, double b) {
+  return a == b || (std::isnan(a) && std::isnan(b));
 }
 
 }  // namespace
@@ -256,11 +253,8 @@ std::string validate_metrics_json(const std::string& text) {
     if (a.name != b.name || a.kind != b.kind || a.count != b.count) {
       return "round-trip changed row \"" + a.name + "\"";
     }
-    // %.9g rendering keeps ~9 significant digits; allow that much drift.
-    constexpr double kTol = 1e-8;
-    if (!same_double(a.sum, b.sum, kTol) || !same_double(a.min, b.min, kTol) ||
-        !same_double(a.max, b.max, kTol) ||
-        !same_double(a.last, b.last, kTol)) {
+    if (!same_double(a.sum, b.sum) || !same_double(a.min, b.min) ||
+        !same_double(a.max, b.max) || !same_double(a.last, b.last)) {
       return "round-trip changed the values of row \"" + a.name + "\"";
     }
     if (a.kind == telemetry::MetricRow::Kind::kHistogram) {

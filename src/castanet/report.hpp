@@ -76,7 +76,8 @@ void finalize_spans(std::vector<SpanAgg>& spans, std::size_t top_n);
 /// Schema check used by `scripts/check.sh` (metrics-schema gate): the
 /// document must be a metrics snapshot (or a farm/run report embedding one
 /// under "metrics") that survives a from_json -> to_json_value -> from_json
-/// round-trip structurally intact.  Returns an empty string on success, the
+/// round-trip intact: names, kinds, counts, values (exactly, NaN == NaN) and
+/// histogram buckets.  Returns an empty string on success, the
 /// failure reason otherwise.
 std::string validate_metrics_json(const std::string& text);
 

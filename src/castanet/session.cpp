@@ -1,7 +1,6 @@
 #include "src/castanet/session.hpp"
 
 #include <algorithm>
-#include <chrono>
 
 #include "src/core/error.hpp"
 #include "src/core/telemetry.hpp"
@@ -23,8 +22,7 @@ VerificationSession::VerificationSession(netsim::Simulation& net,
                                          netsim::Node& node, unsigned streams,
                                          Params params)
     : net_(net),
-      from_gateway_(
-          make_transport(params.transport, params.ipc_overhead_per_message)),
+      from_gateway_(make_transport(params.transport)),
       params_(params) {
   gateway_ = &node.add_process<GatewayProcess>("castanet_if", *from_gateway_,
                                                streams);
@@ -63,18 +61,14 @@ void VerificationSession::run_until(SimTime limit) {
 // ---------------------------------------------------------------------------
 // Telemetry.  assign_tracks runs at the start of every run_until so a hub
 // enabled (or reset) between runs gets fresh timeline rows; while the hub is
-// disabled both functions are no-ops and the cached handles are dropped.
+// disabled both functions are no-ops.
 
 void VerificationSession::assign_tracks() {
-  if (!telemetry::enabled()) {
-    compare_timing_ = nullptr;
-    return;
-  }
+  if (!telemetry::enabled()) return;
   auto& hub = telemetry::Hub::instance();
   for (DutBackend* b : backends_)
     b->set_telemetry_track(hub.track("backend:" + b->name()));
   net_.scheduler().set_telemetry_track(hub.track("net"));
-  compare_timing_ = &hub.timing("session.compare_ns");
 }
 
 void VerificationSession::publish_metrics() const {
@@ -98,8 +92,7 @@ void VerificationSession::publish_metrics() const {
     hub.publish_count(prefix + "causality_errors", bs.causality_errors);
     hub.publish_count(prefix + "lookahead_stalls", bs.lookahead_stalls);
     hub.publish_count(prefix + "responses", bs.responses);
-    hub.publish_stat(prefix + "lag_seconds", b.sync().lag_stat());
-    hub.publish_histogram(prefix + "lag_seconds_hist", b.sync().lag_histogram());
+    hub.publish_histogram(prefix + "lag_seconds", b.sync().lag_histogram());
     const double net_now = b.sync().network_time().seconds();
     for (const ConservativeSync::QueueDepth& q : b.sync().queue_depths()) {
       hub.publish_time_avg(
@@ -135,16 +128,7 @@ void VerificationSession::schedule_response(TimedMessage m) {
 void VerificationSession::handle_response(std::size_t backend, TimedMessage m,
                                           bool in_run) {
   ++responses_drained_[backend];
-  if (compare_timing_ != nullptr && telemetry::enabled()) {
-    const auto t0 = std::chrono::steady_clock::now();
-    comparator_.note_response(backend, m);
-    compare_timing_->record(
-        std::chrono::duration<double, std::nano>(
-            std::chrono::steady_clock::now() - t0)
-            .count());
-  } else {
-    comparator_.note_response(backend, m);
-  }
+  comparator_.note_response(backend, m);
   // New comparator divergences become instant events on the offending
   // backend's timeline row.  The count is tracked unconditionally so
   // enabling the hub mid-sequence does not replay old divergences.
@@ -248,7 +232,6 @@ VerificationSession::Stats VerificationSession::stats() const {
     bs.max_lag_seconds = b.sync().max_lag_seconds();
     bs.responses = responses_drained_[i];
     bs.lookahead_stalls = b.sync().lookahead_stalls();
-    bs.mean_lag_seconds = b.sync().lag_stat().mean();
     s.responses += bs.responses;
     s.backends.push_back(std::move(bs));
   }

@@ -36,8 +36,6 @@ namespace castanet::cosim {
 class VerificationSession {
  public:
   struct Params {
-    /// Modeled IPC cost per message, charged to the gateway channel.
-    SimTime ipc_overhead_per_message = SimTime::zero();
     /// Extra model delay for a primary-backend response to re-enter the
     /// network model.
     SimTime response_latency = SimTime::zero();
@@ -45,9 +43,9 @@ class VerificationSession {
     /// params.  Kept only so existing callers that set it still compile.
     SimTime clock_period = SimTime::from_ns(50);
     /// Which transport carries gateway -> session messages.  kInProcess is
-    /// the plain queue (default, zero overhead change); kSocket routes every
-    /// message through the wire serializer and an AF_UNIX socketpair while
-    /// accounting identical modeled latency, so results are byte-identical.
+    /// the plain queue (default); kSocket routes every message through the
+    /// wire serializer and an AF_UNIX socketpair.  Neither moves simulated
+    /// time, so results are byte-identical.
     TransportKind transport = TransportKind::kInProcess;
   };
 
@@ -80,7 +78,7 @@ class VerificationSession {
   /// the run before anything advanced.
   using ElaborationHook = std::function<void(VerificationSession&)>;
   static void set_elaboration_hook(ElaborationHook hook);
-  /// The gateway -> session transport (transport-overhead accounting).
+  /// The gateway -> session transport (what the gateway's streams feed).
   MessageTransport& gateway_transport() { return *from_gateway_; }
 
   /// Handles a primary-backend response; default (if unset): cell responses
@@ -108,7 +106,6 @@ class VerificationSession {
     double max_lag_seconds = 0.0;
     std::uint64_t responses = 0;  ///< responses drained from the backend
     std::uint64_t lookahead_stalls = 0;
-    double mean_lag_seconds = 0.0;  ///< mean of the sync lag distribution
   };
   struct Stats {
     std::uint64_t net_events = 0;
@@ -145,9 +142,6 @@ class VerificationSession {
   std::uint64_t net_events_ = 0;
   std::vector<std::uint64_t> responses_drained_;
   std::size_t divergences_seen_ = 0;  ///< comparator count already traced
-  /// Wall-clock nanoseconds spent in SessionComparator::note_response —
-  /// the distribution that proves the enqueue-time hashing amortization.
-  telemetry::Timing* compare_timing_ = nullptr;
   std::vector<TimedMessage> msg_scratch_;
   std::vector<TimedMessage> resp_scratch_;
 };

@@ -169,7 +169,6 @@ void ConservativeSync::note_hdl_time(SimTime t) {
   }
   const double lag_sec =
       network_time_ > t ? (network_time_ - t).seconds() : 0.0;
-  lag_.record(lag_sec);
   max_lag_sec_ = std::max(max_lag_sec_, lag_sec);
   if (telemetry::enabled()) lag_hist_.record(lag_sec);
 }

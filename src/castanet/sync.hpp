@@ -100,10 +100,8 @@ class ConservativeSync {
   void note_lookahead_stall() { ++lookahead_stalls_; }
   std::uint64_t lookahead_stalls() const { return lookahead_stalls_; }
   /// Distribution of (network_time - hdl_time) over every note_hdl_time
-  /// call — how far this simulator trails the originator (§3.1's lag).
-  const SampleStat& lag_stat() const { return lag_; }
-  /// The same grant-to-response lag as a log2 histogram (p50/p99 of how far
-  /// the HDL side trails).  Recorded only while telemetry is enabled.
+  /// call — how far this simulator trails the originator (§3.1's lag), as a
+  /// log2 histogram.  Recorded only while telemetry is enabled.
   const Log2Histogram& lag_histogram() const { return lag_hist_; }
   /// Per-input-queue occupancy as a time-weighted statistic over network
   /// time (OPNET-style "time average"), one entry per declared type in type
@@ -139,7 +137,6 @@ class ConservativeSync {
   std::uint64_t causality_errors_ = 0;
   std::uint64_t lookahead_stalls_ = 0;
   double max_lag_sec_ = 0.0;
-  SampleStat lag_;
   Log2Histogram lag_hist_;
 };
 

@@ -22,7 +22,7 @@ TransportKind transport_kind_from_string(const std::string& s) {
                     "' (expected \"in-process\" or \"socket\")");
 }
 
-SocketMessageTransport::SocketMessageTransport(Params p) : p_(p) {
+SocketMessageTransport::SocketMessageTransport() {
   auto [a, b] = transport::make_socket_pipe();
   tx_ = std::move(a);
   rx_ = std::move(b);
@@ -34,7 +34,6 @@ void SocketMessageTransport::send(TimedMessage m) {
     throw ProtocolError("socket transport: peer closed while sending");
   }
   ++sent_;
-  overhead_ = overhead_ + p_.per_message_overhead;
   // Keep the kernel buffer drained so a long send burst can never fill it
   // and block the (single) simulation thread against itself.
   pump();
@@ -69,15 +68,12 @@ std::uint64_t SocketMessageTransport::bytes_sent() const {
   return tx_->bytes_sent();
 }
 
-std::unique_ptr<MessageTransport> make_transport(TransportKind kind,
-                                                 SimTime per_message_overhead) {
+std::unique_ptr<MessageTransport> make_transport(TransportKind kind) {
   switch (kind) {
     case TransportKind::kInProcess:
-      return std::make_unique<MessageChannel>(
-          MessageChannel::Params{per_message_overhead});
+      return std::make_unique<MessageChannel>();
     case TransportKind::kSocket:
-      return std::make_unique<SocketMessageTransport>(
-          SocketMessageTransport::Params{per_message_overhead});
+      return std::make_unique<SocketMessageTransport>();
   }
   throw LogicError("make_transport: bad TransportKind");
 }

@@ -5,10 +5,8 @@
 // the IPC the paper actually ran with: messages serialized
 // (castanet/wire.hpp) and carried over an AF_UNIX stream socket
 // (core/transport.hpp) looped back inside the session's process.  (Hosting
-// a backend in another process is castanet/remote.hpp's job.)  Modeled
-// latency semantics are preserved — the same per-message overhead is
-// accounted no matter which transport carries the bytes — which is what the
-// transport conformance suite checks: a session run over either transport
+// a backend in another process is castanet/remote.hpp's job.)  The transport
+// conformance suite checks that a session run over either transport
 // produces byte-identical results.
 #pragma once
 
@@ -42,19 +40,10 @@ TransportKind transport_kind_from_string(const std::string& s);
 /// To keep kernel buffer occupancy bounded without threads, every send()
 /// eagerly drains arrived frames into an in-process inbox; receive() serves
 /// from the inbox first.  FIFO order is preserved end to end.
-struct SocketTransportParams {
-  /// Modeled cost per message — same accounting as MessageChannel.
-  SimTime per_message_overhead = SimTime::zero();
-};
-
 class SocketMessageTransport final : public MessageTransport {
  public:
-  /// At namespace scope (not nested) so it can default-construct in the
-  /// constructor's default argument below.
-  using Params = SocketTransportParams;
-
   /// Loopback over a fresh AF_UNIX socketpair.  Throws IoError on failure.
-  explicit SocketMessageTransport(Params p = {});
+  SocketMessageTransport();
 
   void send(TimedMessage m) override;
   std::optional<TimedMessage> receive() override;
@@ -62,8 +51,6 @@ class SocketMessageTransport final : public MessageTransport {
   std::size_t pending() const override;
 
   std::uint64_t messages_sent() const override { return sent_; }
-  SimTime transport_overhead() const override { return overhead_; }
-  const char* kind_name() const override { return "socket"; }
 
   /// Payload bytes pushed through the socket (framing headers excluded).
   std::uint64_t bytes_sent() const;
@@ -72,16 +59,13 @@ class SocketMessageTransport final : public MessageTransport {
   /// Moves every frame already arrived on the socket into inbox_.
   void pump() const;
 
-  Params p_;
   std::unique_ptr<transport::FramePipe> tx_;
   std::unique_ptr<transport::FramePipe> rx_;
   mutable std::deque<TimedMessage> inbox_;
   std::uint64_t sent_ = 0;
-  SimTime overhead_;
 };
 
 /// Constructs the transport a session's Params ask for.
-std::unique_ptr<MessageTransport> make_transport(TransportKind kind,
-                                                 SimTime per_message_overhead);
+std::unique_ptr<MessageTransport> make_transport(TransportKind kind);
 
 }  // namespace castanet::cosim

@@ -1,6 +1,7 @@
 #include "src/core/json.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -9,6 +10,15 @@
 #include "src/core/error.hpp"
 
 namespace castanet::json {
+
+Value::Value(double d) : kind_(Kind::kNumber), num_(d) {
+  // Integral values inside int64 range keep an exact integer view (and dump
+  // without a decimal point); NaN, infinities and huge values do not.
+  if (std::trunc(d) == d && std::fabs(d) < 9.2e18) {
+    int_ = static_cast<std::int64_t>(d);
+    integral_ = true;
+  }
+}
 
 bool Value::as_bool() const {
   require(kind_ == Kind::kBool, "json: not a bool");
@@ -123,10 +133,11 @@ void Value::dump_to(std::string& out, int indent, int depth) const {
     case Kind::kNumber: {
       if (integral_) {
         out += std::to_string(int_);
+      } else if (!std::isfinite(num_)) {
+        out += "null";  // JSON has no NaN or infinity literal
       } else {
         char buf[32];
-        std::snprintf(buf, sizeof buf, "%.17g", num_);
-        out += buf;
+        out.append(buf, std::to_chars(buf, buf + sizeof buf, num_).ptr);
       }
       break;
     }

@@ -1,11 +1,10 @@
 // Minimal JSON document model: parse + serialize, no external dependency.
 //
-// The session farm's experiment files (tsload-style `experiment.json`
-// parametrization) and its aggregated result reports need structured,
-// tool-readable input/output; the telemetry exporters already WRITE ad-hoc
-// JSON, this adds the READ side.  Scope is deliberately small: UTF-8 text,
-// no comments, numbers as double (plus an exact int64 view when the text
-// was integral), object key order preserved.
+// The tree's one JSON reader and writer: experiment files (tsload-style
+// `experiment.json` parametrization), farm and run reports, metrics
+// snapshots, Chrome traces and lint reports all go through it.  Scope is
+// deliberately small: UTF-8 text, no comments, numbers as double (plus an
+// exact int64 view when the value is integral), object key order preserved.
 #pragma once
 
 #include <cstdint>
@@ -29,7 +28,7 @@ class Value {
   Value() = default;
   Value(std::nullptr_t) {}                                        // NOLINT
   Value(bool b) : kind_(Kind::kBool), bool_(b) {}                 // NOLINT
-  Value(double d) : kind_(Kind::kNumber), num_(d), int_(static_cast<std::int64_t>(d)), integral_(static_cast<double>(static_cast<std::int64_t>(d)) == d) {}  // NOLINT
+  Value(double d);                                                // NOLINT
   Value(std::int64_t i) : kind_(Kind::kNumber), num_(static_cast<double>(i)), int_(i), integral_(true) {}  // NOLINT
   Value(int i) : Value(static_cast<std::int64_t>(i)) {}           // NOLINT
   Value(std::string s) : kind_(Kind::kString), str_(std::move(s)) {}  // NOLINT
@@ -66,7 +65,9 @@ class Value {
   void push_back(Value v);                    ///< array only
 
   /// Compact serialization (stable: key order preserved, integral numbers
-  /// rendered without a decimal point).  `indent` > 0 pretty-prints.
+  /// rendered without a decimal point, other finite numbers as the shortest
+  /// text that parses back to the same double, NaN and infinities as null).
+  /// `indent` > 0 pretty-prints.
   std::string dump(int indent = 0) const;
 
  private:

@@ -1,46 +1,16 @@
 #include "src/core/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <sstream>
-
-#include "src/core/error.hpp"
 
 namespace castanet {
 
 void SampleStat::record(double x) {
   ++count_;
   sum_ += x;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
+  mean_ += (x - mean_) / static_cast<double>(count_);
   min_ = std::min(min_, x);
   max_ = std::max(max_, x);
 }
-
-void SampleStat::merge(const SampleStat& other) {
-  if (other.count_ == 0) return;  // empty ⊕ x keeps x intact (incl. NaN min/max)
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const double n = static_cast<double>(count_);
-  const double m = static_cast<double>(other.count_);
-  const double delta = other.mean_ - mean_;
-  mean_ += delta * m / (n + m);
-  m2_ += other.m2_ + delta * delta * n * m / (n + m);
-  count_ += other.count_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
-double SampleStat::variance() const {
-  if (count_ < 2) return 0.0;
-  return m2_ / static_cast<double>(count_ - 1);
-}
-
-double SampleStat::stddev() const { return std::sqrt(variance()); }
 
 void TimeAverageStat::set(double time, double value) {
   if (!started_) {
@@ -59,51 +29,6 @@ double TimeAverageStat::average(double now) const {
   double ws = weighted_sum_;
   if (now > last_time_) ws += value_ * (now - last_time_);
   return ws / (now - start_time_);
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)),
-      counts_(bins, 0) {
-  require(hi > lo && bins > 0, "Histogram: need hi > lo and bins > 0");
-}
-
-void Histogram::record(double x) {
-  std::size_t i;
-  if (x < lo_) {
-    i = 0;
-  } else if (x >= hi_) {
-    i = counts_.size() - 1;
-  } else {
-    i = static_cast<std::size_t>((x - lo_) / width_);
-    i = std::min(i, counts_.size() - 1);
-  }
-  ++counts_[i];
-  ++total_;
-}
-
-double Histogram::bin_lo(std::size_t i) const {
-  return lo_ + width_ * static_cast<double>(i);
-}
-
-double Histogram::quantile(double q) const {
-  require(q >= 0.0 && q <= 1.0, "Histogram::quantile: q out of [0,1]");
-  if (total_ == 0) return lo_;
-  const double target = q * static_cast<double>(total_);
-  double cum = 0.0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    cum += static_cast<double>(counts_[i]);
-    if (cum >= target) return bin_lo(i) + width_;
-  }
-  return hi_;
-}
-
-std::string Histogram::to_string() const {
-  std::ostringstream os;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    os << "[" << bin_lo(i) << "," << bin_lo(i) + width_ << ") "
-       << counts_[i] << "\n";
-  }
-  return os.str();
 }
 
 }  // namespace castanet

@@ -1,33 +1,24 @@
-// Statistics collection used by the network simulator and the benches.
+// Component-local statistics used by the network simulator and the benches.
 //
 // OPNET-style models record scalar samples ("sample statistics") and
-// time-weighted values such as queue occupancy ("time-average statistics");
-// both appear here, plus a fixed-bin histogram for distributions.
+// time-weighted values such as queue occupancy ("time-average statistics").
+// Components own these as members; distributions use Log2Histogram
+// (core/histogram.hpp), and everything that leaves the process goes through
+// the telemetry Hub's snapshot (core/telemetry.hpp).
 #pragma once
 
 #include <cstdint>
 #include <limits>
-#include <string>
-#include <vector>
 
 namespace castanet {
 
-/// Running mean/variance/min/max over discrete samples (Welford).
+/// Running mean/min/max/sum over discrete samples (Welford mean).
 class SampleStat {
  public:
   void record(double x);
 
-  /// Combines another stat into this one (Chan et al. parallel Welford):
-  /// count/sum/min/max exact, mean/variance numerically combined.  Merging
-  /// an empty stat is a no-op, so NaN-when-empty min/max semantics survive
-  /// a farm merge (empty ⊕ x == x).  Associative up to floating-point
-  /// rounding.
-  void merge(const SampleStat& other);
-
   std::uint64_t count() const { return count_; }
   double mean() const { return count_ ? mean_ : 0.0; }
-  double variance() const;  ///< Unbiased sample variance; 0 for n < 2.
-  double stddev() const;
   /// NaN while empty: an empty stat has no extrema, and a fake 0.0 would be
   /// indistinguishable from a real measurement in exports.  Check count()
   /// (or isnan) before treating the value as data.
@@ -42,7 +33,6 @@ class SampleStat {
  private:
   std::uint64_t count_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
   double sum_ = 0.0;
@@ -65,28 +55,6 @@ class TimeAverageStat {
   double weighted_sum_ = 0.0;
   double start_time_ = 0.0;
   double max_ = 0.0;
-};
-
-/// Fixed-width-bin histogram over [lo, hi); out-of-range samples go to
-/// saturating edge bins so no sample is lost.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void record(double x);
-  std::uint64_t bin_count(std::size_t i) const { return counts_.at(i); }
-  std::size_t bins() const { return counts_.size(); }
-  double bin_lo(std::size_t i) const;
-  std::uint64_t total() const { return total_; }
-  /// Smallest x such that at least `q` (0..1) of the mass lies at or below
-  /// the containing bin's upper edge.
-  double quantile(double q) const;
-  std::string to_string() const;
-
- private:
-  double lo_, hi_, width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
 };
 
 }  // namespace castanet

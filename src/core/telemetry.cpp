@@ -14,50 +14,51 @@ namespace {
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
-/// JSON number rendering: finite values as shortest round-trip-ish decimal,
-/// NaN/inf as null (JSON has no NaN literal).
-std::string json_number(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
+/// Opens a Chrome trace document; rows follow one per line, then
+/// Hub::trace_tail closes it.
+constexpr const char* kTraceHeader = "{\"traceEvents\": [\n";
+
+/// Appends one row to a Chrome trace document, comma-separated.
+void append_row(std::string& out, bool& first, const json::Value& row) {
+  if (!first) out += ",\n";
+  first = false;
+  out += row.dump();
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    if (static_cast<unsigned char>(c) < 0x20) continue;  // keep it simple
-    out.push_back(c);
-  }
-  return out;
-}
-
-/// One Chrome trace_event JSON row for `e` (shared by the in-memory
-/// exporter and the stream flusher).  `track_count` clamps unknown tracks
-/// onto the main row, as the exporter does.
-std::string render_trace_event(const TraceEvent& e, std::size_t track_count) {
+/// One Chrome trace_event row for `e` (shared by the in-memory exporter and
+/// the stream flusher).  `track_count` clamps unknown tracks onto the main
+/// row.
+json::Value trace_event_row(const TraceEvent& e, std::size_t track_count) {
+  const bool complete = e.phase == TraceEvent::Phase::kComplete;
   const std::size_t tid = e.track < track_count ? e.track : 0;
-  std::string row = "{\"name\": \"" + json_escape(e.name) + "\", \"ph\": \"";
-  row += e.phase == TraceEvent::Phase::kComplete ? "X" : "i";
-  row += "\", \"pid\": 1, \"tid\": " + std::to_string(tid) +
-         ", \"ts\": " + json_number(e.ts_us);
-  if (e.phase == TraceEvent::Phase::kComplete) {
-    row += ", \"dur\": " + json_number(e.dur_us);
+  json::Value row{json::Object{}};
+  row.set("name", e.name);
+  row.set("ph", complete ? "X" : "i");
+  row.set("pid", 1);
+  row.set("tid", static_cast<std::int64_t>(tid));
+  row.set("ts", e.ts_us);
+  if (complete) {
+    row.set("dur", e.dur_us);
   } else {
-    row += ", \"s\": \"t\"";  // instant scope: thread
+    row.set("s", "t");  // instant scope: thread
   }
   if (e.nargs) {
-    row += ", \"args\": {";
-    for (std::uint32_t a = 0; a < e.nargs; ++a) {
-      if (a) row += ", ";
-      row += "\"" + json_escape(e.args[a].first) +
-             "\": " + json_number(e.args[a].second);
-    }
-    row += "}";
+    json::Value args{json::Object{}};
+    for (std::uint32_t a = 0; a < e.nargs; ++a)
+      args.set(e.args[a].first, e.args[a].second);
+    row.set("args", std::move(args));
   }
-  row += "}";
+  return row;
+}
+
+/// A Chrome metadata ("M") row: `name` with `args` on track `tid`.
+json::Value metadata_row(const char* name, std::size_t tid, json::Value args) {
+  json::Value row{json::Object{}};
+  row.set("name", name);
+  row.set("ph", "M");
+  row.set("pid", 1);
+  row.set("tid", static_cast<std::int64_t>(tid));
+  row.set("args", std::move(args));
   return row;
 }
 
@@ -67,7 +68,6 @@ const char* metric_kind_name(MetricRow::Kind k) {
   switch (k) {
     case MetricRow::Kind::kCounter: return "counter";
     case MetricRow::Kind::kGauge: return "gauge";
-    case MetricRow::Kind::kTiming: return "timing";
     case MetricRow::Kind::kTimeAverage: return "time_average";
     case MetricRow::Kind::kHistogram: return "histogram";
   }
@@ -76,8 +76,9 @@ const char* metric_kind_name(MetricRow::Kind k) {
 
 bool metric_kind_from_name(const std::string& name, MetricRow::Kind* out) {
   static constexpr MetricRow::Kind kAll[] = {
-      MetricRow::Kind::kCounter,     MetricRow::Kind::kGauge,
-      MetricRow::Kind::kTiming,      MetricRow::Kind::kTimeAverage,
+      MetricRow::Kind::kCounter,
+      MetricRow::Kind::kGauge,
+      MetricRow::Kind::kTimeAverage,
       MetricRow::Kind::kHistogram,
   };
   for (MetricRow::Kind k : kAll) {
@@ -87,35 +88,6 @@ bool metric_kind_from_name(const std::string& name, MetricRow::Kind* out) {
     }
   }
   return false;
-}
-
-// ---------------------------------------------------------------------------
-// Metric handles.
-
-void Gauge::set(double v) {
-  max_ = count_++ == 0 ? v : std::max(max_, v);
-  v_ = v;
-}
-
-double Gauge::max() const { return set_ever() ? max_ : kNaN; }
-
-void Timing::record(double v) {
-  if (count_++ == 0) {
-    min_ = max_ = v;
-  } else {
-    min_ = std::min(min_, v);
-    max_ = std::max(max_, v);
-  }
-  sum_ += v;
-}
-
-double Timing::min() const { return count() ? min_ : kNaN; }
-
-double Timing::max() const { return count() ? max_ : kNaN; }
-
-double Timing::mean() const {
-  const std::uint64_t n = count();
-  return n ? sum() / static_cast<double>(n) : kNaN;
 }
 
 // ---------------------------------------------------------------------------
@@ -141,8 +113,6 @@ void Hub::disable() { g_enabled = false; }
 void Hub::reset() {
   disable();
   counters_.clear();
-  gauges_.clear();
-  timings_.clear();
   published_.clear();
   if (stream_ != nullptr) finalize_stream();
   track_names_.clear();
@@ -156,18 +126,6 @@ void Hub::reset() {
 Counter& Hub::counter(const std::string& name) {
   auto& slot = counters_[name];
   if (!slot) slot = std::make_unique<Counter>();
-  return *slot;
-}
-
-Gauge& Hub::gauge(const std::string& name) {
-  auto& slot = gauges_[name];
-  if (!slot) slot = std::make_unique<Gauge>();
-  return *slot;
-}
-
-Timing& Hub::timing(const std::string& name) {
-  auto& slot = timings_[name];
-  if (!slot) slot = std::make_unique<Timing>();
   return *slot;
 }
 
@@ -188,18 +146,6 @@ void Hub::publish_value(const std::string& name, double value) {
   row.count = 1;
   row.sum = value;
   row.min = row.max = row.last = value;
-  published_[name] = std::move(row);
-}
-
-void Hub::publish_stat(const std::string& name, const SampleStat& s) {
-  MetricRow row;
-  row.name = name;
-  row.kind = MetricRow::Kind::kTiming;
-  row.count = s.count();
-  row.sum = s.sum();
-  row.min = s.min();
-  row.max = s.max();
-  row.last = kNaN;
   published_[name] = std::move(row);
 }
 
@@ -264,7 +210,7 @@ bool Hub::stream_trace_to(const std::string& path) {
   if (stream_ == nullptr) return false;
   stream_first_ = true;
   streamed_ = 0;
-  std::fputs("{\"traceEvents\": [\n", stream_);
+  std::fputs(kTraceHeader, stream_);
   return true;
 }
 
@@ -285,12 +231,10 @@ void Hub::flush_stream() {
                    });
   const std::size_t tracks =
       track_names_.empty() ? 1 : track_names_.size();
-  for (const TraceEvent& e : ring_) {
-    if (!stream_first_) std::fputs(",\n", stream_);
-    stream_first_ = false;
-    const std::string row = render_trace_event(e, tracks);
-    std::fwrite(row.data(), 1, row.size(), stream_);
-  }
+  std::string rows;
+  for (const TraceEvent& e : ring_)
+    append_row(rows, stream_first_, trace_event_row(e, tracks));
+  std::fwrite(rows.data(), 1, rows.size(), stream_);
   streamed_ += ring_.size();
   ring_.clear();
   ring_head_ = 0;
@@ -300,33 +244,36 @@ void Hub::flush_stream() {
 
 void Hub::finalize_stream() {
   flush_stream();
-  std::vector<std::string> tracks = track_names_;
-  if (tracks.empty()) tracks.push_back("main");
-  const auto emit = [&](const std::string& row) {
-    if (!stream_first_) std::fputs(",\n", stream_);
-    stream_first_ = false;
-    std::fwrite(row.data(), 1, row.size(), stream_);
-  };
-  emit("{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": 0, "
-       "\"args\": {\"name\": \"castanet\"}}");
-  for (std::size_t t = 0; t < tracks.size(); ++t) {
-    emit("{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": " +
-         std::to_string(t) + ", \"args\": {\"name\": \"" +
-         json_escape(tracks[t]) + "\"}}");
-    emit("{\"name\": \"thread_sort_index\", \"ph\": \"M\", \"pid\": 1, "
-         "\"tid\": " +
-         std::to_string(t) + ", \"args\": {\"sort_index\": " +
-         std::to_string(t) + "}}");
-  }
-  const std::string footer =
-      "\n], \"displayTimeUnit\": \"ms\", \"otherData\": "
-      "{\"trace_dropped\": " +
-      std::to_string(dropped_) +
-      ", \"trace_streamed\": " + std::to_string(streamed_) + "}}\n";
-  std::fwrite(footer.data(), 1, footer.size(), stream_);
+  const std::string tail = trace_tail(stream_first_);
+  std::fwrite(tail.data(), 1, tail.size(), stream_);
   std::fclose(stream_);
   stream_ = nullptr;
   stream_first_ = true;
+}
+
+std::string Hub::trace_tail(bool first) const {
+  std::vector<std::string> tracks = track_names_;
+  if (tracks.empty()) tracks.push_back("main");
+  std::string out;
+  json::Value process{json::Object{}};
+  process.set("name", "castanet");
+  append_row(out, first, metadata_row("process_name", 0, std::move(process)));
+  for (std::size_t t = 0; t < tracks.size(); ++t) {
+    json::Value name{json::Object{}};
+    name.set("name", tracks[t]);
+    append_row(out, first, metadata_row("thread_name", t, std::move(name)));
+    // Force track order to registration order (backends in attach order).
+    json::Value order{json::Object{}};
+    order.set("sort_index", static_cast<std::int64_t>(t));
+    append_row(out, first,
+               metadata_row("thread_sort_index", t, std::move(order)));
+  }
+  json::Value other{json::Object{}};
+  other.set("trace_dropped", static_cast<std::int64_t>(dropped_));
+  other.set("trace_streamed", static_cast<std::int64_t>(streamed_));
+  out += "\n], \"displayTimeUnit\": \"ms\", \"otherData\": " + other.dump() +
+         "}\n";
+  return out;
 }
 
 std::uint64_t Hub::trace_events_recorded() const { return ring_.size(); }
@@ -355,27 +302,6 @@ MetricsSnapshot Hub::snapshot() const {
     row.min = row.max = row.last = kNaN;
     snap.rows.push_back(std::move(row));
   }
-  for (const auto& [name, g] : gauges_) {
-    MetricRow row;
-    row.name = name;
-    row.kind = MetricRow::Kind::kGauge;
-    row.count = g->count();
-    row.sum = row.min = kNaN;
-    row.max = g->max();
-    row.last = g->set_ever() ? g->value() : kNaN;
-    snap.rows.push_back(std::move(row));
-  }
-  for (const auto& [name, t] : timings_) {
-    MetricRow row;
-    row.name = name;
-    row.kind = MetricRow::Kind::kTiming;
-    row.count = t->count();
-    row.sum = t->sum();
-    row.min = t->min();
-    row.max = t->max();
-    row.last = kNaN;
-    snap.rows.push_back(std::move(row));
-  }
   for (const auto& [name, row] : published_) snap.rows.push_back(row);
   std::sort(snap.rows.begin(), snap.rows.end(),
             [](const MetricRow& a, const MetricRow& b) {
@@ -387,52 +313,14 @@ MetricsSnapshot Hub::snapshot() const {
 }
 
 std::string MetricsSnapshot::to_json() const {
-  std::string out = "{\n  \"metrics\": [";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const MetricRow& r = rows[i];
-    out += i ? ",\n    " : "\n    ";
-    out += "{\"name\": \"" + json_escape(r.name) + "\", \"kind\": \"" +
-           metric_kind_name(r.kind) +
-           "\", \"count\": " + std::to_string(r.count);
-    if (r.empty()) {
-      // No samples: emptiness is explicit, never a fake zero.
-      out += ", \"empty\": true";
-    } else {
-      out += ", \"sum\": " + json_number(r.sum);
-      out += ", \"min\": " + json_number(r.min);
-      out += ", \"max\": " + json_number(r.max);
-      out += ", \"last\": " + json_number(r.last);
-      if (r.kind == MetricRow::Kind::kHistogram) {
-        out += ", \"zero\": " + std::to_string(r.hist.zero_count());
-        out += ", \"buckets\": [";
-        bool first = true;
-        for (const auto& [b, c] : r.hist.nonzero_buckets()) {
-          if (!first) out += ", ";
-          first = false;
-          out += "[" + std::to_string(b) + ", " + std::to_string(c) + "]";
-        }
-        out += "]";
-        out += ", \"p50\": " + json_number(r.hist.quantile(0.50));
-        out += ", \"p90\": " + json_number(r.hist.quantile(0.90));
-        out += ", \"p99\": " + json_number(r.hist.quantile(0.99));
-        out += ", \"p999\": " + json_number(r.hist.quantile(0.999));
-      }
-    }
-    out += "}";
-  }
-  out += "\n  ],\n  \"trace_events\": " + std::to_string(trace_events) +
-         ",\n  \"trace_dropped\": " + std::to_string(trace_dropped) + "\n}\n";
-  return out;
+  return to_json_value().dump(2);
 }
 
 json::Value MetricsSnapshot::to_json_value() const {
   json::Array metrics;
   metrics.reserve(rows.size());
   for (const MetricRow& r : rows) {
-    // NaN has no JSON literal; mirror to_json()'s convention of null.
-    const auto num = [](double v) {
-      return std::isfinite(v) ? json::Value(v) : json::Value(nullptr);
-    };
+    // NaN extrema (no samples, or not applicable) dump as null.
     json::Value row{json::Object{}};
     row.set("name", r.name);
     row.set("kind", metric_kind_name(r.kind));
@@ -440,10 +328,10 @@ json::Value MetricsSnapshot::to_json_value() const {
     if (r.empty()) {
       row.set("empty", true);
     } else {
-      row.set("sum", num(r.sum));
-      row.set("min", num(r.min));
-      row.set("max", num(r.max));
-      row.set("last", num(r.last));
+      row.set("sum", r.sum);
+      row.set("min", r.min);
+      row.set("max", r.max);
+      row.set("last", r.last);
       if (r.kind == MetricRow::Kind::kHistogram) {
         row.set("zero", static_cast<std::int64_t>(r.hist.zero_count()));
         json::Array buckets;
@@ -453,10 +341,10 @@ json::Value MetricsSnapshot::to_json_value() const {
               json::Value(static_cast<std::int64_t>(c))}});
         }
         row.set("buckets", json::Value{std::move(buckets)});
-        row.set("p50", num(r.hist.quantile(0.50)));
-        row.set("p90", num(r.hist.quantile(0.90)));
-        row.set("p99", num(r.hist.quantile(0.99)));
-        row.set("p999", num(r.hist.quantile(0.999)));
+        row.set("p50", r.hist.quantile(0.50));
+        row.set("p90", r.hist.quantile(0.90));
+        row.set("p99", r.hist.quantile(0.99));
+        row.set("p999", r.hist.quantile(0.999));
       }
     }
     metrics.push_back(std::move(row));
@@ -528,12 +416,7 @@ MetricsSnapshot MetricsSnapshot::from_json(const json::Value& doc) {
 void merge_metric_row(MetricRow& into, const MetricRow& from) {
   require(into.kind == from.kind,
           "merge_metric_row: kind mismatch for metric \"" + into.name + "\"");
-  // NaN-aware extrema: an empty side never contributes a fake zero.
-  const auto nan_min = [](double a, double b) {
-    if (std::isnan(a)) return b;
-    if (std::isnan(b)) return a;
-    return std::min(a, b);
-  };
+  // NaN-aware maximum: an empty side never contributes a fake zero.
   const auto nan_max = [](double a, double b) {
     if (std::isnan(a)) return b;
     if (std::isnan(b)) return a;
@@ -548,14 +431,6 @@ void merge_metric_row(MetricRow& into, const MetricRow& from) {
       if (from.count != 0) into.last = from.last;  // last writer per shard
       into.max = nan_max(into.max, from.max);
       into.count += from.count;
-      break;
-    case MetricRow::Kind::kTiming:
-      if (from.count != 0) {
-        into.sum = into.count != 0 ? into.sum + from.sum : from.sum;
-        into.min = nan_min(into.min, from.min);
-        into.max = nan_max(into.max, from.max);
-        into.count += from.count;
-      }
       break;
     case MetricRow::Kind::kTimeAverage:
       // Approximate: per-shard observation durations are not retained, so
@@ -627,8 +502,8 @@ std::string MetricsSnapshot::to_table() const {
   out.append(105, '-');
   out += "\n";
   for (const MetricRow& r : rows) {
-    // value column: counters show the count; gauges the last value; timings
-    // the mean; time averages the time-weighted mean.
+    // value column: counters show the count; gauges the last value; time
+    // averages the time-weighted mean.
     std::string value;
     switch (r.kind) {
       case MetricRow::Kind::kCounter:
@@ -636,10 +511,6 @@ std::string MetricsSnapshot::to_table() const {
         break;
       case MetricRow::Kind::kGauge:
         value = r.empty() ? "-" : cell(r.last);
-        break;
-      case MetricRow::Kind::kTiming:
-        value = r.empty() ? "-"
-                          : cell(r.sum / static_cast<double>(r.count));
         break;
       case MetricRow::Kind::kTimeAverage:
         value = cell(r.sum);
@@ -668,7 +539,6 @@ std::string MetricsSnapshot::to_table() const {
 
 std::string Hub::chrome_trace_json() const {
   std::vector<TraceEvent> events;
-  std::vector<std::string> tracks = track_names_;
   if (!ring_full_) {
     events = ring_;
   } else {
@@ -677,7 +547,6 @@ std::string Hub::chrome_trace_json() const {
     for (std::size_t i = 0; i < ring_.size(); ++i)
       events.push_back(ring_[(ring_head_ + i) % ring_.size()]);
   }
-  if (tracks.empty()) tracks.push_back("main");
   // Perfetto sorts complete events per track by ts; spans are recorded when
   // they end, so the ring is only roughly ordered — sort for well-formed
   // nesting.
@@ -685,33 +554,12 @@ std::string Hub::chrome_trace_json() const {
                    [](const TraceEvent& a, const TraceEvent& b) {
                      return a.ts_us < b.ts_us;
                    });
-
-  std::string out = "{\"traceEvents\": [\n";
+  const std::size_t tracks = track_names_.empty() ? 1 : track_names_.size();
+  std::string out = kTraceHeader;
   bool first = true;
-  const auto emit = [&](const std::string& e) {
-    if (!first) out += ",\n";
-    first = false;
-    out += e;
-  };
-  emit("{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": 0, "
-       "\"args\": {\"name\": \"castanet\"}}");
-  for (std::size_t t = 0; t < tracks.size(); ++t) {
-    emit("{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": " +
-         std::to_string(t) + ", \"args\": {\"name\": \"" +
-         json_escape(tracks[t]) + "\"}}");
-    // Force track order to registration order (backends in attach order).
-    emit("{\"name\": \"thread_sort_index\", \"ph\": \"M\", \"pid\": 1, "
-         "\"tid\": " +
-         std::to_string(t) + ", \"args\": {\"sort_index\": " +
-         std::to_string(t) + "}}");
-  }
-  for (const TraceEvent& e : events) {
-    emit(render_trace_event(e, tracks.size()));
-  }
-  out += "\n], \"displayTimeUnit\": \"ms\", \"otherData\": "
-         "{\"trace_dropped\": " +
-         std::to_string(dropped_) + "}}\n";
-  return out;
+  for (const TraceEvent& e : events)
+    append_row(out, first, trace_event_row(e, tracks));
+  return out + trace_tail(first);
 }
 
 bool Hub::write_chrome_trace(const std::string& path) const {

@@ -1,4 +1,4 @@
-// Telemetry: low-overhead counters, gauges, span timers and a bounded
+// Telemetry: counters, published statistics, span timers and a bounded
 // in-memory event-trace ring, shared by every layer of the co-verification
 // stack (sync protocol, session, both simulation kernels).
 //
@@ -7,22 +7,23 @@
 //      site guards itself with telemetry::enabled() — one load of a plain
 //      bool — and does nothing else while the hub is disabled.  Benches run
 //      with the hub disabled and must not regress.
-//   2. Single-threaded: every process records on its one thread, so metric
-//      handles are plain fields and the trace ring a plain drop-oldest
-//      buffer.  A forked process (farm worker, backend host) records into
-//      its own copy of the hub; farm workers ship snapshots back to the
-//      parent, which merges them.
-//   3. Two exporters: a Chrome trace_event JSON file (one timeline row per
-//      backend, openable in chrome://tracing or Perfetto) and a flat
-//      metrics snapshot (JSON + human-readable table) that benches and
-//      examples emit alongside their --json output.
+//   2. Single-threaded: every process records on its one thread, so counters
+//      are plain fields and the trace ring a plain drop-oldest buffer.  A
+//      forked process (farm worker, backend host) records into its own copy
+//      of the hub; farm workers ship snapshots back to the parent, which
+//      merges them.
+//   3. Two exporters, both rendered through core/json: a Chrome trace_event
+//      JSON file (one timeline row per backend, openable in chrome://tracing
+//      or Perfetto) and a flat metrics snapshot (JSON + human-readable
+//      table) that benches and examples emit alongside their --json output.
 //
-// Ownership model: the Hub is a process-wide singleton.  Components either
-//   * hold hub-owned handles (Counter/Gauge/Timing) obtained by name — the
-//     handle lives until reset(); or
-//   * keep their own local statistics (as ConservativeSync and the session
-//     already do) and publish_* them into the snapshot at a quiescent point
-//     (end of run_until).
+// The Hub is the process's one metrics registry.  A snapshot row is one of
+// four kinds: counter, gauge (a value set once), time_average and
+// histogram.  Components either
+//   * bump a hub-owned Counter obtained by name (lives until reset()); or
+//   * keep their own statistics (ConservativeSync's lag histogram and queue
+//     depths, the packet pool, the flow registry) and publish_* them into
+//     the snapshot at a quiescent point (end of run_until, finish()).
 // Trace events (spans, instants) are pushed into the ring as they happen.
 #pragma once
 
@@ -61,41 +62,6 @@ class Counter {
   std::uint64_t v_ = 0;
 };
 
-/// Last-value gauge with a running maximum.
-class Gauge {
- public:
-  void set(double v);
-  double value() const { return v_; }
-  /// NaN until the first set() — an unset gauge is not a real zero.
-  double max() const;
-  bool set_ever() const { return count_ != 0; }
-  std::uint64_t count() const { return count_; }
-
- private:
-  std::uint64_t count_ = 0;
-  double v_ = 0.0;
-  double max_ = 0.0;
-};
-
-/// Sample aggregation (count/sum/min/max) over doubles — span durations,
-/// batch sizes.
-class Timing {
- public:
-  void record(double v);
-  std::uint64_t count() const { return count_; }
-  double sum() const { return sum_; }
-  /// NaN while empty; see SampleStat::min() for the rationale.
-  double min() const;
-  double max() const;
-  double mean() const;
-
- private:
-  std::uint64_t count_ = 0;
-  double sum_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
-
 /// One entry of the trace ring.  `name` must be a static-lifetime string
 /// (instrumentation sites use literals); numeric args only, so no ownership.
 struct TraceEvent {
@@ -116,13 +82,12 @@ struct MetricRow {
   enum class Kind : std::uint8_t {
     kCounter,
     kGauge,
-    kTiming,
     kTimeAverage,
     kHistogram,
   };
   std::string name;
   Kind kind = Kind::kCounter;
-  std::uint64_t count = 0;  ///< samples (Timing/Gauge) or counter value
+  std::uint64_t count = 0;  ///< counter value, or samples behind the row
   double sum = 0.0;
   double min = 0.0, max = 0.0, last = 0.0;  ///< NaN where not applicable
   /// Bucketed distribution; populated only for kHistogram rows (lazy
@@ -142,7 +107,6 @@ bool metric_kind_from_name(const std::string& name, MetricRow::Kind* out);
 ///   counter       sums
 ///   gauge         count sums; last/max taken from `from` when it has
 ///                 samples (last-writer-per-shard), max NaN-aware
-///   timing        count/sum sum, min/max NaN-aware exact
 ///   time_average  average-of-averages weighted by shard sample count
 ///                 (approximate — per-shard durations are not retained);
 ///                 max NaN-aware, last last-writer
@@ -157,10 +121,11 @@ struct MetricsSnapshot {
   std::uint64_t trace_events = 0;
   std::uint64_t trace_dropped = 0;
 
+  /// to_json_value().dump(2).
   std::string to_json() const;
   std::string to_table() const;
 
-  /// Structured form of to_json() (same shape); parse side below.
+  /// The snapshot as a JSON document; parse side below.
   json::Value to_json_value() const;
   /// Inverse of to_json_value/to_json.  Throws LogicError on a document
   /// that is not a metrics snapshot (missing "metrics" array, bad kinds).
@@ -168,7 +133,7 @@ struct MetricsSnapshot {
 
   /// Merges another shard's snapshot into this one, row-matched by name
   /// (see merge_metric_row for per-kind semantics); trace totals sum.
-  /// Associative and commutative for counters/timings/histograms.
+  /// Associative and commutative for counters and histograms.
   void merge_from(const MetricsSnapshot& other);
 
   /// Row lookup by exact name; nullptr when absent.
@@ -193,15 +158,13 @@ class Hub {
 
   static bool on() { return g_enabled; }
 
-  // --- metric handles (hub-owned, created on first use) -------------------
+  // --- counters (hub-owned, created on first use) -------------------------
   Counter& counter(const std::string& name);
-  Gauge& gauge(const std::string& name);
-  Timing& timing(const std::string& name);
 
   // --- published rows (component-owned stats, pushed at quiescent points) -
   void publish_count(const std::string& name, std::uint64_t value);
+  /// A gauge row: one value, set at a quiescent point.
   void publish_value(const std::string& name, double value);
-  void publish_stat(const std::string& name, const SampleStat& s);
   void publish_time_avg(const std::string& name, const TimeAverageStat& s,
                         double now_seconds);
   void publish_histogram(const std::string& name, const Log2Histogram& h);
@@ -248,8 +211,6 @@ class Hub {
   static bool g_enabled;
 
   std::map<std::string, std::unique_ptr<Counter>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-  std::map<std::string, std::unique_ptr<Timing>> timings_;
   std::map<std::string, MetricRow> published_;
 
   /// Writes the ring's events (sorted by timestamp) to the stream file and
@@ -257,6 +218,10 @@ class Hub {
   void flush_stream();
   /// flush + metadata + footer + close.
   void finalize_stream();
+  /// Everything after the last event row, shared by both Chrome exporters:
+  /// the process and track metadata rows, then the footer closing the
+  /// document.  `first` says no row has been written yet.
+  std::string trace_tail(bool first) const;
 
   std::vector<std::string> track_names_;  ///< index == TrackId; [0] = "main"
   std::vector<TraceEvent> ring_;

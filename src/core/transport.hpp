@@ -10,10 +10,8 @@
 // (castanet/remote.hpp).
 //
 // Frames are opaque bytes at this layer; castanet/wire.hpp defines the
-// message serialization on top.  Modeled transport latency is NOT accounted
-// here — it stays a property of the message-level transport (the simulated
-// per-message overhead), so swapping the real transport never changes
-// simulated time.
+// message serialization on top.  No transport moves simulated time, so
+// swapping the real transport never changes a result.
 #pragma once
 
 #include <sys/types.h>

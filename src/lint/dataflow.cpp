@@ -734,12 +734,10 @@ class Engine {
     hub.counter("lint.dataflow.runs").add(1);
     hub.counter("lint.dataflow.probe_evals").add(stats_.probe_evaluations);
     hub.counter("lint.dataflow.wall_ns").add(stats_.wall_ns);
-    hub.gauge("lint.dataflow.processes_probed")
-        .set(static_cast<double>(stats_.processes_probed));
-    hub.gauge("lint.dataflow.degraded")
-        .set(static_cast<double>(stats_.degraded_processes));
-    hub.gauge("lint.dataflow.constants")
-        .set(static_cast<double>(stats_.constant_signals));
+    hub.counter("lint.dataflow.processes_probed")
+        .add(stats_.processes_probed);
+    hub.counter("lint.dataflow.degraded").add(stats_.degraded_processes);
+    hub.counter("lint.dataflow.constants").add(stats_.constant_signals);
   }
 
   rtl::Simulator& sim_;

@@ -1,7 +1,6 @@
 #include "src/lint/diagnostic.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
 
 namespace castanet::lint {
@@ -61,36 +60,6 @@ void render_line(std::ostream& os, const Diagnostic& d) {
   os << "\n";
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
-
 /// Errors first, then warnings, then notes; stable within a severity so
 /// diagnostics keep analyzer order.
 std::vector<const Diagnostic*> severity_sorted(
@@ -118,26 +87,7 @@ std::string Report::to_text() const {
   return os.str();
 }
 
-std::string Report::to_json() const {
-  std::ostringstream os;
-  os << "{\n  \"diagnostics\": [";
-  bool first = true;
-  for (const Diagnostic* d : severity_sorted(diags_)) {
-    os << (first ? "\n" : ",\n");
-    first = false;
-    os << "    {\"rule\": \"" << json_escape(d->rule) << "\", \"severity\": \""
-       << to_string(d->severity) << "\", \"component\": \""
-       << json_escape(d->component) << "\", \"location\": \""
-       << json_escape(d->location) << "\", \"message\": \""
-       << json_escape(d->message) << "\", \"fix_hint\": \""
-       << json_escape(d->fix_hint) << "\"}";
-  }
-  os << (first ? "" : "\n  ") << "],\n";
-  os << "  \"errors\": " << errors() << ",\n  \"warnings\": " << warnings()
-     << ",\n  \"notes\": " << notes() << ",\n  \"suppressed\": " << suppressed_
-     << "\n}\n";
-  return os.str();
-}
+std::string Report::to_json() const { return to_json_value().dump(2); }
 
 json::Value Report::to_json_value() const {
   json::Array diags;

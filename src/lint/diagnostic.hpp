@@ -69,10 +69,10 @@ class Report {
   /// One line per diagnostic — "severity rule [component] location: message
   /// (fix: ...)" — ordered errors first, then a summary line.
   std::string to_text() const;
-  /// Machine-readable form: {"diagnostics": [...], "errors": N, ...}.
+  /// to_json_value().dump(2).
   std::string to_json() const;
-  /// Structured form of to_json(): same fields, same order, as a
-  /// json::Value document (the CLI --json schema gate round-trips it).
+  /// Machine-readable form: {"diagnostics": [...], "errors": N, ...}, in
+  /// that field order (the CLI --json schema gate round-trips it).
   json::Value to_json_value() const;
   /// Rebuilds a report from to_json()/to_json_value() output.  Throws
   /// LintError when the document is not a lint report (missing

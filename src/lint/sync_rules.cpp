@@ -66,19 +66,6 @@ void check_declared_types(const cosim::VerificationSession& session,
   }
 }
 
-void check_transport(cosim::VerificationSession& session, Report& report) {
-  const auto& p = session.params();
-  if (p.transport == cosim::TransportKind::kSocket &&
-      p.ipc_overhead_per_message <= SimTime::zero()) {
-    report.add("SYN-TRANSPORT", Severity::kWarning, kFamily, "session",
-               "socket transport with zero modeled ipc_overhead_per_message: "
-               "every gateway message crosses a real kernel boundary whose "
-               "cost the simulated clock never sees",
-               "model the IPC cost (ipc_overhead_per_message > 0) so socket "
-               "and in-process runs make the same timing claims");
-  }
-}
-
 }  // namespace
 
 void analyze_session_sync(cosim::VerificationSession& session,
@@ -94,7 +81,6 @@ void analyze_session_sync(cosim::VerificationSession& session,
                "side with nothing to verify",
                "attach at least one DutBackend before running");
   }
-  check_transport(session, report);
 }
 
 }  // namespace castanet::lint

@@ -5,8 +5,8 @@
 // window grants stop dead), every message type the gateway can emit must
 // have a registered delay on every attached backend (ConservativeSync::push
 // throws on undeclared types — at runtime, possibly hours in), and a
-// socket transport must model its IPC cost.  All of that is checkable
-// before the first network event runs; these analyzers do so.
+// session needs at least one backend.  All of that is checkable before the
+// first network event runs; these analyzers do so.
 #pragma once
 
 #include "src/castanet/session.hpp"

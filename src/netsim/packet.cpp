@@ -150,9 +150,9 @@ double PacketPool::hit_rate() const {
 void PacketPool::publish_telemetry() const {
   if (!telemetry::enabled()) return;
   auto& hub = telemetry::Hub::instance();
-  hub.gauge("netsim.packet_pool.hit_rate").set(hit_rate());
-  hub.gauge("netsim.packet_pool.slab_payloads")
-      .set(static_cast<double>(slab_.size()));
+  hub.publish_value("netsim.packet_pool.hit_rate", hit_rate());
+  hub.publish_value("netsim.packet_pool.slab_payloads",
+                    static_cast<double>(slab_.size()));
 }
 
 }  // namespace castanet::netsim

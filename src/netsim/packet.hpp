@@ -126,8 +126,9 @@ class PacketPool {
   std::size_t slab_size() const { return slab_.size(); }
   std::size_t free_count() const { return free_.size(); }
 
-  /// Pushes the pool gauges (hit rate, slab size) into the telemetry hub;
-  /// no-op while telemetry is disabled.  Called at quiescent points.
+  /// Publishes the pool's hit rate and slab size as value rows into the
+  /// telemetry hub; no-op while telemetry is disabled.  Called at quiescent
+  /// points.
   void publish_telemetry() const;
 
  private:

@@ -1,7 +1,6 @@
 #include "src/netsim/simulation.hpp"
 
 #include <algorithm>
-#include <fstream>
 
 #include "src/core/error.hpp"
 
@@ -127,55 +126,6 @@ void Simulation::finish() {
   if (telemetry::enabled() && !flows_.empty()) {
     flows_.publish("flow", now().seconds());
   }
-}
-
-SampleStat& Simulation::sample_stat(const std::string& name) {
-  return sample_stats_[name];
-}
-
-TimeAverageStat& Simulation::time_stat(const std::string& name) {
-  return time_stats_[name];
-}
-
-void Simulation::write_stats(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) throw IoError("Simulation::write_stats: cannot open '" + path +
-                          "'");
-  out << "castanet-stats v1 t=" << scheduler_.now().to_string() << "\n";
-  std::vector<std::string> sample_names;
-  for (const auto& [name, stat] : sample_stats_) sample_names.push_back(name);
-  std::sort(sample_names.begin(), sample_names.end());
-  for (const std::string& name : sample_names) {
-    const SampleStat& s = sample_stats_.at(name);
-    out << "sample " << name << " count=" << s.count();
-    if (s.count() == 0) {
-      // min()/max() are NaN while empty; say "empty" instead of exporting
-      // values that look like measurements.
-      out << " empty";
-    } else {
-      out << " mean=" << s.mean() << " min=" << s.min() << " max=" << s.max();
-    }
-    out << "\n";
-  }
-  std::vector<std::string> time_names;
-  for (const auto& [name, stat] : time_stats_) time_names.push_back(name);
-  std::sort(time_names.begin(), time_names.end());
-  const double now_sec = scheduler_.now().seconds();
-  for (const std::string& name : time_names) {
-    const TimeAverageStat& s = time_stats_.at(name);
-    out << "timeavg " << name << " avg=" << s.average(now_sec)
-        << " max=" << s.max() << " current=" << s.current() << "\n";
-  }
-  if (!out) throw IoError("Simulation::write_stats: write failed");
-}
-
-std::vector<std::string> Simulation::stat_names() const {
-  std::vector<std::string> names;
-  names.reserve(sample_stats_.size() + time_stats_.size());
-  for (const auto& [k, v] : sample_stats_) names.push_back(k);
-  for (const auto& [k, v] : time_stats_) names.push_back(k);
-  std::sort(names.begin(), names.end());
-  return names;
 }
 
 }  // namespace castanet::netsim

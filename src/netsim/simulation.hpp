@@ -3,7 +3,8 @@
 // The network domain is a topology of nodes connected by links; the node
 // domain wires process models together with packet streams (§2).  A
 // Simulation owns the discrete-event scheduler, all nodes/processes, the
-// stream topology and the statistics registry.
+// stream topology and the per-flow cell statistics.  Process models keep
+// their own statistics (QueueProcess, SinkProcess).
 #pragma once
 
 #include <cstdint>
@@ -12,7 +13,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/core/stats.hpp"
 #include "src/dsim/scheduler.hpp"
 #include "src/netsim/flow_stats.hpp"
 #include "src/netsim/process.hpp"
@@ -75,15 +75,6 @@ class Simulation {
   SimTime now() const { return scheduler_.now(); }
   Scheduler& scheduler() { return scheduler_; }
 
-  // --- statistics -------------------------------------------------------
-  SampleStat& sample_stat(const std::string& name);
-  TimeAverageStat& time_stat(const std::string& name);
-  std::vector<std::string> stat_names() const;
-  /// Writes all statistics as a text report (OPNET's scalar-output-file
-  /// analogue): one line per statistic with count/mean/min/max or
-  /// time-average.  Throws IoError on failure.
-  void write_stats(const std::string& path) const;
-
   std::uint64_t packets_created() const { return packets_created_; }
   std::uint64_t next_packet_id() { return ++packets_created_; }
 
@@ -122,8 +113,6 @@ class Simulation {
   std::vector<std::unique_ptr<ProcessModel>> processes_;
   // key: (process_id << 16) | out_stream
   std::unordered_map<std::uint64_t, Connection> connections_;
-  std::unordered_map<std::string, SampleStat> sample_stats_;
-  std::unordered_map<std::string, TimeAverageStat> time_stats_;
   FlowRegistry flows_;
   std::uint64_t packets_created_ = 0;
 };

@@ -45,10 +45,7 @@ SinkProcess::SinkProcess() {
       "record",
       [this](const Interrupt& i) {
         ++received_;
-        auto& sim = simulation();
-        sim.sample_stat(name() + ".delay")
-            .record((now() - i.packet.creation_time()).seconds());
-        sim.sample_stat(name() + ".count").record(1.0);
+        delay_.record((now() - i.packet.creation_time()).seconds());
         if (keep_log_ && i.packet.has_cell()) {
           log_.push_back({now(), i.packet.cell()});
         }

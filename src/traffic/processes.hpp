@@ -5,6 +5,7 @@
 
 #include <memory>
 
+#include "src/core/stats.hpp"
 #include "src/netsim/process.hpp"
 #include "src/traffic/sources.hpp"
 
@@ -33,19 +34,21 @@ class GeneratorProcess : public netsim::FsmProcess {
   bool has_pending_ = false;
 };
 
-/// Counts and timestamps arriving cells; records end-to-end delay into the
-/// simulation statistic "<name>.delay" and throughput into "<name>.count".
+/// Counts and timestamps arriving cells and records their end-to-end delay
+/// (arrival time minus packet creation time, in seconds).
 class SinkProcess : public netsim::FsmProcess {
  public:
   SinkProcess();
 
   std::uint64_t cells_received() const { return received_; }
+  const SampleStat& delay() const { return delay_; }
   const std::vector<CellArrival>& log() const { return log_; }
   /// Keeps a copy of every received cell for comparison (default on).
   void set_keep_log(bool keep) { keep_log_ = keep; }
 
  private:
   std::uint64_t received_ = 0;
+  SampleStat delay_;
   bool keep_log_ = true;
   std::vector<CellArrival> log_;
 };

@@ -38,9 +38,7 @@ struct CoVerifyRig {
 
   explicit CoVerifyRig(const RigParams& params, std::uint64_t cells,
                        SimTime period)
-      : rtl("rtl", hdl, params.sync,
-            MessageChannel::Params{params.session.ipc_overhead_per_message}),
-        session(net, env, 1, params.session) {
+      : rtl("rtl", hdl, params.sync), session(net, env, 1, params.session) {
     session.attach(rtl);
     auto src = std::make_unique<traffic::CbrSource>(atm::VcId{1, 100}, 1,
                                                     period);
@@ -150,17 +148,6 @@ TEST(CoVerify, CustomResponseHandlerOverridesDefault) {
   for (const auto& m : captured) {
     EXPECT_TRUE(m.cell.has_value());
   }
-}
-
-TEST(CoVerify, IpcOverheadAccounted) {
-  auto params = default_params(SyncPolicy::kGlobalOrder);
-  params.session.ipc_overhead_per_message = SimTime::from_us(1);
-  CoVerifyRig rig(params, 10, SimTime::from_us(5));
-  rig.session.run_until(SimTime::from_us(200));
-  EXPECT_EQ(rig.session.gateway_transport().transport_overhead(),
-            SimTime::from_us(10));
-  EXPECT_EQ(rig.rtl.response_channel().transport_overhead(),
-            SimTime::from_us(10));
 }
 
 }  // namespace

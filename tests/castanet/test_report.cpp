@@ -64,7 +64,7 @@ TEST(RunReport, FlowTableExtractsQuantilesAndCompanionCounters) {
   EXPECT_GT(flows[0].p50, 0.0);
   EXPECT_GE(flows[0].p99, flows[0].p50);
   // Non-flow histograms don't leak into the table.
-  rep.merged.rows.push_back(latency_hist("backend.rtl.lag_hist", {1.0}));
+  rep.merged.rows.push_back(latency_hist("backend.rtl.lag_seconds", {1.0}));
   EXPECT_EQ(rep.flow_table().size(), 1u);
 }
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "src/castanet/backend.hpp"
 #include "src/castanet/session.hpp"
@@ -86,6 +87,11 @@ bool snapshot_has(const telemetry::MetricsSnapshot& snap,
   return false;
 }
 
+bool ends_with(const std::string& s, const std::string& suffix) {
+  return s.size() >= suffix.size() &&
+         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
+}
+
 TEST_F(SessionTelemetryTest, RunRecordsSpansAndMetrics) {
   telemetry::Hub::instance().enable();
   TelemetryRig rig(20, SimTime::from_us(5));
@@ -112,16 +118,38 @@ TEST_F(SessionTelemetryTest, RunRecordsSpansAndMetrics) {
   EXPECT_TRUE(snapshot_has(snap, "session.net_events"));
   EXPECT_TRUE(snapshot_has(snap, "session.divergences"));
   EXPECT_TRUE(snapshot_has(snap, "backend.rtl.windows"));
-  EXPECT_TRUE(snapshot_has(snap, "backend.rtl.lag_seconds"));
   EXPECT_TRUE(snapshot_has(snap, "backend.rtl.queue_depth.0"));
   EXPECT_TRUE(snapshot_has(snap, "backend.reference.windows"));
-  EXPECT_TRUE(snapshot_has(snap, "backend.reference.lag_seconds"));
 
+  // §3.1's lag is recorded once per backend, as a histogram with one
+  // sample per grant, and there is no duplicate "_hist" row.
   const auto stats = rig.session.stats();
   ASSERT_EQ(stats.backends.size(), 2u);
   for (const auto& b : stats.backends) {
-    EXPECT_GE(b.mean_lag_seconds, 0.0) << b.name;
+    const std::string lag = "backend." + b.name + ".lag_seconds";
+    std::size_t lag_rows = 0;
+    for (const auto& row : snap.rows) {
+      if (row.name.rfind(lag, 0) == 0) ++lag_rows;
+    }
+    EXPECT_EQ(lag_rows, 1u) << lag;
+    const telemetry::MetricRow* row = snap.find(lag);
+    ASSERT_NE(row, nullptr) << lag;
+    EXPECT_EQ(row->kind, telemetry::MetricRow::Kind::kHistogram) << lag;
+    EXPECT_GT(row->count, 0u) << lag;
+    EXPECT_LE(row->max, b.max_lag_seconds) << lag;
   }
+  // The session's own rows are its four counters; nothing wall-clock.
+  std::vector<std::string> session_rows;
+  for (const auto& row : snap.rows) {
+    EXPECT_FALSE(ends_with(row.name, "_hist")) << row.name;
+    if (row.name.rfind("session.", 0) != 0) continue;
+    session_rows.push_back(row.name);
+    EXPECT_EQ(row.kind, telemetry::MetricRow::Kind::kCounter) << row.name;
+  }
+  const std::vector<std::string> want{
+      "session.divergences", "session.messages_to_hdl", "session.net_events",
+      "session.responses"};
+  EXPECT_EQ(session_rows, want);
 }
 
 TEST_F(SessionTelemetryTest, DisabledHubRecordsNothing) {
@@ -134,7 +162,8 @@ TEST_F(SessionTelemetryTest, DisabledHubRecordsNothing) {
   EXPECT_TRUE(hub.snapshot().rows.empty());
   // The always-on component-local statistics still accumulate.
   const auto stats = rig.session.stats();
-  EXPECT_GE(stats.backends[0].mean_lag_seconds, 0.0);
+  EXPECT_GT(stats.backends[0].windows, 0u);
+  EXPECT_EQ(stats.backends[0].causality_errors, 0u);
 }
 
 }  // namespace

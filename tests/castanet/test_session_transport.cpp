@@ -32,7 +32,7 @@ struct RunOutcome {
   std::uint64_t matched = 0;
   bool clean = false;
   std::uint64_t causality_errors = 0;
-  SimTime transport_overhead;
+  std::uint64_t messages_to_hdl = 0;
   /// Canonical encoding of every primary response, in emission order.
   std::vector<std::vector<std::uint8_t>> responses;
 };
@@ -53,7 +53,6 @@ RunOutcome run_session(TransportKind kind) {
   VerificationSession::Params sp;
   sp.clock_period = kClkPeriod;
   sp.transport = kind;
-  sp.ipc_overhead_per_message = SimTime::from_ns(500);
 
   VerificationSession session(net, env, 1, sp);
   session.attach(a);
@@ -73,7 +72,7 @@ RunOutcome run_session(TransportKind kind) {
   out.compared = session.comparator().responses_compared();
   out.matched = session.comparator().responses_matched();
   out.clean = session.comparator().clean();
-  out.transport_overhead = session.gateway_transport().transport_overhead();
+  out.messages_to_hdl = session.stats().messages_to_hdl;
   for (const auto& bs : session.stats().backends) {
     out.causality_errors += bs.causality_errors;
   }
@@ -90,10 +89,9 @@ TEST(SessionTransport, SocketSessionByteIdenticalToInProcess) {
   EXPECT_EQ(socket.compared, inproc.compared);
   EXPECT_EQ(socket.matched, inproc.matched);
   EXPECT_EQ(socket.causality_errors, 0u);
-  // Modeled latency is charged identically no matter who carried the bytes.
-  EXPECT_EQ(socket.transport_overhead, inproc.transport_overhead);
-  EXPECT_EQ(socket.transport_overhead,
-            SimTime::from_ns(500) * static_cast<std::int64_t>(16));
+  // Every gateway message crossed whichever transport carried it.
+  EXPECT_EQ(inproc.messages_to_hdl, 16u);
+  EXPECT_EQ(socket.messages_to_hdl, inproc.messages_to_hdl);
   // The actual response payloads, byte for byte.
   ASSERT_EQ(socket.responses.size(), inproc.responses.size());
   EXPECT_EQ(socket.responses, inproc.responses);

@@ -45,15 +45,15 @@ MetricsSnapshot sample_snapshot() {
   hist.last = kNaN;
   s.rows.push_back(hist);
 
-  MetricRow timing;
-  timing.name = "span_ns";
-  timing.kind = Kind::kTiming;
-  timing.count = 3;
-  timing.sum = 42.0;
-  timing.min = 4.0;
-  timing.max = 30.0;
-  timing.last = 8.0;
-  s.rows.push_back(timing);
+  MetricRow gauge;
+  gauge.name = "hit_rate";
+  gauge.kind = Kind::kGauge;
+  gauge.count = 3;
+  gauge.sum = 42.0;
+  gauge.min = 4.0;
+  gauge.max = 30.0;
+  gauge.last = 8.0;
+  s.rows.push_back(gauge);
 
   s.trace_events = 99;
   s.trace_dropped = 1;

@@ -159,23 +159,13 @@ std::vector<std::vector<std::uint8_t>> pump_through(MessageTransport& t) {
 }
 
 TEST(MessageTransportConformance, InProcessAndSocketAreByteIdentical) {
-  MessageChannel channel(MessageChannel::Params{SimTime::from_ns(120)});
-  SocketMessageTransport socket(
-      SocketMessageTransport::Params{SimTime::from_ns(120)});
-  EXPECT_STREQ(channel.kind_name(), "in-process");
-  EXPECT_STREQ(socket.kind_name(), "socket");
+  MessageChannel channel;
+  SocketMessageTransport socket;
 
   const auto via_channel = pump_through(channel);
   const auto via_socket = pump_through(socket);
   ASSERT_EQ(via_channel.size(), fixture_messages().size());
   EXPECT_EQ(via_channel, via_socket);
-
-  // Modeled latency semantics are preserved: same accounted overhead no
-  // matter which transport carried the bytes.
-  EXPECT_EQ(channel.transport_overhead(), socket.transport_overhead());
-  EXPECT_EQ(channel.transport_overhead(),
-            SimTime::from_ns(120) * static_cast<std::int64_t>(
-                                        fixture_messages().size()));
   EXPECT_GT(socket.bytes_sent(), 0u);
 }
 
@@ -217,11 +207,8 @@ TEST(TransportKindParsing, AcceptedSpellingsAndErrors) {
 }
 
 TEST(TransportFactory, MakesTheRequestedKind) {
-  const auto inproc =
-      make_transport(TransportKind::kInProcess, SimTime::from_ns(5));
-  const auto socket = make_transport(TransportKind::kSocket, SimTime::from_ns(5));
-  EXPECT_STREQ(inproc->kind_name(), "in-process");
-  EXPECT_STREQ(socket->kind_name(), "socket");
+  const auto inproc = make_transport(TransportKind::kInProcess);
+  const auto socket = make_transport(TransportKind::kSocket);
   EXPECT_NE(dynamic_cast<MessageChannel*>(inproc.get()), nullptr);
   EXPECT_NE(dynamic_cast<SocketMessageTransport*>(socket.get()), nullptr);
 }

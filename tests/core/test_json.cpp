@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 
 #include "src/core/error.hpp"
 
@@ -67,6 +68,20 @@ TEST(Json, DumpParseRoundTrip) {
   const Value v = parse(text);
   EXPECT_EQ(v.dump(), text);
   EXPECT_EQ(parse(v.dump()).dump(), text);
+}
+
+TEST(Json, NumbersDumpAsShortestRoundTripText) {
+  // Shortest text that parses back to the same double, never a 17-digit
+  // expansion (1e-12 used to read 9.9999999999999998e-13).
+  EXPECT_EQ(Value(1e-12).dump(), "1e-12");
+  EXPECT_EQ(Value(0.1).dump(), "0.1");
+  EXPECT_EQ(Value(2000.0).dump(), "2000");
+  for (const double d : {1e-12, 0.1, 2000.0, 1.0 / 3.0, -2.5e300}) {
+    EXPECT_EQ(parse(Value(d).dump()).as_double(), d) << d;
+  }
+  // JSON has no NaN or infinity literal.
+  EXPECT_EQ(Value(std::numeric_limits<double>::quiet_NaN()).dump(), "null");
+  EXPECT_EQ(Value(std::numeric_limits<double>::infinity()).dump(), "null");
 }
 
 TEST(Json, FallbackAccessors) {

@@ -1,15 +1,14 @@
-// Cross-shard metric combination (PR 8): SampleStat's parallel-Welford
-// merge, per-kind MetricRow merging, snapshot merge_from, and the JSON
-// round-trip the metrics-schema gate relies on.
+// Cross-shard metric combination: per-kind MetricRow merging, snapshot
+// merge_from, and the JSON round-trip the metrics-schema gate relies on.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "src/core/error.hpp"
 #include "src/core/json.hpp"
-#include "src/core/stats.hpp"
 #include "src/core/telemetry.hpp"
 
 namespace castanet {
@@ -20,75 +19,6 @@ using telemetry::MetricsSnapshot;
 using Kind = MetricRow::Kind;
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
-
-// ---------------------------------------------------------------------------
-// SampleStat::merge
-
-TEST(SampleStatMerge, EmptyPlusEmptyStaysEmpty) {
-  SampleStat a, b;
-  a.merge(b);
-  EXPECT_EQ(a.count(), 0u);
-  EXPECT_TRUE(std::isnan(a.min()));
-  EXPECT_TRUE(std::isnan(a.max()));
-}
-
-TEST(SampleStatMerge, EmptyPlusNonEmptyAdoptsExactly) {
-  SampleStat a, b;
-  b.record(3.0);
-  b.record(5.0);
-  a.merge(b);
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_EQ(a.mean(), 4.0);
-  EXPECT_EQ(a.min(), 3.0);
-  EXPECT_EQ(a.max(), 5.0);
-  EXPECT_EQ(a.sum(), 8.0);
-
-  // The mirror: non-empty ⊕ empty is a no-op, extrema untouched.
-  b.merge(SampleStat{});
-  EXPECT_EQ(b.count(), 2u);
-  EXPECT_EQ(b.min(), 3.0);
-  EXPECT_EQ(b.max(), 5.0);
-}
-
-TEST(SampleStatMerge, MatchesSingleStreamStatistics) {
-  SampleStat whole, lo, hi;
-  const std::vector<double> xs{1.0, 4.0, 9.0, 16.0, 25.0, 36.0, 49.0};
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    whole.record(xs[i]);
-    (i < 3 ? lo : hi).record(xs[i]);
-  }
-  lo.merge(hi);
-  EXPECT_EQ(lo.count(), whole.count());
-  EXPECT_EQ(lo.min(), whole.min());
-  EXPECT_EQ(lo.max(), whole.max());
-  EXPECT_EQ(lo.sum(), whole.sum());
-  EXPECT_NEAR(lo.mean(), whole.mean(), 1e-12);
-  EXPECT_NEAR(lo.variance(), whole.variance(), 1e-9);
-}
-
-TEST(SampleStatMerge, ThreeWayAssociative) {
-  SampleStat a, b, c;
-  a.record(1.0);
-  a.record(2.0);
-  b.record(10.0);
-  c.record(-5.0);
-  c.record(0.5);
-
-  SampleStat ab_c = a;
-  ab_c.merge(b);
-  ab_c.merge(c);
-
-  SampleStat bc = b;
-  bc.merge(c);
-  SampleStat a_bc = a;
-  a_bc.merge(bc);
-
-  EXPECT_EQ(ab_c.count(), a_bc.count());
-  EXPECT_EQ(ab_c.min(), a_bc.min());
-  EXPECT_EQ(ab_c.max(), a_bc.max());
-  EXPECT_NEAR(ab_c.mean(), a_bc.mean(), 1e-12);
-  EXPECT_NEAR(ab_c.variance(), a_bc.variance(), 1e-9);
-}
 
 // ---------------------------------------------------------------------------
 // merge_metric_row
@@ -113,37 +43,28 @@ TEST(MergeMetricRow, CountersSum) {
   EXPECT_EQ(a.count, 12u);
 }
 
-TEST(MergeMetricRow, TimingsMergeExactly) {
-  MetricRow a = make_row("t", Kind::kTiming, 3, 30.0, 5.0, 15.0, 15.0);
-  const MetricRow b = make_row("t", Kind::kTiming, 2, 8.0, 1.0, 7.0, 7.0);
-  merge_metric_row(a, b);
-  EXPECT_EQ(a.count, 5u);
-  EXPECT_EQ(a.sum, 38.0);
-  EXPECT_EQ(a.min, 1.0);
-  EXPECT_EQ(a.max, 15.0);
-}
-
 TEST(MergeMetricRow, EmptySideNeverPoisonsExtrema) {
-  // The empty shard exports NaN min/max; merging it must not turn the
-  // populated side's extrema into NaN (or fake zeros).
-  MetricRow a = make_row("t", Kind::kTiming, 2, 6.0, 2.0, 4.0, 4.0);
-  const MetricRow empty = make_row("t", Kind::kTiming, 0, 0.0, kNaN, kNaN, kNaN);
+  // The empty shard exports NaN extrema; merging it must not turn the
+  // populated side's max and last value into NaN (or fake zeros).
+  MetricRow a = make_row("g", Kind::kGauge, 1, 4.0, 4.0, 4.0, 4.0);
+  const MetricRow empty =
+      make_row("g", Kind::kGauge, 0, kNaN, kNaN, kNaN, kNaN);
   merge_metric_row(a, empty);
-  EXPECT_EQ(a.count, 2u);
-  EXPECT_EQ(a.min, 2.0);
+  EXPECT_EQ(a.count, 1u);
   EXPECT_EQ(a.max, 4.0);
+  EXPECT_EQ(a.last, 4.0);
 
-  MetricRow e = make_row("t", Kind::kTiming, 0, 0.0, kNaN, kNaN, kNaN);
+  MetricRow e = make_row("g", Kind::kGauge, 0, kNaN, kNaN, kNaN, kNaN);
   merge_metric_row(e, a);
-  EXPECT_EQ(e.count, 2u);
-  EXPECT_EQ(e.min, 2.0);
+  EXPECT_EQ(e.count, 1u);
   EXPECT_EQ(e.max, 4.0);
+  EXPECT_EQ(e.last, 4.0);
 
-  MetricRow e2 = make_row("t", Kind::kTiming, 0, 0.0, kNaN, kNaN, kNaN);
+  MetricRow e2 = make_row("g", Kind::kGauge, 0, kNaN, kNaN, kNaN, kNaN);
   merge_metric_row(e2, empty);
   EXPECT_EQ(e2.count, 0u);
-  EXPECT_TRUE(std::isnan(e2.min));
   EXPECT_TRUE(std::isnan(e2.max));
+  EXPECT_TRUE(std::isnan(e2.last));
 }
 
 TEST(MergeMetricRow, HistogramsMergeBucketwise) {
@@ -166,13 +87,13 @@ TEST(MergeMetricRow, HistogramsMergeBucketwise) {
 
 TEST(MergeMetricRow, KindMismatchThrows) {
   MetricRow a = make_row("x", Kind::kCounter, 1, 0, kNaN, kNaN, kNaN);
-  const MetricRow b = make_row("x", Kind::kTiming, 1, 1.0, 1.0, 1.0, 1.0);
+  const MetricRow b = make_row("x", Kind::kGauge, 1, 1.0, 1.0, 1.0, 1.0);
   EXPECT_THROW(merge_metric_row(a, b), LogicError);
 }
 
 TEST(MetricKindNames, RoundTrip) {
-  for (const Kind k : {Kind::kCounter, Kind::kGauge, Kind::kTiming,
-                       Kind::kTimeAverage, Kind::kHistogram}) {
+  for (const Kind k : {Kind::kCounter, Kind::kGauge, Kind::kTimeAverage,
+                       Kind::kHistogram}) {
     Kind back = Kind::kCounter;
     ASSERT_TRUE(metric_kind_from_name(metric_kind_name(k), &back))
         << metric_kind_name(k);
@@ -180,28 +101,29 @@ TEST(MetricKindNames, RoundTrip) {
   }
   Kind out;
   EXPECT_FALSE(metric_kind_from_name("histogramme", &out));
+  EXPECT_FALSE(metric_kind_from_name("timing", &out));
 }
 
 // ---------------------------------------------------------------------------
 // MetricsSnapshot merge + JSON round-trip
 
-MetricsSnapshot make_snapshot(std::uint64_t counter_val, double timing_base) {
+MetricsSnapshot make_snapshot(std::uint64_t counter_val, double base) {
   MetricsSnapshot s;
   s.rows.push_back(
       make_row("a.count", Kind::kCounter, counter_val, 0, kNaN, kNaN, kNaN));
   MetricRow h;
   h.name = "b.hist";
   h.kind = Kind::kHistogram;
-  h.hist.record(timing_base);
-  h.hist.record(timing_base * 2);
+  h.hist.record(base);
+  h.hist.record(base * 2);
   h.count = h.hist.count();
   h.sum = h.hist.sum();
   h.min = h.hist.min();
   h.max = h.hist.max();
   h.last = kNaN;
   s.rows.push_back(std::move(h));
-  s.rows.push_back(make_row("c.timing", Kind::kTiming, 1, timing_base,
-                            timing_base, timing_base, timing_base));
+  s.rows.push_back(make_row("c.value", Kind::kGauge, 1, base, base, base,
+                            base));
   s.trace_events = 10;
   return s;
 }
@@ -218,7 +140,8 @@ TEST(MetricsSnapshot, MergeFromSumsAndUnions) {
   EXPECT_EQ(a.find("a.count")->count, 7u);
   EXPECT_EQ(a.find("aa.only_b")->count, 9u);
   EXPECT_EQ(a.find("b.hist")->count, 4u);
-  EXPECT_EQ(a.find("c.timing")->sum, 9.0);
+  EXPECT_EQ(a.find("c.value")->count, 2u);
+  EXPECT_EQ(a.find("c.value")->last, 8.0);  // b was merged last
   EXPECT_EQ(a.trace_events, 20u);
   // Rows stay sorted by name (merge_from's invariant).
   for (std::size_t i = 1; i < a.rows.size(); ++i) {
@@ -255,6 +178,7 @@ TEST(MetricsSnapshot, JsonRoundTripIsStructurallyExact) {
     EXPECT_EQ(back.rows[i].kind, s.rows[i].kind);
     EXPECT_EQ(back.rows[i].count, s.rows[i].count);
   }
+  EXPECT_EQ(back.find("c.value")->last, 0.25);
   EXPECT_TRUE(back.find("b.hist")->hist.identical(s.find("b.hist")->hist));
   EXPECT_EQ(back.trace_events, s.trace_events);
 

@@ -4,8 +4,6 @@
 
 #include <cmath>
 
-#include "src/core/error.hpp"
-
 namespace castanet {
 namespace {
 
@@ -13,7 +11,6 @@ TEST(SampleStat, EmptyIsZero) {
   SampleStat s;
   EXPECT_EQ(s.count(), 0u);
   EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
 }
 
 TEST(SampleStat, EmptyMinMaxAreNaN) {
@@ -32,7 +29,6 @@ TEST(SampleStat, SingleSample) {
   s.record(5.0);
   EXPECT_EQ(s.count(), 1u);
   EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
   EXPECT_DOUBLE_EQ(s.min(), 5.0);
   EXPECT_DOUBLE_EQ(s.max(), 5.0);
 }
@@ -41,8 +37,6 @@ TEST(SampleStat, KnownMoments) {
   SampleStat s;
   for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.record(x);
   EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  // Unbiased sample variance of this classic set is 32/7.
-  EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);
   EXPECT_DOUBLE_EQ(s.min(), 2.0);
   EXPECT_DOUBLE_EQ(s.max(), 9.0);
   EXPECT_DOUBLE_EQ(s.sum(), 40.0);
@@ -83,46 +77,6 @@ TEST(TimeAverageStat, QueryBeforeStartIsZero) {
   s.set(5.0, 3.0);
   EXPECT_DOUBLE_EQ(s.average(5.0), 0.0);
   EXPECT_DOUBLE_EQ(s.average(4.0), 0.0);
-}
-
-TEST(Histogram, BinningAndEdges) {
-  Histogram h(0.0, 10.0, 10);
-  h.record(0.0);   // bin 0
-  h.record(0.99);  // bin 0
-  h.record(5.0);   // bin 5
-  h.record(9.99);  // bin 9
-  EXPECT_EQ(h.bin_count(0), 2u);
-  EXPECT_EQ(h.bin_count(5), 1u);
-  EXPECT_EQ(h.bin_count(9), 1u);
-  EXPECT_EQ(h.total(), 4u);
-}
-
-TEST(Histogram, OutOfRangeSaturates) {
-  Histogram h(0.0, 10.0, 5);
-  h.record(-100.0);
-  h.record(1e9);
-  EXPECT_EQ(h.bin_count(0), 1u);
-  EXPECT_EQ(h.bin_count(4), 1u);
-  EXPECT_EQ(h.total(), 2u);
-}
-
-TEST(Histogram, Quantile) {
-  Histogram h(0.0, 100.0, 100);
-  for (int i = 0; i < 100; ++i) h.record(static_cast<double>(i) + 0.5);
-  // Median should land near 50.
-  EXPECT_NEAR(h.quantile(0.5), 50.0, 1.5);
-  EXPECT_NEAR(h.quantile(0.99), 99.0, 1.5);
-}
-
-TEST(Histogram, InvalidConstruction) {
-  EXPECT_THROW(Histogram(5.0, 5.0, 10), LogicError);
-  EXPECT_THROW(Histogram(0.0, 10.0, 0), LogicError);
-}
-
-TEST(Histogram, QuantileRangeChecked) {
-  Histogram h(0.0, 1.0, 4);
-  EXPECT_THROW(h.quantile(-0.1), LogicError);
-  EXPECT_THROW(h.quantile(1.1), LogicError);
 }
 
 }  // namespace

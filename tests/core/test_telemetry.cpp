@@ -1,17 +1,53 @@
-// Telemetry hub: metric handle semantics, span timers, trace-ring overflow
-// and Chrome trace_event JSON well-formedness.
+// Telemetry hub: counters, published rows, span timers, trace-ring
+// overflow, and exports that parse back through core/json.
 #include "src/core/telemetry.hpp"
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstddef>
 #include <cstdio>
 #include <string>
 #include <vector>
 
+#include "src/core/json.hpp"
+
 namespace castanet::telemetry {
 namespace {
+
+std::string read_and_remove(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  EXPECT_NE(f, nullptr) << path;
+  std::string body;
+  if (f == nullptr) return body;
+  char buf[4096];
+  std::size_t n;
+  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) body.append(buf, n);
+  std::fclose(f);
+  std::remove(path.c_str());
+  return body;
+}
+
+/// The "traceEvents" rows of a parsed Chrome trace whose "ph" is `ph`.
+std::vector<json::Value> rows_with_phase(const json::Value& trace,
+                                         const std::string& ph) {
+  std::vector<json::Value> out;
+  for (const json::Value& e : trace.find("traceEvents")->as_array()) {
+    if (e.string_or("ph", "") == ph) out.push_back(e);
+  }
+  return out;
+}
+
+/// Track names listed by the trace's "thread_name" metadata rows, by tid.
+std::vector<std::string> thread_names(const json::Value& trace) {
+  std::vector<std::string> names;
+  for (const json::Value& m : rows_with_phase(trace, "M")) {
+    if (m.string_or("name", "") != "thread_name") continue;
+    const std::size_t tid = static_cast<std::size_t>(m.int_or("tid", -1));
+    if (names.size() <= tid) names.resize(tid + 1);
+    names[tid] = m.find("args")->string_or("name", "");
+  }
+  return names;
+}
 
 /// Every test owns the process-wide hub for its duration.
 class TelemetryTest : public ::testing::Test {
@@ -39,44 +75,6 @@ TEST_F(TelemetryTest, CounterAccumulates) {
   EXPECT_EQ(&Hub::instance().counter("test.counter"), &c);
 }
 
-TEST_F(TelemetryTest, GaugeTracksLastAndMax) {
-  Hub::instance().enable();
-  Gauge& g = Hub::instance().gauge("test.gauge");
-  EXPECT_FALSE(g.set_ever());
-  EXPECT_TRUE(std::isnan(g.max()));
-  g.set(3.0);
-  g.set(7.0);
-  g.set(5.0);
-  EXPECT_TRUE(g.set_ever());
-  EXPECT_DOUBLE_EQ(g.value(), 5.0);
-  EXPECT_DOUBLE_EQ(g.max(), 7.0);
-}
-
-TEST_F(TelemetryTest, GaugeMaxHandlesNegativeFirstSample) {
-  Hub::instance().enable();
-  Gauge& g = Hub::instance().gauge("test.neg");
-  g.set(-4.0);
-  // A count-gated max must not report the zero-initialized atomic.
-  EXPECT_DOUBLE_EQ(g.max(), -4.0);
-}
-
-TEST_F(TelemetryTest, TimingAggregates) {
-  Hub::instance().enable();
-  Timing& t = Hub::instance().timing("test.timing");
-  EXPECT_EQ(t.count(), 0u);
-  EXPECT_TRUE(std::isnan(t.min()));
-  EXPECT_TRUE(std::isnan(t.max()));
-  EXPECT_TRUE(std::isnan(t.mean()));
-  t.record(2.0);
-  t.record(6.0);
-  t.record(4.0);
-  EXPECT_EQ(t.count(), 3u);
-  EXPECT_DOUBLE_EQ(t.sum(), 12.0);
-  EXPECT_DOUBLE_EQ(t.min(), 2.0);
-  EXPECT_DOUBLE_EQ(t.max(), 6.0);
-  EXPECT_DOUBLE_EQ(t.mean(), 4.0);
-}
-
 TEST_F(TelemetryTest, SpanRecordsCompleteEvent) {
   Hub::instance().enable();
   {
@@ -84,18 +82,27 @@ TEST_F(TelemetryTest, SpanRecordsCompleteEvent) {
     s.arg("x", 1.5);
   }
   EXPECT_EQ(Hub::instance().trace_events_recorded(), 1u);
-  const std::string json = Hub::instance().chrome_trace_json();
-  EXPECT_NE(json.find("\"unit.span\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);
-  EXPECT_NE(json.find("\"x\": 1.5"), std::string::npos);
+  const json::Value trace = json::parse(Hub::instance().chrome_trace_json());
+  const std::vector<json::Value> spans = rows_with_phase(trace, "X");
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_EQ(spans[0].string_or("name", ""), "unit.span");
+  EXPECT_EQ(spans[0].int_or("tid", -1), 0);
+  ASSERT_NE(spans[0].find("dur"), nullptr);
+  EXPECT_GE(spans[0].find("dur")->as_double(), 0.0);
+  ASSERT_NE(spans[0].find("args"), nullptr);
+  EXPECT_EQ(spans[0].find("args")->find("x")->as_double(), 1.5);
 }
 
 TEST_F(TelemetryTest, InstantRecordsPointEvent) {
   Hub::instance().enable();
   instant("unit.mark", kMainTrack, {{"k", 2.0}});
-  const std::string json = Hub::instance().chrome_trace_json();
-  EXPECT_NE(json.find("\"unit.mark\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\": \"i\""), std::string::npos);
+  const json::Value trace = json::parse(Hub::instance().chrome_trace_json());
+  const std::vector<json::Value> marks = rows_with_phase(trace, "i");
+  ASSERT_EQ(marks.size(), 1u);
+  EXPECT_EQ(marks[0].string_or("name", ""), "unit.mark");
+  EXPECT_EQ(marks[0].string_or("s", ""), "t");
+  EXPECT_EQ(marks[0].find("dur"), nullptr);
+  EXPECT_EQ(marks[0].find("args")->find("k")->as_double(), 2.0);
 }
 
 TEST_F(TelemetryTest, RecordIsNoOpWhileDisabled) {
@@ -149,24 +156,13 @@ TEST_F(TelemetryTest, StreamTraceToDiskInsteadOfDropping) {
   EXPECT_EQ(Hub::instance().trace_events_streamed(), 30u);
   EXPECT_EQ(Hub::instance().trace_events_dropped(), 0u);
 
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  ASSERT_NE(f, nullptr);
-  std::string body;
-  char buf[4096];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) body.append(buf, n);
-  std::fclose(f);
-  std::remove(path.c_str());
-  EXPECT_NE(body.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(body.find("\"displayTimeUnit\""), std::string::npos);
+  const json::Value trace = json::parse(read_and_remove(path));
+  EXPECT_EQ(trace.string_or("displayTimeUnit", ""), "ms");
+  EXPECT_EQ(trace.find("otherData")->int_or("trace_streamed", -1), 30);
   // All 30 instants made it to disk (they exceed the ring capacity).
-  std::size_t count = 0;
-  for (std::size_t pos = 0; (pos = body.find("\"ev\"", pos)) !=
-                            std::string::npos;
-       ++pos) {
-    ++count;
-  }
-  EXPECT_EQ(count, 30u);
+  const std::vector<json::Value> events = rows_with_phase(trace, "i");
+  ASSERT_EQ(events.size(), 30u);
+  for (const json::Value& e : events) EXPECT_EQ(e.string_or("name", ""), "ev");
   // A second stop without a stream reports failure.
   EXPECT_FALSE(Hub::instance().stop_trace_stream());
 }
@@ -177,16 +173,33 @@ TEST_F(TelemetryTest, ResetFinalizesAnActiveStream) {
   ASSERT_TRUE(Hub::instance().stream_trace_to(path));
   instant("mark", kMainTrack);
   Hub::instance().reset();  // must close and finalize, not leak the FILE
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  ASSERT_NE(f, nullptr);
-  std::string body;
-  char buf[1024];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) body.append(buf, n);
-  std::fclose(f);
-  std::remove(path.c_str());
-  EXPECT_NE(body.find("\"mark\""), std::string::npos);
-  EXPECT_NE(body.find("\"displayTimeUnit\""), std::string::npos);
+  const json::Value trace = json::parse(read_and_remove(path));
+  const std::vector<json::Value> marks = rows_with_phase(trace, "i");
+  ASSERT_EQ(marks.size(), 1u);
+  EXPECT_EQ(marks[0].string_or("name", ""), "mark");
+}
+
+TEST_F(TelemetryTest, StreamAndMemoryExportsListTheSameTracks) {
+  // Both exporters end with the same tail (metadata rows + footer): the
+  // same spans written to a stream and rendered in memory both parse and
+  // name the same tracks.
+  const std::string path = ::testing::TempDir() + "castanet_stream_tail.json";
+  Hub::instance().enable();
+  ASSERT_TRUE(Hub::instance().stream_trace_to(path));
+  const TrackId rtl = Hub::instance().track("backend:rtl");
+  const TrackId ref = Hub::instance().track("backend:reference");
+  { Span s("grant", rtl); }
+  { Span s("grant", ref); }
+  const json::Value memory = json::parse(Hub::instance().chrome_trace_json());
+  ASSERT_TRUE(Hub::instance().stop_trace_stream());
+  const json::Value stream = json::parse(read_and_remove(path));
+
+  const std::vector<std::string> want{"main", "backend:rtl",
+                                      "backend:reference"};
+  EXPECT_EQ(thread_names(memory), want);
+  EXPECT_EQ(thread_names(stream), want);
+  EXPECT_EQ(rows_with_phase(memory, "X").size(), 2u);
+  EXPECT_EQ(rows_with_phase(stream, "X").size(), 2u);
 }
 
 TEST_F(TelemetryTest, TracksAreStableByName) {
@@ -205,30 +218,38 @@ TEST_F(TelemetryTest, PublishedRowsAppearInSnapshot) {
   Hub::instance().enable();
   Hub::instance().publish_count("pub.count", 7);
   Hub::instance().publish_value("pub.value", 2.5);
-  SampleStat s;
-  s.record(1.0);
-  s.record(3.0);
-  Hub::instance().publish_stat("pub.stat", s);
+  Log2Histogram h;
+  h.record(1.0);
+  h.record(3.0);
+  Hub::instance().publish_histogram("pub.hist", h);
   TimeAverageStat ta;
   ta.set(0.0, 4.0);
   Hub::instance().publish_time_avg("pub.avg", ta, 2.0);
+  Hub::instance().counter("pub.counter").add(3);
   const MetricsSnapshot snap = Hub::instance().snapshot();
-  ASSERT_EQ(snap.rows.size(), 4u);
-  // Rows are sorted by name.
+  ASSERT_EQ(snap.rows.size(), 5u);
+  // Rows are sorted by name; one row kind per publish_* (plus counters).
   EXPECT_EQ(snap.rows[0].name, "pub.avg");
+  EXPECT_EQ(snap.rows[0].kind, MetricRow::Kind::kTimeAverage);
   EXPECT_EQ(snap.rows[1].name, "pub.count");
-  EXPECT_EQ(snap.rows[2].name, "pub.stat");
-  EXPECT_EQ(snap.rows[3].name, "pub.value");
+  EXPECT_EQ(snap.rows[1].kind, MetricRow::Kind::kCounter);
+  EXPECT_EQ(snap.rows[2].name, "pub.counter");
+  EXPECT_EQ(snap.rows[2].kind, MetricRow::Kind::kCounter);
+  EXPECT_EQ(snap.rows[3].name, "pub.hist");
+  EXPECT_EQ(snap.rows[3].kind, MetricRow::Kind::kHistogram);
+  EXPECT_EQ(snap.rows[4].name, "pub.value");
+  EXPECT_EQ(snap.rows[4].kind, MetricRow::Kind::kGauge);
   EXPECT_EQ(snap.rows[1].count, 7u);
-  EXPECT_EQ(snap.rows[2].count, 2u);
-  EXPECT_DOUBLE_EQ(snap.rows[2].min, 1.0);
-  EXPECT_DOUBLE_EQ(snap.rows[2].max, 3.0);
+  EXPECT_EQ(snap.rows[2].count, 3u);
+  EXPECT_EQ(snap.rows[3].count, 2u);
+  EXPECT_DOUBLE_EQ(snap.rows[3].min, 1.0);
+  EXPECT_DOUBLE_EQ(snap.rows[3].max, 3.0);
+  EXPECT_DOUBLE_EQ(snap.rows[4].last, 2.5);
 }
 
 TEST_F(TelemetryTest, EmptyStatRendersAsEmptyNotZero) {
   Hub::instance().enable();
-  SampleStat empty;
-  Hub::instance().publish_stat("empty.stat", empty);
+  Hub::instance().publish_histogram("empty.hist", Log2Histogram{});
   const MetricsSnapshot snap = Hub::instance().snapshot();
   ASSERT_EQ(snap.rows.size(), 1u);
   EXPECT_TRUE(snap.rows[0].empty());
@@ -251,62 +272,61 @@ TEST_F(TelemetryTest, ResetDiscardsEverything) {
 }
 
 // ---------------------------------------------------------------------------
-// Chrome trace JSON well-formedness: a minimal JSON scanner checks balanced
-// structure, since the CI smoke test (python3 json.load) may be unavailable
-// in every build environment.
-
-bool json_well_formed(const std::string& s) {
-  std::vector<char> stack;
-  bool in_string = false;
-  bool escaped = false;
-  for (char c : s) {
-    if (in_string) {
-      if (escaped) {
-        escaped = false;
-      } else if (c == '\\') {
-        escaped = true;
-      } else if (c == '"') {
-        in_string = false;
-      }
-      continue;
-    }
-    switch (c) {
-      case '"': in_string = true; break;
-      case '{': stack.push_back('}'); break;
-      case '[': stack.push_back(']'); break;
-      case '}':
-      case ']':
-        if (stack.empty() || stack.back() != c) return false;
-        stack.pop_back();
-        break;
-      default: break;
-    }
-  }
-  return stack.empty() && !in_string;
-}
+// Both exports parse back through core/json.
 
 TEST_F(TelemetryTest, ChromeTraceJsonIsWellFormed) {
   Hub::instance().enable();
-  const TrackId t = Hub::instance().track("backend:\"quoted\\name\"");
+  const std::string name = "backend:\"quoted\\name\"";
+  const TrackId t = Hub::instance().track(name);
   {
     Span s("outer", t);
     s.arg("nested", 1.0);
     instant("inner", t);
   }
-  const std::string json = Hub::instance().chrome_trace_json();
-  EXPECT_TRUE(json_well_formed(json));
-  // Top level is an object holding the traceEvents array.
-  EXPECT_EQ(json.front(), '{');
-  EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-  // The track name round-trips escaped, never raw.
-  EXPECT_NE(json.find("\\\"quoted\\\\name\\\""), std::string::npos);
+  const json::Value trace = json::parse(Hub::instance().chrome_trace_json());
+  ASSERT_TRUE(trace.is_object());
+  ASSERT_TRUE(trace.find("traceEvents")->is_array());
+  // The track name comes back exactly, quotes and backslash included.
+  const std::vector<std::string> names = thread_names(trace);
+  ASSERT_EQ(names.size(), 2u);
+  EXPECT_EQ(names[t], name);
+  const std::vector<json::Value> spans = rows_with_phase(trace, "X");
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_EQ(spans[0].int_or("tid", -1), static_cast<std::int64_t>(t));
 }
 
 TEST_F(TelemetryTest, MetricsJsonIsWellFormed) {
   Hub::instance().enable();
   Hub::instance().counter("a\"b").add(1);
-  Hub::instance().timing("t").record(1.0);
-  EXPECT_TRUE(json_well_formed(Hub::instance().snapshot().to_json()));
+  Hub::instance().publish_value("v", 1e-12);
+  const MetricsSnapshot back = MetricsSnapshot::from_json(
+      json::parse(Hub::instance().snapshot().to_json()));
+  ASSERT_EQ(back.rows.size(), 2u);
+  EXPECT_EQ(back.rows[0].name, "a\"b");
+  EXPECT_EQ(back.rows[0].count, 1u);
+  EXPECT_EQ(back.rows[1].last, 1e-12);  // shortest text, exact value
+}
+
+TEST_F(TelemetryTest, ControlCharactersSurviveExport) {
+  // Tabs and newlines in a metric or track name are escaped, never dropped:
+  // both exports give the names back unchanged.
+  const std::string metric = "m\tcol\nrow";
+  const std::string track = "backend:\tx\ny";
+  Hub::instance().enable();
+  Hub::instance().counter(metric).add(2);
+  const TrackId t = Hub::instance().track(track);
+  { Span s("span", t); }
+
+  const MetricsSnapshot back = MetricsSnapshot::from_json(
+      json::parse(Hub::instance().snapshot().to_json()));
+  ASSERT_EQ(back.rows.size(), 1u);
+  EXPECT_EQ(back.rows[0].name, metric);
+  EXPECT_EQ(back.rows[0].count, 2u);
+
+  const json::Value trace = json::parse(Hub::instance().chrome_trace_json());
+  const std::vector<std::string> names = thread_names(trace);
+  ASSERT_EQ(names.size(), 2u);
+  EXPECT_EQ(names[t], track);
 }
 
 }  // namespace

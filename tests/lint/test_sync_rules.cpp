@@ -18,11 +18,10 @@ Report analyze(cosim::VerificationSession& session) {
 /// One testbench + one ReferenceBackend, parameterized on what breaks.
 struct SyncFixture {
   explicit SyncFixture(unsigned streams,
-                       cosim::ConservativeSync::Params sync_params = {},
-                       cosim::VerificationSession::Params session_params = {})
+                       cosim::ConservativeSync::Params sync_params = {})
       : env(net.add_node("env")),
         backend("ref", sync_params),
-        session(net, env, streams, session_params) {}
+        session(net, env, streams, {}) {}
 
   void declare(cosim::MessageType type) {
     backend.register_input(type, 1, [](const cosim::TimedMessage&) {});
@@ -81,34 +80,6 @@ TEST(SyncRules, FullyDeclaredBackendIsClean) {
   f.session.attach(f.backend);
   const Report r = analyze(f.session);
   EXPECT_TRUE(r.empty()) << r.to_text();
-}
-
-TEST(SyncRules, SocketTransportWithoutModeledIpcCostWarns) {
-  cosim::VerificationSession::Params vp;
-  vp.transport = cosim::TransportKind::kSocket;  // ipc overhead left at zero
-  SyncFixture f(1, {}, vp);
-  f.declare(0);
-  f.session.attach(f.backend);
-  const Report r = analyze(f.session);
-  ASSERT_TRUE(r.has("SYN-TRANSPORT"));
-  const Diagnostic& d = *r.by_rule("SYN-TRANSPORT").front();
-  EXPECT_EQ(d.severity, Severity::kWarning);
-  EXPECT_NE(d.message.find("ipc_overhead_per_message"), std::string::npos);
-}
-
-TEST(SyncRules, SocketTransportWithModeledCostIsClean) {
-  cosim::VerificationSession::Params vp;
-  vp.transport = cosim::TransportKind::kSocket;
-  vp.ipc_overhead_per_message = SimTime::from_ns(500);
-  SyncFixture f(1, {}, vp);
-  f.declare(0);
-  f.session.attach(f.backend);
-  EXPECT_FALSE(analyze(f.session).has("SYN-TRANSPORT"));
-  // In-process with zero overhead stays silent too: nothing real is hidden.
-  SyncFixture g(1);
-  g.declare(0);
-  g.session.attach(g.backend);
-  EXPECT_FALSE(analyze(g.session).has("SYN-TRANSPORT"));
 }
 
 }  // namespace

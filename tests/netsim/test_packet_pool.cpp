@@ -143,10 +143,16 @@ TEST(PacketPool, PublishesHitRateGauge) {
   { Packet p = pool.make(); p.set_field("a", 1.0); }
   { Packet p = pool.make(); p.set_field("a", 1.0); }
   pool.publish_telemetry();
-  auto& gauge =
-      telemetry::Hub::instance().gauge("netsim.packet_pool.hit_rate");
-  EXPECT_TRUE(gauge.set_ever());
-  EXPECT_DOUBLE_EQ(gauge.value(), 0.5);
+  const telemetry::MetricsSnapshot snap =
+      telemetry::Hub::instance().snapshot();
+  const telemetry::MetricRow* hit = snap.find("netsim.packet_pool.hit_rate");
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(hit->kind, telemetry::MetricRow::Kind::kGauge);
+  EXPECT_DOUBLE_EQ(hit->last, 0.5);
+  const telemetry::MetricRow* slab =
+      snap.find("netsim.packet_pool.slab_payloads");
+  ASSERT_NE(slab, nullptr);
+  EXPECT_DOUBLE_EQ(slab->last, 1.0);
   telemetry::Hub::instance().reset();
 }
 

@@ -1,8 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
-
 #include "src/core/error.hpp"
 
 #include "src/netsim/simulation.hpp"
@@ -132,40 +129,6 @@ TEST(Simulation, ProcessNamesAreHierarchical) {
   Node& n = sim.add_node("switch1");
   auto& e = n.add_process<Emitter>("src", 0);
   EXPECT_EQ(e.name(), "switch1.src");
-}
-
-TEST(Simulation, StatisticsRegistry) {
-  Simulation sim;
-  sim.sample_stat("x.delay").record(1.0);
-  sim.sample_stat("x.delay").record(3.0);
-  sim.time_stat("q.len").set(0.0, 2.0);
-  EXPECT_DOUBLE_EQ(sim.sample_stat("x.delay").mean(), 2.0);
-  const auto names = sim.stat_names();
-  ASSERT_EQ(names.size(), 2u);
-  EXPECT_EQ(names[0], "q.len");
-  EXPECT_EQ(names[1], "x.delay");
-}
-
-TEST(Simulation, WriteStatsProducesReport) {
-  Simulation sim;
-  sim.sample_stat("sink.delay").record(1.5);
-  sim.sample_stat("sink.delay").record(2.5);
-  sim.time_stat("q.len").set(0.0, 4.0);
-  sim.scheduler().run_until(SimTime::from_sec(1));
-  const std::string path = ::testing::TempDir() + "castanet_stats.txt";
-  sim.write_stats(path);
-  std::ifstream in(path);
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  EXPECT_NE(text.find("castanet-stats v1"), std::string::npos);
-  EXPECT_NE(text.find("sample sink.delay count=2 mean=2"), std::string::npos);
-  EXPECT_NE(text.find("timeavg q.len avg=4"), std::string::npos);
-  std::remove(path.c_str());
-}
-
-TEST(Simulation, WriteStatsBadPathThrows) {
-  Simulation sim;
-  EXPECT_THROW(sim.write_stats("/no/such/dir/stats.txt"), castanet::IoError);
 }
 
 TEST(Simulation, RunUntilBoundsTime) {

@@ -47,7 +47,7 @@ TEST(SinkProcess, RecordsDelayStatistic) {
   sim.connect(gen, 0, sink, 0,
               netsim::LinkParams{SimTime::from_us(50), 0});
   sim.run();
-  const auto& stat = sim.sample_stat("n.sink.delay");
+  const SampleStat& stat = sink.delay();
   EXPECT_EQ(stat.count(), 10u);
   EXPECT_NEAR(stat.mean(), 50e-6, 1e-9);
 }

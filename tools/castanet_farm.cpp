@@ -21,7 +21,6 @@
 //   seed                   varies the stimulus (CLP tagging pattern)
 //   transport              "in-process" | "socket"
 //   cells                  stimulus length (default 40)
-//   ipc_overhead_ns        modeled per-message IPC cost (default 0)
 //   board_us_per_test_cycle  real-time wait per board test cycle (default 0;
 //                            "board" scenario defaults to 200)
 //   trace_out              telemetry trace path; automatically tagged with
@@ -69,8 +68,6 @@ traffic::CellTrace mutate_trace(const traffic::CellTrace& base,
 cosim::VerificationSession::Params session_params(const SessionSpec& spec) {
   cosim::VerificationSession::Params sp;
   sp.transport = spec.transport;
-  sp.ipc_overhead_per_message =
-      SimTime::from_ns(spec.params.int_or("ipc_overhead_ns", 0));
   return sp;
 }
 
@@ -101,7 +98,7 @@ class ScopedTelemetry {
     r.has_metrics = true;
     if (!metrics_out_.empty()) {
       std::ofstream f(metrics_out_);
-      if (f) f << r.metrics.to_json();
+      if (f) f << r.metrics.to_json() << "\n";
     }
   }
 
@@ -250,7 +247,8 @@ bool results_identical(const std::vector<SessionResult>& a,
 
 /// Deterministic subset of the merged snapshot: counters and histograms are
 /// driven purely by simulated time + stimulus, so a farmed merge must equal
-/// the serial merge exactly.  Wall-clock timings legitimately differ.
+/// the serial merge exactly.  Gauges and time averages are last-writer or
+/// approximate under merge and are not compared.
 bool merged_counters_identical(const telemetry::MetricsSnapshot& farm,
                                const telemetry::MetricsSnapshot& serial,
                                std::string& why) {

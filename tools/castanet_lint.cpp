@@ -214,15 +214,10 @@ int main(int argc, char** argv) {
   }
 
   if (json) {
-    std::printf("{\n");
-    for (std::size_t i = 0; i < reports.size(); ++i) {
-      // Report::to_json is a complete object; indent it under the design key.
-      std::string body = reports[i].report.to_json();
-      if (!body.empty() && body.back() == '\n') body.pop_back();
-      std::printf("\"%s\": %s%s\n", reports[i].name.c_str(), body.c_str(),
-                  i + 1 < reports.size() ? "," : "");
-    }
-    std::printf("}\n");
+    json::Value doc{json::Object{}};
+    for (const DesignReport& r : reports)
+      doc.set(r.name, r.report.to_json_value());
+    std::printf("%s\n", doc.dump(2).c_str());
   } else {
     for (const DesignReport& r : reports) {
       std::printf("== design: %s ==\n%s", r.name.c_str(),
@@ -246,7 +241,7 @@ int main(int argc, char** argv) {
 
   if (!metrics_path.empty()) {
     std::ofstream out(metrics_path, std::ios::binary);
-    out << telemetry::Hub::instance().snapshot().to_json();
+    out << telemetry::Hub::instance().snapshot().to_json() << "\n";
     if (!out) {
       std::fprintf(stderr, "castanet_lint: cannot write %s\n",
                    metrics_path.c_str());
