@@ -1,0 +1,324 @@
+#!/usr/bin/env python3
+"""Alternating A/B runs of the benchmark between two revisions.
+
+    scripts/perf_ab.py BASE [HEAD] [--pairs 5] [--seconds 20] [--seed 1]
+                       [--workload NAME ...] [--trace 0|1] [--json FILE]
+    scripts/perf_ab.py --selftest
+
+BASE and HEAD are git revisions; HEAD defaults to the working tree.  Each
+revision is exported with `git archive` into .bench_build/ab/<sha>/ and
+runs its own perfbench/run.py there, which builds that tree's benchmark on
+first use.  For every workload (default: all of BENCHMARK.json) the two
+sides run in --pairs alternating pairs, and the side that runs first flips
+from one pair to the next, so drift of the host does not favour one side.
+
+The exit status is 1 when any run is incorrect or when the two sides'
+simulated outputs differ (the `sim:` line: cycles, kernel activations and
+response digest), and 0 otherwise.  A slower metric does not fail the run:
+the BENCHMARK.json bounds are the gate, this table is the evidence.
+
+For each metric of BENCHMARK.json (end_to_end with --trace 0, per_layer
+with --trace 1) the table gives the ratio of the HEAD median to the BASE
+median, the pairs HEAD wins in the metric's `better` direction, and the
+spread of BASE as IQR/median.  A metric is `resolved` when HEAD wins at
+least 80% of the pairs and |ratio - 1| exceeds that spread, `regressed`
+when BASE does, and `noise` otherwise; with fewer than 3 pairs there is
+no spread to judge by and the verdict is `-`.  --json FILE writes the
+table.
+
+Standard library only.
+"""
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tarfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+AB_DIR = ROOT / ".bench_build" / "ab"
+WIN_SHARE = 0.8
+MIN_PAIRS_FOR_VERDICT = 3
+SIM_KEYS = ("cycles", "activations", "digest")
+RUN_TIMEOUT_S = 3600  # the first run of a side also builds its tree
+
+
+def log(msg):
+    print(f"perf_ab: {msg}", file=sys.stderr, flush=True)
+
+
+# --- arithmetic ---------------------------------------------------------------
+
+def spread(values):
+    """IQR/median of `values` (quartiles by linear interpolation)."""
+    med = statistics.median(values)
+    if len(values) < 2 or med == 0:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return (q3 - q1) / abs(med)
+
+
+def compare(base, head, better):
+    """One table row from paired samples (base[i] and head[i] ran together)."""
+    assert len(base) == len(head) and base, "need paired samples"
+    sign = 1 if better == "higher" else -1
+    wins = sum(1 for b, h in zip(base, head) if sign * (h - b) > 0)
+    losses = sum(1 for b, h in zip(base, head) if sign * (h - b) < 0)
+    base_med = statistics.median(base)
+    head_med = statistics.median(head)
+    ratio = head_med / base_med if base_med else None
+    noise = spread(base)
+    moved = base_med != 0 and abs(ratio - 1) > noise
+    need = WIN_SHARE * len(base)
+    if len(base) < MIN_PAIRS_FOR_VERDICT:
+        verdict = "-"
+    elif moved and wins >= need:
+        verdict = "resolved"
+    elif moved and losses >= need:
+        verdict = "regressed"
+    else:
+        verdict = "noise"
+    return {"base_median": base_med, "head_median": head_med, "ratio": ratio,
+            "wins": wins, "pairs": len(base), "base_iqr_over_median": noise,
+            "verdict": verdict}
+
+
+def sim_mismatch(sims):
+    """Description of the first run whose simulated outputs differ from the
+    first run's, or None when every run agrees."""
+    ref = {k: sims[0][1].get(k) for k in SIM_KEYS}
+    for label, sim in sims[1:]:
+        got = {k: sim.get(k) for k in SIM_KEYS}
+        if got != ref:
+            return f"{label}: {got} != {sims[0][0]}: {ref}"
+    return None
+
+
+def pair_order(i):
+    """Side that runs first in pair i: BASE in even pairs, HEAD in odd."""
+    return ("base", "head") if i % 2 == 0 else ("head", "base")
+
+
+# --- trees and runs -----------------------------------------------------------
+
+def git(*args):
+    return subprocess.run(["git", "-C", str(ROOT), *args], check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def export(rev):
+    """Exports `rev` into .bench_build/ab/<sha>/ once; returns (sha, tree)."""
+    sha = git("rev-parse", "--verify", rev + "^{commit}")
+    tree = AB_DIR / sha
+    done = tree / ".exported"
+    if not done.is_file():
+        tree.mkdir(parents=True, exist_ok=True)
+        log(f"exporting {rev} ({sha[:12]}) to {tree}")
+        proc = subprocess.Popen(["git", "-C", str(ROOT), "archive", sha],
+                                stdout=subprocess.PIPE)
+        with tarfile.open(fileobj=proc.stdout, mode="r|") as tar:
+            tar.extractall(tree)
+        if proc.wait() != 0:
+            raise SystemExit(f"perf_ab: git archive {sha} failed")
+        done.write_text(sha + "\n")
+    return sha, tree
+
+
+def run_side(tree, workload, args):
+    """One perfbench run in `tree`; returns (result dict|None, sim dict)."""
+    cmd = [sys.executable, str(tree / "perfbench" / "run.py"),
+           "--workload", workload, "--seed", str(args.seed),
+           "--seconds", str(args.seconds), "--trace", str(args.trace)]
+    try:
+        proc = subprocess.run(cmd, cwd=tree, stdout=subprocess.PIPE,
+                              text=True, timeout=RUN_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return None, {}
+    lines = proc.stdout.splitlines()
+    sim = {}
+    for line in lines:
+        if line.startswith("sim: "):
+            sim = json.loads(line[len("sim: "):])
+    try:
+        result = json.loads(lines[-1]) if lines else None
+    except json.JSONDecodeError:
+        result = None
+    return result, sim
+
+
+def measure(trees, workloads, metrics, args):
+    """Runs the pairs; returns (rows, sims, failures)."""
+    rows, sims, failures = [], {}, []
+    for w in workloads:
+        samples = {"base": [], "head": []}
+        runs = []
+        for i in range(args.pairs):
+            for side in pair_order(i):
+                result, sim = run_side(trees[side], w, args)
+                label = f"{w} pair {i + 1} {side}"
+                if (not result or result.get("correct") is not True
+                        or result.get("failed") != 0):
+                    failures.append(f"{label}: incorrect run ({result})")
+                    continue
+                runs.append((label, sim))
+                samples[side].append(result["metrics"])
+                log(f"{label}: " + ", ".join(
+                    f"{m['name']}={result['metrics'][m['name']]['value']:.6g}"
+                    for m in metrics if m["name"] in result["metrics"]))
+        if runs:
+            sims[w] = {k: runs[0][1].get(k) for k in SIM_KEYS}
+            bad = sim_mismatch(runs)
+            if bad:
+                failures.append(f"{w}: simulated outputs differ: {bad}")
+        if len(samples["base"]) != args.pairs or len(samples["head"]) != args.pairs:
+            continue
+        for m in metrics:
+            name = m["name"]
+            if not all(name in s for s in samples["base"] + samples["head"]):
+                continue
+            row = compare([s[name]["value"] for s in samples["base"]],
+                          [s[name]["value"] for s in samples["head"]],
+                          m["better"])
+            row.update({"workload": w, "metric": name, "unit": m["unit"],
+                        "better": m["better"]})
+            rows.append(row)
+    return rows, sims, failures
+
+
+def print_table(rows):
+    print(f"{'workload':16s} {'metric':24s} {'base':>14s} {'head':>14s} "
+          f"{'ratio':>7s} {'wins':>6s} {'iqr/med':>8s}  verdict")
+    for r in rows:
+        ratio = "-" if r["ratio"] is None else f"{r['ratio']:.3f}"
+        print(f"{r['workload']:16s} {r['metric']:24s} {r['base_median']:14.6g} "
+              f"{r['head_median']:14.6g} {ratio:>7s} "
+              f"{r['wins']:>3d}/{r['pairs']:<2d} "
+              f"{r['base_iqr_over_median']:8.3f}  {r['verdict']}")
+
+
+# --- self-test ----------------------------------------------------------------
+
+def selftest():
+    failures = []
+
+    def check(what, got, want):
+        if got != want:
+            failures.append(f"{what}: got {got!r}, want {want!r}")
+
+    def near(what, got, want):
+        if abs(got - want) > 1e-9:
+            failures.append(f"{what}: got {got!r}, want {want!r}")
+
+    base = [100.0, 102.0, 98.0, 101.0, 99.0]
+    near("spread of 98..102", spread(base), 0.02)
+    near("spread of one sample", spread([5.0]), 0.0)
+    near("spread of [1,2,3,4]", spread([1.0, 2.0, 3.0, 4.0]), 1.5 / 2.5)
+
+    r = compare(base, [130.0, 128.0, 131.0, 127.0, 133.0], "higher")
+    near("higher: ratio", r["ratio"], 1.3)
+    check("higher: wins", r["wins"], 5)
+    check("higher: verdict", r["verdict"], "resolved")
+
+    r = compare([2.0, 2.2, 1.8, 2.1, 1.9], [1.5, 1.6, 1.4, 1.5, 1.9], "lower")
+    near("lower: ratio", r["ratio"], 0.75)
+    check("lower: wins (a tie is no win)", r["wins"], 4)
+    check("lower: verdict", r["verdict"], "resolved")
+
+    r = compare(base, [101.0, 103.0, 97.0, 102.0, 98.0], "higher")
+    check("3/5 wins: verdict", r["verdict"], "noise")
+
+    # Wins every pair but moves less than the base spread.
+    r = compare(base, [100.5, 102.5, 98.5, 101.5, 99.5], "higher")
+    check("inside the spread: wins", r["wins"], 5)
+    check("inside the spread: verdict", r["verdict"], "noise")
+
+    r = compare(base, [80.0, 81.0, 79.0, 82.0, 78.0], "higher")
+    check("slower everywhere: verdict", r["verdict"], "regressed")
+
+    r = compare([100.0, 100.0], [130.0, 131.0], "higher")
+    check("two pairs: wins", r["wins"], 2)
+    check("two pairs: no verdict", r["verdict"], "-")
+
+    r = compare([0.0] * 3, [0.0] * 3, "lower")
+    check("zero base: no ratio", r["ratio"], None)
+    check("zero base: verdict", r["verdict"], "noise")
+
+    r = compare([22.6] * 5, [22.6] * 5, "lower")
+    check("identical samples: wins", r["wins"], 0)
+    check("identical samples: verdict", r["verdict"], "noise")
+
+    sims = [("a", {"cycles": 5, "activations": 7, "digest": "ab", "cells": 1}),
+            ("b", {"cycles": 5, "activations": 7, "digest": "ab", "cells": 9})]
+    check("equal sims", sim_mismatch(sims), None)
+    sims.append(("c", {"cycles": 5, "activations": 8, "digest": "ab"}))
+    check("differing activations caught", sim_mismatch(sims) is not None, True)
+
+    check("pair 1 order", pair_order(0), ("base", "head"))
+    check("pair 2 order", pair_order(1), ("head", "base"))
+
+    for f in failures:
+        log(f"selftest FAIL: {f}")
+    print("selftest: " + ("ok" if not failures else f"{len(failures)} failure(s)"))
+    return 0 if not failures else 1
+
+
+# --- main ---------------------------------------------------------------------
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("base", nargs="?", help="base revision")
+    ap.add_argument("head", nargs="?",
+                    help="head revision (default: the working tree)")
+    ap.add_argument("--pairs", type=int, default=5)
+    ap.add_argument("--seconds", type=float, default=20.0)
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    ap.add_argument("--workload", action="append",
+                    help="workload to run (repeatable; default: all)")
+    ap.add_argument("--json", metavar="FILE", help="write the table as JSON")
+    ap.add_argument("--selftest", action="store_true",
+                    help="check the arithmetic on canned numbers and exit")
+    args = ap.parse_args()
+    if args.selftest:
+        return selftest()
+    if not args.base:
+        ap.error("BASE is required")
+    if args.pairs < 1:
+        ap.error("--pairs must be at least 1")
+
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    known = [w["name"] for w in spec["workloads"]]
+    workloads = args.workload or known
+    for w in workloads:
+        if w not in known:
+            ap.error(f"unknown workload {w!r} (have {', '.join(known)})")
+    metrics = spec["per_layer" if args.trace else "end_to_end"]
+
+    base_sha, base_tree = export(args.base)
+    if args.head:
+        head_sha, head_tree = export(args.head)
+    else:
+        head_sha, head_tree = "worktree", ROOT
+    log(f"base {base_sha[:12]} vs head {head_sha[:12]}: {args.pairs} pair(s) "
+        f"x {args.seconds:g} s, seed {args.seed}, trace {args.trace}")
+
+    rows, sims, failures = measure({"base": base_tree, "head": head_tree},
+                                   workloads, metrics, args)
+    print_table(rows)
+    for w, sim in sims.items():
+        print(f"sim {w}: {json.dumps(sim)}")
+    for f in failures:
+        log(f"FAIL: {f}")
+    if args.json:
+        Path(args.json).write_text(json.dumps({
+            "base": base_sha, "head": head_sha, "pairs": args.pairs,
+            "seconds": args.seconds, "seed": args.seed, "trace": args.trace,
+            "correct": not failures, "failures": failures, "sim": sims,
+            "rows": rows}, indent=1) + "\n")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

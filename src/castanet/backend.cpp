@@ -53,6 +53,20 @@ void RtlBackend::set_telemetry_track(telemetry::TrackId track) {
   hdl_.set_telemetry_track(track);
 }
 
+void RtlBackend::publish_metrics(const std::string& prefix) const {
+  auto& hub = telemetry::Hub::instance();
+  const rtl::KernelStats& k = hdl_.stats();
+  const std::string p = prefix + "kernel.";
+  hub.publish_count(p + "transactions", k.transactions);
+  hub.publish_count(p + "writes_elided", k.writes_elided);
+  hub.publish_count(p + "value_changes", k.value_changes);
+  hub.publish_count(p + "process_activations", k.process_activations);
+  hub.publish_count(p + "delta_cycles", k.delta_cycles);
+  hub.publish_count(p + "time_points", k.time_points);
+  hub.publish_count(p + "gated_skips", k.gated_skips);
+  hub.publish_count(p + "callbacks", k.callbacks);
+}
+
 void RtlBackend::advance_to(SimTime target) {
   entity_->advance_hdl_to(target);
 }

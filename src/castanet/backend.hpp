@@ -86,6 +86,13 @@ class DutBackend {
   }
   telemetry::TrackId telemetry_track() const { return telemetry_track_; }
 
+  /// Publishes this backend's own rows into the hub, each name prefixed
+  /// with `prefix` ("backend.<name>.").  VerificationSession::publish_metrics
+  /// calls it after the rows every backend shares; no-op by default.
+  virtual void publish_metrics(const std::string& prefix) const {
+    (void)prefix;
+  }
+
  protected:
   /// Applies deliverable messages with ts <= `target` and advances this
   /// backend's simulated time to `target` (inclusive).
@@ -128,6 +135,8 @@ class RtlBackend : public DutBackend {
   void finish(SimTime at) override;
   void drain_responses(std::vector<TimedMessage>& out) override;
   void set_telemetry_track(telemetry::TrackId track) override;
+  /// Every rtl::KernelStats field as a "<prefix>kernel.<field>" counter.
+  void publish_metrics(const std::string& prefix) const override;
 
  protected:
   void advance_to(SimTime target) override;

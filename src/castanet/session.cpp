@@ -98,6 +98,7 @@ void VerificationSession::publish_metrics() const {
       hub.publish_time_avg(
           prefix + "queue_depth." + std::to_string(q.type), *q.depth, net_now);
     }
+    b.publish_metrics(prefix);
   }
 }
 

@@ -66,7 +66,9 @@ class Counter {
 /// (instrumentation sites use literals); numeric args only, so no ownership.
 struct TraceEvent {
   enum class Phase : std::uint8_t { kComplete, kInstant };
-  static constexpr std::size_t kMaxArgs = 4;
+  /// The most any site records: "rtl.slice" (from, to, activations,
+  /// delta cycles, writes elided, callbacks).
+  static constexpr std::size_t kMaxArgs = 6;
 
   const char* name = "";
   TrackId track = kMainTrack;

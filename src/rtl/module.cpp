@@ -1,29 +1,9 @@
 #include "src/rtl/module.hpp"
 
-#include "src/core/error.hpp"
-
 namespace castanet::rtl {
 
 ClockGen::ClockGen(Simulator& sim, Signal clk, SimTime period, SimTime phase)
-    : sim_(&sim), clk_(clk), period_(period) {
-  require(period > SimTime::zero(), "ClockGen: period must be positive");
-  clk_.write(Logic::L0);
-  sim_->schedule_callback(phase, [this] { tick_high(); });
-}
-
-void ClockGen::tick_high() {
-  if (!running_) return;
-  clk_.write(Logic::L1);
-  ++edges_;
-  sim_->schedule_callback(SimTime::from_ps(period_.ps() / 2),
-                          [this] { tick_low(); });
-}
-
-void ClockGen::tick_low() {
-  if (!running_) return;
-  clk_.write(Logic::L0);
-  sim_->schedule_callback(SimTime::from_ps(period_.ps() - period_.ps() / 2),
-                          [this] { tick_high(); });
-}
+    : sim_(&sim), id_(sim.add_clock(clk.id(), period, phase)),
+      period_(period) {}
 
 }  // namespace castanet::rtl

@@ -180,24 +180,22 @@ class Module {
 };
 
 /// Free-running clock generator: rising edge at phase, period thereafter.
+/// A thin handle over a kernel clock (Simulator::add_clock): the edges are
+/// kernel data, so the clock keeps running if the handle is destroyed
+/// first, and stop() is the only way to end it.
 class ClockGen {
  public:
   ClockGen(Simulator& sim, Signal clk, SimTime period,
            SimTime phase = SimTime::zero());
 
-  std::uint64_t rising_edges() const { return edges_; }
+  std::uint64_t rising_edges() const { return sim_->clock_rising_edges(id_); }
   SimTime period() const { return period_; }
-  void stop() { running_ = false; }
+  void stop() { sim_->stop_clock(id_); }
 
  private:
-  void tick_high();
-  void tick_low();
-
   Simulator* sim_;
-  Signal clk_;
+  ClockId id_;
   SimTime period_;
-  std::uint64_t edges_ = 0;
-  bool running_ = true;
 };
 
 }  // namespace castanet::rtl

@@ -301,6 +301,41 @@ bool Simulator::fell(SignalId s) const {
   return !to_bool(st.effective.bit(0), true) && to_bool(st.previous.bit(0));
 }
 
+ClockId Simulator::add_clock(SignalId sig, SimTime period, SimTime phase) {
+  require(sig < signals_.size(), "add_clock: unknown signal");
+  require(signals_[sig].width == 1, "add_clock: signal is not a scalar");
+  require(period > SimTime::zero(), "add_clock: period must be positive");
+  require(phase >= SimTime::zero(), "add_clock: negative phase");
+  schedule_write(sig, Logic::L0);
+  const SimTime high = SimTime::from_ps(period.ps() / 2);
+  clocks_.push_back({sig, now_ + phase, high, period - high});
+  return static_cast<ClockId>(clocks_.size() - 1);
+}
+
+void Simulator::stop_clock(ClockId c) {
+  require(c < clocks_.size(), "stop_clock: unknown clock");
+  clocks_[c].running = false;
+}
+
+std::uint64_t Simulator::clock_rising_edges(ClockId c) const {
+  require(c < clocks_.size(), "clock_rising_edges: unknown clock");
+  return clocks_[c].rising_edges;
+}
+
+void Simulator::fire_edge(ClockState& c) {
+  if (!c.running) {
+    c.next = SimTime::max();
+    return;
+  }
+  // The same transaction an external zero-delay write queues.
+  signals_[c.sig].queued_drain = drain_serial_;
+  next_delta_.push_back(
+      {c.sig, kExternalProcess, scalar(c.rising_next ? Logic::L1 : Logic::L0)});
+  if (c.rising_next) ++c.rising_edges;
+  c.next = now_ + (c.rising_next ? c.high : c.low);
+  c.rising_next = !c.rising_next;
+}
+
 void Simulator::schedule_callback(SimTime delay, std::function<void()> fn) {
   require(delay >= SimTime::zero(), "schedule_callback: negative delay");
   bucket_for(now_ + delay).callbacks.push_back(std::move(fn));
@@ -440,7 +475,9 @@ void Simulator::initialize() {
 
 SimTime Simulator::next_activity() const {
   if (!next_delta_.empty()) return now_;
-  return heap_.empty() ? SimTime::max() : heap_.front().t;
+  SimTime t = heap_.empty() ? SimTime::max() : heap_.front().t;
+  for (const ClockState& c : clocks_) t = std::min(t, c.next);
+  return t;
 }
 
 bool Simulator::quiescent() const {
@@ -453,6 +490,9 @@ bool Simulator::step_time() {
   if (t == SimTime::max()) return false;
   now_ = t;
   ++stats_.time_points;
+  for (ClockState& c : clocks_) {
+    if (c.next == t) fire_edge(c);
+  }
   batch_scratch_.clear();
   cb_scratch_.clear();
   if (!heap_.empty() && heap_.front().t == t) {
@@ -465,8 +505,10 @@ bool Simulator::step_time() {
     cb_scratch_.swap(b.callbacks);
     free_buckets_.push_back(id);
   }
-  // Callbacks first: stimulus generators may schedule zero-delay writes that
-  // then land in the first delta of this time point.
+  // Callbacks before the delta loop, behind the clock edges: stimulus
+  // generators may schedule zero-delay writes that then land in the first
+  // delta of this time point.
+  stats_.callbacks += cb_scratch_.size();
   for (auto& fn : cb_scratch_) fn();
   run_time_point(batch_scratch_);
   return true;
@@ -483,6 +525,7 @@ void Simulator::run_until(SimTime limit) {
     const std::uint64_t activations0 = stats_.process_activations;
     const std::uint64_t deltas0 = stats_.delta_cycles;
     const std::uint64_t elided0 = stats_.writes_elided;
+    const std::uint64_t callbacks0 = stats_.callbacks;
     telemetry::Span span("rtl.slice", telemetry_track_);
     span.arg("from_us", now_.seconds() * 1e6);
     span.arg("to_us", limit.seconds() * 1e6);
@@ -497,6 +540,7 @@ void Simulator::run_until(SimTime limit) {
              static_cast<double>(stats_.delta_cycles - deltas0));
     span.arg("writes_elided",
              static_cast<double>(stats_.writes_elided - elided0));
+    span.arg("callbacks", static_cast<double>(stats_.callbacks - callbacks0));
   } else {
     while (true) {
       const SimTime t = next_activity();

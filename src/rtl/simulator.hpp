@@ -8,18 +8,23 @@
 // time.  Multiply-driven signals are resolved per IEEE 1164, which the test
 // board needs for bidirectional bus ports (§3.3).
 //
-// Scheduling structures are built for the hot path: future transactions and
-// callbacks live in per-time-point buckets indexed by a binary min-heap of
-// time points (instead of a balanced tree), bucket storage is pooled and
-// recycled, and runnable processes are deduplicated with a delta-generation
-// stamp per process instead of sort+unique scans.  Modules re-assert
-// unchanged outputs on every clock, VHDL style; such a write is dropped at
+// Scheduling structures are built for the hot path.  Clocks are kernel
+// data, not callbacks: each add_clock entry is a signal, its next edge time
+// and its two half periods, kept in a small vector the kernel scans, and a
+// due edge queues its write straight into the first delta — no callback,
+// no bucket, no allocation.  Delayed transactions and timed callbacks live
+// in per-time-point buckets indexed by a binary min-heap of time points
+// (instead of a balanced tree), bucket storage is pooled and recycled, and
+// runnable processes are deduplicated with a delta-generation stamp per
+// process instead of sort+unique scans.  Modules re-assert unchanged
+// outputs on every clock, VHDL style; such a write is dropped at
 // schedule_write, before any transaction exists (DESIGN.md §7.7).
 //
-// The kernel counts writes (staged and elided), events, process activations
-// and delta cycles; experiment E7 uses these to reproduce the paper's claim
-// that the event-driven HDL simulator evaluates an order of magnitude more
-// events than the system-level network simulation.
+// The kernel counts writes (staged and elided), events, process
+// activations, delta cycles, time points and timed callbacks; experiment E7
+// uses these to reproduce the paper's claim that the event-driven HDL
+// simulator evaluates an order of magnitude more events than the
+// system-level network simulation.
 #pragma once
 
 #include <cstdint>
@@ -37,6 +42,7 @@ namespace castanet::rtl {
 
 using SignalId = std::uint32_t;
 using ProcessId = std::uint32_t;
+using ClockId = std::uint32_t;
 
 /// ProcessId used for writes issued from outside any process (test benches,
 /// the co-simulation entity).
@@ -52,6 +58,7 @@ struct KernelStats {
   std::uint64_t delta_cycles = 0;        ///< apply+execute rounds
   std::uint64_t time_points = 0;         ///< distinct times with activity
   std::uint64_t gated_skips = 0;         ///< wakeups suppressed by a gate
+  std::uint64_t callbacks = 0;           ///< timed callbacks run
 };
 
 /// Direction of a declared port binding (module-level contract on a signal,
@@ -282,7 +289,22 @@ class Simulator {
   /// falling_edge(s): event on bit 0 with new value '0'.
   bool fell(SignalId s) const;
 
-  // --- generic scheduled callbacks (clock generators, stimuli) ----------
+  // --- clocks -----------------------------------------------------------
+  /// Adds a free-running clock on scalar signal `sig`: a zero-delay '0'
+  /// write now, a rising edge at now() + phase, then one every `period` —
+  /// high for period/2, low for the rest.  Each edge opens a time point and
+  /// queues its write into next_delta_ as kExternalProcess, in add_clock
+  /// order and ahead of that time point's callbacks; a delayed batch due at
+  /// the same time stages one delta before it (DESIGN.md §7.7).  Throws
+  /// LogicError for a non-scalar signal, a period <= 0 or a negative phase.
+  ClockId add_clock(SignalId sig, SimTime period, SimTime phase);
+  /// Stops clock `c`.  Its pending edge still opens its time point but
+  /// writes nothing; after that the clock is idle.
+  void stop_clock(ClockId c);
+  /// Rising edges clock `c` has driven so far.
+  std::uint64_t clock_rising_edges(ClockId c) const;
+
+  // --- generic scheduled callbacks (stimuli) ----------------------------
   void schedule_callback(SimTime delay, std::function<void()> fn);
 
   // --- execution --------------------------------------------------------
@@ -362,6 +384,17 @@ class Simulator {
     SimTime t;
     std::uint32_t bucket;
   };
+  /// One add_clock entry.  `next` is SimTime::max() once a stopped clock
+  /// has spent its pending edge.
+  struct ClockState {
+    SignalId sig;
+    SimTime next;
+    SimTime high;  ///< rising edge to falling edge: period/2
+    SimTime low;   ///< falling edge to rising edge: period - period/2
+    bool rising_next = true;
+    bool running = true;
+    std::uint64_t rising_edges = 0;
+  };
 
   /// The checks every schedule_write overload makes first (known signal,
   /// matching width, non-negative delay), then the write-elision gate.
@@ -392,6 +425,9 @@ class Simulator {
   /// Queues a validated write (or captures it under probe_process).
   void enqueue(SignalId s, LogicVector&& v, SimTime delay);
   TimeBucket& bucket_for(SimTime when);
+  /// Queues clock `c`'s due edge at now_ (nothing once stopped) and moves
+  /// its next edge on.
+  void fire_edge(ClockState& c);
   void enqueue_runnable(ProcessId p);
   /// Apply phase, first half: moves the transaction's value into its driver
   /// slot and marks the signal dirty for this delta.  Resolution is
@@ -433,6 +469,7 @@ class Simulator {
   std::vector<SignalState> signals_;
   std::vector<ProcessState> processes_;  // index 0 reserved (external)
   std::vector<Transaction> next_delta_;
+  std::vector<ClockState> clocks_;  // in add_clock order; scanned linearly
 
   // Future-activity queue: binary min-heap of distinct time points, each
   // pointing at a pooled bucket; bucket_index_ dedups same-time schedules.

@@ -3,7 +3,9 @@
 // end-of-run published metrics cover the session and every backend.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/castanet/backend.hpp"
@@ -107,6 +109,11 @@ TEST_F(SessionTelemetryTest, RunRecordsSpansAndMetrics) {
   const std::string trace = hub.chrome_trace_json();
   EXPECT_NE(trace.find("\"grant\""), std::string::npos);
   EXPECT_NE(trace.find("\"rtl.slice\""), std::string::npos);
+  // Every kernel-slice argument survives into the trace.
+  for (const char* arg : {"\"activations\"", "\"delta_cycles\"",
+                          "\"writes_elided\"", "\"callbacks\""}) {
+    EXPECT_NE(trace.find(arg), std::string::npos) << arg;
+  }
   EXPECT_NE(trace.find("\"net.slice\""), std::string::npos);
   // One timeline row per backend plus the network scheduler.
   EXPECT_NE(trace.find("backend:rtl"), std::string::npos);
@@ -150,6 +157,34 @@ TEST_F(SessionTelemetryTest, RunRecordsSpansAndMetrics) {
       "session.divergences", "session.messages_to_hdl", "session.net_events",
       "session.responses"};
   EXPECT_EQ(session_rows, want);
+
+  // The RTL backend publishes every kernel counter, equal to the kernel's
+  // own.  The clock is kernel data, so the timed callbacks are the message
+  // deliveries alone, far fewer than the time points the edges open.
+  const rtl::KernelStats& k = rig.hdl.stats();
+  const std::vector<std::pair<std::string, std::uint64_t>> kernel{
+      {"transactions", k.transactions},
+      {"writes_elided", k.writes_elided},
+      {"value_changes", k.value_changes},
+      {"process_activations", k.process_activations},
+      {"delta_cycles", k.delta_cycles},
+      {"time_points", k.time_points},
+      {"gated_skips", k.gated_skips},
+      {"callbacks", k.callbacks}};
+  std::size_t kernel_rows = 0;
+  for (const auto& row : snap.rows) {
+    if (row.name.rfind("backend.rtl.kernel.", 0) == 0) ++kernel_rows;
+  }
+  EXPECT_EQ(kernel_rows, kernel.size());
+  for (const auto& [field, value] : kernel) {
+    const telemetry::MetricRow* row = snap.find("backend.rtl.kernel." + field);
+    ASSERT_NE(row, nullptr) << field;
+    EXPECT_EQ(row->kind, telemetry::MetricRow::Kind::kCounter) << field;
+    EXPECT_EQ(row->count, value) << field;
+  }
+  EXPECT_GT(k.callbacks, 0u);
+  EXPECT_LT(k.callbacks, k.time_points);
+  EXPECT_FALSE(snapshot_has(snap, "backend.reference.kernel.time_points"));
 }
 
 TEST_F(SessionTelemetryTest, DisabledHubRecordsNothing) {

@@ -1,7 +1,9 @@
 // Steady-state allocation contract (PR 10): once the scheduler's slab, free
 // list, and bucket arrays are warm, schedule_at/step/cancel perform ZERO
 // heap allocations for any action whose capture fits SmallFn's inline
-// buffer.  Proven the same way test_flow_stats.cpp proves the disabled-path
+// buffer.  The RTL kernel's clock edges make the same promise: a clocked
+// design runs its cycles with no allocation once its scratch vectors are
+// warm.  Proven the same way test_flow_stats.cpp proves the disabled-path
 // contract: this binary replaces the global allocator with a counting
 // wrapper and asserts the count does not move across the hot phase.
 #include "src/dsim/scheduler.hpp"
@@ -15,6 +17,7 @@
 #include <vector>
 
 #include "src/dsim/small_fn.hpp"
+#include "src/rtl/module.hpp"
 
 // ---------------------------------------------------------------------------
 // Allocation counter: replaces the global allocator for this test binary.
@@ -132,6 +135,28 @@ TEST(SchedulerAlloc, CancelIsAllocationFreeWhenWarm) {
   }
   EXPECT_EQ(g_allocations.load(), before)
       << "cancel/re-schedule allocated in steady state";
+}
+
+TEST(SchedulerAlloc, KernelClockCyclesAreAllocationFree) {
+  rtl::Simulator sim;
+  rtl::Signal clk(&sim, sim.create_signal("clk", 1, rtl::Logic::L0));
+  rtl::Bus count(&sim, sim.create_signal("count", 16, rtl::Logic::L0));
+  sim.add_process("counter", {clk.id()}, [&] {
+    if (clk.rose()) count.write_uint((count.read_uint() + 1) & 0xFFFF);
+  });
+  rtl::ClockGen gen(sim, clk, SimTime::from_ns(50));
+  constexpr std::int64_t kWarmCycles = 100;
+  constexpr std::int64_t kCycles = 10'000;
+  sim.run_until(SimTime::from_ns(50) * kWarmCycles);
+
+  const std::uint64_t before = g_allocations.load();
+  sim.run_until(sim.now() + SimTime::from_ns(50) * kCycles);
+  EXPECT_EQ(g_allocations.load(), before)
+      << "clock cycles allocated in steady state";
+  // Rising edges at 0, 50 ns, ..., so both runs end on one.
+  EXPECT_EQ(gen.rising_edges(), static_cast<std::uint64_t>(
+                                    kWarmCycles + kCycles + 1));
+  EXPECT_EQ(count.read_uint(), gen.rising_edges());
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 // Deeper VHDL-semantics coverage of the event-driven kernel: transaction
 // ordering, last-write-wins per driver, delayed vs delta writes, X
 // propagation through logic, stability of the delta loop under
-// pathological feedback, and the write elision at schedule_write — fixtures
-// for each of its conditions plus a randomized differential against runs
-// that defeat it.
+// pathological feedback, the contract of kernel-owned clocks (add_clock),
+// and the write elision at schedule_write — fixtures for each of its
+// conditions plus a randomized differential against runs that defeat it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -182,6 +182,161 @@ TEST(KernelSemantics, ManySignalsManyProcessesScale) {
   }
   // After 64+ clocks the '1' has filled the register.
   EXPECT_EQ(sim.value(stages[64]).bit(0), Logic::L1);
+}
+
+// --- kernel clocks ------------------------------------------------------------
+
+/// One committed value change of a scalar signal.
+struct Edge {
+  SimTime t;
+  SignalId sig;
+  Logic v;
+  bool operator==(const Edge&) const = default;
+};
+
+/// Records every committed change of the scalar signals in `sigs`.
+void record_edges(Simulator& sim, std::vector<SignalId> sigs,
+                  std::vector<Edge>& out) {
+  sim.add_change_observer([&out, sigs](SignalId s, const LogicVector& v,
+                                       SimTime t) {
+    if (std::find(sigs.begin(), sigs.end(), s) != sigs.end()) {
+      out.push_back({t, s, v.bit(0)});
+    }
+  });
+}
+
+SimTime ps(std::int64_t n) { return SimTime::from_ps(n); }
+
+TEST(KernelClock, OddPeriodSplitsHighThenLow) {
+  // 51 ps: high for 51/2 = 25 ps, low for the remaining 26.
+  Simulator sim;
+  const SignalId clk = sim.create_signal("clk", 1, Logic::L0);
+  std::vector<Edge> edges;
+  record_edges(sim, {clk}, edges);
+  sim.add_clock(clk, ps(51), SimTime::zero());
+  sim.run_until(ps(153));
+  const std::vector<Edge> want = {
+      {ps(0), clk, Logic::L1},   {ps(25), clk, Logic::L0},
+      {ps(51), clk, Logic::L1},  {ps(76), clk, Logic::L0},
+      {ps(102), clk, Logic::L1}, {ps(127), clk, Logic::L0},
+      {ps(153), clk, Logic::L1}};
+  EXPECT_EQ(edges, want);
+  EXPECT_EQ(sim.clock_rising_edges(0), 4u);
+  EXPECT_EQ(sim.stats().time_points, 7u);
+  EXPECT_EQ(sim.stats().callbacks, 0u);
+}
+
+TEST(KernelClock, PhaseCountsFromNow) {
+  // Phase 0 rises at once; a positive phase delays the first rising edge
+  // from the time add_clock is called and drives '0' until then.
+  Simulator sim;
+  const SignalId a = sim.create_signal("a", 1, Logic::U);
+  const SignalId b = sim.create_signal("b", 1, Logic::U);
+  std::vector<Edge> edges;
+  record_edges(sim, {a, b}, edges);
+  sim.run_until(ps(1000));
+  sim.add_clock(a, ps(100), SimTime::zero());
+  sim.add_clock(b, ps(100), ps(30));
+  sim.run_until(ps(1130));
+  // a's '0' and its first rising edge stage in one delta; the edge wins.
+  const std::vector<Edge> want = {
+      {ps(1000), a, Logic::L1}, {ps(1000), b, Logic::L0},
+      {ps(1030), b, Logic::L1},
+      {ps(1050), a, Logic::L0}, {ps(1080), b, Logic::L0},
+      {ps(1100), a, Logic::L1}, {ps(1130), b, Logic::L1}};
+  EXPECT_EQ(edges, want);
+  EXPECT_EQ(sim.clock_rising_edges(0), 2u);
+  EXPECT_EQ(sim.clock_rising_edges(1), 2u);
+}
+
+TEST(KernelClock, CoincidentEdgesShareATimePointInAddOrder) {
+  // Two clocks with one period, added in the reverse of signal order, and
+  // a callback at an edge time: one time point per edge time, and the
+  // first delta stages the edges in add_clock order, then the callback's
+  // write.
+  Simulator sim;
+  const SignalId sa = sim.create_signal("a", 1, Logic::L0);
+  const SignalId sb = sim.create_signal("b", 1, Logic::L0);
+  const SignalId sc = sim.create_signal("c", 1, Logic::L0);
+  std::vector<Edge> edges;
+  record_edges(sim, {sa, sb, sc}, edges);
+  sim.add_clock(sb, SimTime::from_ns(10), SimTime::zero());
+  sim.add_clock(sa, SimTime::from_ns(10), SimTime::zero());
+  sim.schedule_callback(SimTime::from_ns(10),
+                        [&] { sim.schedule_write(sc, Logic::L1); });
+  sim.run_until(SimTime::from_ns(10));
+  const SimTime t0 = SimTime::zero();
+  const SimTime t5 = SimTime::from_ns(5);
+  const SimTime t10 = SimTime::from_ns(10);
+  const std::vector<Edge> want = {
+      {t0, sb, Logic::L1},  {t0, sa, Logic::L1},  {t5, sb, Logic::L0},
+      {t5, sa, Logic::L0},  {t10, sb, Logic::L1}, {t10, sa, Logic::L1},
+      {t10, sc, Logic::L1}};
+  EXPECT_EQ(edges, want);
+  EXPECT_EQ(sim.stats().time_points, 3u);
+  EXPECT_EQ(sim.stats().delta_cycles, 3u);  // one per time point
+  EXPECT_EQ(sim.stats().callbacks, 1u);
+}
+
+TEST(KernelClock, EdgeStagesOneDeltaAfterSameTimeDelayedBatch) {
+  // A delayed write due at an edge time stages first, in its own delta;
+  // the edge follows in the next one, as an external write would.
+  Simulator sim;
+  const SignalId clk = sim.create_signal("clk", 1, Logic::L0);
+  const SignalId d = sim.create_signal("d", 1, Logic::L0);
+  struct Run {
+    SimTime t;
+    bool d_event;
+    bool clk_event;
+    bool operator==(const Run&) const = default;
+  };
+  std::vector<Run> runs;
+  sim.add_process("watch", {clk, d}, [&] {
+    runs.push_back({sim.now(), sim.event(d), sim.event(clk)});
+  });
+  sim.add_clock(clk, SimTime::from_ns(10), SimTime::from_ns(10));
+  sim.initialize();
+  runs.clear();
+  sim.schedule_write(d, Logic::L1, SimTime::from_ns(10));
+  const std::uint64_t deltas0 = sim.stats().delta_cycles;
+  sim.run_until(SimTime::from_ns(10));
+  const std::vector<Run> want = {{SimTime::from_ns(10), true, false},
+                                 {SimTime::from_ns(10), false, true}};
+  EXPECT_EQ(runs, want);
+  EXPECT_EQ(sim.stats().delta_cycles - deltas0, 2u);
+  EXPECT_EQ(sim.value(clk).bit(0), Logic::L1);
+}
+
+TEST(KernelClock, StopLeavesOneNoOpTimePointThenQuiescent) {
+  Simulator sim;
+  const SignalId clk = sim.create_signal("clk", 1, Logic::L0);
+  const ClockId c = sim.add_clock(clk, SimTime::from_ns(10), SimTime::zero());
+  sim.run_until(SimTime::from_ns(12));  // edges at 0, 5, 10; next at 15
+  ASSERT_EQ(sim.value(clk).bit(0), Logic::L1);
+  sim.stop_clock(c);
+  const KernelStats before = sim.stats();
+  EXPECT_FALSE(sim.quiescent());
+  ASSERT_TRUE(sim.step_time());
+  EXPECT_EQ(sim.now(), SimTime::from_ns(15));
+  EXPECT_EQ(sim.stats().time_points - before.time_points, 1u);
+  EXPECT_EQ(sim.stats().transactions, before.transactions);
+  EXPECT_EQ(sim.value(clk).bit(0), Logic::L1);  // the edge wrote nothing
+  EXPECT_TRUE(sim.quiescent());
+  EXPECT_FALSE(sim.step_time());
+  EXPECT_EQ(sim.clock_rising_edges(c), 2u);
+}
+
+TEST(KernelClock, RejectsBadArguments) {
+  Simulator sim;
+  const SignalId clk = sim.create_signal("clk", 1, Logic::L0);
+  const SignalId bus = sim.create_signal("bus", 4, Logic::L0);
+  EXPECT_THROW(sim.add_clock(bus, SimTime::from_ns(10), SimTime::zero()),
+               LogicError);
+  EXPECT_THROW(sim.add_clock(clk, SimTime::zero(), SimTime::zero()),
+               LogicError);
+  EXPECT_THROW(sim.add_clock(clk, SimTime::from_ns(10), SimTime::from_ns(-1)),
+               LogicError);
+  EXPECT_TRUE(sim.quiescent());  // nothing was queued
 }
 
 // --- write elision ------------------------------------------------------------

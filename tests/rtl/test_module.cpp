@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <utility>
+#include <vector>
+
 namespace castanet::rtl {
 namespace {
 
@@ -51,6 +55,26 @@ TEST_F(ClockedFixture, ClockGenStops) {
   const auto edges = gen.rising_edges();
   sim.run_until(SimTime::from_ns(1000));
   EXPECT_EQ(gen.rising_edges(), edges);
+}
+
+TEST_F(ClockedFixture, ClockOutlivesItsHandle) {
+  // The edges are kernel data: destroying the handle leaves the clock
+  // running, and stepping never touches the handle again.
+  auto gen = std::make_unique<ClockGen>(sim, clk, SimTime::from_ns(50));
+  sim.run_until(SimTime::from_ns(100));
+  gen.reset();
+  std::vector<std::pair<SimTime, Logic>> edges;
+  sim.add_change_observer([&](SignalId s, const LogicVector& v, SimTime t) {
+    if (s == clk.id()) edges.emplace_back(t, v.bit(0));
+  });
+  sim.run_until(SimTime::from_ns(300));
+  // Falling at 125, 175, ...; rising at 150, 200, ..., 300.
+  ASSERT_EQ(edges.size(), 8u);
+  for (std::size_t i = 0; i < edges.size(); ++i) {
+    EXPECT_EQ(edges[i].first,
+              SimTime::from_ns(125 + 25 * static_cast<std::int64_t>(i)));
+    EXPECT_EQ(edges[i].second, i % 2 == 0 ? Logic::L0 : Logic::L1);
+  }
 }
 
 TEST_F(ClockedFixture, ClockedProcessCountsOnlyRisingEdges) {
