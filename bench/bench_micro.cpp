@@ -1,7 +1,11 @@
 // Micro-benchmarks (google-benchmark) for the kernel primitives every
-// experiment builds on: event-list operations, delta cycles, HEC/CRC,
-// GCRA, cell codecs and board pin packing.
+// experiment builds on: event-list operations, delta cycles, clocked
+// process fan-out, HEC/CRC, GCRA, cell codecs and board pin packing.  The
+// RTL cases run one clock period per iteration, so their time is ns per
+// cycle.
 #include <benchmark/benchmark.h>
+
+#include <string>
 
 #include "src/atm/aal5.hpp"
 #include "src/atm/cell.hpp"
@@ -59,6 +63,46 @@ void BM_RtlClockCycle(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_RtlClockCycle);
+
+/// switch_coverify's clock shape: 45 Module::clocked processes on one
+/// clock, 40 of them parked by an activity gate that never re-arms, so each
+/// rising edge wakes 45 and runs 5.
+class ClockedFanout : public rtl::Module {
+ public:
+  explicit ClockedFanout(rtl::Simulator& sim)
+      : Module(sim, "fanout"),
+        clk_(make_signal("clk", rtl::Logic::L0)),
+        idle_(make_signal("idle", rtl::Logic::L0)) {
+    for (int i = 0; i < 45; ++i) {
+      const std::string n = std::to_string(i);
+      if (i % 9 == 0) {
+        const rtl::Bus q = make_bus("q" + n, 16, rtl::Logic::L0);
+        clocked("count" + n, clk_,
+                [q] { q.write_uint((q.read_uint() + 1) & 0xFFFF); });
+      } else {
+        const rtl::ProcessId pid = clocked("idle" + n, clk_, [this] { gate(); });
+        wake_on(pid, {idle_.id()});
+      }
+    }
+  }
+  rtl::Signal clk() const { return clk_; }
+
+ private:
+  rtl::Signal clk_;
+  rtl::Signal idle_;
+};
+
+void BM_RtlClockedFanout(benchmark::State& state) {
+  rtl::Simulator sim;
+  ClockedFanout rig(sim);
+  rtl::ClockGen gen(sim, rig.clk(), SimTime::from_ns(50));
+  for (auto _ : state) {
+    sim.run_until(sim.now() + SimTime::from_ns(50));
+    benchmark::DoNotOptimize(sim.stats().process_activations);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RtlClockedFanout);
 
 void BM_HecCompute(benchmark::State& state) {
   std::uint8_t hdr[4] = {0x12, 0x34, 0x56, 0x78};

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Alternating A/B runs of the benchmark between two revisions.
 
-    scripts/perf_ab.py BASE [HEAD] [--pairs 5] [--seconds 20] [--seed 1]
+    scripts/perf_ab.py BASE [HEAD] [--pairs 10] [--seconds 20] [--seed 1]
                        [--workload NAME ...] [--trace 0|1] [--json FILE]
     scripts/perf_ab.py --selftest
 
@@ -18,12 +18,13 @@ response digest), and 0 otherwise.  A slower metric does not fail the run:
 the BENCHMARK.json bounds are the gate, this table is the evidence.
 
 For each metric of BENCHMARK.json (end_to_end with --trace 0, per_layer
-with --trace 1) the table gives the ratio of the HEAD median to the BASE
-median, the pairs HEAD wins in the metric's `better` direction, and the
-spread of BASE as IQR/median.  A metric is `resolved` when HEAD wins at
-least 80% of the pairs and |ratio - 1| exceeds that spread, `regressed`
-when BASE does, and `noise` otherwise; with fewer than 3 pairs there is
-no spread to judge by and the verdict is `-`.  --json FILE writes the
+with --trace 1) the table gives each side's median and quartiles, the
+ratio of the HEAD median to the BASE median, the pairs HEAD wins in the
+metric's `better` direction, and the spread of BASE as IQR/median.  The
+verdict follows the benchmark's rule for a claimed gain: a metric is
+`resolved` when HEAD wins at least 90% of at least 10 pairs and |ratio - 1|
+exceeds that spread, `regressed` when BASE does, and `noise` otherwise;
+with fewer than 10 pairs the verdict is `-`.  --json FILE writes the
 table.
 
 Standard library only.
@@ -39,8 +40,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 AB_DIR = ROOT / ".bench_build" / "ab"
-WIN_SHARE = 0.8
-MIN_PAIRS_FOR_VERDICT = 3
+WIN_SHARE = 0.9
+MIN_PAIRS_FOR_VERDICT = 10
 SIM_KEYS = ("cycles", "activations", "digest")
 RUN_TIMEOUT_S = 3600  # the first run of a side also builds its tree
 
@@ -51,13 +52,18 @@ def log(msg):
 
 # --- arithmetic ---------------------------------------------------------------
 
+def quartiles(values):
+    """(q1, median, q3) of `values`, by linear interpolation."""
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, med, q3
+
+
 def spread(values):
-    """IQR/median of `values` (quartiles by linear interpolation)."""
-    med = statistics.median(values)
-    if len(values) < 2 or med == 0:
-        return 0.0
-    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return (q3 - q1) / abs(med)
+    """IQR/median of `values`."""
+    q1, med, q3 = quartiles(values)
+    return 0.0 if med == 0 else (q3 - q1) / abs(med)
 
 
 def compare(base, head, better):
@@ -66,8 +72,8 @@ def compare(base, head, better):
     sign = 1 if better == "higher" else -1
     wins = sum(1 for b, h in zip(base, head) if sign * (h - b) > 0)
     losses = sum(1 for b, h in zip(base, head) if sign * (h - b) < 0)
-    base_med = statistics.median(base)
-    head_med = statistics.median(head)
+    base_q1, base_med, base_q3 = quartiles(base)
+    head_q1, head_med, head_q3 = quartiles(head)
     ratio = head_med / base_med if base_med else None
     noise = spread(base)
     moved = base_med != 0 and abs(ratio - 1) > noise
@@ -80,9 +86,10 @@ def compare(base, head, better):
         verdict = "regressed"
     else:
         verdict = "noise"
-    return {"base_median": base_med, "head_median": head_med, "ratio": ratio,
-            "wins": wins, "pairs": len(base), "base_iqr_over_median": noise,
-            "verdict": verdict}
+    return {"base_median": base_med, "base_q1": base_q1, "base_q3": base_q3,
+            "head_median": head_med, "head_q1": head_q1, "head_q3": head_q3,
+            "ratio": ratio, "wins": wins, "pairs": len(base),
+            "base_iqr_over_median": noise, "verdict": verdict}
 
 
 def sim_mismatch(sims):
@@ -188,12 +195,18 @@ def measure(trees, workloads, metrics, args):
 
 
 def print_table(rows):
-    print(f"{'workload':16s} {'metric':24s} {'base':>14s} {'head':>14s} "
-          f"{'ratio':>7s} {'wins':>6s} {'iqr/med':>8s}  verdict")
+    """One line per row; each side reads `median [q1, q3]`."""
+    def side(r, name):
+        return (f"{r[name + '_median']:.6g} "
+                f"[{r[name + '_q1']:.6g}, {r[name + '_q3']:.6g}]")
+
+    print(f"{'workload':16s} {'metric':24s} {'base median [q1, q3]':>34s} "
+          f"{'head median [q1, q3]':>34s} {'ratio':>7s} {'wins':>6s} "
+          f"{'iqr/med':>8s}  verdict")
     for r in rows:
         ratio = "-" if r["ratio"] is None else f"{r['ratio']:.3f}"
-        print(f"{r['workload']:16s} {r['metric']:24s} {r['base_median']:14.6g} "
-              f"{r['head_median']:14.6g} {ratio:>7s} "
+        print(f"{r['workload']:16s} {r['metric']:24s} {side(r, 'base'):>34s} "
+              f"{side(r, 'head'):>34s} {ratio:>7s} "
               f"{r['wins']:>3d}/{r['pairs']:<2d} "
               f"{r['base_iqr_over_median']:8.3f}  {r['verdict']}")
 
@@ -215,37 +228,56 @@ def selftest():
     near("spread of 98..102", spread(base), 0.02)
     near("spread of one sample", spread([5.0]), 0.0)
     near("spread of [1,2,3,4]", spread([1.0, 2.0, 3.0, 4.0]), 1.5 / 2.5)
+    check("quartiles of 98..102", quartiles(base), (99.0, 100.0, 101.0))
+    check("quartiles of one sample", quartiles([5.0]), (5.0, 5.0, 5.0))
 
-    r = compare(base, [130.0, 128.0, 131.0, 127.0, 133.0], "higher")
+    # Ten pairs: the base spread is 0.02 again.
+    base10 = base * 2
+    r = compare(base10, [130.0, 128.0, 131.0, 127.0, 133.0] * 2, "higher")
     near("higher: ratio", r["ratio"], 1.3)
-    check("higher: wins", r["wins"], 5)
+    check("higher: wins", r["wins"], 10)
+    check("higher: head quartiles", (r["head_q1"], r["head_q3"]),
+          (128.0, 131.0))
+    check("higher: base quartiles", (r["base_q1"], r["base_q3"]),
+          (99.0, 101.0))
     check("higher: verdict", r["verdict"], "resolved")
 
-    r = compare([2.0, 2.2, 1.8, 2.1, 1.9], [1.5, 1.6, 1.4, 1.5, 1.9], "lower")
+    r = compare([2.0, 2.2, 1.8, 2.1, 1.9] * 2,
+                [1.5, 1.6, 1.4, 1.5, 1.5] * 2, "lower")
     near("lower: ratio", r["ratio"], 0.75)
-    check("lower: wins (a tie is no win)", r["wins"], 4)
     check("lower: verdict", r["verdict"], "resolved")
 
-    r = compare(base, [101.0, 103.0, 97.0, 102.0, 98.0], "higher")
-    check("3/5 wins: verdict", r["verdict"], "noise")
+    r = compare([2.0, 2.2, 1.8, 2.1, 1.9], [1.5, 1.6, 1.4, 1.5, 1.9], "lower")
+    check("lower: wins (a tie is no win)", r["wins"], 4)
+
+    faster = [130.0] * 10
+    r = compare(base10, faster[:9] + [90.0], "higher")
+    check("9 wins in 10 pairs: wins", r["wins"], 9)
+    check("9 wins in 10 pairs: verdict", r["verdict"], "resolved")
+    r = compare(base10, faster[:8] + [90.0, 90.0], "higher")
+    check("8 wins in 10 pairs: wins", r["wins"], 8)
+    check("8 wins in 10 pairs: verdict", r["verdict"], "noise")
+    r = compare(base, faster[:5], "higher")
+    check("5 pairs: wins", r["wins"], 5)
+    check("5 pairs: no verdict", r["verdict"], "-")
 
     # Wins every pair but moves less than the base spread.
-    r = compare(base, [100.5, 102.5, 98.5, 101.5, 99.5], "higher")
-    check("inside the spread: wins", r["wins"], 5)
+    r = compare(base10, [100.5, 102.5, 98.5, 101.5, 99.5] * 2, "higher")
+    check("inside the spread: wins", r["wins"], 10)
     check("inside the spread: verdict", r["verdict"], "noise")
 
-    r = compare(base, [80.0, 81.0, 79.0, 82.0, 78.0], "higher")
+    r = compare(base10, [80.0, 81.0, 79.0, 82.0, 78.0] * 2, "higher")
     check("slower everywhere: verdict", r["verdict"], "regressed")
 
     r = compare([100.0, 100.0], [130.0, 131.0], "higher")
     check("two pairs: wins", r["wins"], 2)
     check("two pairs: no verdict", r["verdict"], "-")
 
-    r = compare([0.0] * 3, [0.0] * 3, "lower")
+    r = compare([0.0] * 10, [0.0] * 10, "lower")
     check("zero base: no ratio", r["ratio"], None)
     check("zero base: verdict", r["verdict"], "noise")
 
-    r = compare([22.6] * 5, [22.6] * 5, "lower")
+    r = compare([22.6] * 10, [22.6] * 10, "lower")
     check("identical samples: wins", r["wins"], 0)
     check("identical samples: verdict", r["verdict"], "noise")
 
@@ -271,7 +303,7 @@ def main():
     ap.add_argument("base", nargs="?", help="base revision")
     ap.add_argument("head", nargs="?",
                     help="head revision (default: the working tree)")
-    ap.add_argument("--pairs", type=int, default=5)
+    ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=20.0)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)

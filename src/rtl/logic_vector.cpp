@@ -172,9 +172,7 @@ std::string LogicVector::to_string() const {
   return s;
 }
 
-bool LogicVector::operator==(const LogicVector& o) const {
-  if (width_ != o.width_) return false;
-  if (inlined()) return sbo_ == o.sbo_;
+bool LogicVector::heap_equal(const LogicVector& o) const {
   return std::equal(heap_.get(), heap_.get() + kPlanes * words(),
                     o.heap_.get());
 }

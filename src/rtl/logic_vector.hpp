@@ -147,7 +147,16 @@ class LogicVector {
   /// MSB-first string, as in a VHDL waveform viewer.
   std::string to_string() const;
 
-  bool operator==(const LogicVector& o) const;
+  /// Whole-word compare; the inline words are compared one by one, since
+  /// std::array's operator== on them is a libc memcmp call (DESIGN.md §7.1).
+  bool operator==(const LogicVector& o) const {
+    if (width_ != o.width_) return false;
+    if (inlined()) {
+      return ((sbo_[0] ^ o.sbo_[0]) | (sbo_[1] ^ o.sbo_[1]) |
+              (sbo_[2] ^ o.sbo_[2]) | (sbo_[3] ^ o.sbo_[3])) == 0;
+    }
+    return heap_equal(o);
+  }
   bool operator!=(const LogicVector& o) const { return !(*this == o); }
   /// True when this equals scalar(v) — the kernel's scalar write-elision
   /// check, made without building the vector.
@@ -197,6 +206,8 @@ class LogicVector {
     return r == 0 ? ~std::uint64_t{0} : (std::uint64_t{1} << r) - 1;
   }
   void allocate(std::size_t width);
+  /// operator== for two heap-mode vectors of equal width.
+  bool heap_equal(const LogicVector& o) const;
   /// Cold half of to_uint(): finds the offending bit for the diagnostic.
   [[noreturn]] void throw_undefined_bit() const;
 

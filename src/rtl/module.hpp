@@ -160,18 +160,13 @@ class Module {
     }
   }
 
-  /// Registers a process that runs `fn` on every rising edge of `clk`.
-  /// The sensitivity entry is edge-restricted so the kernel never wakes the
-  /// process on the falling edge; the rose() guard stays for the
-  /// initialization run, where every process executes once unconditionally.
+  /// Registers a process that runs `fn` on every rising edge of `clk`
+  /// (Simulator::add_clocked_process): the kernel knows the body by its
+  /// clock, wakes it on rising edges only and calls it directly.
   ProcessId clocked(const std::string& local, const Signal& clk,
                     std::function<void()> fn) {
-    Signal c = clk;
-    const ProcessId pid = process(local, {clk.id()}, [c, fn = std::move(fn)] {
-      if (c.rose()) fn();
-    });
-    sim_->restrict_sensitivity_to_rising(pid, clk.id());
-    return pid;
+    return sim_->add_clocked_process(name_ + "." + local, clk.id(),
+                                     std::move(fn));
   }
 
  private:

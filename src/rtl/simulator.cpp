@@ -53,6 +53,19 @@ ProcessId Simulator::add_process(std::string name,
   return pid;
 }
 
+ProcessId Simulator::add_clocked_process(std::string name, SignalId clk,
+                                         std::function<void()> fn) {
+  require(clk < signals_.size(), "add_clocked_process: unknown signal");
+  SignalState& st = signals_[clk];
+  require(st.width == 1, "add_clocked_process: clock is not a scalar");
+  const ProcessId pid = add_process(std::move(name), {}, std::move(fn));
+  processes_[pid].clock = clk;
+  st.sensitive.push_back(pid);
+  st.sensitive_rising.push_back(1);
+  ++st.clocked_entries;
+  return pid;
+}
+
 void Simulator::restrict_sensitivity_to_rising(ProcessId p, SignalId s) {
   require(s < signals_.size(), "restrict_sensitivity_to_rising: unknown signal");
   SignalState& st = signals_[s];
@@ -185,6 +198,11 @@ Simulator::ProbeResult Simulator::probe_process(ProcessId p) {
   require(p != kExternalProcess && p < processes_.size(),
           "probe_process: unknown process");
   ProbeResult out;
+  if (processes_[p].clock != kNoClock) {
+    // A clocked body runs only on an edge, and a probe has none.
+    out.clean = false;
+    return out;
+  }
   probing_ = true;
   probe_unclean_ = false;
   probe_writes_.clear();
@@ -411,7 +429,15 @@ void Simulator::commit(SignalId sig) {
     }
     return rising;
   };
-  if (!st.sensitive.empty() && (st.level_entries != 0 || is_rising())) {
+  if (st.clocked_entries == st.sensitive.size()) {
+    // Only clocked bodies (every clock in src/hw): a rising edge wakes each
+    // of them, and none can be queued yet this delta — it sits on no other
+    // net — so the list goes in whole, with no per-entry test or stamp.
+    if (!st.sensitive.empty() && is_rising()) {
+      runnable_.insert(runnable_.end(), st.sensitive.begin(),
+                       st.sensitive.end());
+    }
+  } else if (st.level_entries != 0 || is_rising()) {
     for (std::size_t i = 0; i < st.sensitive.size(); ++i) {
       if (st.sensitive_rising[i] != 0 && !is_rising()) continue;
       enqueue_runnable(st.sensitive[i]);
@@ -451,7 +477,18 @@ void Simulator::run_time_point(std::vector<Transaction>& batch,
     for (SignalId s : dirty_signals_) commit(s);
     dirty_signals_.clear();
     if (first) {
-      for (ProcessId p : preactivated) enqueue_runnable(p);
+      for (ProcessId p : preactivated) {
+        const SignalId clk = processes_[p].clock;
+        if (clk == kNoClock) {
+          enqueue_runnable(p);
+        } else if (!rose(clk)) {
+          // A clocked body's initialization run without an edge: it counts
+          // as an activation and calls nothing.  With an edge, the commit
+          // above has queued it already.  Nothing is gated before a body
+          // has run, so there is no gated skip to count.
+          ++stats_.process_activations;
+        }
+      }
       first = false;
     }
     execute_runnable();

@@ -12,13 +12,17 @@
 // data, not callbacks: each add_clock entry is a signal, its next edge time
 // and its two half periods, kept in a small vector the kernel scans, and a
 // due edge queues its write straight into the first delta — no callback,
-// no bucket, no allocation.  Delayed transactions and timed callbacks live
-// in per-time-point buckets indexed by a binary min-heap of time points
-// (instead of a balanced tree), bucket storage is pooled and recycled, and
-// runnable processes are deduplicated with a delta-generation stamp per
-// process instead of sort+unique scans.  Modules re-assert unchanged
-// outputs on every clock, VHDL style; such a write is dropped at
-// schedule_write, before any transaction exists (DESIGN.md §7.7).
+// no bucket, no allocation.  Clocked processes are kernel data too: an
+// add_clocked_process body is known by its clock, so a rising edge of a
+// net that carries only such bodies appends its whole sensitivity list to
+// the runnable set and each body is called directly, with no edge guard.
+// Delayed transactions and timed callbacks live in per-time-point buckets
+// indexed by a binary min-heap of time points (instead of a balanced
+// tree), bucket storage is pooled and recycled, and the other runnable
+// processes are deduplicated with a delta-generation stamp per process
+// instead of sort+unique scans.  Modules re-assert unchanged outputs on
+// every clock, VHDL style; such a write is dropped at schedule_write,
+// before any transaction exists (DESIGN.md §7.7).
 //
 // The kernel counts writes (staged and elided), events, process
 // activations, delta cycles, time points and timed callbacks; experiment E7
@@ -114,11 +118,22 @@ class Simulator {
                          Logic init = Logic::U);
   ProcessId add_process(std::string name, std::vector<SignalId> sensitivity,
                         std::function<void()> fn);
+  /// Registers a clocked process: `fn` runs on every rising edge of scalar
+  /// signal `clk` (bit 0 from not-'1'/'H' to '1'/'H'), called directly with
+  /// no edge test of its own.  Its initialization run counts one activation
+  /// and calls `fn` only if `clk` rose in that delta; probe_process reports
+  /// it unclean without calling `fn`.  On a net whose entries are all
+  /// clocked processes, a rising commit appends the whole list in
+  /// registration order (DESIGN.md §7.7).  sensitive_rising() shows the
+  /// entry as rising-edge restricted.  Throws LogicError for a non-scalar
+  /// `clk`.
+  ProcessId add_clocked_process(std::string name, SignalId clk,
+                                std::function<void()> fn);
   /// Restricts an existing sensitivity entry (process `p` on width-1 signal
   /// `s`) to rising edges: the kernel wakes `p` only when a commit takes bit
-  /// 0 from not-'1'/'H' to '1'/'H' (rose() semantics).  Clocked-process
-  /// helpers use this so the falling clock edge stops activating processes
-  /// whose bodies are rising-edge no-ops; event()/rose()/fell() queries on
+  /// 0 from not-'1'/'H' to '1'/'H' (rose() semantics), so the falling edge
+  /// stops activating a process whose body is a rising-edge no-op.  Such a
+  /// process still runs its own edge test; event()/rose()/fell() queries on
   /// `s` are unaffected.
   void restrict_sensitivity_to_rising(ProcessId p, SignalId s);
 
@@ -217,10 +232,12 @@ class Simulator {
   /// Executes process `p` once in a sandbox: scheduled writes are captured
   /// instead of staged, reads are harvested, edge queries answer false (and
   /// mark the result unclean), self-gating is ignored, and no kernel state
-  /// or statistic changes.  Only processes honouring the combinational
-  /// purity contract (compute from value() reads, no internal C++ state)
-  /// yield meaningful results; probing a sequential process additionally
-  /// mutates its member state and must be avoided by the caller.
+  /// or statistic changes.  A clocked process (add_clocked_process) runs
+  /// only on an edge, so it is not called: the result is unclean and
+  /// empty.  Only processes honouring the combinational purity contract
+  /// (compute from value() reads, no internal C++ state) yield meaningful
+  /// results; probing a sequential process additionally mutates its member
+  /// state and must be avoided by the caller.
   ProbeResult probe_process(ProcessId p);
   /// Overwrites a signal's effective value directly — no transaction, no
   /// event, no process wakeup.  Analysis-only: callers must restore every
@@ -353,6 +370,9 @@ class Simulator {
     /// Entries of `sensitive` not restricted to rising edges.  Zero on a
     /// clock net, whose non-rising changes wake nobody.
     std::uint32_t level_entries = 0;
+    /// Entries of `sensitive` that are clocked processes.  When every
+    /// entry is one, a rising commit appends the whole list (see commit).
+    std::uint32_t clocked_entries = 0;
     /// drain_serial_ when a zero-delay write to this signal was last queued;
     /// equal to drain_serial_ while that write sits unstaged in next_delta_.
     std::uint64_t queued_drain = 0;
@@ -364,9 +384,12 @@ class Simulator {
     std::uint64_t staged_serial = 0;   ///< delta serial of last driver update
     LogicVector previous;              ///< value before last change
   };
+  /// `clock` of a process that is not clocked (add_clocked_process).
+  static constexpr SignalId kNoClock = ~SignalId{0};
   struct ProcessState {
     std::string name;
     std::function<void()> fn;
+    SignalId clock = kNoClock;
   };
   struct Transaction {
     SignalId sig;
@@ -444,7 +467,8 @@ class Simulator {
   void execute_runnable();
   /// Executes one complete time point: delta cycles (stage, commit,
   /// execute) until no transaction is pending.  `preactivated` processes
-  /// run in the first delta whether or not a signal woke them.
+  /// run in the first delta whether or not a signal woke them; a clocked
+  /// one among them counts its activation but runs only if its clock rose.
   void run_time_point(std::vector<Transaction>& batch,
                       std::span<const ProcessId> preactivated = {});
   /// Cold half of value(): records the lint-only read-set entry.
@@ -478,9 +502,11 @@ class Simulator {
   std::vector<std::uint32_t> free_buckets_;
   std::unordered_map<std::int64_t, std::uint32_t> bucket_index_;
 
-  // Per-delta runnable set, deduplicated by generation stamp: a process is
-  // enqueued at most once per delta regardless of how many of its
-  // sensitivity signals changed.
+  // Per-delta runnable set.  Processes woken entry by entry are
+  // deduplicated by generation stamp: one is enqueued at most once per
+  // delta regardless of how many of its sensitivity signals changed.  A
+  // clocked process sits on one net, which commits at most once per delta,
+  // so the whole-list fan-out needs no stamp.
   std::vector<ProcessId> runnable_;
   std::vector<std::uint64_t> runnable_stamp_;  // last delta_serial_ enqueued
 

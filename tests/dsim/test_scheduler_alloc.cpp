@@ -2,17 +2,20 @@
 // list, and bucket arrays are warm, schedule_at/step/cancel perform ZERO
 // heap allocations for any action whose capture fits SmallFn's inline
 // buffer.  The RTL kernel's clock edges make the same promise: a clocked
-// design runs its cycles with no allocation once its scratch vectors are
-// warm.  Proven the same way test_flow_stats.cpp proves the disabled-path
+// design, Module::clocked processes and their activity gates included,
+// runs its cycles with no allocation once its scratch vectors are warm.
+// Proven the same way test_flow_stats.cpp proves the disabled-path
 // contract: this binary replaces the global allocator with a counting
 // wrapper and asserts the count does not move across the hot phase.
 #include "src/dsim/scheduler.hpp"
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -157,6 +160,70 @@ TEST(SchedulerAlloc, KernelClockCyclesAreAllocationFree) {
   EXPECT_EQ(gen.rising_edges(), static_cast<std::uint64_t>(
                                     kWarmCycles + kCycles + 1));
   EXPECT_EQ(count.read_uint(), gen.rising_edges());
+}
+
+/// Six Module::clocked processes on one clock: a free-running counter that
+/// toggles `tick` every eight cycles, and five followers that copy `tick`
+/// and then gate themselves until it changes again.
+class GatedFollowers : public rtl::Module {
+ public:
+  GatedFollowers(rtl::Simulator& sim, rtl::Signal clk)
+      : Module(sim, "rig"),
+        count_(make_bus("count", 16, rtl::Logic::L0)),
+        tick_(make_signal("tick", rtl::Logic::L0)) {
+    clocked("count", clk, [this] {
+      const std::uint64_t n = (count_.read_uint() + 1) & 0xFFFF;
+      count_.write_uint(n);
+      tick_.write((n & 8) != 0);
+    });
+    for (std::size_t i = 0; i < outs_.size(); ++i) {
+      outs_[i] = make_signal("out" + std::to_string(i), rtl::Logic::L0);
+      const rtl::ProcessId pid =
+          clocked("follow" + std::to_string(i), clk, [this, i] {
+            outs_[i].write(tick_.read());
+            ++follower_runs;
+            gate();
+          });
+      wake_on(pid, {tick_.id()});
+    }
+  }
+
+  std::uint64_t count() const { return count_.read_uint(); }
+  bool outputs_follow_tick() const {
+    for (const rtl::Signal& o : outs_) {
+      if (o.read() != tick_.read()) return false;
+    }
+    return true;
+  }
+  std::uint64_t follower_runs = 0;
+
+ private:
+  rtl::Bus count_;
+  rtl::Signal tick_;
+  std::array<rtl::Signal, 5> outs_;
+};
+
+TEST(SchedulerAlloc, GatedClockedModuleCyclesAreAllocationFree) {
+  rtl::Simulator sim;
+  rtl::Signal clk(&sim, sim.create_signal("clk", 1, rtl::Logic::L0));
+  GatedFollowers rig(sim, clk);
+  rtl::ClockGen gen(sim, clk, SimTime::from_ns(50));
+  constexpr std::int64_t kWarmCycles = 100;
+  constexpr std::int64_t kCycles = 10'000;
+  sim.run_until(SimTime::from_ns(50) * kWarmCycles);
+
+  const std::uint64_t before = g_allocations.load();
+  const std::uint64_t skips0 = sim.stats().gated_skips;
+  const std::uint64_t runs0 = rig.follower_runs;
+  sim.run_until(sim.now() + SimTime::from_ns(50) * kCycles);
+  EXPECT_EQ(g_allocations.load(), before)
+      << "gated clocked cycles allocated in steady state";
+  EXPECT_EQ(rig.count(), gen.rising_edges());
+  EXPECT_TRUE(rig.outputs_follow_tick());
+  // `tick` changes every 8 cycles; each follower runs once per change and
+  // is skipped on the other 7 edges.
+  EXPECT_EQ(rig.follower_runs - runs0, 5u * kCycles / 8);
+  EXPECT_EQ(sim.stats().gated_skips - skips0, 5u * (kCycles - kCycles / 8));
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
 // Deeper VHDL-semantics coverage of the event-driven kernel: transaction
 // ordering, last-write-wins per driver, delayed vs delta writes, X
 // propagation through logic, stability of the delta loop under
-// pathological feedback, the contract of kernel-owned clocks (add_clock),
-// and the write elision at schedule_write — fixtures for each of its
-// conditions plus a randomized differential against runs that defeat it.
+// pathological feedback, the contract of kernel-owned clocks (add_clock)
+// and of clocked processes (add_clocked_process), and the write elision at
+// schedule_write — fixtures for each of its conditions plus a randomized
+// differential against runs that defeat it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -339,6 +340,160 @@ TEST(KernelClock, RejectsBadArguments) {
   EXPECT_TRUE(sim.quiescent());  // nothing was queued
 }
 
+// --- clocked processes --------------------------------------------------------
+
+TEST(KernelClocked, InitRunWithClockLowCountsOneActivationAndNoCall) {
+  Simulator sim;
+  const SignalId clk = sim.create_signal("clk", 1, Logic::L0);
+  int calls = 0;
+  sim.add_clocked_process("p", clk, [&] { ++calls; });
+  sim.initialize();
+  EXPECT_EQ(calls, 0);
+  EXPECT_EQ(sim.stats().process_activations, 1u);
+  EXPECT_EQ(sim.stats().gated_skips, 0u);
+}
+
+TEST(KernelClocked, InitRunWithClockDrivenHighCallsOnce) {
+  // The clock rises in the initialization delta.  The rising commit queues
+  // the body, and its own initialization run must not queue it again.  On
+  // a mixed net the body is queued by the per-entry walk instead of the
+  // whole-list fan-out; both count one call and one activation.
+  for (const bool mixed : {false, true}) {
+    Simulator sim;
+    const SignalId clk = sim.create_signal("clk", 1, Logic::L0);
+    int calls = 0, level_runs = 0;
+    sim.add_clocked_process("p", clk, [&] {
+      EXPECT_TRUE(sim.rose(clk));
+      ++calls;
+    });
+    if (mixed) sim.add_process("level", {clk}, [&] { ++level_runs; });
+    sim.schedule_write(clk, Logic::L1);
+    sim.initialize();
+    EXPECT_EQ(calls, 1) << "mixed " << mixed;
+    EXPECT_EQ(level_runs, mixed ? 1 : 0);
+    EXPECT_EQ(sim.stats().process_activations, mixed ? 2u : 1u)
+        << "mixed " << mixed;
+  }
+}
+
+TEST(KernelClocked, ProbeIsUncleanEmptyAndDoesNotCallTheBody) {
+  // Same result as a raw process guarded by rose(): the guard's edge query
+  // is what made the probe unclean.
+  Simulator sim;
+  const SignalId clk = sim.create_signal("clk", 1, Logic::L0);
+  const SignalId a = sim.create_signal("a", 1, Logic::L1);
+  const SignalId y = sim.create_signal("y", 1, Logic::L0);
+  int calls = 0;
+  const ProcessId p = sim.add_clocked_process("p", clk, [&] {
+    ++calls;
+    sim.schedule_write(y, sim.value(a).bit(0));
+  });
+  const ProcessId guarded = sim.add_process("guarded", {clk}, [&] {
+    if (sim.rose(clk)) sim.schedule_write(y, sim.value(a).bit(0));
+  });
+  sim.restrict_sensitivity_to_rising(guarded, clk);
+  sim.initialize();
+  const KernelStats before = sim.stats();
+  for (const ProcessId q : {p, guarded}) {
+    const Simulator::ProbeResult r = sim.probe_process(q);
+    EXPECT_FALSE(r.clean) << "pid " << q;
+    EXPECT_TRUE(r.writes.empty()) << "pid " << q;
+    EXPECT_TRUE(r.reads.empty()) << "pid " << q;
+  }
+  EXPECT_EQ(calls, 0);
+  EXPECT_TRUE(sim.readers_of(a).empty());
+  EXPECT_EQ(sim.stats().process_activations, before.process_activations);
+  EXPECT_EQ(sim.stats().transactions, before.transactions);
+  EXPECT_EQ(sim.sensitive_rising(clk), (std::vector<std::uint8_t>{1, 1}));
+}
+
+/// A clocked process body that records, per run, whether it saw the
+/// clock's edge, and parks itself after every run.
+struct ParkingBody {
+  Simulator* sim;
+  SignalId clk;
+  std::vector<bool>* saw_edge;
+  void operator()() const {
+    saw_edge->push_back(sim->rose(clk));
+    sim->gate_current_process();
+  }
+};
+
+TEST(KernelClocked, GatedBodyRunsWhenAWakeSignalCommitsLaterInTheEdgeDelta) {
+  // At 30 ns a callback writes the wake signal.  Its write stages behind
+  // the clock edge in the same delta, so the gated body is already queued
+  // when the wake signal commits; the gate is checked when its turn comes.
+  Simulator sim;
+  const SignalId clk = sim.create_signal("clk", 1, Logic::L0);
+  const SignalId wake = sim.create_signal("wake", 1, Logic::L0);
+  std::vector<bool> saw_edge;
+  const ProcessId g =
+      sim.add_clocked_process("g", clk, ParkingBody{&sim, clk, &saw_edge});
+  sim.set_wake_signals(g, {wake});
+  sim.add_clock(clk, SimTime::from_ns(10), SimTime::from_ns(10));
+  sim.run_until(SimTime::from_ns(20));  // edges at 10 (runs) and 20 (gated)
+  ASSERT_EQ(saw_edge, std::vector<bool>{true});
+  ASSERT_TRUE(sim.process_gated(g));
+  EXPECT_EQ(sim.stats().gated_skips, 1u);
+  sim.schedule_callback(SimTime::from_ns(10),
+                        [&] { sim.schedule_write(wake, Logic::L1); });
+  const std::uint64_t deltas0 = sim.stats().delta_cycles;
+  sim.run_until(SimTime::from_ns(30));
+  EXPECT_EQ(saw_edge, (std::vector<bool>{true, true}));
+  EXPECT_EQ(sim.stats().delta_cycles - deltas0, 2u);  // 25 ns, then 30 ns
+  EXPECT_EQ(sim.stats().gated_skips, 1u);
+  EXPECT_TRUE(sim.process_gated(g));
+}
+
+TEST(KernelClocked, GatedBodyRunsWhenAnEarlierBodyWakesItInTheSameDelta) {
+  Simulator sim;
+  const SignalId clk = sim.create_signal("clk", 1, Logic::L0);
+  std::vector<bool> saw_edge;
+  ProcessId g = 0;
+  int edges = 0;
+  sim.add_clocked_process("waker", clk, [&] {
+    if (++edges == 3) sim.wake_process(g);
+  });
+  g = sim.add_clocked_process("g", clk, ParkingBody{&sim, clk, &saw_edge});
+  sim.add_clock(clk, SimTime::from_ns(10), SimTime::from_ns(10));
+  sim.run_until(SimTime::from_ns(20));
+  ASSERT_EQ(saw_edge, std::vector<bool>{true});
+  sim.run_until(SimTime::from_ns(30));  // the waker runs first, then g
+  EXPECT_EQ(saw_edge, (std::vector<bool>{true, true}));
+  EXPECT_EQ(sim.stats().gated_skips, 1u);
+  // Activations: two initialization runs, then waker 3 + g 2.
+  EXPECT_EQ(sim.stats().process_activations, 7u);
+}
+
+TEST(KernelClocked, MixedNetKeepsRegistrationOrderAndLevelWakeups) {
+  // Clocked bodies and a level-sensitive process on one clock: a rising
+  // edge runs all three in registration order, a falling edge only the
+  // level-sensitive one.  A clock net of clocked bodies only keeps the same
+  // order through the whole-list fan-out.
+  for (const bool mixed : {true, false}) {
+    Simulator sim;
+    const SignalId clk = sim.create_signal("clk", 1, Logic::L0);
+    std::string order;
+    sim.add_clocked_process("a", clk, [&] { order += 'a'; });
+    if (mixed) {
+      sim.add_process("L", {clk}, [&] { order += sim.rose(clk) ? 'L' : 'l'; });
+    }
+    sim.add_clocked_process("b", clk, [&] { order += 'b'; });
+    sim.add_clock(clk, SimTime::from_ns(10), SimTime::from_ns(10));
+    sim.initialize();
+    std::vector<std::string> runs = {order};
+    for (int edge = 0; edge < 3; ++edge) {  // rise 10, fall 15, rise 20
+      order.clear();
+      ASSERT_TRUE(sim.step_time());
+      runs.push_back(order);
+    }
+    const std::vector<std::string> want =
+        mixed ? std::vector<std::string>{"l", "aLb", "l", "aLb"}
+              : std::vector<std::string>{"", "ab", "", "ab"};
+    EXPECT_EQ(runs, want) << "mixed " << mixed;
+  }
+}
+
 // --- write elision ------------------------------------------------------------
 
 TEST(WriteElision, SameActivationOverrideKeepsLastWriteWins) {
@@ -519,9 +674,11 @@ struct Writer {
 /// Seeded random netlist: scalars and buses (one wider than 64 bits),
 /// clocked processes with private state, an acyclic layer of combinational
 /// processes, multi-driver nets whose drivers alternate between a value
-/// and release, and external stimulus.  Runs `cycles` clock periods.
+/// and release, and external stimulus.  Runs `cycles` clock periods.  The
+/// clocked processes are raw rising-edge entries guarded by rose(), or
+/// with `kernel_clocked` unguarded add_clocked_process bodies.
 NetlistRun run_random_netlist(std::uint32_t seed, bool shadow,
-                              int cycles = 120) {
+                              bool kernel_clocked = false, int cycles = 120) {
   std::mt19937 rng(seed);
   const auto roll = [&](std::uint32_t n) {
     return static_cast<std::uint32_t>(rng() % n);
@@ -572,6 +729,19 @@ NetlistRun run_random_netlist(std::uint32_t seed, bool shadow,
     }
   };
 
+  const auto add_clocked = [&sim, clk, kernel_clocked](
+                               std::string name, std::function<void()> body) {
+    if (kernel_clocked) {
+      sim.add_clocked_process(std::move(name), clk.id(), std::move(body));
+      return;
+    }
+    const ProcessId pid =
+        sim.add_process(std::move(name), {clk.id()}, [clk, body] {
+          if (clk.rose()) body();
+        });
+    sim.restrict_sensitivity_to_rising(pid, clk.id());
+  };
+
   // Clocked processes: private state that advances every few edges, so
   // most writes re-assert the value already driven.
   std::vector<SignalId> multi;  // nets given a second clocked driver
@@ -583,30 +753,24 @@ NetlistRun run_random_netlist(std::uint32_t seed, bool shadow,
     const SignalId target = add_signal(kWidths[roll(5)]);
     if (p < 2) multi.push_back(target);
     const std::uint32_t period = 1 + roll(4);
-    const ProcessId pid = sim.add_process(
-        "clocked" + std::to_string(p), {clk.id()},
-        [clk, reads, target, period, drive, digest,
-         tick = std::uint64_t{0}]() mutable {
-          if (!clk.rose()) return;
-          ++tick;
-          drive(target, digest(reads, tick / period), false);
-        });
-    sim.restrict_sensitivity_to_rising(pid, clk.id());
+    add_clocked("clocked" + std::to_string(p),
+                [reads, target, period, drive, digest,
+                 tick = std::uint64_t{0}]() mutable {
+                  ++tick;
+                  drive(target, digest(reads, tick / period), false);
+                });
   }
   // Second drivers of the multi-driver nets: alternate between releasing
   // the net and driving a conflicting value.
   for (std::size_t m = 0; m < multi.size(); ++m) {
     const SignalId net = multi[m];
     const std::uint32_t period = 2 + roll(3);
-    const ProcessId pid = sim.add_process(
-        "second" + std::to_string(m), {clk.id()},
-        [clk, net, period, drive, tick = std::uint64_t{0}]() mutable {
-          if (!clk.rose()) return;
-          ++tick;
-          const std::uint64_t phase = tick / period;
-          drive(net, phase * 0x51ed27ULL, phase % 2 == 0);
-        });
-    sim.restrict_sensitivity_to_rising(pid, clk.id());
+    add_clocked("second" + std::to_string(m),
+                [net, period, drive, tick = std::uint64_t{0}]() mutable {
+                  ++tick;
+                  const std::uint64_t phase = tick / period;
+                  drive(net, phase * 0x51ed27ULL, phase % 2 == 0);
+                });
   }
   // Combinational layer: each process reads earlier signals only (acyclic)
   // and drives a fresh one.
@@ -667,7 +831,17 @@ TEST(WriteElision, RandomNetlistsMatchShadowedRuns) {
   for (std::uint32_t seed = 1; seed <= 12; ++seed) {
     const NetlistRun plain = run_random_netlist(seed, false);
     const NetlistRun shadowed = run_random_netlist(seed, true);
+    const NetlistRun kernel = run_random_netlist(seed, false, true);
     ASSERT_FALSE(plain.commits.empty()) << "seed " << seed;
+    // Unguarded add_clocked_process bodies behave as the guarded entries.
+    EXPECT_EQ(plain.commits, kernel.commits) << "seed " << seed;
+    EXPECT_EQ(plain.stats.process_activations,
+              kernel.stats.process_activations)
+        << "seed " << seed;
+    EXPECT_EQ(plain.stats.transactions, kernel.stats.transactions)
+        << "seed " << seed;
+    EXPECT_EQ(plain.stats.delta_cycles, kernel.stats.delta_cycles)
+        << "seed " << seed;
     EXPECT_EQ(plain.commits, shadowed.commits) << "seed " << seed;
     EXPECT_EQ(plain.stats.process_activations,
               shadowed.stats.process_activations)

@@ -97,6 +97,30 @@ TEST(LogicVector, Equality) {
   EXPECT_EQ(LogicVector::from_uint(5, 4), LogicVector::from_uint(5, 4));
   EXPECT_NE(LogicVector::from_uint(5, 4), LogicVector::from_uint(5, 5));
   EXPECT_NE(LogicVector::from_uint(5, 4), LogicVector::from_uint(6, 4));
+
+  // All 81 ordered value pairs, planted at bit 0 and at the top bit of an
+  // otherwise equal vector, inline (1, 64) and on the heap (65, 424).  Some
+  // pairs differ in one plane only: U/X in plane 0, X/W in plane 2 and
+  // U/'-' in plane 3.
+  constexpr Logic kAll[] = {Logic::U,  Logic::X, Logic::L0,
+                            Logic::L1, Logic::Z, Logic::W,
+                            Logic::L,  Logic::H, Logic::DC};
+  for (const std::size_t width : {1, 64, 65, 424}) {
+    for (const std::size_t pos : {std::size_t{0}, width - 1}) {
+      for (const Logic x : kAll) {
+        for (const Logic y : kAll) {
+          LogicVector a(width, Logic::L1);
+          LogicVector b(width, Logic::L1);
+          a.set_bit(pos, x);
+          b.set_bit(pos, y);
+          EXPECT_EQ(a == b, x == y)
+              << "width " << width << " bit " << pos << ": " << to_char(x)
+              << " vs " << to_char(y);
+          EXPECT_EQ(a != b, x != y);
+        }
+      }
+    }
+  }
 }
 
 TEST(LogicVector, ScalarHelper) {
