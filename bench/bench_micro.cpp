@@ -32,20 +32,30 @@ void BM_SchedulerScheduleExecute(benchmark::State& state) {
 }
 BENCHMARK(BM_SchedulerScheduleExecute);
 
-void BM_SchedulerCancel(benchmark::State& state) {
-  for (auto _ : state) {
-    Scheduler s;
-    std::vector<EventHandle> handles;
-    handles.reserve(1000);
-    for (int i = 0; i < 1000; ++i) {
-      handles.push_back(s.schedule_at(SimTime::from_ns(i), [] {}));
-    }
-    for (const EventHandle& h : handles) s.cancel(h);
-    benchmark::DoNotOptimize(s.run());
+/// An event of the hold model: when it runs it re-arms once at now + 1..2000
+/// ns, so the pending count stays where the benchmark put it.
+struct HoldEvent {
+  Scheduler* s;
+  std::uint64_t* x;
+  void operator()() const {
+    *x = *x * 6364136223846793005ULL + 1442695040888963407ULL;
+    s->schedule_in(
+        SimTime::from_ns(1 + static_cast<std::int64_t>((*x >> 33) % 2000)),
+        HoldEvent{s, x});
   }
-  state.SetItemsProcessed(state.iterations() * 1000);
+};
+
+/// The event list at the size the workloads use: `range(0)` pending events
+/// (the four perfbench workloads hold at most 9), one step per iteration,
+/// so the time is ns per executed-and-re-armed event.
+void BM_SchedulerHold(benchmark::State& state) {
+  Scheduler s;
+  std::uint64_t x = 1;
+  for (std::int64_t i = 0; i < state.range(0); ++i) HoldEvent{&s, &x}();
+  for (auto _ : state) benchmark::DoNotOptimize(s.step());
+  state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_SchedulerCancel);
+BENCHMARK(BM_SchedulerHold)->Arg(8);
 
 void BM_RtlClockCycle(benchmark::State& state) {
   rtl::Simulator sim;

@@ -57,8 +57,7 @@ if nice -n -10 true 2>/dev/null; then
 fi
 
 BENCHES="e1_cosim_speed e2_coverify_flow e3_sync_protocol e4_abstraction_map \
-         e5_board_cycles e6_event_ratio e7_testbench_reuse e8_buffer_ablation \
-         e9_sched_scale"
+         e5_board_cycles e6_event_ratio e7_testbench_reuse e8_buffer_ablation"
 
 for b in $BENCHES; do
   bin="$BUILD/bench/bench_$b"

@@ -135,9 +135,9 @@ PoolStats fork_map(
 
 /// Ships a heartbeat/progress frame (current item + a scenario-defined
 /// gauge, e.g. cycles completed) from inside a worker's `run` callback to
-/// the parent, which surfaces it through fork_map's `on_beat` — the stall
-/// detector's signal.  Returns false (no-op) when the caller is not a farm
-/// worker, so instrumented runners work unchanged under run_serial.
+/// the parent: fork_map hands it to `on_beat`, and run_farm counts it in
+/// FarmReport::heartbeats.  Returns false (no-op) when the caller is not a
+/// farm worker, so instrumented runners work unchanged under run_serial.
 bool worker_heartbeat(double value);
 
 // ---------------------------------------------------------------------------

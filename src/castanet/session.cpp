@@ -78,8 +78,6 @@ void VerificationSession::publish_metrics() const {
   hub.publish_count("session.messages_to_hdl", s.messages_to_hdl);
   hub.publish_count("session.responses", s.responses);
   hub.publish_count("session.divergences", comparator_.divergences().size());
-  // Calendar-queue health for the network-side event list (dsim.wheel.*).
-  net_.scheduler().publish_telemetry();
   // Per-flow cell statistics accumulate on the network simulation; publish
   // them here because the co-verification loop never calls net_.finish()
   // (kEnd interrupts would perturb the measured run).

@@ -64,10 +64,6 @@ std::size_t SocketMessageTransport::pending() const {
   return inbox_.size();
 }
 
-std::uint64_t SocketMessageTransport::bytes_sent() const {
-  return tx_->bytes_sent();
-}
-
 std::unique_ptr<MessageTransport> make_transport(TransportKind kind) {
   switch (kind) {
     case TransportKind::kInProcess:

@@ -52,9 +52,6 @@ class SocketMessageTransport final : public MessageTransport {
 
   std::uint64_t messages_sent() const override { return sent_; }
 
-  /// Payload bytes pushed through the socket (framing headers excluded).
-  std::uint64_t bytes_sent() const;
-
  private:
   /// Moves every frame already arrived on the socket into inbox_.
   void pump() const;

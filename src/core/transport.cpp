@@ -17,7 +17,7 @@
 namespace castanet::transport {
 
 bool FramePipe::send_frame(const void* data, std::size_t len) {
-  if (fd_ < 0) return false;
+  if (fd_ < 0 || len > kMaxFrameBytes) return false;
   std::uint8_t hdr[4];
   const std::uint32_t n = static_cast<std::uint32_t>(len);
   hdr[0] = static_cast<std::uint8_t>(n);
@@ -25,10 +25,7 @@ bool FramePipe::send_frame(const void* data, std::size_t len) {
   hdr[2] = static_cast<std::uint8_t>(n >> 16);
   hdr[3] = static_cast<std::uint8_t>(n >> 24);
   if (!write_all(hdr, sizeof hdr)) return false;
-  if (!write_all(data, len)) return false;
-  ++sent_;
-  bytes_ += len;
-  return true;
+  return write_all(data, len);
 }
 
 RecvStatus FramePipe::recv_frame(std::vector<std::uint8_t>& out,
@@ -38,11 +35,20 @@ RecvStatus FramePipe::recv_frame(std::vector<std::uint8_t>& out,
   // budget.
   const auto start = std::chrono::steady_clock::now();
   for (;;) {
-    if (std::size_t flen = 0; frame_complete(flen)) {
-      out.assign(buf_.begin() + 4, buf_.begin() + 4 + flen);
-      buf_.erase(buf_.begin(), buf_.begin() + 4 + flen);
-      ++received_;
-      return RecvStatus::kFrame;
+    if (buf_.size() >= 4) {
+      const std::size_t flen = frame_length();
+      if (flen > kMaxFrameBytes) {
+        // A corrupt prefix: the stream cannot be resynchronized, so give up
+        // on it instead of waiting for (and buffering) the claimed bytes.
+        buf_.clear();
+        close();
+        return RecvStatus::kClosed;
+      }
+      if (buf_.size() >= 4 + flen) {
+        out.assign(buf_.begin() + 4, buf_.begin() + 4 + flen);
+        buf_.erase(buf_.begin(), buf_.begin() + 4 + flen);
+        return RecvStatus::kFrame;
+      }
     }
     if (fd_ < 0) return RecvStatus::kClosed;
     int wait_ms = -1;
@@ -81,13 +87,11 @@ void FramePipe::close() {
   }
 }
 
-bool FramePipe::frame_complete(std::size_t& len) const {
-  if (buf_.size() < 4) return false;
-  len = static_cast<std::size_t>(buf_[0]) |
-        (static_cast<std::size_t>(buf_[1]) << 8) |
-        (static_cast<std::size_t>(buf_[2]) << 16) |
-        (static_cast<std::size_t>(buf_[3]) << 24);
-  return buf_.size() >= 4 + len;
+std::size_t FramePipe::frame_length() const {
+  return static_cast<std::size_t>(buf_[0]) |
+         (static_cast<std::size_t>(buf_[1]) << 8) |
+         (static_cast<std::size_t>(buf_[2]) << 16) |
+         (static_cast<std::size_t>(buf_[3]) << 24);
 }
 
 bool FramePipe::write_all(const void* data, std::size_t len) {

@@ -16,6 +16,7 @@
 
 #include <sys/types.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -23,6 +24,11 @@
 #include <vector>
 
 namespace castanet::transport {
+
+/// Largest frame a FramePipe sends or accepts (64 MiB).  The length prefix
+/// comes from another process, so one corrupt header could otherwise make a
+/// reader wait for, and buffer, up to 4 GiB.
+constexpr std::size_t kMaxFrameBytes = std::size_t{64} << 20;
 
 /// Result of one blocking receive attempt.
 enum class RecvStatus {
@@ -41,14 +47,16 @@ class FramePipe {
   FramePipe& operator=(const FramePipe&) = delete;
 
   /// Sends one frame; blocks until the kernel buffer accepted it.  Returns
-  /// false when the pipe is closed — the frame is dropped.
+  /// false when the pipe is closed or `len` exceeds kMaxFrameBytes — the
+  /// frame is dropped.
   bool send_frame(const void* data, std::size_t len);
   bool send_frame(const std::vector<std::uint8_t>& frame) {
     return send_frame(frame.data(), frame.size());
   }
 
   /// Receives the next frame into `out` (replaced, not appended).  Blocks up
-  /// to `timeout_ms` milliseconds; negative means wait forever.
+  /// to `timeout_ms` milliseconds; negative means wait forever.  A length
+  /// prefix above kMaxFrameBytes closes the pipe and returns kClosed.
   RecvStatus recv_frame(std::vector<std::uint8_t>& out, int timeout_ms);
 
   /// Shuts the socket down and closes it: the peer's receives return
@@ -58,22 +66,16 @@ class FramePipe {
   /// every holder — raw-::close such copies instead.
   void close();
 
-  std::uint64_t frames_sent() const { return sent_; }
-  std::uint64_t frames_received() const { return received_; }
-  std::uint64_t bytes_sent() const { return bytes_; }
-
   /// The socket fd, so a dispatcher can poll() many pipes at once.
   int native_handle() const { return fd_; }
 
  private:
-  bool frame_complete(std::size_t& len) const;
+  /// Length prefix of the frame at the front of buf_ (needs 4 bytes).
+  std::size_t frame_length() const;
   bool write_all(const void* data, std::size_t len);
 
   int fd_ = -1;
   std::vector<std::uint8_t> buf_;  ///< stream reassembly buffer
-  std::uint64_t sent_ = 0;
-  std::uint64_t received_ = 0;
-  std::uint64_t bytes_ = 0;
 };
 
 /// Creates a connected AF_UNIX SOCK_STREAM endpoint pair (socketpair).

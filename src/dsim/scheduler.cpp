@@ -1,405 +1,40 @@
 #include "src/dsim/scheduler.hpp"
 
-#include <limits>
+#include <algorithm>
 #include <optional>
 
 #include "src/core/error.hpp"
 
 namespace castanet {
 
-namespace {
-constexpr std::int64_t kMaxDay = std::numeric_limits<std::int64_t>::max();
-}  // namespace
-
-Scheduler::Scheduler()
-    : main_heads_(kMinBuckets, kNil),
-      main_counts_(kMinBuckets, 0),
-      ovf_heads_(kMinBuckets, kNil) {}
-
-void Scheduler::release_slot(std::uint32_t slot) {
-  slab_[slot].action = nullptr;
-  slab_[slot].seq = 0;
-  free_slots_.push_back(slot);
-}
-
-void Scheduler::unlink(std::uint32_t s) {
-  Slot& sl = slab_[s];
-  std::uint32_t* headp;
-  switch (sl.home) {
-    case kHomeMain:
-      headp = &main_heads_[sl.bucket];
-      --main_count_;
-      --main_counts_[sl.bucket];
-      break;
-    case kHomeOvf:
-      headp = &ovf_heads_[sl.bucket];
-      --ovf_count_;
-      break;
-    case kHomeFar:
-      headp = &far_head_;
-      --far_count_;
-      break;
-    default:
-      return;
-  }
-  if (sl.prev != kNil) {
-    slab_[sl.prev].next = sl.next;
-  } else {
-    *headp = sl.next;
-  }
-  if (sl.next != kNil) slab_[sl.next].prev = sl.prev;
-  sl.prev = sl.next = kNil;
-  sl.bucket = kNil;
-  sl.home = kHomeNone;
-}
-
-void Scheduler::insert_main(std::uint32_t s) {
-  Slot& sl = slab_[s];
-  const std::uint32_t b =
-      static_cast<std::uint32_t>(day_of(sl.when) & mask_);
-  std::uint32_t cur = main_heads_[b];
-  std::uint32_t prev = kNil;
-  while (cur != kNil && orders_before(cur, s)) {
-    prev = cur;
-    cur = slab_[cur].next;
-  }
-  sl.home = kHomeMain;
-  sl.bucket = b;
-  sl.prev = prev;
-  sl.next = cur;
-  if (prev != kNil) {
-    slab_[prev].next = s;
-  } else {
-    main_heads_[b] = s;
-  }
-  if (cur != kNil) slab_[cur].prev = s;
-  ++main_count_;
-  const std::uint32_t occ = ++main_counts_[b];
-  if (occ > stats_.bucket_high_water) stats_.bucket_high_water = occ;
-}
-
-void Scheduler::insert_overflow(std::uint32_t s, std::int64_t day) {
-  Slot& sl = slab_[s];
-  const std::int64_t year = day >> bucket_shift_;
-  const std::int64_t year_now = day_of(now_) >> bucket_shift_;
-  if (year - year_now < nbuckets()) {
-    const std::uint32_t b = static_cast<std::uint32_t>(year & mask_);
-    sl.home = kHomeOvf;
-    sl.bucket = b;
-    sl.prev = kNil;
-    sl.next = ovf_heads_[b];
-    if (sl.next != kNil) slab_[sl.next].prev = s;
-    ovf_heads_[b] = s;
-    ++ovf_count_;
-    ++stats_.overflow_hits;
-    ++ovf_since_rebuild_;
-  } else {
-    sl.home = kHomeFar;
-    sl.bucket = kNil;
-    sl.prev = kNil;
-    sl.next = far_head_;
-    if (far_head_ != kNil) slab_[far_head_].prev = s;
-    far_head_ = s;
-    ++far_count_;
-    ++stats_.far_hits;
-    ++ovf_since_rebuild_;
-    if (day < far_min_day_) far_min_day_ = day;
-  }
-}
-
-void Scheduler::place(std::uint32_t s) {
-  const std::int64_t d = day_of(slab_[s].when);
-  // Day wheel when inside the window, and also for any day in a year the
-  // cascade has already drained — re-parking there would strand the event
-  // (its overflow bucket is only drained once per lap).
-  if (d - day_of(now_) < nbuckets() || (d >> bucket_shift_) <= year_cascaded_) {
-    insert_main(s);
-  } else {
-    insert_overflow(s, d);
-  }
-}
-
-void Scheduler::cascade_overflow() {
-  const std::int64_t day_now = day_of(now_);
-  const std::int64_t n = nbuckets();
-  const std::int64_t year_now = day_now >> bucket_shift_;
-  // End of the day window, in years: every overflow bucket with a year the
-  // window has reached must be empty before the day wheel is scanned.
-  const std::int64_t year_end =
-      (day_now <= kMaxDay - (n - 1)) ? (day_now + n - 1) >> bucket_shift_
-                                     : year_now;
-  const auto drain = [&](std::uint32_t bucket) {
-    std::uint32_t s = ovf_heads_[bucket];
-    while (s != kNil) {
-      const std::uint32_t nxt = slab_[s].next;
-      unlink(s);
-      insert_main(s);
-      ++stats_.cascaded_events;
-      s = nxt;
-    }
-  };
-  if (ovf_count_ == 0) {
-    year_cascaded_ = year_end;
-  } else if (year_end - year_cascaded_ >= n) {
-    // Giant time jump: every parked year is now behind the window; drain
-    // the whole overflow wheel.
-    for (std::uint32_t b = 0; b < ovf_heads_.size(); ++b) drain(b);
-    year_cascaded_ = year_end;
-  } else {
-    while (year_cascaded_ < year_end) {
-      ++year_cascaded_;
-      drain(static_cast<std::uint32_t>(year_cascaded_ & mask_));
-    }
-  }
-  // Far-list promotion, guarded so the common path is one comparison: only
-  // scan when the earliest far event's year entered the overflow horizon.
-  if (far_count_ == 0) {
-    far_min_day_ = kMaxDay;
-  } else if ((far_min_day_ >> bucket_shift_) - year_now < n) {
-    std::int64_t new_min = kMaxDay;
-    std::uint32_t s = far_head_;
-    while (s != kNil) {
-      const std::uint32_t nxt = slab_[s].next;
-      const std::int64_t d = day_of(slab_[s].when);
-      if ((d >> bucket_shift_) - year_now < n) {
-        unlink(s);
-        place(s);  // day wheel if within the window, else overflow wheel
-        ++stats_.cascaded_events;
-      } else if (d < new_min) {
-        new_min = d;
-      }
-      s = nxt;
-    }
-    far_min_day_ = new_min;
-  }
-}
-
-std::uint32_t Scheduler::overflow_min_slot() const {
-  std::uint32_t best = kNil;
-  const auto consider = [&](std::uint32_t s) {
-    if (best == kNil || orders_before(s, best)) best = s;
-  };
-  if (ovf_count_ > 0) {
-    for (const std::uint32_t head : ovf_heads_) {
-      for (std::uint32_t s = head; s != kNil; s = slab_[s].next) consider(s);
-    }
-  }
-  for (std::uint32_t s = far_head_; s != kNil; s = slab_[s].next) consider(s);
-  return best;
-}
-
-std::uint32_t Scheduler::find_next() {
-  if (cached_valid_) return cached_next_;
-  if (live_count_ == 0) return kNil;
-  cascade_overflow();
-  const std::int64_t n = nbuckets();
-  if (main_count_ > 0) {
-    // After the cascade, every pending event with a day inside the window
-    // [day(now), day(now) + n) is on the day wheel, and each bucket's
-    // sorted list keeps its earliest day at the head — so the first head
-    // whose day matches the scanned day holds the global minimum.
-    const std::int64_t day_now = day_of(now_);
-    if (day_now <= kMaxDay - n) {
-      for (std::int64_t i = 0; i < n; ++i) {
-        const std::int64_t d = day_now + i;
-        const std::uint32_t h =
-            main_heads_[static_cast<std::uint32_t>(d & mask_)];
-        if (h != kNil && day_of(slab_[h].when) == d) {
-          cached_next_ = h;
-          cached_valid_ = true;
-          return h;
-        }
-      }
-    }
-    // Defensive fallback (day arithmetic saturating near the end of
-    // simulated time): exact minimum over all structures.
-    std::uint32_t best = kNil;
-    for (const std::uint32_t h : main_heads_) {
-      if (h != kNil && (best == kNil || orders_before(h, best))) best = h;
-    }
-    const std::uint32_t o = overflow_min_slot();
-    if (o != kNil && (best == kNil || orders_before(o, best))) best = o;
-    if (best != kNil) {
-      cached_next_ = best;
-      cached_valid_ = true;
-    }
-    return best;
-  }
-  // Day wheel empty: the next event (if any) is beyond the window; serve it
-  // straight from the overflow structures.  It is unlinked generically when
-  // popped, and the window migration catches up once now() jumps there.
-  const std::uint32_t o = overflow_min_slot();
-  if (o != kNil) {
-    cached_next_ = o;
-    cached_valid_ = true;
-  }
-  return o;
-}
-
-void Scheduler::rebuild(std::size_t buckets) {
-  if (buckets < kMinBuckets) buckets = kMinBuckets;
-  std::vector<std::uint32_t>& live = rebuild_scratch_;
-  live.clear();
-  // Reserve for the slab, not the live count: the slab size bounds the live
-  // count forever, so once a rebuild has run at the current slab size every
-  // later rebuild reuses the capacity (allocation-free in steady state).
-  live.reserve(slab_.size());
-  const auto collect = [&](std::uint32_t head) {
-    for (std::uint32_t s = head; s != kNil; s = slab_[s].next) {
-      live.push_back(s);
-    }
-  };
-  for (const std::uint32_t h : main_heads_) collect(h);
-  for (const std::uint32_t h : ovf_heads_) collect(h);
-  collect(far_head_);
-  // Width from live density: spread the live span across the whole day
-  // wheel, rounding the bucket width UP to a power of two so the window
-  // (buckets x width) covers the span.  With the grow policy keeping
-  // buckets ~ live count this is Brown's ~one-event-per-bucket rule, and
-  // covering the span means steady-state re-arms land on the day wheel
-  // directly instead of taking the park/cascade detour.  The window is
-  // anchored at now(), not at the earliest event, so the span is measured
-  // from now() too — anchoring at `lo` can pick a width whose window still
-  // misses the latest events, and the pressure trigger would then rebuild
-  // forever without converging.
-  if (!live.empty()) {
-    std::int64_t hi = now_.ps();
-    for (const std::uint32_t s : live) {
-      const std::int64_t ps = slab_[s].when.ps();
-      if (ps > hi) hi = ps;
-    }
-    const std::int64_t gap =
-        (hi - now_.ps()) / static_cast<std::int64_t>(buckets) + 1;
-    int shift = 0;
-    while (shift < 46 && (std::int64_t{1} << shift) < gap) ++shift;
-    width_shift_ = shift;
-  }
-  int bshift = 0;
-  while ((std::size_t{1} << bshift) < buckets) ++bshift;
-  bucket_shift_ = bshift;
-  mask_ = static_cast<std::uint32_t>(buckets - 1);
-  main_heads_.assign(buckets, kNil);
-  main_counts_.assign(buckets, 0);
-  ovf_heads_.assign(buckets, kNil);
-  far_head_ = kNil;
-  main_count_ = ovf_count_ = far_count_ = 0;
-  far_min_day_ = kMaxDay;
-  // The year space changed with the geometry; the cascade has (vacuously)
-  // covered everything up to the current window's end.
-  const std::int64_t day_now = day_of(now_);
-  year_cascaded_ =
-      (day_now <= kMaxDay - (static_cast<std::int64_t>(buckets) - 1))
-          ? (day_now + static_cast<std::int64_t>(buckets) - 1) >> bucket_shift_
-          : day_now >> bucket_shift_;
-  for (const std::uint32_t s : live) {
-    slab_[s].prev = slab_[s].next = kNil;
-    slab_[s].home = kHomeNone;
-    place(s);
-  }
-  cached_valid_ = false;
-  ovf_since_rebuild_ = 0;
-  ++stats_.resizes;
-}
-
-void Scheduler::maybe_shrink() {
-  if (main_heads_.size() > kMinBuckets &&
-      live_count_ * 8 < main_heads_.size()) {
-    rebuild(main_heads_.size() / 2);
-  }
-}
-
-EventHandle Scheduler::schedule_at(SimTime when, Action action, int priority) {
+void Scheduler::schedule_at(SimTime when, Action action, int priority) {
   if (when < now_) {
     throw ProtocolError("Scheduler: event scheduled in the past (" +
                         when.to_string() + " < " + now_.to_string() + ")");
   }
-  if (live_count_ + 1 > 2 * static_cast<std::uint64_t>(nbuckets())) {
-    rebuild(main_heads_.size() * 2);
-  } else if (ovf_since_rebuild_ > 64 + live_count_ / 4 && width_shift_ < 46) {
-    // Stale width: the live span outgrew the window since the last rebuild
-    // (e.g. events kept arriving after the final density-driven grow) and
-    // most traffic is parking beyond it.  Re-derive the width from the
-    // current span at the same bucket count; the >= live/4 parks between
-    // triggers keep the O(live) rebuild amortized O(1) per event.
-    rebuild(main_heads_.size());
-  }
-  const std::uint64_t seq = next_seq_++;
-  std::uint32_t slot;
-  if (!free_slots_.empty()) {
+  std::uint32_t slot = static_cast<std::uint32_t>(actions_.size());
+  if (free_slots_.empty()) {
+    actions_.push_back(std::move(action));
+  } else {
     slot = free_slots_.back();
     free_slots_.pop_back();
-  } else {
-    slot = static_cast<std::uint32_t>(slab_.size());
-    slab_.emplace_back();
+    actions_[slot] = std::move(action);
   }
-  Slot& sl = slab_[slot];
-  sl.action = std::move(action);
-  sl.seq = seq;
-  sl.when = when;
-  sl.priority = priority;
-  place(slot);
-  if (live_count_ == 0) {
-    cached_next_ = slot;
-    cached_valid_ = true;
-  } else if (cached_valid_ && orders_before(slot, cached_next_)) {
-    cached_next_ = slot;
-  }
-  ++live_count_;
-  ++scheduled_;
-  return EventHandle{seq, slot};
-}
-
-EventHandle Scheduler::schedule_in(SimTime delay, Action action,
-                                   int priority) {
-  return schedule_at(now_ + delay, std::move(action), priority);
-}
-
-bool Scheduler::cancel(EventHandle h) {
-  if (!h.valid() || h.slot >= slab_.size() || slab_[h.slot].seq != h.seq) {
-    return false;  // already ran, already cancelled, or never scheduled
-  }
-  if (cached_valid_ && cached_next_ == h.slot) cached_valid_ = false;
-  unlink(h.slot);
-  release_slot(h.slot);
-  --live_count_;
-  ++stats_.cancelled_in_place;
-  maybe_shrink();
-  return true;
-}
-
-SimTime Scheduler::next_event_time() const {
-  // find_next only mutates caches and migration bookkeeping, never the
-  // event set; lazily maintained like the heap's pop_dead used to be.
-  auto* self = const_cast<Scheduler*>(this);
-  const std::uint32_t s = self->find_next();
-  return s == kNil ? SimTime::max() : slab_[s].when;
+  heap_.push_back({when, priority, slot, scheduled_++});
+  std::push_heap(heap_.begin(), heap_.end(), runs_after);
 }
 
 bool Scheduler::step() {
-  const std::uint32_t s = find_next();
-  if (s == kNil) return false;
-  Slot& sl = slab_[s];
-  const SimTime when = sl.when;
-  // The usual next event is the same-day successor in the same bucket; keep
-  // the cache warm so a burst of same-slot events pops in O(1) each.
-  std::uint32_t successor = kNil;
-  if (sl.home == kHomeMain && sl.next != kNil &&
-      day_of(slab_[sl.next].when) == day_of(when)) {
-    successor = sl.next;
-  }
-  Action action = std::move(sl.action);
-  unlink(s);
-  release_slot(s);
-  --live_count_;
-  if (successor != kNil) {
-    cached_next_ = successor;
-    cached_valid_ = true;
-  } else {
-    cached_valid_ = false;
-  }
-  now_ = when;
+  if (heap_.empty()) return false;
+  std::pop_heap(heap_.begin(), heap_.end(), runs_after);
+  const Entry next = heap_.back();
+  heap_.pop_back();
+  // Move the action out before running it: it may schedule into its own
+  // (now free) slot.
+  Action action = std::move(actions_[next.slot]);
+  free_slots_.push_back(next.slot);
+  now_ = next.when;
   ++executed_;
-  maybe_shrink();
   action();
   return true;
 }
@@ -418,9 +53,7 @@ std::uint64_t Scheduler::run_until(SimTime limit) {
     span->arg("to_us", limit.seconds() * 1e6);
   }
   std::uint64_t n = 0;
-  while (true) {
-    const std::uint32_t s = find_next();
-    if (s == kNil || slab_[s].when > limit) break;
+  while (!heap_.empty() && heap_.front().when <= limit) {
     step();
     ++n;
   }
@@ -443,23 +76,6 @@ void Scheduler::advance_to(SimTime t) {
   require(t <= next_event_time(),
           "Scheduler::advance_to: would skip pending events");
   now_ = t;
-}
-
-void Scheduler::publish_telemetry() const {
-  if (!telemetry::enabled()) return;
-  auto& hub = telemetry::Hub::instance();
-  hub.publish_count("dsim.wheel.resizes", stats_.resizes);
-  hub.publish_count("dsim.wheel.overflow_hits", stats_.overflow_hits);
-  hub.publish_count("dsim.wheel.far_hits", stats_.far_hits);
-  hub.publish_count("dsim.wheel.cascaded_events", stats_.cascaded_events);
-  hub.publish_count("dsim.wheel.cancelled_in_place",
-                    stats_.cancelled_in_place);
-  hub.publish_value("dsim.wheel.buckets",
-                    static_cast<double>(main_heads_.size()));
-  hub.publish_value("dsim.wheel.width_ps",
-                    static_cast<double>(bucket_width_ps()));
-  hub.publish_value("dsim.wheel.bucket_high_water",
-                    static_cast<double>(stats_.bucket_high_water));
 }
 
 }  // namespace castanet

@@ -11,17 +11,13 @@ void ProcessModel::send(unsigned out_stream, Packet p, SimTime delay) {
   sim_->send_packet(*this, out_stream, std::move(p), delay);
 }
 
-EventHandle ProcessModel::schedule_self(SimTime delay, int code) {
-  return sim_->scheduler().schedule_in(delay, [this, code] {
+void ProcessModel::schedule_self(SimTime delay, int code) {
+  sim_->scheduler().schedule_in(delay, [this, code] {
     Interrupt intr;
     intr.kind = InterruptKind::kSelf;
     intr.code = code;
     handle_interrupt(intr);
   });
-}
-
-bool ProcessModel::cancel_self(EventHandle h) {
-  return sim_->scheduler().cancel(h);
 }
 
 Packet ProcessModel::make_packet() {

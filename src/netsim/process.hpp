@@ -51,8 +51,7 @@ class ProcessModel {
   /// Sends `p` on output stream `out_stream` (after `delay`).
   void send(unsigned out_stream, Packet p, SimTime delay = SimTime::zero());
   /// Schedules a self interrupt with `code` after `delay`.
-  EventHandle schedule_self(SimTime delay, int code);
-  bool cancel_self(EventHandle h);
+  void schedule_self(SimTime delay, int code);
   /// Per-process deterministic random stream.
   Rng& rng() { return rng_; }
   Simulation& simulation() const { return *sim_; }

@@ -122,7 +122,6 @@ void Simulation::finish() {
     deliver(*p, intr);
   }
   packet_pool_.publish_telemetry();
-  scheduler_.publish_telemetry();
   if (telemetry::enabled() && !flows_.empty()) {
     flows_.publish("flow", now().seconds());
   }

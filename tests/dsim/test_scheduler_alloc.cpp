@@ -1,9 +1,9 @@
-// Steady-state allocation contract (PR 10): once the scheduler's slab, free
-// list, and bucket arrays are warm, schedule_at/step/cancel perform ZERO
-// heap allocations for any action whose capture fits SmallFn's inline
-// buffer.  The RTL kernel's clock edges make the same promise: a clocked
-// design, Module::clocked processes and their activity gates included,
-// runs its cycles with no allocation once its scratch vectors are warm.
+// Steady-state allocation contract: once the scheduler's heap, action slab
+// and free list are warm, schedule_at/step perform ZERO heap allocations
+// for any action whose capture fits SmallFn's inline buffer.  The RTL
+// kernel's clock edges make the same promise: a clocked design,
+// Module::clocked processes and their activity gates included, runs its
+// cycles with no allocation once its scratch vectors are warm.
 // Proven the same way test_flow_stats.cpp proves the disabled-path
 // contract: this binary replaces the global allocator with a counting
 // wrapper and asserts the count does not move across the hot phase.
@@ -17,7 +17,6 @@
 #include <new>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "src/dsim/small_fn.hpp"
 #include "src/rtl/module.hpp"
@@ -93,14 +92,14 @@ TEST(SchedulerAlloc, ScheduleAndStepAreAllocationFreeWhenWarm) {
                     [&fired] { ++fired; });
     }
   };
-  // Warm-up: grow the slab and bucket arrays, then drain so the free list
+  // Warm-up: grow the heap and the slab, then drain so the free list
   // reaches full capacity too, then refill to the steady-state backlog.
   populate(kPending);
   s.run();
   populate(kPending);
 
-  // Steady state: one schedule per pop, live count pinned at kPending so no
-  // resize triggers; every capture is inline.
+  // Steady state: one schedule per pop, live count pinned at kPending; every
+  // capture is inline.
   const std::uint64_t before = g_allocations.load();
   for (int i = 0; i < 20'000; ++i) {
     s.schedule_at(s.now() + SimTime::from_ns(1 + (i * 53) % 1000),
@@ -111,33 +110,6 @@ TEST(SchedulerAlloc, ScheduleAndStepAreAllocationFreeWhenWarm) {
       << "schedule_at/step allocated in steady state";
   s.run();
   EXPECT_EQ(fired, 2u * kPending + 20'000);
-}
-
-TEST(SchedulerAlloc, CancelIsAllocationFreeWhenWarm) {
-  Scheduler s;
-  constexpr int kPending = 512;
-  std::vector<EventHandle> handles;
-  handles.reserve(2 * kPending);
-  // Warm up including a full cancel pass (free-list capacity) and refill.
-  for (int i = 0; i < kPending; ++i) {
-    handles.push_back(s.schedule_at(SimTime::from_ns(10 + i), [] {}));
-  }
-  for (const EventHandle& h : handles) s.cancel(h);
-  handles.clear();
-  for (int i = 0; i < kPending; ++i) {
-    handles.push_back(s.schedule_at(SimTime::from_ns(10 + i), [] {}));
-  }
-
-  // Steady state: cancel one, schedule one; live count never drops far
-  // enough to shrink the wheel.
-  const std::uint64_t before = g_allocations.load();
-  for (int i = 0; i < 5'000; ++i) {
-    EXPECT_TRUE(s.cancel(handles[static_cast<std::size_t>(i) % kPending]));
-    handles[static_cast<std::size_t>(i) % kPending] =
-        s.schedule_at(SimTime::from_ns(10 + i % 1000), [] {});
-  }
-  EXPECT_EQ(g_allocations.load(), before)
-      << "cancel/re-schedule allocated in steady state";
 }
 
 TEST(SchedulerAlloc, KernelClockCyclesAreAllocationFree) {

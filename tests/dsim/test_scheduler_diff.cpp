@@ -1,115 +1,187 @@
-// Randomized differential test: the calendar-queue Scheduler must execute
-// events in an order bit-for-bit identical to the retained reference
-// implementation (HeapScheduler), across random (time, priority) mixes,
-// equal-time ties, cancellation storms, advance_to, and events that
-// re-schedule from inside a running event.  The heap defines the contract —
-// strict (when, priority, insertion-seq) order — so any divergence is a
-// wheel bug by definition.
+// Randomized differential test: Scheduler must execute events in exactly the
+// order of a brute-force oracle, across random (time, priority) mixes,
+// equal-time ties, step, run_until, advance_to, and events that re-schedule
+// from inside their own execution.  The oracle states the contract — strict
+// (when, priority, insertion-seq) order — in the most obvious way: a vector
+// of pending events whose next one is found by a linear scan.  Any
+// divergence is a Scheduler bug by definition.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "src/core/rng.hpp"
-#include "src/dsim/heap_scheduler.hpp"
 #include "src/dsim/scheduler.hpp"
 
 namespace castanet {
 namespace {
 
-/// Drives the same operation stream into both schedulers and checks that
-/// every observable agrees: execution order, now(), next_event_time(),
-/// cancel() return values, and the E7 counters.
+/// Events whose id is divisible by 5 schedule one follow-up from inside
+/// their own execution; both sides derive it from the id, so the streams
+/// stay identical as long as execution order does.
+struct FollowUp {
+  SimTime delay;
+  int priority;
+  int id;
+};
+std::optional<FollowUp> follow_up(int id) {
+  if (id % 5 != 0 || id >= 1'000'000) return std::nullopt;
+  return FollowUp{SimTime::from_ns(1 + id % 7), id % 3, id + 1'000'000};
+}
+
+/// The ordering contract by brute force.
+class Oracle {
+ public:
+  SimTime now() const { return now_; }
+  bool empty() const { return pending_.empty(); }
+  SimTime next_event_time() const {
+    return pending_.empty() ? SimTime::max() : pending_[next()].when;
+  }
+  std::uint64_t scheduled() const { return seq_; }
+  std::uint64_t executed() const { return executed_; }
+
+  void schedule_at(SimTime when, int priority, int id) {
+    pending_.push_back({when, priority, seq_++, id});
+  }
+
+  bool step() {
+    if (pending_.empty()) return false;
+    const std::size_t i = next();
+    const Pending e = pending_[i];
+    pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(i));
+    now_ = e.when;
+    ++executed_;
+    log.push_back(e.id);
+    if (const auto f = follow_up(e.id)) {
+      schedule_at(now_ + f->delay, f->priority, f->id);
+    }
+    return true;
+  }
+
+  std::uint64_t run_until(SimTime limit) {
+    if (limit < now_) return 0;
+    std::uint64_t n = 0;
+    while (!pending_.empty() && pending_[next()].when <= limit) {
+      step();
+      ++n;
+    }
+    if (now_ < limit) now_ = limit;
+    return n;
+  }
+
+  std::uint64_t run() {
+    std::uint64_t n = 0;
+    while (step()) ++n;
+    return n;
+  }
+
+  void advance_to(SimTime t) { now_ = t; }
+
+  std::vector<int> log;
+
+ private:
+  struct Pending {
+    SimTime when;
+    int priority;
+    std::uint64_t seq;
+    int id;
+  };
+
+  std::size_t next() const {
+    std::size_t best = 0;
+    for (std::size_t i = 1; i < pending_.size(); ++i) {
+      const Pending& a = pending_[i];
+      const Pending& b = pending_[best];
+      if (a.when != b.when ? a.when < b.when
+          : a.priority != b.priority ? a.priority < b.priority
+                                     : a.seq < b.seq) {
+        best = i;
+      }
+    }
+    return best;
+  }
+
+  SimTime now_ = SimTime::zero();
+  std::uint64_t seq_ = 0;
+  std::uint64_t executed_ = 0;
+  std::vector<Pending> pending_;
+};
+
+/// Drives the same operation stream into the Scheduler and the oracle and
+/// checks that every observable agrees: execution order, now(),
+/// next_event_time(), empty(), and the E7 counters.
 class DiffHarness {
  public:
   void schedule(SimTime when, int priority, int id) {
-    // Events divisible by 5 re-schedule a follow-up from inside their own
-    // execution — the same derivation on both sides, so the streams stay
-    // identical as long as execution order does.
-    wheel_handles_.push_back(wheel_.schedule_at(
-        when,
-        [this, id] {
-          wheel_log_.push_back(id);
-          if (id % 5 == 0 && id < 1'000'000) {
-            wheel_.schedule_at(wheel_.now() + SimTime::from_ns(1 + id % 7),
-                               [this, id] { wheel_log_.push_back(id + 1'000'000); },
-                               id % 3);
-          }
-        },
-        priority));
-    heap_handles_.push_back(heap_.schedule_at(
-        when,
-        [this, id] {
-          heap_log_.push_back(id);
-          if (id % 5 == 0 && id < 1'000'000) {
-            heap_.schedule_at(heap_.now() + SimTime::from_ns(1 + id % 7),
-                              [this, id] { heap_log_.push_back(id + 1'000'000); },
-                              id % 3);
-          }
-        },
-        priority));
-  }
-
-  void cancel(std::size_t index) {
-    ASSERT_LT(index, wheel_handles_.size());
-    const bool w = wheel_.cancel(wheel_handles_[index]);
-    const bool h = heap_.cancel(heap_handles_[index]);
-    EXPECT_EQ(w, h) << "cancel disagreement at handle " << index;
+    sched_.schedule_at(when, [this, id] { run_event(id); }, priority);
+    oracle_.schedule_at(when, priority, id);
   }
 
   void step_both() {
-    const bool w = wheel_.step();
-    const bool h = heap_.step();
-    ASSERT_EQ(w, h);
+    const bool s = sched_.step();
+    const bool o = oracle_.step();
+    ASSERT_EQ(s, o);
     check();
   }
 
   void run_until_both(SimTime limit) {
-    const std::uint64_t w = wheel_.run_until(limit);
-    const std::uint64_t h = heap_.run_until(limit);
-    ASSERT_EQ(w, h);
+    const std::uint64_t s = sched_.run_until(limit);
+    const std::uint64_t o = oracle_.run_until(limit);
+    ASSERT_EQ(s, o);
     check();
   }
 
   void advance_both(SimTime delta) {
-    const SimTime next_w = wheel_.next_event_time();
-    ASSERT_EQ(next_w, heap_.next_event_time());
-    SimTime t = wheel_.now() + delta;
-    if (next_w < t) t = next_w;
-    wheel_.advance_to(t);
-    heap_.advance_to(t);
-    ASSERT_EQ(wheel_.now(), heap_.now());
+    SimTime t = sched_.now() + delta;
+    if (oracle_.next_event_time() < t) t = oracle_.next_event_time();
+    sched_.advance_to(t);
+    oracle_.advance_to(t);
+    check();
   }
 
   void drain() {
-    const std::uint64_t w = wheel_.run();
-    const std::uint64_t h = heap_.run();
-    ASSERT_EQ(w, h);
+    const std::uint64_t s = sched_.run();
+    const std::uint64_t o = oracle_.run();
+    ASSERT_EQ(s, o);
     check();
-    ASSERT_TRUE(wheel_.empty());
-    ASSERT_TRUE(heap_.empty());
-    ASSERT_EQ(wheel_.events_executed(), heap_.events_executed());
-    ASSERT_EQ(wheel_.events_scheduled(), heap_.events_scheduled());
+    ASSERT_TRUE(sched_.empty());
   }
 
   void check() {
-    ASSERT_EQ(wheel_log_.size(), heap_log_.size());
-    ASSERT_EQ(wheel_log_, heap_log_) << "execution order diverged";
-    ASSERT_EQ(wheel_.now(), heap_.now());
-    ASSERT_EQ(wheel_.next_event_time(), heap_.next_event_time());
+    ASSERT_EQ(log_.size(), oracle_.log.size());
+    ASSERT_EQ(log_, oracle_.log) << "execution order diverged";
+    ASSERT_EQ(sched_.now(), oracle_.now());
+    ASSERT_EQ(sched_.next_event_time(), oracle_.next_event_time());
+    ASSERT_EQ(sched_.empty(), oracle_.empty());
+    ASSERT_EQ(sched_.events_executed(), oracle_.executed());
+    ASSERT_EQ(sched_.events_scheduled(), oracle_.scheduled());
   }
 
-  Scheduler wheel_;
-  HeapScheduler heap_;
-  std::vector<EventHandle> wheel_handles_;
-  std::vector<EventHandle> heap_handles_;
-  std::vector<int> wheel_log_;
-  std::vector<int> heap_log_;
+  SimTime now() const { return sched_.now(); }
+
+ private:
+  void run_event(int id) {
+    log_.push_back(id);
+    if (const auto f = follow_up(id)) {
+      const int next = f->id;
+      sched_.schedule_at(sched_.now() + f->delay,
+                         [this, next] { run_event(next); }, f->priority);
+    }
+  }
+
+  Scheduler sched_;
+  Oracle oracle_;
+  std::vector<int> log_;
 };
 
+SimTime random_delay(Rng& rng, std::int64_t spread_ps) {
+  return SimTime::from_ps(static_cast<std::int64_t>(
+      rng.uniform_int(0, static_cast<std::uint64_t>(spread_ps))));
+}
+
 /// One randomized episode: `spread_ps` controls how far into the future
-/// events land, which steers traffic between the day wheel (small spread),
-/// the overflow wheel, and the far list (large spread).
+/// events land relative to now().
 void run_episode(std::uint64_t seed, std::int64_t spread_ps, int ops) {
   Rng rng(seed);
   DiffHarness hx;
@@ -117,46 +189,28 @@ void run_episode(std::uint64_t seed, std::int64_t spread_ps, int ops) {
   SimTime last_when = SimTime::zero();
   for (int i = 0; i < ops; ++i) {
     const std::uint64_t dice = rng.uniform_int(0, 99);
-    if (dice < 55) {
+    if (dice < 60) {
       // Schedule; one in four reuses the previous time stamp to force
       // equal-time (priority, seq) tie-breaking.
-      SimTime when =
-          hx.wheel_.now() +
-          SimTime::from_ps(static_cast<std::int64_t>(
-              rng.uniform_int(0, static_cast<std::uint64_t>(spread_ps))));
-      if (rng.bernoulli(0.25) && last_when >= hx.wheel_.now()) {
-        when = last_when;
-      }
+      SimTime when = hx.now() + random_delay(rng, spread_ps);
+      if (rng.bernoulli(0.25) && last_when >= hx.now()) when = last_when;
       last_when = when;
       const int priority = static_cast<int>(rng.uniform_int(0, 4)) - 2;
       hx.schedule(when, priority, next_id++);
-    } else if (dice < 75) {
-      if (!hx.wheel_handles_.size()) continue;
-      // Cancellation storm: several cancels in a row, including handles
-      // that already ran (both sides must agree the cancel fails).
-      const int burst = static_cast<int>(rng.uniform_int(1, 8));
-      for (int b = 0; b < burst; ++b) {
-        hx.cancel(static_cast<std::size_t>(
-            rng.uniform_int(0, hx.wheel_handles_.size() - 1)));
-      }
-    } else if (dice < 90) {
+    } else if (dice < 85) {
       hx.step_both();
-    } else if (dice < 96) {
-      hx.run_until_both(hx.wheel_.now() +
-                        SimTime::from_ps(static_cast<std::int64_t>(rng.uniform_int(
-                            0, static_cast<std::uint64_t>(spread_ps)))));
+    } else if (dice < 94) {
+      hx.run_until_both(hx.now() + random_delay(rng, spread_ps));
     } else {
-      hx.advance_both(SimTime::from_ps(static_cast<std::int64_t>(
-          rng.uniform_int(0, static_cast<std::uint64_t>(spread_ps) / 2 + 1))));
+      hx.advance_both(random_delay(rng, spread_ps / 2 + 1));
     }
     if (testing::Test::HasFatalFailure()) return;
   }
   hx.drain();
 }
 
-TEST(SchedulerDiff, DenseSameBucketTraffic) {
-  // Small spread: everything lands within a few day-wheel buckets; heavy
-  // equal-time and same-bucket collisions.
+TEST(SchedulerDiff, DenseTraffic) {
+  // Small spread: heavy equal-time collisions.
   for (const std::uint64_t seed : {1u, 2u, 42u}) {
     run_episode(seed, 5'000, 1500);
     if (testing::Test::HasFatalFailure()) return;
@@ -164,26 +218,25 @@ TEST(SchedulerDiff, DenseSameBucketTraffic) {
 }
 
 TEST(SchedulerDiff, CellRateTraffic) {
-  // Spread around the ATM cell slot (~2.7us at 155 Mb/s): the regime the
-  // initial bucket width targets.
+  // Spread around the ATM cell slot (~2.7us at 155 Mb/s), the network
+  // simulator's own time scale.
   for (const std::uint64_t seed : {3u, 7u, 12345u}) {
     run_episode(seed, 3'000'000, 1500);
     if (testing::Test::HasFatalFailure()) return;
   }
 }
 
-TEST(SchedulerDiff, WideSpreadHitsOverflowAndFar) {
-  // Large spread: most events park beyond the day-wheel horizon and must
-  // migrate back in (or pop straight from overflow) in exact order.
+TEST(SchedulerDiff, WideSpreadTraffic) {
+  // Spread of 0.4 s: pending events many orders of magnitude apart.
   for (const std::uint64_t seed : {5u, 99u, 2026u}) {
     run_episode(seed, 400'000'000'000, 800);
     if (testing::Test::HasFatalFailure()) return;
   }
 }
 
-TEST(SchedulerDiff, MixedRegimesWithResizePressure) {
-  // Alternate dense bursts with wide parks so the wheel grows, shrinks, and
-  // re-derives its bucket width mid-stream.
+TEST(SchedulerDiff, MixedDenseAndWideBursts) {
+  // Alternate dense bursts with wide ones, popping part of the backlog
+  // between them, so near and far events interleave in one heap.
   Rng rng(77);
   DiffHarness hx;
   int next_id = 1;
@@ -191,18 +244,11 @@ TEST(SchedulerDiff, MixedRegimesWithResizePressure) {
     const std::int64_t spread = (round % 2 == 0) ? 2'000 : 50'000'000'000;
     for (int i = 0; i < 400; ++i) {
       const SimTime when =
-          hx.wheel_.now() +
-          SimTime::from_ps(static_cast<std::int64_t>(
-              rng.uniform_int(1, static_cast<std::uint64_t>(spread))));
+          hx.now() + SimTime::from_ps(static_cast<std::int64_t>(rng.uniform_int(
+                         1, static_cast<std::uint64_t>(spread))));
       hx.schedule(when, static_cast<int>(rng.uniform_int(0, 2)), next_id++);
     }
-    // Cancel a third of everything outstanding, then pop half the backlog.
-    for (int i = 0; i < 130; ++i) {
-      hx.cancel(static_cast<std::size_t>(
-          rng.uniform_int(0, hx.wheel_handles_.size() - 1)));
-      if (testing::Test::HasFatalFailure()) return;
-    }
-    for (int i = 0; i < 200; ++i) {
+    for (int i = 0; i < 300; ++i) {
       hx.step_both();
       if (testing::Test::HasFatalFailure()) return;
     }
