@@ -27,6 +27,12 @@ exceeds that spread, `regressed` when BASE does, and `noise` otherwise;
 with fewer than 10 pairs the verdict is `-`.  --json FILE writes the
 table.
 
+With --trace 1 the table is followed by every per-layer metric of unit
+`count` whose values differ between the two sides, or `counts: identical`.
+Counts are deterministic per seed, so a difference there is a change in
+what was simulated or measured, not noise; it does not change the exit
+status.
+
 Standard library only.
 """
 
@@ -103,6 +109,32 @@ def sim_mismatch(sims):
     return None
 
 
+def count_diffs(base, head, metrics):
+    """[(name, base values, head values)] for every metric of unit `count`
+    whose distinct values differ between the two sides' runs."""
+    diffs = []
+    for m in metrics:
+        if m["unit"] != "count":
+            continue
+        name = m["name"]
+        b = sorted({s[name]["value"] for s in base if name in s})
+        h = sorted({s[name]["value"] for s in head if name in s})
+        if b != h:
+            diffs.append((name, b, h))
+    return diffs
+
+
+def format_counts(counts):
+    """Lines for {workload: count_diffs(...)}: one per differing count, or
+    `counts: identical`."""
+    def values(vs):
+        return " ".join(f"{v:.15g}" for v in vs) or "-"
+
+    lines = [f"counts differ: {w} {name}: base {values(b)}, head {values(h)}"
+             for w, diffs in counts.items() for name, b, h in diffs]
+    return lines or ["counts: identical"]
+
+
 def pair_order(i):
     """Side that runs first in pair i: BASE in even pairs, HEAD in odd."""
     return ("base", "head") if i % 2 == 0 else ("head", "base")
@@ -156,8 +188,9 @@ def run_side(tree, workload, args):
 
 
 def measure(trees, workloads, metrics, args):
-    """Runs the pairs; returns (rows, sims, failures)."""
-    rows, sims, failures = [], {}, []
+    """Runs the pairs; returns (rows, sims, counts, failures), where
+    counts maps each workload to its count_diffs."""
+    rows, sims, counts, failures = [], {}, {}, []
     for w in workloads:
         samples = {"base": [], "head": []}
         runs = []
@@ -179,6 +212,8 @@ def measure(trees, workloads, metrics, args):
             bad = sim_mismatch(runs)
             if bad:
                 failures.append(f"{w}: simulated outputs differ: {bad}")
+        if samples["base"] and samples["head"]:
+            counts[w] = count_diffs(samples["base"], samples["head"], metrics)
         if len(samples["base"]) != args.pairs or len(samples["head"]) != args.pairs:
             continue
         for m in metrics:
@@ -191,7 +226,7 @@ def measure(trees, workloads, metrics, args):
             row.update({"workload": w, "metric": name, "unit": m["unit"],
                         "better": m["better"]})
             rows.append(row)
-    return rows, sims, failures
+    return rows, sims, counts, failures
 
 
 def print_table(rows):
@@ -287,6 +322,38 @@ def selftest():
     sims.append(("c", {"cycles": 5, "activations": 8, "digest": "ab"}))
     check("differing activations caught", sim_mismatch(sims) is not None, True)
 
+    metrics = [{"name": "rtl.transactions", "unit": "count"},
+               {"name": "rtl.activations", "unit": "count"},
+               {"name": "rtl.advance_s", "unit": "s"}]
+
+    def run(transactions, activations, advance_s):
+        return {"rtl.transactions": {"value": transactions},
+                "rtl.activations": {"value": activations},
+                "rtl.advance_s": {"value": advance_s}}
+
+    base_runs = [run(4010000.0, 7.0, 0.54), run(4010000.0, 7.0, 0.55)]
+    check("equal counts, times differ",
+          count_diffs(base_runs, [run(4010000.0, 7.0, 0.49)] * 2, metrics), [])
+    diffs = count_diffs(base_runs, [run(4009999.0, 7.0, 0.54)] * 2, metrics)
+    check("differing count", diffs, [("rtl.transactions", [4010000.0],
+                                      [4009999.0])])
+    check("differing count line", format_counts({"gcu_hybrid": diffs}),
+          ["counts differ: gcu_hybrid rtl.transactions: base 4010000, "
+           "head 4009999"])
+    check("count varying on one side",
+          count_diffs(base_runs, [run(4010000.0, 7.0, 0.5),
+                                  run(4010000.0, 8.0, 0.5)], metrics),
+          [("rtl.activations", [7.0], [7.0, 8.0])])
+    diffs = count_diffs([{"rtl.activations": {"value": 7.0}}], base_runs[:1],
+                        metrics)
+    check("count missing on one side", diffs,
+          [("rtl.transactions", [], [4010000.0])])
+    check("count missing on one side line", format_counts({"w": diffs}),
+          ["counts differ: w rtl.transactions: base -, head 4010000"])
+    check("identical counts line",
+          format_counts({"gcu_hybrid": [], "switch_rtl": []}),
+          ["counts: identical"])
+
     check("pair 1 order", pair_order(0), ("base", "head"))
     check("pair 2 order", pair_order(1), ("head", "base"))
 
@@ -336,9 +403,12 @@ def main():
     log(f"base {base_sha[:12]} vs head {head_sha[:12]}: {args.pairs} pair(s) "
         f"x {args.seconds:g} s, seed {args.seed}, trace {args.trace}")
 
-    rows, sims, failures = measure({"base": base_tree, "head": head_tree},
-                                   workloads, metrics, args)
+    rows, sims, counts, failures = measure(
+        {"base": base_tree, "head": head_tree}, workloads, metrics, args)
     print_table(rows)
+    if args.trace:
+        for line in format_counts(counts):
+            print(line)
     for w, sim in sims.items():
         print(f"sim {w}: {json.dumps(sim)}")
     for f in failures:

@@ -324,7 +324,13 @@ ClockId Simulator::add_clock(SignalId sig, SimTime period, SimTime phase) {
   require(signals_[sig].width == 1, "add_clock: signal is not a scalar");
   require(period > SimTime::zero(), "add_clock: period must be positive");
   require(phase >= SimTime::zero(), "add_clock: negative phase");
+  // A test-bench write, as every edge is, even when a running process
+  // starts the clock: in that process's driver slot the '0' would give the
+  // net a second driver, and each rising edge would resolve to 'X'.
+  const ProcessId running = current_process_;
+  current_process_ = kExternalProcess;
   schedule_write(sig, Logic::L0);
+  current_process_ = running;
   const SimTime high = SimTime::from_ps(period.ps() / 2);
   clocks_.push_back({sig, now_ + phase, high, period - high});
   return static_cast<ClockId>(clocks_.size() - 1);
@@ -345,10 +351,11 @@ void Simulator::fire_edge(ClockState& c) {
     c.next = SimTime::max();
     return;
   }
-  // The same transaction an external zero-delay write queues.
+  // Staged as an external zero-delay write queued now would be, so it is
+  // stamped as one (see write_target).
   signals_[c.sig].queued_drain = drain_serial_;
-  next_delta_.push_back(
-      {c.sig, kExternalProcess, scalar(c.rising_next ? Logic::L1 : Logic::L0)});
+  pending_edges_.push_back({c.sig, c.rising_next ? Logic::L1 : Logic::L0,
+                            static_cast<std::uint32_t>(next_delta_.size())});
   if (c.rising_next) ++c.rising_edges;
   c.next = now_ + (c.rising_next ? c.high : c.low);
   c.rising_next = !c.rising_next;
@@ -369,15 +376,29 @@ void Simulator::enqueue_runnable(ProcessId p) {
   runnable_.push_back(p);
 }
 
+Simulator::DriverSlot* Simulator::find_driver(SignalState& st,
+                                              ProcessId pid) {
+  for (DriverSlot& d : st.drivers) {
+    if (d.pid == pid) return &d;
+  }
+  return nullptr;
+}
+
+void Simulator::mark_staged(SignalId sig, SignalState& st) {
+  if (st.staged_serial != delta_serial_) {
+    st.staged_serial = delta_serial_;
+    dirty_signals_.push_back(sig);
+  }
+}
+
 void Simulator::stage(Transaction& t) {
   SignalState& st = signals_[t.sig];
   ++stats_.transactions;
-  auto it = std::find_if(st.drivers.begin(), st.drivers.end(),
-                         [&](const DriverSlot& d) { return d.pid == t.pid; });
-  if (it == st.drivers.end()) {
+  DriverSlot* slot = find_driver(st, t.pid);
+  if (slot == nullptr) {
     st.drivers.push_back({t.pid, std::move(t.value)});
-  } else if (it->value != t.value) {
-    it->value = std::move(t.value);
+  } else if (slot->value != t.value) {
+    slot->value = std::move(t.value);
   } else {
     // Identical re-stage (a write schedule_write could not elide: external,
     // delayed, or queued behind another write): no resolution input
@@ -387,10 +408,21 @@ void Simulator::stage(Transaction& t) {
     // still sees every contribution.
     return;
   }
-  if (st.staged_serial != delta_serial_) {
-    st.staged_serial = delta_serial_;
-    dirty_signals_.push_back(t.sig);
+  mark_staged(t.sig, st);
+}
+
+void Simulator::stage_edge(const PendingEdge& e) {
+  SignalState& st = signals_[e.sig];
+  ++stats_.transactions;
+  DriverSlot* slot = find_driver(st, kExternalProcess);
+  if (slot == nullptr) {
+    st.drivers.push_back({kExternalProcess, scalar(e.level)});
+  } else if (!slot->value.equals_scalar(e.level)) {
+    slot->value = scalar(e.level);
+  } else {
+    return;  // identical re-stage, as in stage()
   }
+  mark_staged(e.sig, st);
 }
 
 void Simulator::commit(SignalId sig) {
@@ -463,16 +495,24 @@ void Simulator::execute_runnable() {
 void Simulator::run_time_point(std::vector<Transaction>& batch,
                                std::span<const ProcessId> preactivated) {
   bool first = true;
-  while (!batch.empty() || !next_delta_.empty() ||
+  while (!batch.empty() || !next_delta_.empty() || !pending_edges_.empty() ||
          (first && !preactivated.empty())) {
-    if (batch.empty()) {
-      batch.swap(next_delta_);
-      ++drain_serial_;  // every queued zero-delay write is staged below
-    }
     ++delta_serial_;
     ++stats_.delta_cycles;
     runnable_.clear();
-    for (Transaction& t : batch) stage(t);
+    std::size_t next = 0;
+    if (batch.empty()) {
+      batch.swap(next_delta_);
+      ++drain_serial_;  // every queued zero-delay write is staged below
+      // Each edge stages behind the writes queued before it fired and ahead
+      // of the rest: issue order, as if it had been queued with them.
+      for (const PendingEdge& e : pending_edges_) {
+        for (; next < e.queued_before; ++next) stage(batch[next]);
+        stage_edge(e);
+      }
+      pending_edges_.clear();
+    }
+    for (; next < batch.size(); ++next) stage(batch[next]);
     batch.clear();
     for (SignalId s : dirty_signals_) commit(s);
     dirty_signals_.clear();
@@ -511,7 +551,7 @@ void Simulator::initialize() {
 }
 
 SimTime Simulator::next_activity() const {
-  if (!next_delta_.empty()) return now_;
+  if (!next_delta_.empty() || !pending_edges_.empty()) return now_;
   SimTime t = heap_.empty() ? SimTime::max() : heap_.front().t;
   for (const ClockState& c : clocks_) t = std::min(t, c.next);
   return t;
@@ -525,6 +565,11 @@ bool Simulator::step_time() {
   initialize();
   const SimTime t = next_activity();
   if (t == SimTime::max()) return false;
+  step_to(t);
+  return true;
+}
+
+void Simulator::step_to(SimTime t) {
   now_ = t;
   ++stats_.time_points;
   for (ClockState& c : clocks_) {
@@ -548,7 +593,6 @@ bool Simulator::step_time() {
   stats_.callbacks += cb_scratch_.size();
   for (auto& fn : cb_scratch_) fn();
   run_time_point(batch_scratch_);
-  return true;
 }
 
 void Simulator::run_until(SimTime limit) {
@@ -569,7 +613,7 @@ void Simulator::run_until(SimTime limit) {
     while (true) {
       const SimTime t = next_activity();
       if (t == SimTime::max() || t > limit) break;
-      step_time();
+      step_to(t);
     }
     span.arg("activations",
              static_cast<double>(stats_.process_activations - activations0));
@@ -582,7 +626,7 @@ void Simulator::run_until(SimTime limit) {
     while (true) {
       const SimTime t = next_activity();
       if (t == SimTime::max() || t > limit) break;
-      step_time();
+      step_to(t);
     }
   }
   if (now_ < limit) now_ = limit;

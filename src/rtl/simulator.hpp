@@ -11,8 +11,9 @@
 // Scheduling structures are built for the hot path.  Clocks are kernel
 // data, not callbacks: each add_clock entry is a signal, its next edge time
 // and its two half periods, kept in a small vector the kernel scans, and a
-// due edge queues its write straight into the first delta — no callback,
-// no bucket, no allocation.  Clocked processes are kernel data too: an
+// due edge is a (signal, level) pair that the next drained delta writes
+// straight into the clock net's driver slot — no transaction, callback,
+// bucket or allocation.  Clocked processes are kernel data too: an
 // add_clocked_process body is known by its clock, so a rising edge of a
 // net that carries only such bodies appends its whole sensitivity list to
 // the runnable set and each body is called directly, with no edge guard.
@@ -309,11 +310,14 @@ class Simulator {
   // --- clocks -----------------------------------------------------------
   /// Adds a free-running clock on scalar signal `sig`: a zero-delay '0'
   /// write now, a rising edge at now() + phase, then one every `period` —
-  /// high for period/2, low for the rest.  Each edge opens a time point and
-  /// queues its write into next_delta_ as kExternalProcess, in add_clock
-  /// order and ahead of that time point's callbacks; a delayed batch due at
-  /// the same time stages one delta before it (DESIGN.md §7.7).  Throws
-  /// LogicError for a non-scalar signal, a period <= 0 or a negative phase.
+  /// high for period/2, low for the rest.  Every write of the clock, the
+  /// '0' included (even when a running process calls add_clock), is a
+  /// kExternalProcess write.  Each edge opens a time point and stages in
+  /// the delta that drains the zero-delay writes: after those queued before
+  /// it, in add_clock order, and ahead of that time point's callbacks; a
+  /// delayed batch due at the same time stages one delta before it
+  /// (DESIGN.md §7.2).  Throws LogicError for a non-scalar signal, a
+  /// period <= 0 or a negative phase.
   ClockId add_clock(SignalId sig, SimTime period, SimTime phase);
   /// Stops clock `c`.  Its pending edge still opens its time point but
   /// writes nothing; after that the clock is idle.
@@ -373,8 +377,8 @@ class Simulator {
     /// Entries of `sensitive` that are clocked processes.  When every
     /// entry is one, a rising commit appends the whole list (see commit).
     std::uint32_t clocked_entries = 0;
-    /// drain_serial_ when a zero-delay write to this signal was last queued;
-    /// equal to drain_serial_ while that write sits unstaged in next_delta_.
+    /// drain_serial_ when a zero-delay write or clock edge to this signal
+    /// was last queued; equal to drain_serial_ while it sits unstaged.
     std::uint64_t queued_drain = 0;
     /// Gated processes re-armed by any value change of this signal (see
     /// set_wake_signals).  Empty for almost every signal.
@@ -406,6 +410,14 @@ class Simulator {
   struct HeapEntry {
     SimTime t;
     std::uint32_t bucket;
+  };
+  /// A clock edge fired at now_ and not yet staged (see fire_edge).
+  struct PendingEdge {
+    SignalId sig;
+    Logic level;
+    /// next_delta_.size() when the edge fired: the writes that stage
+    /// ahead of it.
+    std::uint32_t queued_before;
   };
   /// One add_clock entry.  `next` is SimTime::max() once a stopped clock
   /// has spent its pending edge.
@@ -448,8 +460,8 @@ class Simulator {
   /// Queues a validated write (or captures it under probe_process).
   void enqueue(SignalId s, LogicVector&& v, SimTime delay);
   TimeBucket& bucket_for(SimTime when);
-  /// Queues clock `c`'s due edge at now_ (nothing once stopped) and moves
-  /// its next edge on.
+  /// Appends clock `c`'s due edge at now_ to pending_edges_ (nothing once
+  /// stopped) and moves its next edge on.
   void fire_edge(ClockState& c);
   void enqueue_runnable(ProcessId p);
   /// Apply phase, first half: moves the transaction's value into its driver
@@ -457,6 +469,13 @@ class Simulator {
   /// deferred to commit() so N same-delta transactions on one signal cost
   /// one resolution, not N.
   void stage(Transaction& t);
+  /// stage() of a pending edge: its level goes straight into the clock
+  /// net's kExternalProcess slot, with no Transaction.
+  void stage_edge(const PendingEdge& e);
+  /// `pid`'s driver slot on `st`, or nullptr before its first write.
+  static DriverSlot* find_driver(SignalState& st, ProcessId pid);
+  /// Marks a signal whose driver slot changed as dirty for this delta.
+  void mark_staged(SignalId sig, SignalState& st);
   /// Apply phase, second half: resolves a dirty signal's driver
   /// contributions once (in place, word-at-a-time), and only if the
   /// resolved planes differ from the current value commits the change and
@@ -465,8 +484,13 @@ class Simulator {
   /// Runs every process in runnable_ (skipping gated ones) and resets
   /// current_process_.
   void execute_runnable();
+  /// Executes the time point at `t`, which next_activity() returned: fires
+  /// the due clock edges, runs the due callbacks, then the delta cycles.
+  void step_to(SimTime t);
   /// Executes one complete time point: delta cycles (stage, commit,
-  /// execute) until no transaction is pending.  `preactivated` processes
+  /// execute) until no transaction or edge is pending.  The delta that
+  /// drains next_delta_ stages the pending edges among its writes, each
+  /// behind the writes queued before it fired.  `preactivated` processes
   /// run in the first delta whether or not a signal woke them; a clocked
   /// one among them counts its activation but runs only if its clock rose.
   void run_time_point(std::vector<Transaction>& batch,
@@ -494,6 +518,9 @@ class Simulator {
   std::vector<ProcessState> processes_;  // index 0 reserved (external)
   std::vector<Transaction> next_delta_;
   std::vector<ClockState> clocks_;  // in add_clock order; scanned linearly
+  /// Edges fired at now_, in firing order; staged and cleared by the delta
+  /// that drains next_delta_.
+  std::vector<PendingEdge> pending_edges_;
 
   // Future-activity queue: binary min-heap of distinct time points, each
   // pointing at a pooled bucket; bucket_index_ dedups same-time schedules.

@@ -340,6 +340,120 @@ TEST(KernelClock, RejectsBadArguments) {
   EXPECT_TRUE(sim.quiescent());  // nothing was queued
 }
 
+TEST(KernelClock, StartedFromAProcessDrivesOnlyTheExternalSlot) {
+  // A process body starts the clock.  Its initial '0' is a test-bench
+  // write like every edge, so the net keeps a single driver and rises to
+  // '1', not to the 'X' of '0' resolved against '1'.
+  Simulator sim;
+  const SignalId go = sim.create_signal("go", 1, Logic::L0);
+  const SignalId clk = sim.create_signal("clk", 1, Logic::U);
+  std::vector<Edge> edges;
+  record_edges(sim, {clk}, edges);
+  sim.add_process("starter", {go}, [&] {
+    if (sim.value(go).bit(0) == Logic::L1) {
+      sim.add_clock(clk, SimTime::from_ns(10), SimTime::from_ns(10));
+    }
+  });
+  sim.initialize();
+  sim.schedule_write(go, Logic::L1, SimTime::from_ns(1));
+  sim.run_until(SimTime::from_ns(21));
+  const std::vector<Edge> want = {{SimTime::from_ns(1), clk, Logic::L0},
+                                  {SimTime::from_ns(11), clk, Logic::L1},
+                                  {SimTime::from_ns(16), clk, Logic::L0},
+                                  {SimTime::from_ns(21), clk, Logic::L1}};
+  EXPECT_EQ(edges, want);
+  EXPECT_EQ(sim.drivers_of(clk), std::vector<ProcessId>{kExternalProcess});
+}
+
+TEST(KernelClock, ZeroDelayWriteQueuedBeforeASameTimeEdgeCommitsFirst) {
+  // `a`'s write and the clock's '0' are queued before the clock's first
+  // edge fires at the same time.  All three stage in one delta in that
+  // order: `a` commits first, and the edge overrides the '0'.
+  Simulator sim;
+  const SignalId a = sim.create_signal("a", 1, Logic::L0);
+  const SignalId clk = sim.create_signal("clk", 1, Logic::L0);
+  std::vector<Edge> edges;
+  record_edges(sim, {a, clk}, edges);
+  sim.run_until(ps(1000));
+  sim.schedule_write(a, Logic::L1);
+  sim.add_clock(clk, ps(100), SimTime::zero());
+  const KernelStats before = sim.stats();
+  ASSERT_TRUE(sim.step_time());
+  const std::vector<Edge> want = {{ps(1000), a, Logic::L1},
+                                  {ps(1000), clk, Logic::L1}};
+  EXPECT_EQ(edges, want);
+  EXPECT_EQ(sim.stats().delta_cycles - before.delta_cycles, 1u);
+  EXPECT_EQ(sim.stats().transactions - before.transactions, 3u);
+}
+
+TEST(KernelClock, CallbackWriteAtAnEdgeTimeOverridesTheEdge) {
+  // The callback's write and the edge share the kExternalProcess slot; the
+  // callback runs after the edge fired, so its write stages last and wins.
+  // Until it stages, the pending edge is activity due now.
+  Simulator sim;
+  const SignalId clk = sim.create_signal("clk", 1, Logic::L0);
+  std::vector<Edge> edges;
+  record_edges(sim, {clk}, edges);
+  const ClockId c =
+      sim.add_clock(clk, SimTime::from_ns(10), SimTime::from_ns(10));
+  SimTime next_in_callback = SimTime::max();
+  sim.schedule_callback(SimTime::from_ns(10), [&] {
+    next_in_callback = sim.next_activity();
+    sim.schedule_write(clk, Logic::L0);
+  });
+  sim.run_until(SimTime::from_ns(20));
+  EXPECT_EQ(next_in_callback, SimTime::from_ns(10));
+  const std::vector<Edge> want = {{SimTime::from_ns(20), clk, Logic::L1}};
+  EXPECT_EQ(edges, want);
+  EXPECT_EQ(sim.drivers_of(clk), std::vector<ProcessId>{kExternalProcess});
+  EXPECT_EQ(sim.clock_rising_edges(c), 2u);
+  // The '0', three edges and the callback's write.
+  EXPECT_EQ(sim.stats().transactions, 5u);
+  EXPECT_EQ(sim.stats().value_changes, 1u);
+}
+
+TEST(KernelClock, SecondProcessDriverResolvesWithTheEdges) {
+  // A process drives the clock net too: a weak 'L' lets both levels
+  // through, a strong '1' turns every falling edge into 'X'.
+  Simulator sim;
+  const SignalId clk = sim.create_signal("clk", 1, Logic::U);
+  const SignalId strong = sim.create_signal("strong", 1, Logic::L0);
+  std::vector<Edge> edges;
+  record_edges(sim, {clk}, edges);
+  const ProcessId drv = sim.add_process("drv", {strong}, [&] {
+    sim.schedule_write(
+        clk, sim.value(strong).bit(0) == Logic::L1 ? Logic::L1 : Logic::L);
+  });
+  sim.add_clock(clk, SimTime::from_ns(10), SimTime::from_ns(10));
+  sim.run_until(SimTime::from_ns(20));
+  sim.schedule_write(strong, Logic::L1, SimTime::from_ns(2));
+  sim.run_until(SimTime::from_ns(40));
+  const auto ns = [](std::int64_t n) { return SimTime::from_ns(n); };
+  const std::vector<Edge> want = {
+      {ns(0), clk, Logic::L0},  {ns(10), clk, Logic::L1},
+      {ns(15), clk, Logic::L0}, {ns(20), clk, Logic::L1},
+      {ns(25), clk, Logic::X},  {ns(30), clk, Logic::L1},
+      {ns(35), clk, Logic::X},  {ns(40), clk, Logic::L1}};
+  EXPECT_EQ(edges, want);
+  EXPECT_EQ(sim.drivers_of(clk),
+            (std::vector<ProcessId>{kExternalProcess, drv}));
+}
+
+TEST(KernelClock, EachEdgeCountsOneTransactionAndOneValueChange) {
+  Simulator sim;
+  const SignalId clk = sim.create_signal("clk", 1, Logic::L0);
+  sim.add_clock(clk, SimTime::from_ns(10), SimTime::from_ns(10));
+  sim.run_until(SimTime::zero());  // stages the initial '0'
+  const KernelStats before = sim.stats();
+  sim.run_until(SimTime::from_ns(100));  // rising 10..100, falling 15..95
+  const KernelStats& after = sim.stats();
+  EXPECT_EQ(after.transactions - before.transactions, 19u);
+  EXPECT_EQ(after.value_changes - before.value_changes, 19u);
+  EXPECT_EQ(after.time_points - before.time_points, 19u);
+  EXPECT_EQ(after.delta_cycles - before.delta_cycles, 19u);
+  EXPECT_EQ(after.writes_elided, before.writes_elided);
+}
+
 // --- clocked processes --------------------------------------------------------
 
 TEST(KernelClocked, InitRunWithClockLowCountsOneActivationAndNoCall) {
@@ -671,14 +785,22 @@ struct Writer {
   }
 };
 
+/// How run_random_netlist clocks its clocked processes.
+enum class Clocking {
+  kGuarded,        ///< raw rising-edge entries guarded by rose()
+  kKernelClocked,  ///< unguarded add_clocked_process bodies
+  /// add_clocked_process bodies on an add_clock clock instead of the
+  /// delayed external writes the other two schedule.
+  kKernelClock,
+};
+
 /// Seeded random netlist: scalars and buses (one wider than 64 bits),
 /// clocked processes with private state, an acyclic layer of combinational
 /// processes, multi-driver nets whose drivers alternate between a value
-/// and release, and external stimulus.  Runs `cycles` clock periods.  The
-/// clocked processes are raw rising-edge entries guarded by rose(), or
-/// with `kernel_clocked` unguarded add_clocked_process bodies.
+/// and release, and external stimulus.  Runs `cycles` clock periods.
 NetlistRun run_random_netlist(std::uint32_t seed, bool shadow,
-                              bool kernel_clocked = false, int cycles = 120) {
+                              Clocking clocking = Clocking::kGuarded,
+                              int cycles = 120) {
   std::mt19937 rng(seed);
   const auto roll = [&](std::uint32_t n) {
     return static_cast<std::uint32_t>(rng() % n);
@@ -729,9 +851,9 @@ NetlistRun run_random_netlist(std::uint32_t seed, bool shadow,
     }
   };
 
-  const auto add_clocked = [&sim, clk, kernel_clocked](
-                               std::string name, std::function<void()> body) {
-    if (kernel_clocked) {
+  const auto add_clocked = [&sim, clk, clocking](std::string name,
+                                                 std::function<void()> body) {
+    if (clocking != Clocking::kGuarded) {
       sim.add_clocked_process(std::move(name), clk.id(), std::move(body));
       return;
     }
@@ -794,16 +916,27 @@ NetlistRun run_random_netlist(std::uint32_t seed, bool shadow,
                    v.to_string()});
   });
 
+  // The same edges either way: rising at 5 ns, then every 5 ns.  Added
+  // before initialize(), the clock's '0' stages in the initialization
+  // delta, one transaction and no value change.
+  const bool kernel_clock = clocking == Clocking::kKernelClock;
+  if (kernel_clock) {
+    sim.add_clock(clk.id(), SimTime::from_ns(10), SimTime::from_ns(5));
+  }
   sim.initialize();
   for (int e = 1; e <= 2 * cycles; ++e) {
-    sim.schedule_write(clk.id(), e % 2 ? Logic::L1 : Logic::L0,
-                       SimTime::from_ns(5 * e));
+    if (!kernel_clock) {
+      sim.schedule_write(clk.id(), e % 2 ? Logic::L1 : Logic::L0,
+                         SimTime::from_ns(5 * e));
+    }
     if (roll(5) == 0) {
       sim.schedule_write(ext_in, LogicVector::from_uint(roll(16), 4),
                          SimTime::from_ns(5 * e + 2));
     }
   }
-  sim.run_until(SimTime::from_ns(10 * cycles + 20));
+  // Nothing is scheduled after the last stimulus at 10 * cycles + 2 ns
+  // but the kernel clock's edges, which stop the run there.
+  sim.run_until(SimTime::from_ns(10 * cycles + (kernel_clock ? 2 : 20)));
 
   // Rank each commit's delta within its time point; order within one delta
   // follows signal discovery and is not part of the contract.
@@ -831,7 +964,8 @@ TEST(WriteElision, RandomNetlistsMatchShadowedRuns) {
   for (std::uint32_t seed = 1; seed <= 12; ++seed) {
     const NetlistRun plain = run_random_netlist(seed, false);
     const NetlistRun shadowed = run_random_netlist(seed, true);
-    const NetlistRun kernel = run_random_netlist(seed, false, true);
+    const NetlistRun kernel =
+        run_random_netlist(seed, false, Clocking::kKernelClocked);
     ASSERT_FALSE(plain.commits.empty()) << "seed " << seed;
     // Unguarded add_clocked_process bodies behave as the guarded entries.
     EXPECT_EQ(plain.commits, kernel.commits) << "seed " << seed;
@@ -852,6 +986,31 @@ TEST(WriteElision, RandomNetlistsMatchShadowedRuns) {
     EXPECT_GT(plain.stats.writes_elided, 0u) << "seed " << seed;
     EXPECT_GT(shadowed.stats.transactions, plain.stats.transactions)
         << "seed " << seed;
+  }
+}
+
+TEST(KernelClock, RandomNetlistsMatchTransactionDrivenClock) {
+  // A kernel clock behaves as the delayed external writes it replaces:
+  // the same commits in the same deltas, and the same counters but for
+  // the one transaction of add_clock's initial '0'.
+  for (std::uint32_t seed = 1; seed <= 12; ++seed) {
+    const NetlistRun writes =
+        run_random_netlist(seed, false, Clocking::kKernelClocked);
+    const NetlistRun clock =
+        run_random_netlist(seed, false, Clocking::kKernelClock);
+    ASSERT_FALSE(writes.commits.empty()) << "seed " << seed;
+    EXPECT_EQ(writes.commits, clock.commits) << "seed " << seed;
+    const KernelStats& w = writes.stats;
+    const KernelStats& c = clock.stats;
+    EXPECT_EQ(w.transactions + 1, c.transactions) << "seed " << seed;
+    EXPECT_EQ(w.writes_elided, c.writes_elided) << "seed " << seed;
+    EXPECT_EQ(w.value_changes, c.value_changes) << "seed " << seed;
+    EXPECT_EQ(w.process_activations, c.process_activations)
+        << "seed " << seed;
+    EXPECT_EQ(w.delta_cycles, c.delta_cycles) << "seed " << seed;
+    EXPECT_EQ(w.time_points, c.time_points) << "seed " << seed;
+    EXPECT_EQ(w.gated_skips, c.gated_skips) << "seed " << seed;
+    EXPECT_EQ(w.callbacks, c.callbacks) << "seed " << seed;
   }
 }
 
