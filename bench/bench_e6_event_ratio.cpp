@@ -11,8 +11,11 @@
 //
 // Table 2: event-driven vs cycle-based simulation of the *same* GCU
 // arbitration core (bit-identical behaviour, shared gcu_arbitrate), in
-// evaluated cycles per wall second.
+// evaluated cycles per wall second: five alternating repetitions of at
+// least one second per engine, reported as median and IQR/median.
+#include <algorithm>
 #include <cstdio>
+#include <vector>
 
 #include "bench/bench_util.hpp"
 #include "src/hw/atm_switch.hpp"
@@ -120,15 +123,24 @@ int main(int argc, char** argv) {
   bench::rule();
 
   // --- engine shoot-out on identical arbitration behaviour -----------------
+  // A repetition builds one engine's model and runs it in kChunk-cycle
+  // steps until kMinSeconds of wall time have passed.  The engines
+  // alternate, the first one flipping every repetition, so drift of the
+  // host does not favour either side.
   std::printf("\nevent-driven vs cycle-based simulation of the same GCU "
               "core\n");
   bench::rule('=');
-  std::printf("%-34s %12s %10s %14s\n", "engine", "cycles", "wall s",
-              "cycles/s");
+  std::printf("%-22s %4s %12s %10s %16s %10s\n", "engine", "reps",
+              "cycles/rep", "wall s", "median cycles/s", "iqr/median");
   bench::rule();
-  constexpr std::uint64_t kCycles = 200'000;
-  double ev_cps = 0, cy_cps = 0;
-  {
+  constexpr std::uint64_t kChunk = 200'000;
+  constexpr double kMinSeconds = 1.0;
+  constexpr int kReps = 5;
+  struct Rep {
+    std::uint64_t cycles = 0;
+    double wall = 0;
+  };
+  const auto event_driven = [&] {
     rtl::Simulator hdl;
     rtl::Signal clk(&hdl, hdl.create_signal("clk", 1, rtl::Logic::L0));
     rtl::Signal rst(&hdl, hdl.create_signal("rst", 1, rtl::Logic::L0));
@@ -146,14 +158,16 @@ int main(int argc, char** argv) {
       ifs.push_back(f);
     }
     hw::GlobalControlUnit gcu(hdl, "gcu", clk, rst, ifs);
+    Rep r;
     WallTimer timer;
-    hdl.run_until(kClk * static_cast<std::int64_t>(kCycles));
-    const double wall = timer.seconds();
-    ev_cps = static_cast<double>(kCycles) / wall;
-    std::printf("%-34s %12llu %10.3f %14.0f\n", "event-driven kernel",
-                static_cast<unsigned long long>(kCycles), wall, ev_cps);
-  }
-  {
+    do {
+      r.cycles += kChunk;
+      hdl.run_until(kClk * static_cast<std::int64_t>(r.cycles));
+      r.wall = timer.seconds();
+    } while (r.wall < kMinSeconds);
+    return r;
+  };
+  const auto cycle_based = [&] {
     rtl::CycleEngine eng(kClk);
     hw::GcuCycleModel gcu(4);
     for (std::size_t p = 0; p < 4; ++p) {
@@ -161,15 +175,77 @@ int main(int argc, char** argv) {
       gcu.in_req[p].dest = 0;
     }
     eng.add(gcu);
+    Rep r;
     WallTimer timer;
-    eng.run_cycles(kCycles);
-    const double wall = timer.seconds();
-    cy_cps = static_cast<double>(kCycles) / wall;
-    std::printf("%-34s %12llu %10.3f %14.0f\n", "cycle-based engine",
-                static_cast<unsigned long long>(kCycles), wall, cy_cps);
+    do {
+      eng.run_cycles(kChunk);
+      r.cycles += kChunk;
+      r.wall = timer.seconds();
+    } while (r.wall < kMinSeconds);
+    return r;
+  };
+  std::vector<Rep> ev_reps, cy_reps;
+  for (int i = 0; i < kReps; ++i) {
+    if (i % 2 == 0) {
+      ev_reps.push_back(event_driven());
+      cy_reps.push_back(cycle_based());
+    } else {
+      cy_reps.push_back(cycle_based());
+      ev_reps.push_back(event_driven());
+    }
   }
+  // Median and IQR/median of the repetitions' cycles per second.
+  struct Summary {
+    double median_cps = 0;
+    double iqr_over_median = 0;
+  };
+  const auto summarize = [](const std::vector<Rep>& reps) {
+    std::vector<double> cps;
+    for (const Rep& r : reps) {
+      cps.push_back(static_cast<double>(r.cycles) / r.wall);
+    }
+    std::sort(cps.begin(), cps.end());
+    // Linear interpolation between order statistics, as
+    // statistics.quantiles(method="inclusive") does.
+    const auto quantile = [&](double q) {
+      const double pos = q * static_cast<double>(cps.size() - 1);
+      const auto lo = static_cast<std::size_t>(pos);
+      const std::size_t hi = std::min(lo + 1, cps.size() - 1);
+      return cps[lo] + (pos - static_cast<double>(lo)) * (cps[hi] - cps[lo]);
+    };
+    const double med = quantile(0.5);
+    return Summary{med, (quantile(0.75) - quantile(0.25)) / med};
+  };
+  const auto print_engine = [&](const char* name, const char* row,
+                                const std::vector<Rep>& reps) {
+    const Summary s = summarize(reps);
+    std::uint64_t cycles = 0;
+    double wall = 0;
+    for (const Rep& r : reps) {
+      cycles += r.cycles;
+      wall += r.wall;
+    }
+    const std::uint64_t mean_cycles = cycles / reps.size();
+    std::printf("%-22s %4zu %12llu %10.3f %16.0f %10.3f\n", name, reps.size(),
+                static_cast<unsigned long long>(mean_cycles),
+                wall / static_cast<double>(reps.size()), s.median_cps,
+                s.iqr_over_median);
+    report.begin_row(row);
+    report.metric("reps", static_cast<std::uint64_t>(reps.size()));
+    report.metric("mean_cycles_per_rep", mean_cycles);
+    report.metric("median_cycles_per_s", s.median_cps);
+    report.metric("iqr_over_median", s.iqr_over_median);
+    return s;
+  };
+  const Summary ev = print_engine("event-driven kernel", "engine_event_driven",
+                                  ev_reps);
+  const Summary cy = print_engine("cycle-based engine", "engine_cycle_based",
+                                  cy_reps);
   bench::rule();
-  std::printf("cycle-based speedup: %.1fx — the integration the paper calls "
-              "for\n", cy_cps / ev_cps);
+  const double speedup = cy.median_cps / ev.median_cps;
+  report.begin_row("engine_speedup");
+  report.metric("median_ratio", speedup);
+  std::printf("cycle-based speedup (ratio of the medians): %.1fx — the "
+              "integration the paper calls for\n", speedup);
   return 0;
 }

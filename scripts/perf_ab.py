@@ -27,6 +27,12 @@ exceeds that spread, `regressed` when BASE does, and `noise` otherwise;
 with fewer than 10 pairs the verdict is `-`.  --json FILE writes the
 table.
 
+With --trace 1 the table also compares the layers perfbench prints in its
+`per layer` block but leaves out of its result line and of BENCHMARK.json,
+because some workloads lack them (board.advance_s, ref.advance_s): they
+are read from each run's printed rows, compared lower-is-better, marked
+`*` as print-only, and left out where both sides read 0.
+
 With --trace 1 the table is followed by every per-layer metric of unit
 `count` whose values differ between the two sides, or `counts: identical`.
 Counts are deterministic per seed, so a difference there is a change in
@@ -50,6 +56,14 @@ WIN_SHARE = 0.9
 MIN_PAIRS_FOR_VERDICT = 10
 SIM_KEYS = ("cycles", "activations", "digest")
 RUN_TIMEOUT_S = 3600  # the first run of a side also builds its tree
+# Layers perfbench prints under `per layer` but keeps out of its result
+# line (a workload without the layer reads 0 there).
+PRINT_ONLY = (
+    {"name": "board.advance_s", "unit": "s", "better": "lower",
+     "print_only": True},
+    {"name": "ref.advance_s", "unit": "s", "better": "lower",
+     "print_only": True},
+)
 
 
 def log(msg):
@@ -135,6 +149,27 @@ def format_counts(counts):
     return lines or ["counts: identical"]
 
 
+def printed_layers(lines):
+    """{name: {"value", "unit"}} for the PRINT_ONLY rows of the `per layer`
+    block in perfbench's stdout `lines` (`  name  value  unit`)."""
+    wanted = {m["name"] for m in PRINT_ONLY}
+    found, in_block = {}, False
+    for line in lines:
+        if line.startswith("per layer"):
+            in_block = True
+        elif in_block and not line.startswith("  "):
+            break
+        elif in_block:
+            fields = line.split()
+            if len(fields) == 3 and fields[0] in wanted:
+                try:
+                    found[fields[0]] = {"value": float(fields[1]),
+                                        "unit": fields[2]}
+                except ValueError:
+                    pass
+    return found
+
+
 def pair_order(i):
     """Side that runs first in pair i: BASE in even pairs, HEAD in odd."""
     return ("base", "head") if i % 2 == 0 else ("head", "base")
@@ -184,6 +219,10 @@ def run_side(tree, workload, args):
         result = json.loads(lines[-1]) if lines else None
     except json.JSONDecodeError:
         result = None
+    if args.trace and isinstance(result, dict) and isinstance(
+            result.get("metrics"), dict):
+        for name, value in printed_layers(lines).items():
+            result["metrics"].setdefault(name, value)
     return result, sim
 
 
@@ -220,11 +259,14 @@ def measure(trees, workloads, metrics, args):
             name = m["name"]
             if not all(name in s for s in samples["base"] + samples["head"]):
                 continue
-            row = compare([s[name]["value"] for s in samples["base"]],
-                          [s[name]["value"] for s in samples["head"]],
-                          m["better"])
+            base = [s[name]["value"] for s in samples["base"]]
+            head = [s[name]["value"] for s in samples["head"]]
+            if m.get("print_only") and not any(base + head):
+                continue  # a layer this workload does not run
+            row = compare(base, head, m["better"])
             row.update({"workload": w, "metric": name, "unit": m["unit"],
-                        "better": m["better"]})
+                        "better": m["better"],
+                        "print_only": m.get("print_only", False)})
             rows.append(row)
     return rows, sims, counts, failures
 
@@ -240,10 +282,14 @@ def print_table(rows):
           f"{'iqr/med':>8s}  verdict")
     for r in rows:
         ratio = "-" if r["ratio"] is None else f"{r['ratio']:.3f}"
-        print(f"{r['workload']:16s} {r['metric']:24s} {side(r, 'base'):>34s} "
+        metric = r["metric"] + ("*" if r.get("print_only") else "")
+        print(f"{r['workload']:16s} {metric:24s} {side(r, 'base'):>34s} "
               f"{side(r, 'head'):>34s} {ratio:>7s} "
               f"{r['wins']:>3d}/{r['pairs']:<2d} "
               f"{r['base_iqr_over_median']:8.3f}  {r['verdict']}")
+    if any(r.get("print_only") for r in rows):
+        print("* print-only: read from perfbench's printed per-layer rows; "
+              "not in its result line or BENCHMARK.json")
 
 
 # --- self-test ----------------------------------------------------------------
@@ -354,6 +400,29 @@ def selftest():
           format_counts({"gcu_hybrid": [], "switch_rtl": []}),
           ["counts: identical"])
 
+    printed = [
+        "end-to-end (times scaled to the nominal host):",
+        "  board.advance_s                      9.000000 s        ",
+        "per layer (traced rounds, per round):",
+        "  rtl.advance_s                        0.201000 s        ",
+        "  ref.advance_s                        0.013500 s        ",
+        "  board.advance_s                      0.184000 s        ",
+        "  board.test_cycles                   96.000000 count    ",
+        "  layers + residual = 0.5 s of 0.5 s session wall (99.9%)",
+        "spans: 10 kept (0 beyond the cap) in s.json",
+        "  ref.advance_s                        7.000000 s        ",
+        '{"correct": true, "attempted": 1, "failed": 0, "metrics": {}}',
+    ]
+    check("printed layers", printed_layers(printed),
+          {"ref.advance_s": {"value": 0.0135, "unit": "s"},
+           "board.advance_s": {"value": 0.184, "unit": "s"}})
+    check("printed layers of an untraced run",
+          printed_layers([l for l in printed if not l.startswith("per")]),
+          {})
+    check("printed layers: unparsable value",
+          printed_layers(["per layer (traced rounds, per round):",
+                          "  board.advance_s  nan? s"]), {})
+
     check("pair 1 order", pair_order(0), ("base", "head"))
     check("pair 2 order", pair_order(1), ("head", "base"))
 
@@ -393,7 +462,8 @@ def main():
     for w in workloads:
         if w not in known:
             ap.error(f"unknown workload {w!r} (have {', '.join(known)})")
-    metrics = spec["per_layer" if args.trace else "end_to_end"]
+    metrics = (spec["per_layer"] + list(PRINT_ONLY) if args.trace
+               else spec["end_to_end"])
 
     base_sha, base_tree = export(args.base)
     if args.head:

@@ -6,6 +6,38 @@
 
 namespace castanet::board {
 
+namespace {
+
+/// One port's half of an I/O-port pairing, resolved for one test cycle;
+/// `io` is nullptr for a port that is not a bus half.
+struct BusControl {
+  const IoPortMapping* io = nullptr;
+  /// The control port's loaded per-cycle values, nullptr if none.
+  const std::vector<std::uint64_t>* loaded = nullptr;
+  /// Its static write value, used past the end of `loaded`.
+  std::uint64_t write_value = 0;
+  /// True when the control port holds the "DUT drives" flag in cycle c.
+  bool dut_drives(std::uint64_t c) const {
+    const std::uint64_t v =
+        loaded != nullptr && c < loaded->size() ? (*loaded)[c] : write_value;
+    return v == io->dut_drives_value;
+  }
+};
+
+struct InportView {
+  unsigned port;
+  const std::vector<std::uint64_t>* stimulus;  ///< nullptr: drives 0
+  BusControl bus;
+};
+
+struct OutportView {
+  unsigned port;
+  HardwareTestBoard::Capture* capture;
+  BusControl bus;
+};
+
+}  // namespace
+
 HardwareTestBoard::HardwareTestBoard(ScsiChannel::Params scsi)
     : scsi_(scsi) {}
 
@@ -90,31 +122,49 @@ HardwareTestBoard::RunStats HardwareTestBoard::run_test_cycle(
   for (const auto& [port, v] : ctrl_stimulus_) stim_bytes += v.size() * 8;
   stats.sw_time += scsi_.transfer(stim_bytes);
 
-  // Indexed views of the mappings.
-  std::unordered_map<unsigned, const IoPortMapping*> io_by_inport;
-  std::unordered_map<unsigned, const IoPortMapping*> io_by_outport;
-  for (const IoPortMapping& m : cfg_.ioports) {
-    io_by_inport[m.inport] = &m;
-    io_by_outport[m.outport] = &m;
-  }
-  auto ctrl_value = [&](unsigned ctrlport, std::uint64_t cycle) {
-    auto it = ctrl_stimulus_.find(ctrlport);
-    if (it != ctrl_stimulus_.end() && cycle < it->second.size()) {
-      return it->second[cycle];
+  // Per-test-cycle port views: every lookup by port number happens here,
+  // once, so a board cycle only indexes vectors.
+  const auto paired = [&](unsigned IoPortMapping::*side, unsigned port) {
+    BusControl bus;
+    for (const IoPortMapping& io : cfg_.ioports) {
+      if (io.*side == port) bus.io = &io;  // the last pairing wins
     }
+    if (bus.io == nullptr) return bus;
     for (const CtrlportMapping& m : cfg_.ctrlports) {
-      if (m.ctrlport == ctrlport) return m.write_value;
+      if (m.ctrlport == bus.io->ctrlport) bus.write_value = m.write_value;
     }
-    return std::uint64_t{0};
+    if (auto it = ctrl_stimulus_.find(bus.io->ctrlport);
+        it != ctrl_stimulus_.end()) {
+      bus.loaded = &it->second;
+    }
+    return bus;
   };
-
+  std::vector<std::uint64_t> in_vals(dut.num_inputs(), 0);
+  std::vector<bool> in_en(dut.num_inputs(), true);
+  std::vector<InportView> inports;
+  inports.reserve(cfg_.inports.size());
+  for (const InportMapping& m : cfg_.inports) {
+    if (m.inport >= in_vals.size()) {
+      throw LogicError("board: inport " + std::to_string(m.inport) +
+                       " is beyond the DUT's inputs");
+    }
+    auto it = stimulus_.find(m.inport);
+    inports.push_back({m.inport,
+                       it != stimulus_.end() ? &it->second : nullptr,
+                       paired(&IoPortMapping::inport, m.inport)});
+  }
+  std::vector<OutportView> outports;
+  outports.reserve(cfg_.outports.size());
   for (auto& [port, cap] : captures_) {
     cap.values.clear();
     cap.enabled.clear();
   }
   for (const OutportMapping& m : cfg_.outports) {
-    captures_[m.outport].values.reserve(duration);
-    captures_[m.outport].enabled.reserve(duration);
+    Capture& cap = captures_[m.outport];
+    cap.values.reserve(duration);
+    cap.enabled.reserve(duration);
+    outports.push_back(
+        {m.outport, &cap, paired(&IoPortMapping::outport, m.outport)});
   }
 
   // --- hardware activity: real-time replay -------------------------------
@@ -122,36 +172,24 @@ HardwareTestBoard::RunStats HardwareTestBoard::run_test_cycle(
   if (auto* rtl_dut = dynamic_cast<RtlDutAdapter*>(&dut)) {
     rtl_dut->set_actual_hz(dut_hz);
   }
-  std::vector<std::uint64_t> in_vals(dut.num_inputs(), 0);
-  std::vector<bool> in_en(dut.num_inputs(), true);
   std::vector<std::uint64_t> out_vals;
   std::vector<bool> out_en;
   for (std::uint64_t c = 0; c < duration; ++c) {
-    for (const InportMapping& m : cfg_.inports) {
-      auto it = stimulus_.find(m.inport);
-      const std::uint64_t v =
-          (it != stimulus_.end() && c < it->second.size()) ? it->second[c] : 0;
-      in_vals[m.inport] = v;
-      bool enable = true;
-      if (auto io = io_by_inport.find(m.inport); io != io_by_inport.end()) {
-        // Tester releases the shared bus while the DUT drives it.
-        enable = ctrl_value(io->second->ctrlport, c) !=
-                 io->second->dut_drives_value;
-      }
-      in_en[m.inport] = enable;
+    for (const InportView& in : inports) {
+      in_vals[in.port] = in.stimulus != nullptr && c < in.stimulus->size()
+                             ? (*in.stimulus)[c]
+                             : 0;
+      // Tester releases the shared bus while the DUT drives it.
+      in_en[in.port] = in.bus.io == nullptr || !in.bus.dut_drives(c);
     }
     dut.cycle(in_vals, in_en, out_vals, out_en);
-    for (const OutportMapping& m : cfg_.outports) {
-      bool capture_enabled = m.outport < out_en.size() && out_en[m.outport];
-      if (auto io = io_by_outport.find(m.outport); io != io_by_outport.end()) {
-        if (ctrl_value(io->second->ctrlport, c) !=
-            io->second->dut_drives_value) {
-          capture_enabled = false;  // tester-drive phase: nothing to capture
-        }
-      }
-      captures_[m.outport].values.push_back(
-          m.outport < out_vals.size() ? out_vals[m.outport] : 0);
-      captures_[m.outport].enabled.push_back(capture_enabled);
+    for (const OutportView& out : outports) {
+      // Tester-drive phase of a bus: nothing to capture.
+      const bool enabled = out.port < out_en.size() && out_en[out.port] &&
+                           (out.bus.io == nullptr || out.bus.dut_drives(c));
+      out.capture->values.push_back(
+          out.port < out_vals.size() ? out_vals[out.port] : 0);
+      out.capture->enabled.push_back(enabled);
     }
   }
   stats.hw_time = SimTime::from_ps(static_cast<std::int64_t>(

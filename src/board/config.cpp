@@ -15,6 +15,15 @@ unsigned total_bits(const std::vector<LaneSlice>& slices) {
   return n;
 }
 
+// Port values travel as one uint64_t (pack_slices/unpack_slices, the
+// DUT's pin words), so no port may be wider than 64 bits.
+void check_width(unsigned width, const std::string& what, unsigned port) {
+  if (width > 64) {
+    throw ConfigError(what + " " + std::to_string(port) + ": width " +
+                      std::to_string(width) + " exceeds 64 bits");
+  }
+}
+
 void check_slice(const LaneSlice& s, const std::string& what) {
   if (s.byte_lane >= kByteLanes) {
     throw ConfigError(what + ": byte lane " + std::to_string(s.byte_lane) +
@@ -74,6 +83,7 @@ void ConfigDataSet::validate() const {
       throw ConfigError("inport " + std::to_string(m.inport) +
                         ": width does not match slices");
     }
+    check_width(m.width, "inport", m.inport);
     for (const LaneSlice& s : m.slices) check_slice(s, "inport");
     claim_pins(m.slices, tester_driven, "inport");
   }
@@ -82,6 +92,7 @@ void ConfigDataSet::validate() const {
       throw ConfigError("ctrlport " + std::to_string(m.ctrlport) +
                         ": width does not match slices");
     }
+    check_width(m.width, "ctrlport", m.ctrlport);
     if (m.width < 64 && m.write_value >> m.width != 0) {
       throw ConfigError("ctrlport " + std::to_string(m.ctrlport) +
                         ": write value exceeds width");
@@ -94,6 +105,7 @@ void ConfigDataSet::validate() const {
       throw ConfigError("outport " + std::to_string(m.outport) +
                         ": width does not match slices");
     }
+    check_width(m.width, "outport", m.outport);
     for (const LaneSlice& s : m.slices) check_slice(s, "outport");
     claim_pins(m.slices, dut_driven, "outport");
     // Outport pins must not collide with tester-driven pins (unless paired
@@ -101,6 +113,7 @@ void ConfigDataSet::validate() const {
     // validated below by construction of the in/out pair).
   }
   for (const IoPortMapping& m : ioports) {
+    check_width(m.width, "ioport pairing inport", m.inport);
     const auto in_it =
         std::find_if(inports.begin(), inports.end(),
                      [&](const InportMapping& i) { return i.inport == m.inport; });

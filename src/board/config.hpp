@@ -81,11 +81,13 @@ struct ConfigDataSet {
 
   /// Validates lane ranges, overlap rules (tester-driven slices must not
   /// overlap each other; DUT-driven slices must not overlap each other or
-  /// tester-driven ones) and width consistency.  Throws ConfigError.
+  /// tester-driven ones), width consistency and the 64-bit port limit
+  /// (a port value is one uint64_t).  Throws ConfigError.
   void validate() const;
 };
 
-/// Packs `value` into `lane_bytes` (one byte per lane) per the slices.
+/// Packs `value` into `lane_bytes` (one byte per lane) per the slices,
+/// which cover at most 64 bits (a port validate() accepts).
 void pack_slices(const std::vector<LaneSlice>& slices, std::uint64_t value,
                  std::uint8_t lane_bytes[kByteLanes]);
 /// Extracts the port value from lane bytes per the slices.

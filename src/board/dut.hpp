@@ -58,9 +58,15 @@ class RtlDutAdapter : public BehavioralDut {
   /// Clock/reset signals the adapter toggles; create and pass in.
   void set_clock(rtl::Signal clk) { clk_ = clk; }
   void set_reset(rtl::Signal rst) { rst_ = rst; }
-  /// Registers input port i (order of calls defines the index).
+  /// Registers input port i (order of calls defines the index); at most 64
+  /// bits wide.  The adapter owns the pin's test-bench drive: cycle()
+  /// re-drives the pin only when the wanted value, or the wanted release to
+  /// all-'Z', differs from what its kExternalProcess driver slot holds.  So
+  /// nothing else may write the pin from outside a process between cycles
+  /// (a DUT process may drive it, as on a bidirectional bus).
   void add_input(rtl::Bus bus);
-  /// Registers output port o.  A port reading all-Z reports enable=false.
+  /// Registers output port o; at most 64 bits wide.  cycle() reports its
+  /// '1'/'H' bits as the value, and enable=false while it reads all-'Z'.
   void add_output(rtl::Bus bus);
 
   /// Rated maximum clock of the (virtual) silicon.  When the board steps the
@@ -82,12 +88,19 @@ class RtlDutAdapter : public BehavioralDut {
   std::uint64_t cycles() const { return cycle_count_; }
 
  private:
+  /// A registered port and its all-'Z' value: the release an input pin is
+  /// driven with, the "nobody drives" reading of an output pin.
+  struct Pin {
+    rtl::Bus bus;
+    rtl::LogicVector all_z;
+  };
+
   std::unique_ptr<rtl::Simulator> sim_;
   std::vector<std::unique_ptr<rtl::Module>> owned_;
   rtl::Signal clk_;
   rtl::Signal rst_;
-  std::vector<rtl::Bus> inputs_;
-  std::vector<rtl::Bus> outputs_;
+  std::vector<Pin> inputs_;
+  std::vector<Pin> outputs_;
   SimTime period_ = SimTime::from_ns(50);
   std::uint64_t max_safe_hz_ = 0;  ///< 0 = never violates
   std::uint64_t fault_period_ = 97;

@@ -62,6 +62,17 @@ std::string remap_hint(const Ctx& ctx, const std::string& port,
   return "";
 }
 
+// A port value is one uint64_t on the board and at the DUT's pins.
+void check_port_width(Ctx& ctx, const std::string& port, unsigned width) {
+  if (width > 64) {
+    ctx.report.add("BRD-WIDTH", Severity::kError, kFamily,
+                   qualify(ctx.scope, port),
+                   "declared width " + std::to_string(width) +
+                       " exceeds the 64 bits a port value can carry",
+                   "split the port into ports of at most 64 bits");
+  }
+}
+
 void check_slices(Ctx& ctx, const std::string& port,
                   const std::vector<LaneSlice>& slices, unsigned width,
                   bool dut_driven) {
@@ -74,6 +85,7 @@ void check_slices(Ctx& ctx, const std::string& port,
                        " bit(s) covered by its lane slices",
                    "make width the sum of the slice widths (and non-zero)");
   }
+  check_port_width(ctx, port, width);
   for (std::size_t i = 0; i < slices.size(); ++i) {
     const LaneSlice& s = slices[i];
     if (s.byte_lane >= kByteLanes) {
@@ -142,6 +154,7 @@ void check_ioports(Ctx& ctx, const board::ConfigDataSet& cfg) {
   for (std::size_t i = 0; i < cfg.ioports.size(); ++i) {
     const IoPortMapping& m = cfg.ioports[i];
     const std::string port = "ioport #" + std::to_string(i);
+    check_port_width(ctx, port, m.width);
     const auto in_it = std::find_if(
         cfg.inports.begin(), cfg.inports.end(),
         [&](const InportMapping& p) { return p.inport == m.inport; });

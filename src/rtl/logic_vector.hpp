@@ -116,6 +116,13 @@ class LogicVector {
     require(w < words(), "LogicVector::value_word: word out of range");
     return plane(0)[w];
   }
+  /// to_bool() of word `w`'s bits: bit i of the result is set iff bit
+  /// 64*w+i of the vector is '1' or 'H' (value plane AND known plane), so
+  /// an undefined bit reads as 0 instead of throwing as to_uint() does.
+  std::uint64_t bool_word(std::size_t w) const {
+    require(w < words(), "LogicVector::bool_word: word out of range");
+    return plane(0)[w] & plane(1)[w];
+  }
   /// Overwrites bits [64*w, 64*w+64) — clipped to the vector width — with
   /// strong '0'/'1' per `bits`.  The word-at-a-time dual of from_uint() for
   /// wide buses (e.g. loading the 424-bit cell bus in 7 stores per plane).

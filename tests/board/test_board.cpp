@@ -145,6 +145,17 @@ TEST_F(BoardTest, TestCyclesCounted) {
   EXPECT_EQ(board.test_cycles_run(), 2u);
 }
 
+TEST_F(BoardTest, InportBeyondDutInputsRejected) {
+  // Two inports fit the DUT's three inputs by count, but inport 7 has no
+  // input to drive.
+  ConfigDataSet cfg;
+  cfg.inports.push_back({0, 8, {{0, 0, 8}}});
+  cfg.inports.push_back({7, 8, {{1, 0, 8}}});
+  board.configure(cfg);
+  board.load_stimulus(7, {1});
+  EXPECT_THROW(board.run_test_cycle(dut, 1), castanet::LogicError);
+}
+
 TEST_F(BoardTest, ResponseForUnknownOutportThrows) {
   board.load_stimulus(0, {1});
   board.run_test_cycle(dut, 1);

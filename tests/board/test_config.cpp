@@ -68,6 +68,49 @@ TEST(BoardConfig, MultiLanePortAccepted) {
   EXPECT_NO_THROW(cfg.validate());
 }
 
+/// A `width`-bit port on whole byte lanes from `first_lane` up.
+std::vector<LaneSlice> whole_lanes(unsigned first_lane, unsigned width) {
+  std::vector<LaneSlice> slices;
+  for (unsigned b = 0; b < width; b += 8) {
+    slices.push_back({static_cast<std::uint8_t>(first_lane + b / 8), 0, 8});
+  }
+  return slices;
+}
+
+TEST(BoardConfig, SixtyFourBitPortRoundTrips) {
+  ConfigDataSet cfg;
+  cfg.inports.push_back({0, 64, whole_lanes(0, 64)});
+  EXPECT_NO_THROW(cfg.validate());
+  std::uint8_t lanes[kByteLanes] = {};
+  const std::uint64_t value = 0xF00DFACE12345678u;
+  pack_slices(cfg.inports[0].slices, value, lanes);
+  EXPECT_EQ(unpack_slices(cfg.inports[0].slices, lanes), value);
+}
+
+TEST(BoardConfig, PortsWiderThan64BitsRejected) {
+  // 72 bits on nine lanes: the slices agree with the width, but a port
+  // value is one uint64_t.
+  ConfigDataSet in;
+  in.inports.push_back({0, 72, whole_lanes(0, 72)});
+  EXPECT_THROW(in.validate(), ConfigError);
+
+  ConfigDataSet out;
+  out.outports.push_back({0, 72, whole_lanes(0, 72)});
+  EXPECT_THROW(out.validate(), ConfigError);
+
+  ConfigDataSet ctrl;
+  ctrl.ctrlports.push_back({0, 72, whole_lanes(0, 72), 0});
+  EXPECT_THROW(ctrl.validate(), ConfigError);
+
+  // The paired ports are legal; only the I/O-port's own width is too wide.
+  ConfigDataSet io;
+  io.inports.push_back({0, 8, {{0, 0, 8}}});
+  io.outports.push_back({0, 8, {{1, 0, 8}}});
+  io.ctrlports.push_back({0, 1, {{2, 0, 1}}, 0});
+  io.ioports.push_back({0, 0, 0, 72, 1});
+  EXPECT_THROW(io.validate(), ConfigError);
+}
+
 TEST(BoardConfig, CtrlWriteValueMustFitWidth) {
   ConfigDataSet cfg = minimal_config();
   cfg.ctrlports.push_back({0, 1, {{2, 0, 1}}, 2});  // value 2 in 1 bit

@@ -68,6 +68,20 @@ TEST(BoardRules, WidthSliceSumMismatch) {
   EXPECT_EQ(r.by_rule("BRD-WIDTH").front()->severity, Severity::kError);
 }
 
+TEST(BoardRules, PortWiderThan64Bits) {
+  // Nine whole lanes: the slices agree with the width, but a port value is
+  // one uint64_t.
+  ConfigDataSet cfg;
+  std::vector<board::LaneSlice> lanes;
+  for (std::uint8_t l = 0; l < 9; ++l) lanes.push_back({l, 0, 8});
+  cfg.inports.push_back({0, 72, lanes});
+  cfg.ioports.push_back({0, 0, 0, 72, 1});
+  const Report r = analyze(cfg);
+  ASSERT_EQ(r.by_rule("BRD-WIDTH").size(), 2u) << r.to_text();
+  EXPECT_EQ(r.by_rule("BRD-WIDTH").front()->severity, Severity::kError);
+  EXPECT_EQ(r.by_rule("BRD-WIDTH").back()->location, "ioport #0");
+}
+
 TEST(BoardRules, OverlappingTesterDrivenPins) {
   ConfigDataSet cfg = base_config();
   cfg.inports.push_back({1, 4, {{0, 4, 4}}});  // lane 0 bits 4..7 again? no:
