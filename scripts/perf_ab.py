@@ -24,8 +24,10 @@ metric's `better` direction, and the spread of BASE as IQR/median.  The
 verdict follows the benchmark's rule for a claimed gain: a metric is
 `resolved` when HEAD wins at least 90% of at least 10 pairs and |ratio - 1|
 exceeds that spread, `regressed` when BASE does, and `noise` otherwise;
-with fewer than 10 pairs the verdict is `-`.  --json FILE writes the
-table.
+with fewer than 10 pairs the verdict is `-`.  A metric that moves with
+changes it does not measure (trace.overhead) always reads `-`, marked `^`
+with a footnote that names the metric to read instead.  --json FILE writes
+the table.
 
 With --trace 1 the table also compares the layers perfbench prints in its
 `per layer` block but leaves out of its result line and of BENCHMARK.json,
@@ -64,6 +66,15 @@ PRINT_ONLY = (
     {"name": "ref.advance_s", "unit": "s", "better": "lower",
      "print_only": True},
 )
+
+
+# Metrics that get no verdict, with the footnote saying why.
+NO_VERDICT = {
+    "trace.overhead": "untraced over traced clk_per_s minus one; the tracing "
+                      "cost per span is fixed, so any change that shortens "
+                      "the traced work per span raises it: read "
+                      "trace.session_wall_s instead",
+}
 
 
 def log(msg):
@@ -110,6 +121,17 @@ def compare(base, head, better):
             "head_median": head_med, "head_q1": head_q1, "head_q3": head_q3,
             "ratio": ratio, "wins": wins, "pairs": len(base),
             "base_iqr_over_median": noise, "verdict": verdict}
+
+
+def metric_row(metric, base, head):
+    """compare() for one metric of BENCHMARK.json (or PRINT_ONLY)."""
+    row = compare(base, head, metric["better"])
+    if metric["name"] in NO_VERDICT:
+        row["verdict"] = "-"
+    row.update({"metric": metric["name"], "unit": metric["unit"],
+                "better": metric["better"],
+                "print_only": metric.get("print_only", False)})
+    return row
 
 
 def sim_mismatch(sims):
@@ -263,11 +285,7 @@ def measure(trees, workloads, metrics, args):
             head = [s[name]["value"] for s in samples["head"]]
             if m.get("print_only") and not any(base + head):
                 continue  # a layer this workload does not run
-            row = compare(base, head, m["better"])
-            row.update({"workload": w, "metric": name, "unit": m["unit"],
-                        "better": m["better"],
-                        "print_only": m.get("print_only", False)})
-            rows.append(row)
+            rows.append({"workload": w, **metric_row(m, base, head)})
     return rows, sims, counts, failures
 
 
@@ -283,6 +301,7 @@ def print_table(rows):
     for r in rows:
         ratio = "-" if r["ratio"] is None else f"{r['ratio']:.3f}"
         metric = r["metric"] + ("*" if r.get("print_only") else "")
+        metric += "^" if r["metric"] in NO_VERDICT else ""
         print(f"{r['workload']:16s} {metric:24s} {side(r, 'base'):>34s} "
               f"{side(r, 'head'):>34s} {ratio:>7s} "
               f"{r['wins']:>3d}/{r['pairs']:<2d} "
@@ -290,6 +309,8 @@ def print_table(rows):
     if any(r.get("print_only") for r in rows):
         print("* print-only: read from perfbench's printed per-layer rows; "
               "not in its result line or BENCHMARK.json")
+    for name in sorted({r["metric"] for r in rows} & NO_VERDICT.keys()):
+        print(f"^ no verdict for {name}: {NO_VERDICT[name]}")
 
 
 # --- self-test ----------------------------------------------------------------
@@ -422,6 +443,16 @@ def selftest():
     check("printed layers: unparsable value",
           printed_layers(["per layer (traced rounds, per round):",
                           "  board.advance_s  nan? s"]), {})
+
+    # trace.overhead: ratio and wins as for any metric, but no verdict.
+    overhead = {"name": "trace.overhead", "unit": "ratio", "better": "lower"}
+    r = metric_row(overhead, [0.088] * 10, [0.108] * 10)
+    near("trace.overhead: ratio", r["ratio"], 0.108 / 0.088)
+    check("trace.overhead: wins", r["wins"], 0)
+    check("trace.overhead: verdict", r["verdict"], "-")
+    r = metric_row(dict(overhead, name="trace.session_wall_s", unit="s"),
+                   [0.088] * 10, [0.108] * 10)
+    check("trace.session_wall_s: verdict", r["verdict"], "regressed")
 
     check("pair 1 order", pair_order(0), ("base", "head"))
     check("pair 2 order", pair_order(1), ("head", "base"))

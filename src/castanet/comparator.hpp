@@ -93,6 +93,8 @@ struct Divergence {
 /// compared (cells byte-for-byte, word vectors element-wise); time stamps
 /// are reported but not compared, because the backends legitimately run on
 /// different clocks (HDL time vs instantaneous reference vs board cycles).
+/// With a single backend there is nothing to compare, and no response is
+/// kept.
 class SessionComparator {
  public:
   /// `backends` response sources, index `primary` is the golden stream.
@@ -119,11 +121,6 @@ class SessionComparator {
     SimTime time;
     std::optional<atm::Cell> cell;
     std::vector<std::uint64_t> words;
-    /// FNV-1a digest of the content (wire::content_hash), computed ONCE at
-    /// enqueue.  Matching compares digests — O(1) per compare instead of a
-    /// payload walk per compare — and falls back to the full field diff
-    /// only when digests disagree, to produce the detailed report.
-    std::uint64_t hash = 0;
   };
   struct PerBackendStream {
     std::deque<Slot> pending;   ///< responses not yet matched

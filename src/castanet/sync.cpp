@@ -145,10 +145,15 @@ std::vector<TimedMessage> ConservativeSync::take_deliverable(SimTime up_to) {
                   static_cast<double>(q.queue.size()));
     }
   }
-  std::sort(out.begin(), out.end(),
-            [](const TimedMessage& a, const TimedMessage& b) {
-              return a.timestamp < b.timestamp;
-            });
+  // Stable: equal time stamps keep input-type order, then FIFO order.
+  // std::stable_sort allocates a buffer even for one message, so a window
+  // already in time order (the usual one) skips it.
+  const auto by_time = [](const TimedMessage& a, const TimedMessage& b) {
+    return a.timestamp < b.timestamp;
+  };
+  if (!std::is_sorted(out.begin(), out.end(), by_time)) {
+    std::stable_sort(out.begin(), out.end(), by_time);
+  }
   if (up_to > granted_) {
     granted_ = up_to;
     ++windows_granted_;

@@ -65,7 +65,9 @@ class ConservativeSync {
   SimTime window() const;
 
   /// Messages that must be applied to the DUT before the HDL simulator
-  /// crosses their time stamps; pops all with ts < `up_to`.
+  /// crosses their time stamps; pops all with ts < `up_to`.  They come out
+  /// in time-stamp order; equal time stamps keep type order, then each
+  /// queue's FIFO order.
   std::vector<TimedMessage> take_deliverable(SimTime up_to);
 
   /// Records the HDL simulator's current time for lag statistics and the

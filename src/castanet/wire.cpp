@@ -244,33 +244,4 @@ std::uint64_t fnv1a(const void* data, std::size_t len, std::uint64_t seed) {
   return h;
 }
 
-std::uint64_t content_hash(const TimedMessage& m) {
-  std::uint64_t h = fnv1a(&m.type, sizeof m.type);
-  const std::uint8_t has_cell = m.cell ? 1 : 0;
-  h = fnv1a(&has_cell, 1, h);
-  if (m.cell) {
-    const atm::Cell& c = *m.cell;
-    // Hash the decoded header fields, not a re-encoding: what the comparator
-    // diffs on mismatch is these fields, so hash equality must mirror
-    // diff_payload equality exactly.
-    const std::uint8_t hdr[7] = {
-        c.header.gfc,
-        static_cast<std::uint8_t>(c.header.vpi),
-        static_cast<std::uint8_t>(c.header.vpi >> 8),
-        static_cast<std::uint8_t>(c.header.vci),
-        static_cast<std::uint8_t>(c.header.vci >> 8),
-        c.header.pti,
-        static_cast<std::uint8_t>(c.header.clp ? 1 : 0),
-    };
-    h = fnv1a(hdr, sizeof hdr, h);
-    h = fnv1a(c.payload.data(), c.payload.size(), h);
-  }
-  const std::uint64_t nwords = m.words.size();
-  h = fnv1a(&nwords, sizeof nwords, h);
-  if (!m.words.empty()) {
-    h = fnv1a(m.words.data(), m.words.size() * sizeof(std::uint64_t), h);
-  }
-  return h;
-}
-
 }  // namespace castanet::cosim::wire

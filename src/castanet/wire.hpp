@@ -83,12 +83,9 @@ telemetry::MetricsSnapshot decode_snapshot(Reader& r);
 telemetry::MetricsSnapshot decode_snapshot(
     const std::vector<std::uint8_t>& frame);
 
-/// FNV-1a 64-bit over `data` — the content digest used by the session
-/// comparator's enqueue-time hashing and the farm's result digests.
+/// FNV-1a 64-bit over `data` — the result digests of the farm and the
+/// benchmark.
 std::uint64_t fnv1a(const void* data, std::size_t len,
                     std::uint64_t seed = 0xcbf29ce484222325ull);
-/// Digest of a message's CONTENT (type + payload, time stamp excluded —
-/// backends legitimately run on different clocks; see SessionComparator).
-std::uint64_t content_hash(const TimedMessage& m);
 
 }  // namespace castanet::cosim::wire

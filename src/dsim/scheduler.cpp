@@ -7,7 +7,7 @@
 
 namespace castanet {
 
-void Scheduler::schedule_at(SimTime when, Action action, int priority) {
+void Scheduler::schedule_at(SimTime when, Action action) {
   if (when < now_) {
     throw ProtocolError("Scheduler: event scheduled in the past (" +
                         when.to_string() + " < " + now_.to_string() + ")");
@@ -20,7 +20,7 @@ void Scheduler::schedule_at(SimTime when, Action action, int priority) {
     free_slots_.pop_back();
     actions_[slot] = std::move(action);
   }
-  heap_.push_back({when, priority, slot, scheduled_++});
+  heap_.push_back({when, scheduled_++, slot});
   std::push_heap(heap_.begin(), heap_.end(), runs_after);
 }
 

@@ -1,16 +1,16 @@
 // Generic discrete-event scheduler.
 //
 // This is the event-list machinery (Fig. 3 of the paper) shared by the
-// network simulator: events ordered by (time, priority, sequence), strictly
+// network simulator: events ordered by (time, insertion sequence), strictly
 // monotone execution, and counters used by the E7 event-ratio experiment.
 // Events may be scheduled for the current time or the future, never the
 // past — scheduling into the past throws ProtocolError, which is exactly the
 // causality error the §3.1 protocol must prevent across simulator boundaries.
 //
-// The pending set is a binary min-heap of small {when, priority, slot, seq}
-// entries.  The actions are SmallFn callables kept in a slab whose slots are
-// recycled through a free list: an action moves in at schedule_at and out at
-// step, so a sift moves 24-byte entries, never a type-erased callable.  The
+// The pending set is a binary min-heap of small {when, seq, slot} entries.
+// The actions are SmallFn callables kept in a slab whose slots are recycled
+// through a free list: an action moves in at schedule_at and out at step, so
+// a sift moves 24-byte entries, never a type-erased callable.  The
 // network workloads never hold more than 9 pending events (EXPERIMENTS.md,
 // "Network event list"), where a heap is as fast as any cleverer structure.
 // Once the heap, slab and free list are warm and every capture fits
@@ -36,11 +36,11 @@ class Scheduler {
   SimTime now() const { return now_; }
 
   /// Schedules `action` at absolute time `when` (>= now).  Events at equal
-  /// time run in (priority, insertion) order; lower priority value first.
-  void schedule_at(SimTime when, Action action, int priority = 0);
+  /// time run in insertion order.
+  void schedule_at(SimTime when, Action action);
   /// Schedules `action` `delay` after now.
-  void schedule_in(SimTime delay, Action action, int priority = 0) {
-    schedule_at(now_ + delay, std::move(action), priority);
+  void schedule_in(SimTime delay, Action action) {
+    schedule_at(now_ + delay, std::move(action));
   }
 
   /// True if no events are pending.
@@ -78,16 +78,14 @@ class Scheduler {
   /// A pending event; its action is `actions_[slot]`.
   struct Entry {
     SimTime when;
-    std::int32_t priority;
-    std::uint32_t slot;
     std::uint64_t seq;
+    std::uint32_t slot;
   };
   /// Heap order: true when `a` runs after `b`, so the heap's front is the
-  /// earliest event in strict (when, priority, seq) order — the
-  /// execution-order contract.
+  /// earliest event in strict (when, seq) order — the execution-order
+  /// contract.
   static bool runs_after(const Entry& a, const Entry& b) {
     if (a.when != b.when) return a.when > b.when;
-    if (a.priority != b.priority) return a.priority > b.priority;
     return a.seq > b.seq;
   }
 

@@ -3,17 +3,19 @@
 // std::function<void()> heap-allocates once per scheduled event for any
 // capture beyond the library's tiny SBO (two pointers on libstdc++) — on the
 // network-side hot path that is one malloc/free pair per cell hop.  SmallFn
-// stores captures up to kInlineBytes in place, covering every in-tree
-// scheduling site on the hot path (netsim's deliver lambda captures
-// {Simulation*, ProcessModel*, unsigned, Packet} = 64 bytes; process/traffic
-// self-timers capture {this, int} = 16), so steady-state schedule/execute is
-// allocation-free — proven by tests/dsim/test_scheduler_alloc.cpp with a
-// counting operator new.  Oversized or throwing-move captures (the session's
-// TimedMessage replay lambda) fall back to a single heap cell with identical
-// semantics.
+// stores captures up to kInlineBytes in place.  That covers every capture
+// the co-simulation loop schedules: netsim's delivery lambda
+// {Simulation*, ProcessModel*, unsigned, Packet} (128 bytes, the largest),
+// the session's response replay {this, TimedMessage} and the entity's
+// message delivery {ApplyFn*, TimedMessage} into the RTL kernel (120 bytes
+// each), and the process/traffic self-timers {this, int} (16).  So
+// steady-state schedule/execute is allocation-free — proven by
+// tests/dsim/test_scheduler_alloc.cpp with a counting operator new.
+// Oversized or throwing-move captures fall back to a single heap cell with
+// identical semantics.
 //
-// Move-only: the scheduler slab moves slots on growth, and captured Packets
-// are themselves move-only-cheap.  A moved-from SmallFn is empty.
+// Move-only: the scheduler slab and the kernel's timed heap move entries,
+// and a moved-from SmallFn is empty.
 #pragma once
 
 #include <cstddef>
@@ -25,9 +27,9 @@ namespace castanet {
 
 class SmallFn {
  public:
-  /// Sized to the largest hot-path capture (netsim's packet-delivery lambda)
-  /// plus headroom for one extra pointer-sized field.
-  static constexpr std::size_t kInlineBytes = 72;
+  /// Sized to the largest hot-path capture: netsim's packet-delivery
+  /// lambda with its inline Packet.
+  static constexpr std::size_t kInlineBytes = 128;
 
   SmallFn() = default;
   SmallFn(std::nullptr_t) {}  // NOLINT(google-explicit-constructor)

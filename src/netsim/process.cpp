@@ -21,7 +21,7 @@ void ProcessModel::schedule_self(SimTime delay, int code) {
 }
 
 Packet ProcessModel::make_packet() {
-  Packet p = sim_->packet_pool().make();
+  Packet p;
   p.set_id(sim_->next_packet_id());
   p.set_creation_time(now());
   return p;

@@ -121,7 +121,6 @@ void Simulation::finish() {
     intr.kind = InterruptKind::kEnd;
     deliver(*p, intr);
   }
-  packet_pool_.publish_telemetry();
   if (telemetry::enabled() && !flows_.empty()) {
     flows_.publish("flow", now().seconds());
   }

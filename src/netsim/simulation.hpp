@@ -78,10 +78,6 @@ class Simulation {
   std::uint64_t packets_created() const { return packets_created_; }
   std::uint64_t next_packet_id() { return ++packets_created_; }
 
-  /// Slab pool backing every make_packet() payload.
-  PacketPool& packet_pool() { return packet_pool_; }
-  const PacketPool& packet_pool() const { return packet_pool_; }
-
   /// Per-flow (VPI/VCI/stream) cell statistics; recording is gated on
   /// telemetry::enabled() and published into the Hub by finish().
   FlowRegistry& flows() { return flows_; }
@@ -102,9 +98,6 @@ class Simulation {
   void deliver(ProcessModel& dst, Interrupt intr);
   void send_packet(ProcessModel& src, unsigned out, Packet p, SimTime delay);
 
-  // Declared before the scheduler: pending events capture pooled Packets,
-  // so the slab must be destroyed after the scheduler releases them.
-  PacketPool packet_pool_;
   Scheduler scheduler_;
   Rng rng_;
   bool started_ = false;

@@ -7,11 +7,6 @@
 namespace castanet::rtl {
 
 namespace {
-/// Min-heap on time (std::*_heap build max-heaps, so order by `>`).
-constexpr auto kHeapCmp = [](const auto& a, const auto& b) {
-  return a.t > b.t;
-};
-
 /// Process-wide elaboration hook (see set_elaboration_hook).  Written once
 /// at program setup, read from initialize(); not synchronized — install it
 /// before any simulator elaborates.
@@ -238,22 +233,10 @@ void Simulator::set_value_for_analysis(SignalId s, const LogicVector& v) {
   signals_[s].effective = v;
 }
 
-Simulator::TimeBucket& Simulator::bucket_for(SimTime when) {
-  const auto [it, inserted] = bucket_index_.try_emplace(when.ps(), 0);
-  if (inserted) {
-    std::uint32_t id;
-    if (!free_buckets_.empty()) {
-      id = free_buckets_.back();
-      free_buckets_.pop_back();
-    } else {
-      id = static_cast<std::uint32_t>(buckets_.size());
-      buckets_.emplace_back();
-    }
-    it->second = id;
-    heap_.push_back({when, id});
-    std::push_heap(heap_.begin(), heap_.end(), kHeapCmp);
-  }
-  return buckets_[it->second];
+void Simulator::push_timed(SimTime when,
+                           std::variant<Transaction, SmallFn> what) {
+  timed_.push_back({when, timed_seq_++, std::move(what)});
+  std::push_heap(timed_.begin(), timed_.end(), due_after);
 }
 
 void Simulator::throw_width_mismatch(SignalId s) const {
@@ -291,8 +274,7 @@ void Simulator::enqueue(SignalId s, LogicVector&& v, SimTime delay) {
     signals_[s].queued_drain = drain_serial_;
     next_delta_.push_back({s, current_process_, std::move(v)});
   } else {
-    bucket_for(now_ + delay)
-        .txns.push_back({s, current_process_, std::move(v)});
+    push_timed(now_ + delay, Transaction{s, current_process_, std::move(v)});
   }
 }
 
@@ -361,9 +343,9 @@ void Simulator::fire_edge(ClockState& c) {
   c.rising_next = !c.rising_next;
 }
 
-void Simulator::schedule_callback(SimTime delay, std::function<void()> fn) {
+void Simulator::schedule_callback(SimTime delay, SmallFn fn) {
   require(delay >= SimTime::zero(), "schedule_callback: negative delay");
-  bucket_for(now_ + delay).callbacks.push_back(std::move(fn));
+  push_timed(now_ + delay, std::move(fn));
 }
 
 void Simulator::add_change_observer(ChangeObserver obs) {
@@ -552,7 +534,7 @@ void Simulator::initialize() {
 
 SimTime Simulator::next_activity() const {
   if (!next_delta_.empty() || !pending_edges_.empty()) return now_;
-  SimTime t = heap_.empty() ? SimTime::max() : heap_.front().t;
+  SimTime t = timed_.empty() ? SimTime::max() : timed_.front().t;
   for (const ClockState& c : clocks_) t = std::min(t, c.next);
   return t;
 }
@@ -577,15 +559,18 @@ void Simulator::step_to(SimTime t) {
   }
   batch_scratch_.clear();
   cb_scratch_.clear();
-  if (!heap_.empty() && heap_.front().t == t) {
-    const std::uint32_t id = heap_.front().bucket;
-    std::pop_heap(heap_.begin(), heap_.end(), kHeapCmp);
-    heap_.pop_back();
-    bucket_index_.erase(t.ps());
-    TimeBucket& b = buckets_[id];
-    batch_scratch_.swap(b.txns);
-    cb_scratch_.swap(b.callbacks);
-    free_buckets_.push_back(id);
+  // Every entry due at t leaves the heap before any callback runs, each
+  // kind in insertion order; work a callback schedules for t opens the next
+  // time point.
+  while (!timed_.empty() && timed_.front().t == t) {
+    std::pop_heap(timed_.begin(), timed_.end(), due_after);
+    auto& what = timed_.back().what;
+    if (Transaction* txn = std::get_if<Transaction>(&what)) {
+      batch_scratch_.push_back(std::move(*txn));
+    } else {
+      cb_scratch_.push_back(std::move(std::get<SmallFn>(what)));
+    }
+    timed_.pop_back();
   }
   // Callbacks before the delta loop, behind the clock edges: stimulus
   // generators may schedule zero-delay writes that then land in the first

@@ -17,9 +17,10 @@
 // add_clocked_process body is known by its clock, so a rising edge of a
 // net that carries only such bodies appends its whole sensitivity list to
 // the runnable set and each body is called directly, with no edge guard.
-// Delayed transactions and timed callbacks live in per-time-point buckets
-// indexed by a binary min-heap of time points (instead of a balanced
-// tree), bucket storage is pooled and recycled, and the other runnable
+// Delayed transactions and timed callbacks are entries of one binary
+// min-heap ordered by (time, insertion sequence), each holding its
+// transaction or SmallFn callback in place; the heap rarely holds more than
+// one time point besides the clocks (DESIGN.md §7.2).  The other runnable
 // processes are deduplicated with a delta-generation stamp per process
 // instead of sort+unique scans.  Modules re-assert unchanged outputs on
 // every clock, VHDL style; such a write is dropped at schedule_write,
@@ -36,10 +37,11 @@
 #include <functional>
 #include <span>
 #include <string>
-#include <unordered_map>
+#include <variant>
 #include <vector>
 
 #include "src/core/telemetry.hpp"
+#include "src/dsim/small_fn.hpp"
 #include "src/dsim/time.hpp"
 #include "src/rtl/logic_vector.hpp"
 
@@ -326,7 +328,11 @@ class Simulator {
   std::uint64_t clock_rising_edges(ClockId c) const;
 
   // --- generic scheduled callbacks (stimuli) ----------------------------
-  void schedule_callback(SimTime delay, std::function<void()> fn);
+  /// Runs `fn` at now() + delay, after that time point's clock edges fire
+  /// and before its first delta; callbacks due together run in the order
+  /// they were scheduled.  One scheduled for the time point being executed
+  /// opens a new time point at the same time.
+  void schedule_callback(SimTime delay, SmallFn fn);
 
   // --- execution --------------------------------------------------------
   SimTime now() const { return now_; }
@@ -400,17 +406,19 @@ class Simulator {
     ProcessId pid;
     LogicVector value;
   };
-  /// All activity scheduled for one simulated time point.  Buckets are
-  /// pooled: a popped bucket's index goes on the free list and its vectors
-  /// keep their capacity for reuse.
-  struct TimeBucket {
-    std::vector<Transaction> txns;
-    std::vector<std::function<void()>> callbacks;
-  };
-  struct HeapEntry {
+  /// A delayed transaction or a timed callback, due at `t`; `seq` is its
+  /// insertion order.
+  struct TimedEntry {
     SimTime t;
-    std::uint32_t bucket;
+    std::uint64_t seq;
+    std::variant<Transaction, SmallFn> what;
   };
+  /// Heap order: true when `a` is due after `b`, so the heap's front is the
+  /// earliest entry in (t, seq) order.
+  static bool due_after(const TimedEntry& a, const TimedEntry& b) {
+    if (a.t != b.t) return a.t > b.t;
+    return a.seq > b.seq;
+  }
   /// A clock edge fired at now_ and not yet staged (see fire_edge).
   struct PendingEdge {
     SignalId sig;
@@ -459,7 +467,7 @@ class Simulator {
   [[noreturn]] void throw_width_mismatch(SignalId s) const;
   /// Queues a validated write (or captures it under probe_process).
   void enqueue(SignalId s, LogicVector&& v, SimTime delay);
-  TimeBucket& bucket_for(SimTime when);
+  void push_timed(SimTime when, std::variant<Transaction, SmallFn> what);
   /// Appends clock `c`'s due edge at now_ to pending_edges_ (nothing once
   /// stopped) and moves its next edge on.
   void fire_edge(ClockState& c);
@@ -485,7 +493,8 @@ class Simulator {
   /// current_process_.
   void execute_runnable();
   /// Executes the time point at `t`, which next_activity() returned: fires
-  /// the due clock edges, runs the due callbacks, then the delta cycles.
+  /// the due clock edges, takes every timed entry due at `t` off the heap,
+  /// runs the callbacks among them, then the delta cycles.
   void step_to(SimTime t);
   /// Executes one complete time point: delta cycles (stage, commit,
   /// execute) until no transaction or edge is pending.  The delta that
@@ -522,12 +531,9 @@ class Simulator {
   /// that drains next_delta_.
   std::vector<PendingEdge> pending_edges_;
 
-  // Future-activity queue: binary min-heap of distinct time points, each
-  // pointing at a pooled bucket; bucket_index_ dedups same-time schedules.
-  std::vector<HeapEntry> heap_;
-  std::vector<TimeBucket> buckets_;
-  std::vector<std::uint32_t> free_buckets_;
-  std::unordered_map<std::int64_t, std::uint32_t> bucket_index_;
+  // Future activity other than clock edges: a binary min-heap (due_after).
+  std::vector<TimedEntry> timed_;
+  std::uint64_t timed_seq_ = 0;  ///< next TimedEntry::seq
 
   // Per-delta runnable set.  Processes woken entry by entry are
   // deduplicated by generation stamp: one is enqueued at most once per
@@ -543,7 +549,7 @@ class Simulator {
 
   // Scratch buffers recycled across time points.
   std::vector<Transaction> batch_scratch_;
-  std::vector<std::function<void()>> cb_scratch_;
+  std::vector<SmallFn> cb_scratch_;
   /// Signals whose driver slots were updated this delta (first-touch
   /// order); resolved once each by commit() after all stages.
   std::vector<SignalId> dirty_signals_;

@@ -89,6 +89,26 @@ TEST(Sync, DeliverableMessagesPoppedInTimeOrder) {
   EXPECT_EQ(msgs[2].timestamp, SimTime::from_us(3));
 }
 
+TEST(ConservativeSync, EqualTimestampsKeepQueueOrder) {
+  // 24 messages at one time stamp: past std::sort's 16-element insertion
+  // sort, where an unstable sort reorders equal keys.
+  ConservativeSync s(params(SyncPolicy::kGlobalOrder));
+  for (MessageType t = 0; t < 4; ++t) s.declare_input(t, 53);
+  for (MessageType t = 0; t < 4; ++t) {
+    for (std::uint64_t i = 0; i < 6; ++i) {
+      s.push(make_word_message(t, SimTime::from_ns(100), {i}));
+    }
+  }
+  s.push(make_time_update(SimTime::from_us(1)));
+  const auto msgs = s.take_deliverable(SimTime::from_us(1));
+  ASSERT_EQ(msgs.size(), 24u);
+  for (std::size_t k = 0; k < msgs.size(); ++k) {
+    EXPECT_EQ(msgs[k].type, k / 6) << "message " << k;
+    EXPECT_EQ(msgs[k].words, std::vector<std::uint64_t>{k % 6})
+        << "message " << k;
+  }
+}
+
 TEST(Sync, MessagesAtOrAfterBoundStayQueued) {
   ConservativeSync s(params(SyncPolicy::kGlobalOrder));
   s.declare_input(0, 53);

@@ -120,24 +120,5 @@ TEST(Wire, Fnv1aMatchesReferenceVector) {
   EXPECT_EQ(fnv1a("b", 1, fnv1a("a", 1)), fnv1a("ab", 2));
 }
 
-TEST(Wire, ContentHashIgnoresTimestamp) {
-  const atm::Cell c = mk_cell(31, 0x11);
-  const auto a = make_cell_message(1, SimTime::from_ns(100), c);
-  const auto b = make_cell_message(1, SimTime::from_us(999), c);
-  EXPECT_EQ(content_hash(a), content_hash(b));
-
-  auto c2 = c;
-  c2.payload[40] ^= 1;
-  EXPECT_NE(content_hash(a),
-            content_hash(make_cell_message(1, SimTime::from_ns(100), c2)));
-  // Type participates.
-  EXPECT_NE(content_hash(a),
-            content_hash(make_cell_message(2, SimTime::from_ns(100), c)));
-  // Word payloads participate.
-  EXPECT_NE(
-      content_hash(make_word_message(1, SimTime::zero(), {1})),
-      content_hash(make_word_message(1, SimTime::zero(), {2})));
-}
-
 }  // namespace
 }  // namespace castanet::cosim::wire

@@ -31,16 +31,6 @@ TEST(Scheduler, EqualTimeFifoWithinPriority) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
-TEST(Scheduler, PriorityBreaksTies) {
-  Scheduler s;
-  std::vector<int> order;
-  const SimTime t = SimTime::from_ns(5);
-  s.schedule_at(t, [&] { order.push_back(1); }, /*priority=*/5);
-  s.schedule_at(t, [&] { order.push_back(2); }, /*priority=*/-1);
-  s.run();
-  EXPECT_EQ(order, (std::vector<int>{2, 1}));
-}
-
 TEST(Scheduler, SchedulingInThePastThrows) {
   Scheduler s;
   s.schedule_at(SimTime::from_ns(10), [] {});

@@ -1,9 +1,11 @@
 // Steady-state allocation contract: once the scheduler's heap, action slab
 // and free list are warm, schedule_at/step perform ZERO heap allocations
-// for any action whose capture fits SmallFn's inline buffer.  The RTL
-// kernel's clock edges make the same promise: a clocked design,
-// Module::clocked processes and their activity gates included, runs its
-// cycles with no allocation once its scratch vectors are warm.
+// for any action whose capture fits SmallFn's inline buffer, and so does a
+// netsim run of cell packets, whose cells travel inline.  The RTL kernel
+// makes the same promise: a clocked design, Module::clocked processes and
+// their activity gates included, runs its cycles with no allocation once
+// its scratch vectors are warm, and a timed callback carrying a whole
+// TimedMessage (the co-simulation entity's delivery) allocates nothing.
 // Proven the same way test_flow_stats.cpp proves the disabled-path
 // contract: this binary replaces the global allocator with a counting
 // wrapper and asserts the count does not move across the hot phase.
@@ -18,8 +20,12 @@
 #include <string>
 #include <utility>
 
+#include "src/castanet/message.hpp"
 #include "src/dsim/small_fn.hpp"
+#include "src/netsim/queue.hpp"
+#include "src/netsim/simulation.hpp"
 #include "src/rtl/module.hpp"
+#include "src/traffic/processes.hpp"
 
 // ---------------------------------------------------------------------------
 // Allocation counter: replaces the global allocator for this test binary.
@@ -47,39 +53,37 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace castanet {
 namespace {
 
-/// Mimics netsim's packet-delivery capture: the largest hot-path payload
-/// (Simulation*, ProcessModel*, port, 40-byte Packet ~ 64 bytes total).
-struct DeliverySized {
-  void* a = nullptr;
-  void* b = nullptr;
-  unsigned port = 0;
-  unsigned pad = 0;
-  unsigned char packet[40] = {};
-};
-static_assert(sizeof(DeliverySized) <= SmallFn::kInlineBytes,
-              "hot-path capture must fit the inline buffer");
+int g_deliveries = 0;
 
 TEST(SchedulerAlloc, SmallFnStoresHotPathCapturesInline) {
-  int hits = 0;
-  DeliverySized payload;
-  SmallFn small([&hits, payload] { ++hits; });
+  // netsim's packet-delivery capture {Simulation*, ProcessModel*, unsigned,
+  // Packet}, the largest on the hot path.
+  netsim::Simulation* sim = nullptr;
+  netsim::ProcessModel* dst = nullptr;
+  unsigned in_stream = 0;
+  SmallFn small([sim, dst, in_stream, pkt = netsim::Packet(atm::Cell{})] {
+    if (sim == nullptr && dst == nullptr && pkt.has_cell()) {
+      g_deliveries += static_cast<int>(in_stream) + 1;
+    }
+  });
   EXPECT_TRUE(small.is_inline());
   const std::uint64_t before = g_allocations.load();
   small();
   SmallFn moved = std::move(small);
   moved();
   EXPECT_EQ(g_allocations.load(), before);  // invoke + move: no heap
-  EXPECT_EQ(hits, 2);
+  EXPECT_EQ(g_deliveries, 2);
 
   // Oversized captures fall back to a single heap cell, same semantics.
   struct Big {
     unsigned char bytes[SmallFn::kInlineBytes + 8] = {};
   };
   Big big;
+  int hits = 0;
   SmallFn large([&hits, big] { ++hits; });
   EXPECT_FALSE(large.is_inline());
   large();
-  EXPECT_EQ(hits, 3);
+  EXPECT_EQ(hits, 1);
 }
 
 TEST(SchedulerAlloc, ScheduleAndStepAreAllocationFreeWhenWarm) {
@@ -110,6 +114,61 @@ TEST(SchedulerAlloc, ScheduleAndStepAreAllocationFreeWhenWarm) {
       << "schedule_at/step allocated in steady state";
   s.run();
   EXPECT_EQ(fired, 2u * kPending + 20'000);
+}
+
+TEST(SchedulerAlloc, NetsimCellHopsAreAllocationFree) {
+  // generator -> queue -> sink over two serializing links: per cell, two
+  // deliveries with the Packet in the capture, a service timer and the
+  // generator's self timer.
+  netsim::Simulation sim;
+  netsim::Node& n = sim.add_node("n");
+  auto& gen = n.add_process<traffic::GeneratorProcess>(
+      "gen", std::make_unique<traffic::CbrSource>(atm::VcId{1, 100}, 0,
+                                                  SimTime::from_us(3)));
+  auto& queue = n.add_process<netsim::QueueProcess>(
+      "queue", netsim::QueueProcess::Config{SimTime::from_us(2), 4});
+  auto& sink = n.add_process<traffic::SinkProcess>("sink");
+  sink.set_keep_log(false);
+  const netsim::LinkParams link{SimTime::from_us(1), 155'520'000};
+  sim.connect(gen, 0, queue, 0, link);
+  sim.connect(queue, 0, sink, 0, link);
+  sim.run_until(SimTime::from_us(300));
+
+  const std::uint64_t before = g_allocations.load();
+  const std::uint64_t received0 = sink.cells_received();
+  sim.run_until(sim.now() + SimTime::from_us(30'000));
+  EXPECT_EQ(g_allocations.load(), before)
+      << "cell hops allocated in steady state";
+  EXPECT_EQ(sink.cells_received() - received0, 10'000u);
+  EXPECT_EQ(queue.drops(), 0u);
+}
+
+TEST(SchedulerAlloc, KernelTimedMessageCallbacksAreAllocationFree) {
+  // One delivery per time point, as CosimEntity::advance_hdl_to makes
+  // them: the callback captures the whole message and a pointer.
+  rtl::Simulator sim;
+  rtl::Bus vci(&sim, sim.create_signal("vci", 16, rtl::Logic::L0));
+  const auto deliver = [&](int count) {
+    for (int i = 0; i < count; ++i) {
+      atm::Cell c;
+      c.header.vci = static_cast<std::uint16_t>(i + 1);
+      sim.schedule_callback(
+          SimTime::from_ns(5),
+          [bus = &vci, msg = cosim::make_cell_message(0, sim.now(), c)] {
+            bus->write_uint(msg.cell->header.vci);
+          });
+      sim.run_until(sim.now() + SimTime::from_ns(10));
+    }
+  };
+  deliver(100);
+
+  const std::uint64_t before = g_allocations.load();
+  const std::uint64_t callbacks0 = sim.stats().callbacks;
+  deliver(10'000);
+  EXPECT_EQ(g_allocations.load(), before)
+      << "timed callbacks allocated in steady state";
+  EXPECT_EQ(sim.stats().callbacks - callbacks0, 10'000u);
+  EXPECT_EQ(vci.read_uint(), 10'000u);
 }
 
 TEST(SchedulerAlloc, KernelClockCyclesAreAllocationFree) {

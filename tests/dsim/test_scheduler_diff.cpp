@@ -1,8 +1,8 @@
 // Randomized differential test: Scheduler must execute events in exactly the
-// order of a brute-force oracle, across random (time, priority) mixes,
-// equal-time ties, step, run_until, advance_to, and events that re-schedule
-// from inside their own execution.  The oracle states the contract — strict
-// (when, priority, insertion-seq) order — in the most obvious way: a vector
+// order of a brute-force oracle, across random time mixes, equal-time ties,
+// step, run_until, advance_to, and events that re-schedule from inside
+// their own execution.  The oracle states the contract — strict
+// (when, insertion-seq) order — in the most obvious way: a vector
 // of pending events whose next one is found by a linear scan.  Any
 // divergence is a Scheduler bug by definition.
 #include <gtest/gtest.h>
@@ -22,12 +22,11 @@ namespace {
 /// stay identical as long as execution order does.
 struct FollowUp {
   SimTime delay;
-  int priority;
   int id;
 };
 std::optional<FollowUp> follow_up(int id) {
   if (id % 5 != 0 || id >= 1'000'000) return std::nullopt;
-  return FollowUp{SimTime::from_ns(1 + id % 7), id % 3, id + 1'000'000};
+  return FollowUp{SimTime::from_ns(1 + id % 7), id + 1'000'000};
 }
 
 /// The ordering contract by brute force.
@@ -41,8 +40,8 @@ class Oracle {
   std::uint64_t scheduled() const { return seq_; }
   std::uint64_t executed() const { return executed_; }
 
-  void schedule_at(SimTime when, int priority, int id) {
-    pending_.push_back({when, priority, seq_++, id});
+  void schedule_at(SimTime when, int id) {
+    pending_.push_back({when, seq_++, id});
   }
 
   bool step() {
@@ -54,7 +53,7 @@ class Oracle {
     ++executed_;
     log.push_back(e.id);
     if (const auto f = follow_up(e.id)) {
-      schedule_at(now_ + f->delay, f->priority, f->id);
+      schedule_at(now_ + f->delay, f->id);
     }
     return true;
   }
@@ -83,7 +82,6 @@ class Oracle {
  private:
   struct Pending {
     SimTime when;
-    int priority;
     std::uint64_t seq;
     int id;
   };
@@ -93,9 +91,7 @@ class Oracle {
     for (std::size_t i = 1; i < pending_.size(); ++i) {
       const Pending& a = pending_[i];
       const Pending& b = pending_[best];
-      if (a.when != b.when ? a.when < b.when
-          : a.priority != b.priority ? a.priority < b.priority
-                                     : a.seq < b.seq) {
+      if (a.when != b.when ? a.when < b.when : a.seq < b.seq) {
         best = i;
       }
     }
@@ -113,9 +109,9 @@ class Oracle {
 /// next_event_time(), empty(), and the E7 counters.
 class DiffHarness {
  public:
-  void schedule(SimTime when, int priority, int id) {
-    sched_.schedule_at(when, [this, id] { run_event(id); }, priority);
-    oracle_.schedule_at(when, priority, id);
+  void schedule(SimTime when, int id) {
+    sched_.schedule_at(when, [this, id] { run_event(id); });
+    oracle_.schedule_at(when, id);
   }
 
   void step_both() {
@@ -166,7 +162,7 @@ class DiffHarness {
     if (const auto f = follow_up(id)) {
       const int next = f->id;
       sched_.schedule_at(sched_.now() + f->delay,
-                         [this, next] { run_event(next); }, f->priority);
+                         [this, next] { run_event(next); });
     }
   }
 
@@ -191,12 +187,11 @@ void run_episode(std::uint64_t seed, std::int64_t spread_ps, int ops) {
     const std::uint64_t dice = rng.uniform_int(0, 99);
     if (dice < 60) {
       // Schedule; one in four reuses the previous time stamp to force
-      // equal-time (priority, seq) tie-breaking.
+      // equal-time (seq) tie-breaking.
       SimTime when = hx.now() + random_delay(rng, spread_ps);
       if (rng.bernoulli(0.25) && last_when >= hx.now()) when = last_when;
       last_when = when;
-      const int priority = static_cast<int>(rng.uniform_int(0, 4)) - 2;
-      hx.schedule(when, priority, next_id++);
+      hx.schedule(when, next_id++);
     } else if (dice < 85) {
       hx.step_both();
     } else if (dice < 94) {
@@ -246,7 +241,7 @@ TEST(SchedulerDiff, MixedDenseAndWideBursts) {
       const SimTime when =
           hx.now() + SimTime::from_ps(static_cast<std::int64_t>(rng.uniform_int(
                          1, static_cast<std::uint64_t>(spread))));
-      hx.schedule(when, static_cast<int>(rng.uniform_int(0, 2)), next_id++);
+      hx.schedule(when, next_id++);
     }
     for (int i = 0; i < 300; ++i) {
       hx.step_both();

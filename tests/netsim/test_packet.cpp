@@ -68,5 +68,32 @@ TEST(Packet, CopySemanticsIndependent) {
   EXPECT_EQ(b.cell().header.vci, 2);
 }
 
+TEST(Packet, CopyIsDeep) {
+  Packet a;
+  atm::Cell c;
+  c.header.vci = 9;
+  a.set_cell(c);
+  a.set_field("seq", 3.0);
+
+  Packet b = a;
+  b.mutable_cell().header.vci = 10;
+  b.set_field("seq", 4.0);
+  EXPECT_EQ(a.cell().header.vci, 9);
+  EXPECT_DOUBLE_EQ(a.field("seq"), 3.0);
+  EXPECT_EQ(b.cell().header.vci, 10);
+  EXPECT_DOUBLE_EQ(b.field("seq"), 4.0);
+}
+
+TEST(Packet, ToStringKeepsSortedFieldOrder) {
+  Packet p;
+  p.set_id(5);
+  p.set_field("zeta", 1.0);
+  p.set_field("alpha", 2.0);
+  p.set_field("mid", 3.0);
+  const std::string s = p.to_string();
+  EXPECT_LT(s.find("alpha=2"), s.find("mid=3"));
+  EXPECT_LT(s.find("mid=3"), s.find("zeta=1"));
+}
+
 }  // namespace
 }  // namespace castanet::netsim
