@@ -83,8 +83,7 @@ int main() {
   std::printf("  messages net->hdl ..... %llu\n",
               static_cast<unsigned long long>(stats.messages_to_hdl));
   std::printf("  messages hdl->net ..... %llu\n",
-              static_cast<unsigned long long>(
-                  rtl.response_channel().messages_sent()));
+              static_cast<unsigned long long>(rtl_stats.responses));
   std::printf("  sync windows granted .. %llu\n",
               static_cast<unsigned long long>(rtl_stats.windows));
   std::printf("  causality errors ...... %llu\n",

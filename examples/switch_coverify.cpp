@@ -110,10 +110,11 @@ int main(int argc, char** argv) {
               cells_per_source, traces.size());
   std::printf("  GCU switched .......... %llu cells\n",
               static_cast<unsigned long long>(rig.sw.gcu().cells_switched()));
+  // Responses counted on the primary (the RTL switch, backend 0).
   std::printf("  messages exchanged .... %llu -> / %llu <-\n",
               static_cast<unsigned long long>(stats.messages_to_hdl),
               static_cast<unsigned long long>(
-                  rig.rtl.response_channel().messages_sent()));
+                  stats.backends[rig.session.primary()].responses));
   for (const auto& b : stats.backends) {
     std::printf("  backend %-11s ... %llu windows, %llu causality errors\n",
                 b.name.c_str(),

@@ -25,8 +25,9 @@ verdict follows the benchmark's rule for a claimed gain: a metric is
 `resolved` when HEAD wins at least 90% of at least 10 pairs and |ratio - 1|
 exceeds that spread, `regressed` when BASE does, and `noise` otherwise;
 with fewer than 10 pairs the verdict is `-`.  A metric that moves with
-changes it does not measure (trace.overhead) always reads `-`, marked `^`
-with a footnote that names the metric to read instead.  --json FILE writes
+changes it does not measure (trace.overhead, comparator.finish_s) always
+reads `-`, marked `^` with a footnote that names the metric to read
+instead.  --json FILE writes
 the table.
 
 With --trace 1 the table also compares the layers perfbench prints in its
@@ -74,6 +75,11 @@ NO_VERDICT = {
                       "cost per span is fixed, so any change that shortens "
                       "the traced work per span raises it: read "
                       "trace.session_wall_s instead",
+    "comparator.finish_s": "times one SessionComparator::finish() call, "
+                           "1.5-16 us per round, close to the cost of its "
+                           "own timer, so it moves with code layout: read "
+                           "comparator.compared and trace.session_wall_s "
+                           "instead",
 }
 
 
@@ -453,6 +459,13 @@ def selftest():
     r = metric_row(dict(overhead, name="trace.session_wall_s", unit="s"),
                    [0.088] * 10, [0.108] * 10)
     check("trace.session_wall_s: verdict", r["verdict"], "regressed")
+    # comparator.finish_s: a microsecond timer that read `regressed` on an
+    # unchanged finish(); ratio and wins still print, the verdict is `-`.
+    finish = {"name": "comparator.finish_s", "unit": "s", "better": "lower"}
+    r = metric_row(finish, [1.6e-6] * 10, [2.1e-6] * 10)
+    near("comparator.finish_s: ratio", r["ratio"], 2.1 / 1.6)
+    check("comparator.finish_s: wins", r["wins"], 0)
+    check("comparator.finish_s: verdict", r["verdict"], "-")
 
     check("pair 1 order", pair_order(0), ("base", "head"))
     check("pair 2 order", pair_order(1), ("head", "base"))

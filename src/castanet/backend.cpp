@@ -15,7 +15,7 @@ void DutBackend::catch_up(SimTime limit) {
   {
     const SimTime target = std::min(window() - SimTime::from_ps(1), limit);
     if (target <= now()) {
-      sync().note_lookahead_stall();
+      sync_.note_lookahead_stall();
       return;
     }
   }
@@ -29,12 +29,28 @@ void DutBackend::catch_up(SimTime limit) {
     const SimTime target = std::min(w - SimTime::from_ps(1), limit);
     if (target <= now()) break;
     advance_to(target);
+    sync_.note_hdl_time(now());
   }
   if (span) {
     span->arg("to_us", now().seconds() * 1e6);
     span->arg("lag_us",
-              std::max(0.0, (sync().network_time() - now()).seconds() * 1e6));
+              std::max(0.0, (sync_.network_time() - now()).seconds() * 1e6));
   }
+}
+
+void DutBackend::respond(MessageType stream, SimTime ts, const atm::Cell& c) {
+  responses_.push_back(make_cell_message(stream, ts, c));
+}
+
+void DutBackend::respond_words(MessageType stream, SimTime ts,
+                               std::vector<std::uint64_t> words) {
+  responses_.push_back(make_word_message(stream, ts, std::move(words)));
+}
+
+void DutBackend::drain_responses(std::vector<TimedMessage>& out) {
+  out.insert(out.end(), std::make_move_iterator(responses_.begin()),
+             std::make_move_iterator(responses_.end()));
+  responses_.clear();
 }
 
 // ---------------------------------------------------------------------------
@@ -42,9 +58,7 @@ void DutBackend::catch_up(SimTime limit) {
 
 RtlBackend::RtlBackend(std::string name, rtl::Simulator& hdl,
                        ConservativeSync::Params sync_params)
-    : DutBackend(std::move(name)),
-      hdl_(hdl),
-      entity_(std::make_unique<CosimEntity>(hdl, to_net_, sync_params)) {}
+    : DutBackend(std::move(name), sync_params), hdl_(hdl), entity_(*this) {}
 
 SimTime RtlBackend::now() const { return hdl_.now(); }
 
@@ -68,15 +82,26 @@ void RtlBackend::publish_metrics(const std::string& prefix) const {
 }
 
 void RtlBackend::advance_to(SimTime target) {
-  entity_->advance_hdl_to(target);
+  // Deliver everything with ts <= target (the window is exclusive; catch_up
+  // passes target = window - 1ps): each apply runs inside the kernel at its
+  // message's time stamp.
+  auto messages = sync().take_deliverable(target + SimTime::from_ps(1));
+  for (TimedMessage& m : messages) {
+    auto it = entity_.apply_.find(m.type);
+    require(it != entity_.apply_.end(),
+            "RtlBackend: no apply fn for message type");
+    const SimTime delay =
+        m.timestamp > hdl_.now() ? m.timestamp - hdl_.now() : SimTime::zero();
+    hdl_.schedule_callback(delay,
+                           [fn = &it->second, msg = std::move(m)] {
+                             (*fn)(msg);
+                           });
+  }
+  hdl_.run_until(target);
 }
 
 void RtlBackend::finish(SimTime at) {
   if (finish_hook_) finish_hook_(*this, at);
-}
-
-void RtlBackend::drain_responses(std::vector<TimedMessage>& out) {
-  while (auto m = to_net_.receive()) out.push_back(std::move(*m));
 }
 
 // ---------------------------------------------------------------------------
@@ -84,29 +109,19 @@ void RtlBackend::drain_responses(std::vector<TimedMessage>& out) {
 
 ReferenceBackend::ReferenceBackend(std::string name,
                                    ConservativeSync::Params sync_params)
-    : DutBackend(std::move(name)), sync_(sync_params) {}
+    : DutBackend(std::move(name), sync_params) {}
 
 void ReferenceBackend::register_input(MessageType type,
                                       std::uint64_t delta_cycles,
                                       ApplyFn apply) {
-  sync_.declare_input(type, delta_cycles);
+  sync().declare_input(type, delta_cycles);
   apply_[type] = std::move(apply);
-}
-
-void ReferenceBackend::respond(MessageType stream, SimTime ts,
-                               const atm::Cell& c) {
-  responses_.push_back(make_cell_message(stream, ts, c));
-}
-
-void ReferenceBackend::respond_words(MessageType stream, SimTime ts,
-                                     std::vector<std::uint64_t> words) {
-  responses_.push_back(make_word_message(stream, ts, std::move(words)));
 }
 
 void ReferenceBackend::advance_to(SimTime target) {
   // Instantaneous δ: each deliverable message is one function call at its
   // own time stamp (take_deliverable returns them sorted by time).
-  auto messages = sync_.take_deliverable(target + SimTime::from_ps(1));
+  auto messages = sync().take_deliverable(target + SimTime::from_ps(1));
   for (TimedMessage& m : messages) {
     auto it = apply_.find(m.type);
     require(it != apply_.end(),
@@ -115,17 +130,10 @@ void ReferenceBackend::advance_to(SimTime target) {
     ++applied_;
   }
   now_ = target;
-  sync_.note_hdl_time(now_);
 }
 
 void ReferenceBackend::finish(SimTime at) {
   if (finish_hook_) finish_hook_(*this, at);
-}
-
-void ReferenceBackend::drain_responses(std::vector<TimedMessage>& out) {
-  out.insert(out.end(), std::make_move_iterator(responses_.begin()),
-             std::make_move_iterator(responses_.end()));
-  responses_.clear();
 }
 
 // ---------------------------------------------------------------------------
@@ -133,35 +141,26 @@ void ReferenceBackend::drain_responses(std::vector<TimedMessage>& out) {
 
 BoardBackend::BoardBackend(std::string name, board::HardwareTestBoard& board,
                            board::BehavioralDut& dut, Params p)
-    : DutBackend(std::move(name)),
-      sync_(p.sync),
+    : DutBackend(std::move(name), p.sync),
       board_(board),
       dut_(dut),
       stream_(board, p.stream),
-      p_(p) {
-  require(p_.cells_per_batch > 0, "BoardBackend: cells_per_batch must be > 0");
-}
+      p_(p) {}
 
 void BoardBackend::register_cell_input(MessageType type,
                                        std::uint64_t delta_cycles) {
-  sync_.declare_input(type, delta_cycles);
+  sync().declare_input(type, delta_cycles);
   cell_stream_ = type;
 }
 
-void BoardBackend::respond_words(MessageType stream, SimTime ts,
-                                 std::vector<std::uint64_t> words) {
-  responses_.push_back(make_word_message(stream, ts, std::move(words)));
-}
-
 void BoardBackend::advance_to(SimTime target) {
-  auto messages = sync_.take_deliverable(target + SimTime::from_ps(1));
+  auto messages = sync().take_deliverable(target + SimTime::from_ps(1));
   for (TimedMessage& m : messages) {
     if (!m.cell) continue;  // the board cell stream carries cells only
     pending_.push_back({m.timestamp, *m.cell});
   }
-  if (pending_.size() >= p_.cells_per_batch) run_pending();
+  if (pending_.size() >= kCellsPerBatch) run_pending();
   now_ = target;
-  sync_.note_hdl_time(now_);
 }
 
 void BoardBackend::run_pending() {
@@ -187,8 +186,7 @@ void BoardBackend::run_pending() {
   // The adapter's violation counter is cumulative across runs; mirror it
   // rather than summing per-batch snapshots.
   totals_.timing_violations = r.timing_violations;
-  for (const atm::Cell& c : r.responses)
-    responses_.push_back(make_cell_message(cell_stream_, origin, c));
+  for (const atm::Cell& c : r.responses) respond(cell_stream_, origin, c);
   pending_.clear();
 }
 
@@ -196,12 +194,6 @@ void BoardBackend::finish(SimTime at) {
   run_pending();
   if (finish_hook_) finish_hook_(*this, at);
   now_ = std::max(now_, at);
-}
-
-void BoardBackend::drain_responses(std::vector<TimedMessage>& out) {
-  out.insert(out.end(), std::make_move_iterator(responses_.begin()),
-             std::make_move_iterator(responses_.end()));
-  responses_.clear();
 }
 
 }  // namespace castanet::cosim

@@ -2,13 +2,17 @@
 // Fig. 5): the same CASTANET environment — traffic models, gateway, sync
 // protocol, comparator — drives the algorithm reference model, the VHDL DUT
 // and the fabricated chip on the test board.  A DutBackend is one such
-// attachment point: it owns a ConservativeSync instance (inputs declared
-// with their δ_j), consumes the gateway's time-stamped messages, catches up
-// to granted windows, and produces time-stamped responses.
+// attachment point, and the base class owns everything they share: the one
+// ConservativeSync instance (inputs declared with their δ_j), the response
+// buffer and its drain, the respond*() helpers and the backend's clock.  A
+// subclass only says how deliverable messages reach its device
+// (advance_to) and, optionally, what happens at the end of a run (finish).
 //
-// Three implementations:
+// Three implementations here (RemoteBackend, castanet/remote.hpp, is the
+// fourth):
 //   RtlBackend       — rtl::Simulator + CosimEntity (the "VSS" path of
-//                      Fig. 2); δ_j are real processing delays.
+//                      Fig. 2); δ_j are real processing delays, and the
+//                      clock is the HDL kernel's.
 //   ReferenceBackend — the hw/reference behavioral models as an
 //                      instantaneous-δ backend: deliverable messages are
 //                      applied as plain function calls at their own time
@@ -22,7 +26,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -31,13 +34,15 @@
 #include "src/castanet/message.hpp"
 #include "src/castanet/sync.hpp"
 #include "src/core/telemetry.hpp"
+#include "src/rtl/simulator.hpp"
 #include "src/traffic/trace.hpp"
 
 namespace castanet::cosim {
 
 class DutBackend {
  public:
-  explicit DutBackend(std::string name) : name_(std::move(name)) {}
+  DutBackend(std::string name, ConservativeSync::Params sync_params)
+      : name_(std::move(name)), sync_(sync_params) {}
   virtual ~DutBackend() = default;
   DutBackend(const DutBackend&) = delete;
   DutBackend& operator=(const DutBackend&) = delete;
@@ -47,25 +52,26 @@ class DutBackend {
   /// This backend's conservative synchronization instance.  Every backend
   /// owns exactly one; the session pushes every gateway message into every
   /// attached backend's sync, so causality is checked per backend.
-  virtual ConservativeSync& sync() = 0;
-  const ConservativeSync& sync() const {
-    return const_cast<DutBackend*>(this)->sync();
-  }
+  ConservativeSync& sync() { return sync_; }
+  const ConservativeSync& sync() const { return sync_; }
 
   /// Feeds one message (or pure time update) from the network side.
   /// Virtual so proxy backends (RemoteBackend) can forward the identical
   /// stream across a process boundary while mirroring it locally.
-  virtual void push(const TimedMessage& m) { sync().push(m); }
+  virtual void push(const TimedMessage& m) { sync_.push(m); }
 
   /// Current safe window (exclusive) for this backend.
-  SimTime window() const { return sync().window(); }
+  SimTime window() const { return sync_.window(); }
 
-  /// This backend's current simulated time.
-  virtual SimTime now() const = 0;
+  /// This backend's current simulated time: the time its last advance_to
+  /// reached (RtlBackend reads its HDL kernel's clock instead).
+  virtual SimTime now() const { return now_; }
 
   /// Grants windows until the protocol stops making progress below `limit`
   /// (the same convergence loop for every backend: message-driven policies
   /// converge in one iteration, lockstep needs one per clock period).
+  /// After each advance the sync records the reached time for its lag
+  /// statistics and invariant.
   void catch_up(SimTime limit);
 
   /// End-of-run hook, invoked once per VerificationSession::run_until after
@@ -73,9 +79,16 @@ class DutBackend {
   /// emit final responses (register readbacks).
   virtual void finish(SimTime at) { (void)at; }
 
-  /// Moves every response produced since the last call into `out`
-  /// (appended), time-stamped with this backend's clock.
-  virtual void drain_responses(std::vector<TimedMessage>& out) = 0;
+  /// Emits a response on `stream` stamped `ts`: the stimulus time stamp for
+  /// an instantaneous reaction, HDL time for CosimEntity's monitors.
+  void respond(MessageType stream, SimTime ts, const atm::Cell& c);
+  void respond_words(MessageType stream, SimTime ts,
+                     std::vector<std::uint64_t> words);
+
+  /// Moves every response emitted since the last call into `out`
+  /// (appended), in emission order.  Virtual so a traced wrapper can time
+  /// it; every backend shares this one buffer.
+  virtual void drain_responses(std::vector<TimedMessage>& out);
 
   /// Assigns this backend's timeline row in the Chrome trace; the session
   /// assigns one per backend ("backend:<name>") at the start of a traced
@@ -95,17 +108,29 @@ class DutBackend {
 
  protected:
   /// Applies deliverable messages with ts <= `target` and advances this
-  /// backend's simulated time to `target` (inclusive).
+  /// backend's simulated time to `target` (inclusive): now() == `target`
+  /// afterwards.
   virtual void advance_to(SimTime target) = 0;
+
+  /// Queues an already-built response (RemoteBackend relays its host's).
+  void respond(TimedMessage m) { responses_.push_back(std::move(m)); }
+
+  /// The clock now() reports; advance_to and finish move it.
+  SimTime now_;
 
  private:
   std::string name_;
+  ConservativeSync sync_;
+  std::vector<TimedMessage> responses_;
   telemetry::TrackId telemetry_track_ = telemetry::kMainTrack;
 };
 
 /// The Fig. 2 HDL path: an rtl::Simulator plus the CosimEntity that maps
-/// abstract messages onto bit-level stimulus (§3.2) and collects monitor
-/// responses.  The entity's sync instance is the backend's sync instance.
+/// abstract messages onto bit-level stimulus (§3.2) and turns monitor
+/// observations into responses.  The entity declares its inputs into this
+/// backend's sync and responds through this backend's buffer; advance_to
+/// schedules each deliverable message's apply at its time stamp inside the
+/// kernel and runs the kernel to the target.
 class RtlBackend : public DutBackend {
  public:
   RtlBackend(std::string name, rtl::Simulator& hdl,
@@ -113,16 +138,12 @@ class RtlBackend : public DutBackend {
 
   /// The co-simulation entity: register_input(type, δ, apply) declares
   /// inputs; monitors call entity().send_cell_response(...).
-  CosimEntity& entity() { return *entity_; }
+  CosimEntity& entity() { return entity_; }
 
   /// The HDL kernel this backend advances (netlist introspection for the
   /// lint analyzers).
   rtl::Simulator& hdl() { return hdl_; }
   const rtl::Simulator& hdl() const { return hdl_; }
-
-  /// Response channel (HDL -> net); counts the responses sent.
-  MessageChannel& response_channel() { return to_net_; }
-  const MessageChannel& response_channel() const { return to_net_; }
 
   /// Optional end-of-run hook (e.g. read out final registers through the
   /// entity); runs before the final response drain.
@@ -130,10 +151,9 @@ class RtlBackend : public DutBackend {
     finish_hook_ = std::move(hook);
   }
 
-  ConservativeSync& sync() override { return entity_->sync(); }
+  /// The HDL kernel's time.
   SimTime now() const override;
   void finish(SimTime at) override;
-  void drain_responses(std::vector<TimedMessage>& out) override;
   void set_telemetry_track(telemetry::TrackId track) override;
   /// Every rtl::KernelStats field as a "<prefix>kernel.<field>" counter.
   void publish_metrics(const std::string& prefix) const override;
@@ -143,8 +163,7 @@ class RtlBackend : public DutBackend {
 
  private:
   rtl::Simulator& hdl_;
-  MessageChannel to_net_;
-  std::unique_ptr<CosimEntity> entity_;
+  CosimEntity entity_;
   std::function<void(RtlBackend&, SimTime)> finish_hook_;
 };
 
@@ -165,32 +184,20 @@ class ReferenceBackend : public DutBackend {
   void register_input(MessageType type, std::uint64_t delta_cycles,
                       ApplyFn apply);
 
-  /// Emits a response on `stream`; `ts` is usually the stimulus message's
-  /// time stamp (instantaneous reaction).
-  void respond(MessageType stream, SimTime ts, const atm::Cell& c);
-  void respond_words(MessageType stream, SimTime ts,
-                     std::vector<std::uint64_t> words);
-
   /// Optional end-of-run hook (e.g. emit final counter values).
   void set_finish_hook(std::function<void(ReferenceBackend&, SimTime)> hook) {
     finish_hook_ = std::move(hook);
   }
 
-  ConservativeSync& sync() override { return sync_; }
-  SimTime now() const override { return now_; }
   void finish(SimTime at) override;
-  void drain_responses(std::vector<TimedMessage>& out) override;
   std::uint64_t messages_applied() const { return applied_; }
 
  protected:
   void advance_to(SimTime target) override;
 
  private:
-  ConservativeSync sync_;
   std::map<MessageType, ApplyFn> apply_;
-  std::vector<TimedMessage> responses_;
   std::function<void(ReferenceBackend&, SimTime)> finish_hook_;
-  SimTime now_;
   std::uint64_t applied_ = 0;
 };
 
@@ -204,12 +211,13 @@ class ReferenceBackend : public DutBackend {
 /// produces any) carry board-derived time stamps.
 class BoardBackend : public DutBackend {
  public:
+  /// Deliverable cells buffered before a hardware test-cycle batch runs;
+  /// remaining cells flush in finish().
+  static constexpr std::size_t kCellsPerBatch = 64;
+
   struct Params {
     ConservativeSync::Params sync;
     BoardCellStream::Params stream;
-    /// Deliverable cells buffered before a hardware test-cycle batch runs;
-    /// remaining cells flush in finish().
-    std::size_t cells_per_batch = 64;
     /// WALL-CLOCK time one hardware test cycle occupies the (shared,
     /// SCSI-attached) test board — the §3.3 board runs in real time, so a
     /// batch of k test cycles blocks the calling process for k times this.
@@ -228,11 +236,6 @@ class BoardBackend : public DutBackend {
   /// Declares the cell stream replayed through the board.
   void register_cell_input(MessageType type, std::uint64_t delta_cycles);
 
-  /// Emits a response on `stream` (typically from the finish hook, after
-  /// µP-bus readbacks through the board).
-  void respond_words(MessageType stream, SimTime ts,
-                     std::vector<std::uint64_t> words);
-
   /// End-of-run hook, invoked after the last batch ran: read registers
   /// through the board (board_bus_read) and respond_words() the results.
   void set_finish_hook(std::function<void(BoardBackend&, SimTime)> hook) {
@@ -247,10 +250,7 @@ class BoardBackend : public DutBackend {
   /// Accumulated run statistics over every batch so far.
   const BoardCellStream::Result& totals() const { return totals_; }
 
-  ConservativeSync& sync() override { return sync_; }
-  SimTime now() const override { return now_; }
   void finish(SimTime at) override;
-  void drain_responses(std::vector<TimedMessage>& out) override;
 
  protected:
   void advance_to(SimTime target) override;
@@ -258,17 +258,14 @@ class BoardBackend : public DutBackend {
  private:
   void run_pending();
 
-  ConservativeSync sync_;
   board::HardwareTestBoard& board_;
   board::BehavioralDut& dut_;
   BoardCellStream stream_;
   Params p_;
   MessageType cell_stream_ = 0;
   std::vector<traffic::CellArrival> pending_;
-  std::vector<TimedMessage> responses_;
   BoardCellStream::Result totals_;
   std::function<void(BoardBackend&, SimTime)> finish_hook_;
-  SimTime now_;
 };
 
 }  // namespace castanet::cosim

@@ -7,21 +7,27 @@
 // Message types are registered with an apply function (usually one of the
 // mapping.hpp conversion helpers feeding a driver); DUT responses captured
 // by monitors are sent back time-stamped with the HDL simulator's clock.
+// The entity is a view onto its RtlBackend, which creates it: inputs are
+// declared into the backend's sync, responses go into the backend's
+// response buffer, and RtlBackend::advance_to schedules each deliverable
+// message's apply inside the HDL kernel.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <map>
+#include <vector>
 
 #include "src/castanet/message.hpp"
-#include "src/castanet/sync.hpp"
-#include "src/rtl/simulator.hpp"
 
 namespace castanet::cosim {
 
+class RtlBackend;
+
 class CosimEntity {
  public:
-  CosimEntity(rtl::Simulator& hdl, MessageChannel& to_net,
-              ConservativeSync::Params sync_params);
+  CosimEntity(const CosimEntity&) = delete;
+  CosimEntity& operator=(const CosimEntity&) = delete;
 
   /// Registers input message type `type`: δ = `delta_cycles`, and `apply`
   /// invoked inside the HDL simulator at the message's time stamp.
@@ -34,23 +40,12 @@ class CosimEntity {
   void send_cell_response(MessageType type, const atm::Cell& c);
   void send_word_response(MessageType type, std::vector<std::uint64_t> words);
 
-  /// Current safe window (exclusive) for the HDL simulator.
-  SimTime window() const { return sync_.window(); }
-  /// Schedules every deliverable message's apply at its time stamp and
-  /// advances the HDL simulator to `target` (inclusive).
-  void advance_hdl_to(SimTime target);
-
-  /// The entity's synchronization instance; the session pushes the
-  /// network side's messages into it directly.
-  ConservativeSync& sync() { return sync_; }
-  std::uint64_t responses_sent() const { return responses_; }
-
  private:
-  rtl::Simulator& hdl_;
-  MessageChannel& to_net_;
-  ConservativeSync sync_;
+  friend class RtlBackend;
+  explicit CosimEntity(RtlBackend& backend) : backend_(backend) {}
+
+  RtlBackend& backend_;
   std::map<MessageType, ApplyFn> apply_;
-  std::uint64_t responses_ = 0;
 };
 
 }  // namespace castanet::cosim

@@ -263,7 +263,7 @@ std::vector<std::uint8_t> encode_result(const SessionResult& r) {
   w.u64(static_cast<std::uint64_t>(r.wall_seconds * 1e9));
   w.str(r.detail);
   w.u8(r.has_metrics ? 1 : 0);
-  if (r.has_metrics) wire::encode_snapshot(w, r.metrics);
+  if (r.has_metrics) w.str(r.metrics.to_json());
   return w.take();
 }
 
@@ -279,7 +279,9 @@ SessionResult decode_result(const std::vector<std::uint8_t>& bytes) {
   out.wall_seconds = static_cast<double>(r.u64()) * 1e-9;
   out.detail = r.str();
   out.has_metrics = r.u8() != 0;
-  if (out.has_metrics) out.metrics = wire::decode_snapshot(r);
+  if (out.has_metrics) {
+    out.metrics = telemetry::MetricsSnapshot::from_json(json::parse(r.str()));
+  }
   return out;
 }
 

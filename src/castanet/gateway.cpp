@@ -6,16 +6,15 @@
 
 namespace castanet::cosim {
 
-GatewayProcess::GatewayProcess(MessageTransport& to_hdl, unsigned streams,
-                               MessageType base_type)
-    : to_hdl_(to_hdl), streams_(streams), base_type_(base_type) {
+GatewayProcess::GatewayProcess(MessageTransport& to_hdl, unsigned streams)
+    : to_hdl_(to_hdl), streams_(streams) {
   require(streams > 0, "GatewayProcess: need at least one stream");
 }
 
 void GatewayProcess::handle_interrupt(const netsim::Interrupt& intr) {
   if (intr.kind != netsim::InterruptKind::kStream) return;
   require(intr.stream < streams_, "GatewayProcess: stream out of range");
-  const MessageType type = type_for_stream(intr.stream);
+  const MessageType type = intr.stream;
   if (intr.packet.has_cell()) {
     if (telemetry::enabled()) {
       // The gateway is the choke point every DUT-bound cell crosses: stamp

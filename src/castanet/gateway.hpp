@@ -5,9 +5,9 @@
 //
 // It is an ordinary process model: packets arriving on its input streams are
 // forwarded to the HDL side as time-stamped messages (stream s -> message
-// type base+s); responses injected by the orchestrator are emitted as
-// packets on the matching output streams, so the rest of the network model
-// is oblivious to the DUT being simulated elsewhere.
+// type s); responses injected by the orchestrator are emitted as packets on
+// the matching output streams, so the rest of the network model is
+// oblivious to the DUT being simulated elsewhere.
 #pragma once
 
 #include "src/castanet/message.hpp"
@@ -19,15 +19,13 @@ class GatewayProcess : public netsim::ProcessModel {
  public:
   /// `to_hdl` is any MessageTransport — the in-process channel by default,
   /// or a socket transport when the HDL side lives in another process.
-  GatewayProcess(MessageTransport& to_hdl, unsigned streams,
-                 MessageType base_type = 0);
+  GatewayProcess(MessageTransport& to_hdl, unsigned streams);
 
   void handle_interrupt(const netsim::Interrupt& intr) override;
 
   /// Emits a response packet on output stream `stream` (orchestrator use).
   void emit_response(unsigned stream, netsim::Packet p);
 
-  MessageType type_for_stream(unsigned s) const { return base_type_ + s; }
   unsigned streams() const { return streams_; }
   std::uint64_t forwarded() const { return forwarded_; }
   std::uint64_t responses_emitted() const { return responses_; }
@@ -35,7 +33,6 @@ class GatewayProcess : public netsim::ProcessModel {
  private:
   MessageTransport& to_hdl_;
   unsigned streams_;
-  MessageType base_type_;
   std::uint64_t forwarded_ = 0;
   std::uint64_t responses_ = 0;
 };

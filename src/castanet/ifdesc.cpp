@@ -168,9 +168,9 @@ std::string InterfaceDesc::to_text() const {
 GeneratedInterface::GeneratedInterface(rtl::Simulator& hdl, rtl::Signal clk,
                                        CosimEntity& entity,
                                        const InterfaceDesc& desc,
-                                       MessageType base_type) {
+                                       MessageType first_type) {
   desc.validate();
-  MessageType next_type = base_type;
+  MessageType next_type = first_type;
   for (const PortDesc& pd : desc.ports) {
     auto entry = std::make_unique<Entry>();
     entry->port.desc = pd;

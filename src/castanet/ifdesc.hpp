@@ -90,12 +90,12 @@ struct GeneratedPort {
 class GeneratedInterface {
  public:
   /// Builds the interface on `hdl`, clocked by `clk`, registering inbound
-  /// ports with `entity` starting at message type `base_type` (in port
+  /// ports with `entity` starting at message type `first_type` (in port
   /// declaration order; outbound ports respond with their own types, also
   /// in declaration order after the inbound ones).
   GeneratedInterface(rtl::Simulator& hdl, rtl::Signal clk,
                      CosimEntity& entity, const InterfaceDesc& desc,
-                     MessageType base_type = 0);
+                     MessageType first_type = 0);
 
   const GeneratedPort& port(const std::string& name) const;
   /// Message type assigned to a port (inbound: where to send stimuli;

@@ -1,10 +1,13 @@
-// Time-stamped typed messages and the channel connecting the simulators.
+// Time-stamped typed messages and the channel carrying them from the
+// network simulator's gateway to the session.
 //
 // "Communication between both simulators is based on the exchange of
 // time-stamped messages updating the receiving simulator with the current
 // simulation time of the originator" (§3.1).  In the paper the transport is
 // UNIX IPC (to VSS) or the SCSI bus (to the test board); here both ends
 // usually live in one process, so MessageChannel is an in-process queue.
+// Responses travel the other way through each backend's own response
+// buffer (DutBackend::respond, drain_responses), not through a channel.
 #pragma once
 
 #include <cstdint>
@@ -38,10 +41,10 @@ TimedMessage make_word_message(MessageType type, SimTime ts,
                                std::vector<std::uint64_t> words);
 TimedMessage make_time_update(SimTime ts);
 
-/// Abstract unidirectional FIFO transport of timed messages between the
-/// network simulator and the HDL side — the seam the paper's UNIX-IPC
-/// coupling occupies.  Two implementations exist: MessageChannel (below),
-/// an in-process queue and the default, and SocketMessageTransport
+/// Abstract unidirectional FIFO transport of timed messages from the
+/// network simulator's gateway to the session — the seam the paper's
+/// UNIX-IPC coupling occupies.  Two implementations exist: MessageChannel
+/// (below), an in-process queue and the default, and SocketMessageTransport
 /// (castanet/transport.hpp), which serializes every message over an AF_UNIX
 /// stream socket.  Neither moves simulated time, so swapping the physical
 /// transport never changes a result.
@@ -57,8 +60,6 @@ class MessageTransport {
 
   virtual void send(TimedMessage m) = 0;
   virtual std::optional<TimedMessage> receive() = 0;
-  virtual bool empty() const = 0;
-  virtual std::size_t pending() const = 0;
 
   virtual std::uint64_t messages_sent() const = 0;
 
@@ -74,8 +75,6 @@ class MessageChannel final : public MessageTransport {
 
   void send(TimedMessage m) override;
   std::optional<TimedMessage> receive() override;
-  bool empty() const override { return queue_.empty(); }
-  std::size_t pending() const override { return queue_.size(); }
 
   std::uint64_t messages_sent() const override { return sent_; }
 

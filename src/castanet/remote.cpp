@@ -27,7 +27,7 @@ void send_op_time(transport::FramePipe& pipe, RemoteOp op, SimTime t,
 RemoteBackend::RemoteBackend(std::string name,
                              ConservativeSync::Params sync_params,
                              std::unique_ptr<transport::FramePipe> pipe)
-    : DutBackend(std::move(name)), sync_(sync_params), pipe_(std::move(pipe)) {
+    : DutBackend(std::move(name), sync_params), pipe_(std::move(pipe)) {
   require(pipe_ != nullptr, "RemoteBackend: need a pipe");
 }
 
@@ -41,7 +41,7 @@ RemoteBackend::~RemoteBackend() {
 
 void RemoteBackend::declare_input(MessageType type,
                                   std::uint64_t delta_cycles) {
-  sync_.declare_input(type, delta_cycles);
+  sync().declare_input(type, delta_cycles);
 }
 
 void RemoteBackend::shutdown() {
@@ -57,7 +57,7 @@ void RemoteBackend::push(const TimedMessage& m) {
   require(!down_, "RemoteBackend: push after shutdown");
   // The mirror sees the identical stream the host sees — same windows, same
   // causality checking, and the session's per-backend statistics stay local.
-  sync_.push(m);
+  DutBackend::push(m);
   wire::Writer w;
   w.u8(static_cast<std::uint8_t>(RemoteOp::kPush));
   wire::encode_message(w, m);
@@ -71,9 +71,8 @@ void RemoteBackend::advance_to(SimTime target) {
   require(!down_, "RemoteBackend: advance after shutdown");
   // Mirror bookkeeping first (consume deliverables, advance local time) so
   // the window computation matches the host's after its catch-up.
-  sync_.take_deliverable(target + SimTime::from_ps(1));
+  sync().take_deliverable(target + SimTime::from_ps(1));
   now_ = target;
-  sync_.note_hdl_time(now_);
   send_op_time(*pipe_, RemoteOp::kAdvance, target, "RemoteBackend advance");
   wait_done("advance");
 }
@@ -85,12 +84,6 @@ void RemoteBackend::finish(SimTime at) {
   // no local bump to `at`, or the proxy would disagree with a backend whose
   // finish() leaves its clock where the last advance put it.
   wait_done("finish");
-}
-
-void RemoteBackend::drain_responses(std::vector<TimedMessage>& out) {
-  out.insert(out.end(), std::make_move_iterator(responses_.begin()),
-             std::make_move_iterator(responses_.end()));
-  responses_.clear();
 }
 
 void RemoteBackend::wait_done(const char* what) {
@@ -107,7 +100,7 @@ void RemoteBackend::wait_done(const char* what) {
     wire::Reader r(frame);
     switch (static_cast<RemoteOp>(r.u8())) {
       case RemoteOp::kResponse:
-        responses_.push_back(wire::decode_message(r));
+        respond(wire::decode_message(r));
         break;
       case RemoteOp::kDone: {
         const SimTime host_now = SimTime::from_ps(r.i64());

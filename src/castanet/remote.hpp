@@ -12,9 +12,10 @@
 // shutdown(): a host that saw kShutdown exits 0; one whose serve_backend()
 // returned false exits non-zero.
 //
-// The proxy keeps a local MIRROR ConservativeSync fed with the identical
-// push stream the hosted backend receives.  Conservative windows are a
-// deterministic function of that stream, so proxy and host always agree on
+// The proxy's own ConservativeSync (the one every DutBackend owns) is a
+// MIRROR of the host's: it is fed the identical push stream the hosted
+// backend receives.  Conservative windows are a deterministic function of
+// that stream, so proxy and host always agree on
 // how far the backend may advance — the proxy can run the standard
 // catch_up() loop against its mirror and ship only the resulting advance
 // targets, one round-trip per granted window instead of one per message.
@@ -61,11 +62,8 @@ class RemoteBackend final : public DutBackend {
   /// destructor).  After this every protocol call throws.
   void shutdown();
 
-  ConservativeSync& sync() override { return sync_; }
-  SimTime now() const override { return now_; }
   void push(const TimedMessage& m) override;
   void finish(SimTime at) override;
-  void drain_responses(std::vector<TimedMessage>& out) override;
 
   std::uint64_t round_trips() const { return round_trips_; }
 
@@ -73,14 +71,11 @@ class RemoteBackend final : public DutBackend {
   void advance_to(SimTime target) override;
 
  private:
-  /// Reads host frames until kDone, buffering kResponse payloads.  Throws
-  /// ProtocolError on kError or a dead pipe.
+  /// Reads host frames until kDone, queueing kResponse payloads as this
+  /// backend's responses.  Throws ProtocolError on kError or a dead pipe.
   void wait_done(const char* what);
 
-  ConservativeSync sync_;
   std::unique_ptr<transport::FramePipe> pipe_;
-  std::vector<TimedMessage> responses_;
-  SimTime now_;
   std::uint64_t round_trips_ = 0;
   bool down_ = false;
 };

@@ -105,10 +105,8 @@ void VerificationSession::publish_metrics() const {
 
 void VerificationSession::schedule_response(TimedMessage m) {
   // A response computed at backend time t re-enters the network model no
-  // earlier than t (plus the configured latency) and never in the network's
-  // past.
-  SimTime when = m.timestamp + params_.response_latency;
-  if (when < net_.now()) when = net_.now();
+  // earlier than t and never in the network's past.
+  const SimTime when = std::max(m.timestamp, net_.now());
   net_.scheduler().schedule_at(when, [this, msg = std::move(m)] {
     if (on_response_) {
       on_response_(msg);

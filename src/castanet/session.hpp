@@ -36,9 +36,6 @@ namespace castanet::cosim {
 class VerificationSession {
  public:
   struct Params {
-    /// Extra model delay for a primary-backend response to re-enter the
-    /// network model.
-    SimTime response_latency = SimTime::zero();
     /// Has no effect: backends take their clock periods from their own sync
     /// params.  Kept only so existing callers that set it still compile.
     SimTime clock_period = SimTime::from_ns(50);

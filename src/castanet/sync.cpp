@@ -24,8 +24,12 @@ void ConservativeSync::declare_input(MessageType type,
   }
   // min_j delta_j is fixed once inputs are declared; cache it so window()
   // (called once per grant iteration) stays O(#queues) instead of
-  // recomputing the minimum.
-  min_delta_cycles_ = std::min(min_delta_cycles_, delta_cycles);
+  // recomputing the minimum.  Recomputed over every queue, because a
+  // re-declaration may raise the δ that was the minimum.
+  min_delta_cycles_ = UINT64_MAX;
+  for (const InputQueue& q : inputs_) {
+    min_delta_cycles_ = std::min(min_delta_cycles_, q.delta_cycles);
+  }
 }
 
 std::vector<ConservativeSync::InputInfo> ConservativeSync::declared_inputs()

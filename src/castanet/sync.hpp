@@ -52,7 +52,7 @@ class ConservativeSync {
 
   /// Declares input message type `type` with processing delay δ =
   /// `delta_cycles` clock cycles.  All types must be declared before the
-  /// first push.
+  /// first push; declaring a type again replaces its δ.
   void declare_input(MessageType type, std::uint64_t delta_cycles);
 
   /// Feeds a message (or pure time update) from the network side.  Throws

@@ -39,7 +39,7 @@ void SocketMessageTransport::send(TimedMessage m) {
   pump();
 }
 
-void SocketMessageTransport::pump() const {
+void SocketMessageTransport::pump() {
   std::vector<std::uint8_t> frame;
   while (rx_->recv_frame(frame, 0) == transport::RecvStatus::kFrame) {
     inbox_.push_back(wire::decode_message(frame));
@@ -52,16 +52,6 @@ std::optional<TimedMessage> SocketMessageTransport::receive() {
   TimedMessage m = std::move(inbox_.front());
   inbox_.pop_front();
   return m;
-}
-
-bool SocketMessageTransport::empty() const {
-  pump();
-  return inbox_.empty();
-}
-
-std::size_t SocketMessageTransport::pending() const {
-  pump();
-  return inbox_.size();
 }
 
 std::unique_ptr<MessageTransport> make_transport(TransportKind kind) {

@@ -7,7 +7,9 @@
 // (core/transport.hpp) looped back inside the session's process.  (Hosting
 // a backend in another process is castanet/remote.hpp's job.)  The transport
 // conformance suite checks that a session run over either transport
-// produces byte-identical results.
+// produces byte-identical results.  The seam is send() and receive() only:
+// the session learns that nothing is pending from receive() returning
+// nullopt.
 #pragma once
 
 #include <deque>
@@ -47,18 +49,16 @@ class SocketMessageTransport final : public MessageTransport {
 
   void send(TimedMessage m) override;
   std::optional<TimedMessage> receive() override;
-  bool empty() const override;
-  std::size_t pending() const override;
 
   std::uint64_t messages_sent() const override { return sent_; }
 
  private:
   /// Moves every frame already arrived on the socket into inbox_.
-  void pump() const;
+  void pump();
 
   std::unique_ptr<transport::FramePipe> tx_;
   std::unique_ptr<transport::FramePipe> rx_;
-  mutable std::deque<TimedMessage> inbox_;
+  std::deque<TimedMessage> inbox_;
   std::uint64_t sent_ = 0;
 };
 

@@ -126,16 +126,39 @@ TimedMessage decode_message(Reader& r) {
   }
   m.time_update_only = (tag & kTimeUpdateOnly) != 0;
   if (tag & kHasCell) {
+    // Every field must come back as the encoder wrote it: a value the cell
+    // header cannot hold would decode to a different cell and break the
+    // canonical re-encoding.
+    const auto u16_field = [&r](const char* name) {
+      const std::uint32_t v = r.u32();
+      if (v > 0xFFFF) {
+        throw ProtocolError(std::string("wire: cell ") + name + " " +
+                            std::to_string(v) + " does not fit in 16 bits");
+      }
+      return static_cast<std::uint16_t>(v);
+    };
     atm::Cell c;
     c.header.gfc = r.u8();
-    c.header.vpi = static_cast<std::uint16_t>(r.u32());
-    c.header.vci = static_cast<std::uint16_t>(r.u32());
+    c.header.vpi = u16_field("VPI");
+    c.header.vci = u16_field("VCI");
     c.header.pti = r.u8();
-    c.header.clp = r.u8() != 0;
+    const std::uint8_t clp = r.u8();
+    if (clp > 1) {
+      throw ProtocolError("wire: cell CLP byte " + std::to_string(clp) +
+                          " is not 0 or 1");
+    }
+    c.header.clp = clp != 0;
     r.bytes(c.payload.data(), c.payload.size());
     m.cell = c;
   }
+  // Bound the count by the bytes left before reserving anything: a corrupt
+  // count must not become a multi-gigabyte allocation.
   const std::uint32_t nwords = r.u32();
+  if (nwords > r.remaining() / 8) {
+    throw ProtocolError("wire: word count " + std::to_string(nwords) +
+                        " exceeds the " + std::to_string(r.remaining()) +
+                        " bytes left in the frame");
+  }
   m.words.reserve(nwords);
   for (std::uint32_t i = 0; i < nwords; ++i) m.words.push_back(r.u64());
   return m;
@@ -146,91 +169,6 @@ TimedMessage decode_message(const std::vector<std::uint8_t>& frame) {
   TimedMessage m = decode_message(r);
   if (!r.done()) throw ProtocolError("wire: trailing bytes after message");
   return m;
-}
-
-namespace {
-constexpr std::uint8_t kSnapshotVersion = 1;
-}  // namespace
-
-void encode_snapshot(Writer& w, const telemetry::MetricsSnapshot& snap) {
-  w.u8(kSnapshotVersion);
-  w.u32(static_cast<std::uint32_t>(snap.rows.size()));
-  for (const telemetry::MetricRow& r : snap.rows) {
-    w.str(r.name);
-    w.u8(static_cast<std::uint8_t>(r.kind));
-    w.u64(r.count);
-    w.f64(r.sum);
-    w.f64(r.min);
-    w.f64(r.max);
-    w.f64(r.last);
-    if (r.kind == telemetry::MetricRow::Kind::kHistogram) {
-      w.u64(r.hist.zero_count());
-      const auto buckets = r.hist.nonzero_buckets();
-      w.u32(static_cast<std::uint32_t>(buckets.size()));
-      for (const auto& [i, c] : buckets) {
-        w.u32(static_cast<std::uint32_t>(i));
-        w.u64(c);
-      }
-    }
-  }
-  w.u64(snap.trace_events);
-  w.u64(snap.trace_dropped);
-}
-
-std::vector<std::uint8_t> encode_snapshot(
-    const telemetry::MetricsSnapshot& snap) {
-  Writer w;
-  encode_snapshot(w, snap);
-  return w.take();
-}
-
-telemetry::MetricsSnapshot decode_snapshot(Reader& r) {
-  const std::uint8_t version = r.u8();
-  if (version != kSnapshotVersion) {
-    throw ProtocolError("wire: unknown snapshot frame version");
-  }
-  telemetry::MetricsSnapshot snap;
-  const std::uint32_t nrows = r.u32();
-  snap.rows.reserve(nrows);
-  for (std::uint32_t i = 0; i < nrows; ++i) {
-    telemetry::MetricRow row;
-    row.name = r.str();
-    const std::uint8_t kind = r.u8();
-    if (kind >
-        static_cast<std::uint8_t>(telemetry::MetricRow::Kind::kHistogram)) {
-      throw ProtocolError("wire: unknown metric kind in snapshot frame");
-    }
-    row.kind = static_cast<telemetry::MetricRow::Kind>(kind);
-    row.count = r.u64();
-    row.sum = r.f64();
-    row.min = r.f64();
-    row.max = r.f64();
-    row.last = r.f64();
-    if (row.kind == telemetry::MetricRow::Kind::kHistogram) {
-      const std::uint64_t zero = r.u64();
-      const std::uint32_t nbuckets = r.u32();
-      std::vector<std::pair<int, std::uint64_t>> buckets;
-      buckets.reserve(nbuckets);
-      for (std::uint32_t b = 0; b < nbuckets; ++b) {
-        const std::uint32_t idx = r.u32();
-        buckets.emplace_back(static_cast<int>(idx), r.u64());
-      }
-      row.hist = Log2Histogram::from_parts(row.count, row.sum, row.min,
-                                           row.max, zero, buckets);
-    }
-    snap.rows.push_back(std::move(row));
-  }
-  snap.trace_events = r.u64();
-  snap.trace_dropped = r.u64();
-  return snap;
-}
-
-telemetry::MetricsSnapshot decode_snapshot(
-    const std::vector<std::uint8_t>& frame) {
-  Reader r(frame);
-  telemetry::MetricsSnapshot snap = decode_snapshot(r);
-  if (!r.done()) throw ProtocolError("wire: trailing bytes after snapshot");
-  return snap;
 }
 
 std::uint64_t fnv1a(const void* data, std::size_t len, std::uint64_t seed) {

@@ -7,15 +7,22 @@
 // reproduces the original bytes exactly, which is what lets the transport
 // conformance suite assert byte-identical results across in-process and
 // socket transports, and what makes the farm's result digests meaningful.
+//
+// The codec covers messages (RemoteBackend's protocol, the socket
+// transport) and the Writer/Reader primitives the farm frames its results
+// with; telemetry snapshots cross the farm as their JSON text instead.
+// Decoding bytes from another process fails with ProtocolError, never with
+// an allocation or a silently different value: every read is bounds
+// checked, a word count larger than the bytes left is rejected before
+// anything is reserved, and a VPI/VCI above 16 bits or a CLP byte other
+// than 0 or 1 is rejected because it would not re-encode to the same bytes.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "src/castanet/message.hpp"
-#include "src/core/telemetry.hpp"
 
 namespace castanet::cosim::wire {
 
@@ -71,17 +78,6 @@ void encode_message(Writer& w, const TimedMessage& m);
 std::vector<std::uint8_t> encode_message(const TimedMessage& m);
 TimedMessage decode_message(Reader& r);
 TimedMessage decode_message(const std::vector<std::uint8_t>& frame);
-
-/// Serializes one telemetry snapshot (the farm workers ship their final Hub
-/// state to the parent through this).  Versioned frame; canonical like the
-/// message encoding (sorted rows in, sorted rows out; NaN normalized), so
-/// digests of snapshot frames are meaningful too.
-void encode_snapshot(Writer& w, const telemetry::MetricsSnapshot& snap);
-std::vector<std::uint8_t> encode_snapshot(
-    const telemetry::MetricsSnapshot& snap);
-telemetry::MetricsSnapshot decode_snapshot(Reader& r);
-telemetry::MetricsSnapshot decode_snapshot(
-    const std::vector<std::uint8_t>& frame);
 
 /// FNV-1a 64-bit over `data` — the result digests of the farm and the
 /// benchmark.

@@ -67,7 +67,6 @@ json::Value metadata_row(const char* name, std::size_t tid, json::Value args) {
 const char* metric_kind_name(MetricRow::Kind k) {
   switch (k) {
     case MetricRow::Kind::kCounter: return "counter";
-    case MetricRow::Kind::kGauge: return "gauge";
     case MetricRow::Kind::kTimeAverage: return "time_average";
     case MetricRow::Kind::kHistogram: return "histogram";
   }
@@ -77,7 +76,6 @@ const char* metric_kind_name(MetricRow::Kind k) {
 bool metric_kind_from_name(const std::string& name, MetricRow::Kind* out) {
   static constexpr MetricRow::Kind kAll[] = {
       MetricRow::Kind::kCounter,
-      MetricRow::Kind::kGauge,
       MetricRow::Kind::kTimeAverage,
       MetricRow::Kind::kHistogram,
   };
@@ -136,16 +134,6 @@ void Hub::publish_count(const std::string& name, std::uint64_t value) {
   row.count = value;
   row.sum = static_cast<double>(value);
   row.min = row.max = row.last = kNaN;
-  published_[name] = std::move(row);
-}
-
-void Hub::publish_value(const std::string& name, double value) {
-  MetricRow row;
-  row.name = name;
-  row.kind = MetricRow::Kind::kGauge;
-  row.count = 1;
-  row.sum = value;
-  row.min = row.max = row.last = value;
   published_[name] = std::move(row);
 }
 
@@ -427,11 +415,6 @@ void merge_metric_row(MetricRow& into, const MetricRow& from) {
       into.count += from.count;
       into.sum = static_cast<double>(into.count);
       break;
-    case MetricRow::Kind::kGauge:
-      if (from.count != 0) into.last = from.last;  // last writer per shard
-      into.max = nan_max(into.max, from.max);
-      into.count += from.count;
-      break;
     case MetricRow::Kind::kTimeAverage:
       // Approximate: per-shard observation durations are not retained, so
       // weight each shard's average by its sample count.
@@ -502,15 +485,12 @@ std::string MetricsSnapshot::to_table() const {
   out.append(105, '-');
   out += "\n";
   for (const MetricRow& r : rows) {
-    // value column: counters show the count; gauges the last value; time
-    // averages the time-weighted mean.
+    // value column: counters show the count; time averages the
+    // time-weighted mean.
     std::string value;
     switch (r.kind) {
       case MetricRow::Kind::kCounter:
         value = std::to_string(r.count);
-        break;
-      case MetricRow::Kind::kGauge:
-        value = r.empty() ? "-" : cell(r.last);
         break;
       case MetricRow::Kind::kTimeAverage:
         value = cell(r.sum);

@@ -18,13 +18,14 @@
 //      table) that benches and examples emit alongside their --json output.
 //
 // The Hub is the process's one metrics registry.  A snapshot row is one of
-// four kinds: counter, gauge (a value set once), time_average and
-// histogram.  Components either
+// three kinds: counter, time_average and histogram.  Components either
 //   * bump a hub-owned Counter obtained by name (lives until reset()); or
 //   * keep their own statistics (ConservativeSync's lag histogram and queue
-//     depths, the packet pool, the flow registry) and publish_* them into
-//     the snapshot at a quiescent point (end of run_until, finish()).
+//     depths, the kernel counters, the flow registry) and publish_* them
+//     into the snapshot at a quiescent point (end of run_until, finish()).
 // Trace events (spans, instants) are pushed into the ring as they happen.
+// A farm worker ships its snapshot to the parent as to_json() text, the
+// same document castanet_report reads and merges.
 #pragma once
 
 #include <array>
@@ -83,7 +84,6 @@ struct TraceEvent {
 struct MetricRow {
   enum class Kind : std::uint8_t {
     kCounter,
-    kGauge,
     kTimeAverage,
     kHistogram,
   };
@@ -107,8 +107,6 @@ bool metric_kind_from_name(const std::string& name, MetricRow::Kind* out);
 /// Cross-shard row combination (the farm merges per-worker snapshots with
 /// this).  Kinds merge as:
 ///   counter       sums
-///   gauge         count sums; last/max taken from `from` when it has
-///                 samples (last-writer-per-shard), max NaN-aware
 ///   time_average  average-of-averages weighted by shard sample count
 ///                 (approximate — per-shard durations are not retained);
 ///                 max NaN-aware, last last-writer
@@ -165,8 +163,6 @@ class Hub {
 
   // --- published rows (component-owned stats, pushed at quiescent points) -
   void publish_count(const std::string& name, std::uint64_t value);
-  /// A gauge row: one value, set at a quiescent point.
-  void publish_value(const std::string& name, double value);
   void publish_time_avg(const std::string& name, const TimeAverageStat& s,
                         double now_seconds);
   void publish_histogram(const std::string& name, const Log2Histogram& h);

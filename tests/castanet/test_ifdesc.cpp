@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
+#include "src/castanet/backend.hpp"
 #include "src/core/error.hpp"
 #include "src/hw/accounting.hpp"
 #include "src/hw/cell_rx.hpp"
@@ -81,15 +84,25 @@ struct GeneratedRig {
   rtl::Signal clk{&hdl, hdl.create_signal("clk", 1, rtl::Logic::L0)};
   rtl::Signal rst{&hdl, hdl.create_signal("rst", 1, rtl::Logic::L0)};
   rtl::ClockGen clock{hdl, clk, SimTime::from_ns(50)};
-  MessageChannel to_net;
-  CosimEntity entity{hdl, to_net,
-                     ConservativeSync::Params{SyncPolicy::kGlobalOrder,
-                                              SimTime::from_ns(50)}};
+  RtlBackend rtl{"rtl", hdl,
+                 ConservativeSync::Params{SyncPolicy::kGlobalOrder,
+                                          SimTime::from_ns(50)}};
+  CosimEntity& entity = rtl.entity();
 
   void pump_to(SimTime t) {
-    entity.sync().push(make_time_update(t));
-    entity.advance_hdl_to(entity.window() - SimTime::from_ps(1));
+    rtl.push(make_time_update(t));
+    rtl.catch_up(t);
   }
+
+  /// The oldest response not yet taken (responses drain in emission order).
+  std::optional<TimedMessage> next_response() {
+    rtl.drain_responses(responses);
+    if (responses.empty()) return std::nullopt;
+    TimedMessage m = std::move(responses.front());
+    responses.erase(responses.begin());
+    return m;
+  }
+  std::vector<TimedMessage> responses;
 };
 
 TEST(GeneratedInterface, DrivesAccountingUnitFromDescription) {
@@ -112,7 +125,7 @@ TEST(GeneratedInterface, DrivesAccountingUnitFromDescription) {
   c.header.vpi = 1;
   c.header.vci = 100;
   for (int i = 0; i < 5; ++i) {
-    rig.entity.sync().push(make_cell_message(
+    rig.rtl.push(make_cell_message(
         gen.type_of("cells"),
         SimTime::from_us(1) * static_cast<std::int64_t>(i + 1), c));
   }
@@ -142,12 +155,12 @@ TEST(GeneratedInterface, SerialOutRaisesResponses) {
   atm::Cell c;
   c.header.vpi = 3;
   c.header.vci = 33;
-  rig.entity.sync().push(
+  rig.rtl.push(
       make_cell_message(gen.type_of("in"), SimTime::from_us(1), c));
   rig.pump_to(SimTime::from_us(30));
 
   // The generated monitor must have sent the echoed cell back.
-  const auto m = rig.to_net.receive();
+  const auto m = rig.next_response();
   ASSERT_TRUE(m.has_value());
   EXPECT_EQ(m->type, gen.type_of("out"));
   ASSERT_TRUE(m->cell.has_value());
@@ -176,10 +189,10 @@ TEST(GeneratedInterface, ParallelPortsCarryWords) {
     }
   });
 
-  rig.entity.sync().push(
+  rig.rtl.push(
       make_word_message(gen.type_of("cmd"), SimTime::from_us(1), {41}));
   rig.pump_to(SimTime::from_us(5));
-  const auto m = rig.to_net.receive();
+  const auto m = rig.next_response();
   ASSERT_TRUE(m.has_value());
   EXPECT_EQ(m->type, gen.type_of("status"));
   ASSERT_EQ(m->words.size(), 1u);
@@ -201,7 +214,7 @@ TEST(GeneratedInterface, MessageTypesAssignedInDeclarationOrder) {
       rig.hdl, rig.clk, rig.entity,
       InterfaceDesc::parse(
           "interface x\nserial_in a\nserial_out b\nparallel_in c width=8\n"),
-      /*base_type=*/10);
+      /*first_type=*/10);
   EXPECT_EQ(gen.type_of("a"), 10u);
   EXPECT_EQ(gen.type_of("b"), 11u);
   EXPECT_EQ(gen.type_of("c"), 12u);

@@ -113,6 +113,42 @@ TEST(RemoteBackend, ProxiedBackendMatchesDirect) {
   EXPECT_EQ(transport::wait_child(host.pid), 0);
 }
 
+TEST(RemoteBackend, SharesTheBackendContract) {
+  // The proxy's sync() is the mirror its inputs were declared into, and
+  // its one response buffer holds the host's responses (stamped on the
+  // host) and its own respond_words() (stamped by the caller) in emission
+  // order, drained once.
+  transport::Child host = fork_echo_host();
+  RemoteBackend proxy("proxy", sync_params(), std::move(host.pipe));
+  proxy.declare_input(kCellsIn, 2);
+  const DutBackend& const_proxy = proxy;
+  EXPECT_EQ(&const_proxy.sync(), &proxy.sync());
+  EXPECT_TRUE(proxy.sync().input_declared(kCellsIn));
+
+  for (const TimedMessage& m : stimulus()) proxy.push(m);
+  EXPECT_EQ(proxy.sync().messages_received(), 10u);
+  proxy.catch_up(SimTime::from_us(20));
+  proxy.respond_words(kEchoOut + 1, SimTime::from_us(30), {7});
+  proxy.finish(SimTime::from_us(20));
+
+  std::vector<TimedMessage> out;
+  proxy.drain_responses(out);
+  ASSERT_EQ(out.size(), 11u);
+  for (int i = 0; i < 10; ++i) {
+    EXPECT_EQ(out[static_cast<std::size_t>(i)].type, kEchoOut);
+    EXPECT_EQ(out[static_cast<std::size_t>(i)].timestamp,
+              SimTime::from_us(i + 1));  // the echo answers at the stimulus
+  }
+  EXPECT_EQ(out[10].type, kEchoOut + 1);
+  EXPECT_EQ(out[10].timestamp, SimTime::from_us(30));
+  std::vector<TimedMessage> again;
+  proxy.drain_responses(again);
+  EXPECT_TRUE(again.empty());
+
+  proxy.shutdown();
+  EXPECT_EQ(transport::wait_child(host.pid), 0);
+}
+
 TEST(RemoteBackend, HostDeathSurfacesAsProtocolError) {
   transport::Child host =
       transport::fork_child([](transport::FramePipe& pipe) {

@@ -193,8 +193,6 @@ std::vector<std::vector<std::uint8_t>> pump_through(MessageTransport& t) {
   }
   EXPECT_EQ(t.messages_sent(), msgs.size());
   while (auto r = t.receive()) out.push_back(wire::encode_message(*r));
-  EXPECT_TRUE(t.empty());
-  EXPECT_EQ(t.pending(), 0u);
   return out;
 }
 

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <string>
+
 #include "src/core/error.hpp"
 
 namespace castanet::cosim::wire {
@@ -110,6 +114,60 @@ TEST(Wire, UnknownTagBitsRejected) {
   // The tag byte follows u32 type + i64 timestamp.
   bytes[4 + 8] |= 0x80;
   EXPECT_THROW(decode_message(bytes), ProtocolError);
+}
+
+TEST(Wire, WordCountBeyondFrameRejected) {
+  // u32 type + i64 time stamp + tag 0 + a word count of 2^32 - 1 and no
+  // words: 17 bytes that once asked the decoder to reserve 32 GiB.
+  Writer w;
+  w.u32(0);
+  w.i64(0);
+  w.u8(0);
+  w.u32(0xFFFFFFFFu);
+  ASSERT_EQ(w.data().size(), 17u);
+  try {
+    decode_message(w.data());
+    FAIL() << "a word count beyond the frame decoded";
+  } catch (const ProtocolError& e) {
+    EXPECT_NE(std::string(e.what()).find("word count 4294967295"),
+              std::string::npos)
+        << e.what();
+  }
+
+  // One word short of the count is rejected by the same check.
+  auto bytes = encode_message(make_word_message(1, SimTime::zero(), {4, 5}));
+  bytes.resize(bytes.size() - 8);
+  EXPECT_THROW(decode_message(bytes), ProtocolError);
+}
+
+TEST(Wire, OutOfRangeHeaderFieldsRejected) {
+  // Cell layout after u32 type + i64 time stamp + tag: gfc u8 at 13, VPI
+  // u32 at 14, VCI u32 at 18, PTI u8 at 22, CLP u8 at 23.  A value the
+  // cell header cannot hold would decode to a different cell.
+  const auto good =
+      encode_message(make_cell_message(1, SimTime::from_ns(1), mk_cell(5, 9)));
+  ASSERT_NO_THROW(decode_message(good));
+
+  auto vpi = good;
+  vpi[14 + 2] = 0x01;  // VPI 0x1000b
+  EXPECT_THROW(decode_message(vpi), ProtocolError);
+
+  auto vci = good;
+  vci[18 + 3] = 0x80;  // VCI above 2^31
+  EXPECT_THROW(decode_message(vci), ProtocolError);
+
+  auto clp = good;
+  clp[23] = 2;
+  EXPECT_THROW(decode_message(clp), ProtocolError);
+}
+
+TEST(Wire, WriterCanonicalizesEveryNaN) {
+  Writer a, b;
+  a.f64(std::numeric_limits<double>::quiet_NaN());
+  b.f64(-std::numeric_limits<double>::signaling_NaN());
+  EXPECT_EQ(a.data(), b.data());
+  Reader r(a.data());
+  EXPECT_TRUE(std::isnan(r.f64()));
 }
 
 TEST(Wire, Fnv1aMatchesReferenceVector) {

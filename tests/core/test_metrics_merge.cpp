@@ -45,26 +45,45 @@ TEST(MergeMetricRow, CountersSum) {
 
 TEST(MergeMetricRow, EmptySideNeverPoisonsExtrema) {
   // The empty shard exports NaN extrema; merging it must not turn the
-  // populated side's max and last value into NaN (or fake zeros).
-  MetricRow a = make_row("g", Kind::kGauge, 1, 4.0, 4.0, 4.0, 4.0);
-  const MetricRow empty =
-      make_row("g", Kind::kGauge, 0, kNaN, kNaN, kNaN, kNaN);
-  merge_metric_row(a, empty);
-  EXPECT_EQ(a.count, 1u);
-  EXPECT_EQ(a.max, 4.0);
-  EXPECT_EQ(a.last, 4.0);
+  // populated side's max and last value into NaN (or fake zeros), in
+  // either direction, for either kind that carries extrema.
+  MetricRow avg = make_row("q", Kind::kTimeAverage, 1, 2.0, kNaN, 4.0, 3.0);
+  const MetricRow empty_avg =
+      make_row("q", Kind::kTimeAverage, 0, kNaN, kNaN, kNaN, kNaN);
+  merge_metric_row(avg, empty_avg);
+  EXPECT_EQ(avg.count, 1u);
+  EXPECT_EQ(avg.sum, 2.0);
+  EXPECT_EQ(avg.max, 4.0);
+  EXPECT_EQ(avg.last, 3.0);
 
-  MetricRow e = make_row("g", Kind::kGauge, 0, kNaN, kNaN, kNaN, kNaN);
-  merge_metric_row(e, a);
+  MetricRow e = empty_avg;
+  merge_metric_row(e, avg);
   EXPECT_EQ(e.count, 1u);
+  EXPECT_EQ(e.sum, 2.0);
   EXPECT_EQ(e.max, 4.0);
-  EXPECT_EQ(e.last, 4.0);
+  EXPECT_EQ(e.last, 3.0);
 
-  MetricRow e2 = make_row("g", Kind::kGauge, 0, kNaN, kNaN, kNaN, kNaN);
-  merge_metric_row(e2, empty);
+  MetricRow e2 = empty_avg;
+  merge_metric_row(e2, empty_avg);
   EXPECT_EQ(e2.count, 0u);
   EXPECT_TRUE(std::isnan(e2.max));
   EXPECT_TRUE(std::isnan(e2.last));
+
+  MetricRow hist = make_row("h", Kind::kHistogram, 0, 0, kNaN, kNaN, kNaN);
+  hist.hist.record(0.5);
+  hist.hist.record(8.0);
+  const MetricRow empty_hist =
+      make_row("h", Kind::kHistogram, 0, 0, kNaN, kNaN, kNaN);
+  merge_metric_row(hist, empty_hist);
+  EXPECT_EQ(hist.count, 2u);
+  EXPECT_EQ(hist.min, 0.5);
+  EXPECT_EQ(hist.max, 8.0);
+
+  MetricRow eh = empty_hist;
+  merge_metric_row(eh, hist);
+  EXPECT_EQ(eh.count, 2u);
+  EXPECT_EQ(eh.min, 0.5);
+  EXPECT_EQ(eh.max, 8.0);
 }
 
 TEST(MergeMetricRow, HistogramsMergeBucketwise) {
@@ -87,13 +106,14 @@ TEST(MergeMetricRow, HistogramsMergeBucketwise) {
 
 TEST(MergeMetricRow, KindMismatchThrows) {
   MetricRow a = make_row("x", Kind::kCounter, 1, 0, kNaN, kNaN, kNaN);
-  const MetricRow b = make_row("x", Kind::kGauge, 1, 1.0, 1.0, 1.0, 1.0);
+  const MetricRow b =
+      make_row("x", Kind::kTimeAverage, 1, 1.0, kNaN, 1.0, 1.0);
   EXPECT_THROW(merge_metric_row(a, b), LogicError);
 }
 
 TEST(MetricKindNames, RoundTrip) {
-  for (const Kind k : {Kind::kCounter, Kind::kGauge, Kind::kTimeAverage,
-                       Kind::kHistogram}) {
+  for (const Kind k :
+       {Kind::kCounter, Kind::kTimeAverage, Kind::kHistogram}) {
     Kind back = Kind::kCounter;
     ASSERT_TRUE(metric_kind_from_name(metric_kind_name(k), &back))
         << metric_kind_name(k);
@@ -102,6 +122,7 @@ TEST(MetricKindNames, RoundTrip) {
   Kind out;
   EXPECT_FALSE(metric_kind_from_name("histogramme", &out));
   EXPECT_FALSE(metric_kind_from_name("timing", &out));
+  EXPECT_FALSE(metric_kind_from_name("gauge", &out));
 }
 
 // ---------------------------------------------------------------------------
@@ -122,8 +143,8 @@ MetricsSnapshot make_snapshot(std::uint64_t counter_val, double base) {
   h.max = h.hist.max();
   h.last = kNaN;
   s.rows.push_back(std::move(h));
-  s.rows.push_back(make_row("c.value", Kind::kGauge, 1, base, base, base,
-                            base));
+  s.rows.push_back(
+      make_row("c.value", Kind::kTimeAverage, 1, base, kNaN, base, base));
   s.trace_events = 10;
   return s;
 }
@@ -187,6 +208,46 @@ TEST(MetricsSnapshot, JsonRoundTripIsStructurallyExact) {
       MetricsSnapshot::from_json(json::parse(s.to_json()));
   EXPECT_EQ(again.rows.size(), s.rows.size());
   EXPECT_TRUE(again.find("b.hist")->hist.identical(s.find("b.hist")->hist));
+}
+
+TEST(MetricsSnapshot, EmptySnapshotJsonRoundTrips) {
+  const MetricsSnapshot back =
+      MetricsSnapshot::from_json(json::parse(MetricsSnapshot{}.to_json()));
+  EXPECT_TRUE(back.rows.empty());
+  EXPECT_EQ(back.trace_events, 0u);
+  EXPECT_EQ(back.trace_dropped, 0u);
+}
+
+TEST(MetricsSnapshot, JsonRoundTripKeepsNaNExtremaAndValues) {
+  // NaN (no sample, or not applicable) travels as null and comes back as
+  // NaN, not 0; finite values come back bit-exact; so do both trace totals.
+  MetricsSnapshot s = make_snapshot(5, 0.1);
+  s.rows.push_back(
+      make_row("d.avg", Kind::kTimeAverage, 3, 1.0 / 3.0, kNaN, 30.0, 8.0));
+  s.rows.push_back(
+      make_row("e.idle", Kind::kTimeAverage, 0, kNaN, kNaN, kNaN, kNaN));
+  s.trace_dropped = 1;
+  const MetricsSnapshot back =
+      MetricsSnapshot::from_json(json::parse(s.to_json()));
+  ASSERT_EQ(back.rows.size(), s.rows.size());
+  const MetricRow& counter = *back.find("a.count");
+  EXPECT_TRUE(std::isnan(counter.min));
+  EXPECT_TRUE(std::isnan(counter.max));
+  EXPECT_TRUE(std::isnan(counter.last));
+  const MetricRow& avg = *back.find("d.avg");
+  EXPECT_EQ(avg.count, 3u);
+  EXPECT_EQ(avg.sum, 1.0 / 3.0);
+  EXPECT_TRUE(std::isnan(avg.min));
+  EXPECT_EQ(avg.max, 30.0);
+  EXPECT_EQ(avg.last, 8.0);
+  const MetricRow& idle = *back.find("e.idle");
+  EXPECT_TRUE(idle.empty());
+  EXPECT_TRUE(std::isnan(idle.sum));
+  EXPECT_TRUE(std::isnan(idle.max));
+  EXPECT_EQ(back.find("b.hist")->sum, s.find("b.hist")->sum);
+  EXPECT_TRUE(std::isnan(back.find("b.hist")->last));
+  EXPECT_EQ(back.trace_events, 10u);
+  EXPECT_EQ(back.trace_dropped, 1u);
 }
 
 TEST(MetricsSnapshot, FromJsonRejectsNonSnapshots) {

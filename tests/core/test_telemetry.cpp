@@ -217,7 +217,6 @@ TEST_F(TelemetryTest, TracksAreStableByName) {
 TEST_F(TelemetryTest, PublishedRowsAppearInSnapshot) {
   Hub::instance().enable();
   Hub::instance().publish_count("pub.count", 7);
-  Hub::instance().publish_value("pub.value", 2.5);
   Log2Histogram h;
   h.record(1.0);
   h.record(3.0);
@@ -227,7 +226,7 @@ TEST_F(TelemetryTest, PublishedRowsAppearInSnapshot) {
   Hub::instance().publish_time_avg("pub.avg", ta, 2.0);
   Hub::instance().counter("pub.counter").add(3);
   const MetricsSnapshot snap = Hub::instance().snapshot();
-  ASSERT_EQ(snap.rows.size(), 5u);
+  ASSERT_EQ(snap.rows.size(), 4u);
   // Rows are sorted by name; one row kind per publish_* (plus counters).
   EXPECT_EQ(snap.rows[0].name, "pub.avg");
   EXPECT_EQ(snap.rows[0].kind, MetricRow::Kind::kTimeAverage);
@@ -237,14 +236,12 @@ TEST_F(TelemetryTest, PublishedRowsAppearInSnapshot) {
   EXPECT_EQ(snap.rows[2].kind, MetricRow::Kind::kCounter);
   EXPECT_EQ(snap.rows[3].name, "pub.hist");
   EXPECT_EQ(snap.rows[3].kind, MetricRow::Kind::kHistogram);
-  EXPECT_EQ(snap.rows[4].name, "pub.value");
-  EXPECT_EQ(snap.rows[4].kind, MetricRow::Kind::kGauge);
   EXPECT_EQ(snap.rows[1].count, 7u);
   EXPECT_EQ(snap.rows[2].count, 3u);
   EXPECT_EQ(snap.rows[3].count, 2u);
   EXPECT_DOUBLE_EQ(snap.rows[3].min, 1.0);
   EXPECT_DOUBLE_EQ(snap.rows[3].max, 3.0);
-  EXPECT_DOUBLE_EQ(snap.rows[4].last, 2.5);
+  EXPECT_DOUBLE_EQ(snap.rows[0].max, 4.0);
 }
 
 TEST_F(TelemetryTest, EmptyStatRendersAsEmptyNotZero) {
@@ -298,13 +295,15 @@ TEST_F(TelemetryTest, ChromeTraceJsonIsWellFormed) {
 TEST_F(TelemetryTest, MetricsJsonIsWellFormed) {
   Hub::instance().enable();
   Hub::instance().counter("a\"b").add(1);
-  Hub::instance().publish_value("v", 1e-12);
+  TimeAverageStat tiny;
+  tiny.set(0.0, 1e-12);
+  Hub::instance().publish_time_avg("v", tiny, 1.0);
   const MetricsSnapshot back = MetricsSnapshot::from_json(
       json::parse(Hub::instance().snapshot().to_json()));
   ASSERT_EQ(back.rows.size(), 2u);
   EXPECT_EQ(back.rows[0].name, "a\"b");
   EXPECT_EQ(back.rows[0].count, 1u);
-  EXPECT_EQ(back.rows[1].last, 1e-12);  // shortest text, exact value
+  EXPECT_EQ(back.rows[1].max, 1e-12);  // shortest text, exact value
 }
 
 TEST_F(TelemetryTest, ControlCharactersSurviveExport) {

@@ -144,7 +144,7 @@ TEST(SchedulerAlloc, NetsimCellHopsAreAllocationFree) {
 }
 
 TEST(SchedulerAlloc, KernelTimedMessageCallbacksAreAllocationFree) {
-  // One delivery per time point, as CosimEntity::advance_hdl_to makes
+  // One delivery per time point, as RtlBackend::advance_to makes
   // them: the callback captures the whole message and a pointer.
   rtl::Simulator sim;
   rtl::Bus vci(&sim, sim.create_signal("vci", 16, rtl::Logic::L0));
