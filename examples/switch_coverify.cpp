@@ -113,8 +113,7 @@ int main(int argc, char** argv) {
   // Responses counted on the primary (the RTL switch, backend 0).
   std::printf("  messages exchanged .... %llu -> / %llu <-\n",
               static_cast<unsigned long long>(stats.messages_to_hdl),
-              static_cast<unsigned long long>(
-                  stats.backends[rig.session.primary()].responses));
+              static_cast<unsigned long long>(stats.backends[0].responses));
   for (const auto& b : stats.backends) {
     std::printf("  backend %-11s ... %llu windows, %llu causality errors\n",
                 b.name.c_str(),

@@ -28,13 +28,11 @@ class ScsiChannel {
 
   std::uint64_t total_bytes() const { return total_bytes_; }
   std::uint64_t transfers() const { return transfers_; }
-  SimTime total_time() const { return total_time_; }
 
  private:
   Params p_;
   std::uint64_t total_bytes_ = 0;
   std::uint64_t transfers_ = 0;
-  SimTime total_time_ = SimTime::zero();
 };
 
 }  // namespace castanet::board

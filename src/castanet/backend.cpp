@@ -150,7 +150,6 @@ BoardBackend::BoardBackend(std::string name, board::HardwareTestBoard& board,
 void BoardBackend::register_cell_input(MessageType type,
                                        std::uint64_t delta_cycles) {
   sync().declare_input(type, delta_cycles);
-  cell_stream_ = type;
 }
 
 void BoardBackend::advance_to(SimTime target) {
@@ -186,7 +185,6 @@ void BoardBackend::run_pending() {
   // The adapter's violation counter is cumulative across runs; mirror it
   // rather than summing per-batch snapshots.
   totals_.timing_violations = r.timing_violations;
-  for (const atm::Cell& c : r.responses) respond(cell_stream_, origin, c);
   pending_.clear();
 }
 

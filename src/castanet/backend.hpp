@@ -206,9 +206,8 @@ class ReferenceBackend : public DutBackend {
 /// cycles (SW activity -> HW activity -> readback).  Each batch is rebased
 /// to its first cell's time stamp so vector memories stay small over long
 /// runs; inter-batch idle time is not replayed (the board verifies function
-/// and at-speed behavior, not long-term idle).  Responses (board register
-/// readbacks via the finish hook, reassembled output cells when the DUT
-/// produces any) carry board-derived time stamps.
+/// and at-speed behavior, not long-term idle).  Responses are the finish
+/// hook's board register readbacks.
 class BoardBackend : public DutBackend {
  public:
   /// Deliverable cells buffered before a hardware test-cycle batch runs;
@@ -262,7 +261,6 @@ class BoardBackend : public DutBackend {
   board::BehavioralDut& dut_;
   BoardCellStream stream_;
   Params p_;
-  MessageType cell_stream_ = 0;
   std::vector<traffic::CellArrival> pending_;
   BoardCellStream::Result totals_;
   std::function<void(BoardBackend&, SimTime)> finish_hook_;

@@ -3,9 +3,9 @@
 //
 // BoardCellStream converts time-stamped cells into per-board-cycle pin
 // stimulus (real-time: cell arrival times map to board clock cycles), chunks
-// them into hardware test cycles, runs them through a HardwareTestBoard and
-// reassembles the DUT's serial responses into cells — which then feed the
-// same ResponseComparator as the co-simulation path.
+// them into hardware test cycles and runs them through a HardwareTestBoard.
+// The board's responses are register readbacks (board_bus_read), which feed
+// the same comparator as the co-simulation path.
 //
 // build_accounting_dut() packages the RTL accounting unit as a board DUT
 // with the pin-level port numbering the default configuration data set maps.
@@ -60,9 +60,8 @@ class BoardCellStream {
   BoardCellStream(board::HardwareTestBoard& board, Params p);
 
   /// Runs `cells` (arrival times quantized to board cycles) and returns the
-  /// cells the DUT emitted, plus accumulated run statistics.
+  /// accumulated run statistics.
   struct Result {
-    std::vector<atm::Cell> responses;
     board::HardwareTestBoard::RunStats totals;
     std::uint64_t test_cycles = 0;
     std::uint64_t timing_violations = 0;

@@ -130,11 +130,9 @@ std::string diff_payload(const std::optional<atm::Cell>& a_cell,
 
 }  // namespace
 
-void SessionComparator::attach(std::size_t backends, std::size_t primary) {
+void SessionComparator::attach(std::size_t backends) {
   require(backends > 0, "SessionComparator: need at least one backend");
-  require(primary < backends, "SessionComparator: primary out of range");
   backends_ = backends;
-  primary_ = primary;
 }
 
 void SessionComparator::note_response(std::size_t backend,
@@ -149,7 +147,7 @@ void SessionComparator::note_response(std::size_t backend,
     return;
   }
   Slot slot{m.timestamp, m.cell, m.words};
-  if (backend == primary_) {
+  if (backend == 0) {
     s.primary.push_back(std::move(slot));
     ++s.primary_seen;
     for (auto& [idx, lane] : s.others) match_ready(m.type, s, idx, lane);

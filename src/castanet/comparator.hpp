@@ -97,8 +97,9 @@ struct Divergence {
 /// kept.
 class SessionComparator {
  public:
-  /// `backends` response sources, index `primary` is the golden stream.
-  void attach(std::size_t backends, std::size_t primary = 0);
+  /// `backends` response sources; backend 0, the primary, is the golden
+  /// stream.
+  void attach(std::size_t backends);
 
   /// Feeds one response message produced by backend `backend`.
   void note_response(std::size_t backend, const TimedMessage& m);
@@ -140,7 +141,6 @@ class SessionComparator {
   void drop_consumed(Stream& s);
 
   std::size_t backends_ = 0;
-  std::size_t primary_ = 0;
   std::map<std::uint32_t, Stream> streams_;
   std::vector<Divergence> divergences_;
   std::uint64_t compared_ = 0;

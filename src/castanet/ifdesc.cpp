@@ -180,51 +180,24 @@ GeneratedInterface::GeneratedInterface(rtl::Simulator& hdl, rtl::Signal clk,
 
     switch (pd.kind) {
       case PortKind::kSerialIn: {
-        e->port.lane = hw::make_cell_port(hdl, prefix);
-        if (pd.lane_bytes == 1) {
-          e->driver = std::make_unique<hw::CellPortDriver>(
-              hdl, prefix + ".drv", clk, e->port.lane);
-          entity.register_input(e->type, pd.delta_cycles,
-                                [e](const TimedMessage& m) {
-                                  e->driver->enqueue(*m.cell);
-                                });
-        } else {
-          // Replace the 8-bit lane with one of the requested width before
-          // elaborating the driver.
-          e->port.lane.data = rtl::Bus(
-              &hdl, hdl.create_signal(prefix + ".wdata", 8 * pd.lane_bytes,
-                                      rtl::Logic::L0));
-          e->wide_driver = std::make_unique<WideLaneDriver>(
-              hdl, prefix + ".drv", clk, e->port.lane.data,
-              e->port.lane.sync, e->port.lane.valid, pd.lane_bytes);
-          entity.register_input(e->type, pd.delta_cycles,
-                                [e](const TimedMessage& m) {
-                                  e->wide_driver->enqueue(*m.cell);
-                                });
-        }
+        e->port.lane = hw::make_cell_port(hdl, prefix, pd.lane_bytes);
+        e->driver = std::make_unique<hw::CellPortDriver>(
+            hdl, prefix + ".drv", clk, e->port.lane);
+        entity.register_input(e->type, pd.delta_cycles,
+                              [e](const TimedMessage& m) {
+                                e->driver->enqueue(*m.cell);
+                              });
         break;
       }
       case PortKind::kSerialOut: {
-        e->port.lane = hw::make_cell_port(hdl, prefix);
+        e->port.lane = hw::make_cell_port(hdl, prefix, pd.lane_bytes);
+        e->monitor = std::make_unique<hw::CellPortMonitor>(
+            hdl, prefix + ".mon", clk, e->port.lane);
         CosimEntity* ent = &entity;
         const MessageType t = e->type;
-        if (pd.lane_bytes == 1) {
-          e->monitor = std::make_unique<hw::CellPortMonitor>(
-              hdl, prefix + ".mon", clk, e->port.lane);
-          e->monitor->set_callback([ent, t](const atm::Cell& c) {
-            ent->send_cell_response(t, c);
-          });
-        } else {
-          e->port.lane.data = rtl::Bus(
-              &hdl, hdl.create_signal(prefix + ".wdata", 8 * pd.lane_bytes,
-                                      rtl::Logic::L0));
-          e->wide_monitor = std::make_unique<WideLaneMonitor>(
-              hdl, prefix + ".mon", clk, e->port.lane.data, e->port.lane.sync,
-              e->port.lane.valid, pd.lane_bytes);
-          e->wide_monitor->set_callback([ent, t](const atm::Cell& c) {
-            ent->send_cell_response(t, c);
-          });
-        }
+        e->monitor->set_callback([ent, t](const atm::Cell& c) {
+          ent->send_cell_response(t, c);
+        });
         break;
       }
       case PortKind::kRegisterBus: {

@@ -72,7 +72,7 @@ struct InterfaceDesc {
 /// constructor takes these exactly as if they had been hand-declared.
 struct GeneratedPort {
   PortDesc desc;
-  // Serial lanes (in either direction):
+  // Serial lanes (in either direction), data bus 8 * lane_bytes bits:
   hw::CellPort lane;
   // Parallel buses:
   rtl::Bus data;
@@ -115,8 +115,6 @@ class GeneratedInterface {
     MessageType type;
     std::unique_ptr<hw::CellPortDriver> driver;
     std::unique_ptr<hw::CellPortMonitor> monitor;
-    std::unique_ptr<WideLaneDriver> wide_driver;
-    std::unique_ptr<WideLaneMonitor> wide_monitor;
     std::unique_ptr<BusMaster> bus_master;
   };
 

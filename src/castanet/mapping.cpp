@@ -1,94 +1,6 @@
 #include "src/castanet/mapping.hpp"
 
-#include "src/core/error.hpp"
-
 namespace castanet::cosim {
-
-// --- WideLaneDriver ----------------------------------------------------------
-
-WideLaneDriver::WideLaneDriver(rtl::Simulator& sim, std::string name,
-                               rtl::Signal clk, rtl::Bus data,
-                               rtl::Signal sync, rtl::Signal valid,
-                               std::size_t lane_bytes)
-    : Module(sim, std::move(name)), clk_(clk), data_(data), sync_(sync),
-      valid_(valid), lane_bytes_(lane_bytes) {
-  require(lane_bytes == 1 || lane_bytes == 2 || lane_bytes == 4,
-          "WideLaneDriver: lane width must be 1, 2 or 4 bytes");
-  require(data_.width() == 8 * lane_bytes,
-          "WideLaneDriver: data bus width mismatch");
-  bind_port(clk_, rtl::PortDir::kIn, "clk");
-  bind_port(data_, rtl::PortDir::kOut, 8 * lane_bytes, "data");
-  bind_port(sync_, rtl::PortDir::kOut, "sync");
-  bind_port(valid_, rtl::PortDir::kOut, "valid");
-  clocked("drive", clk_, [this] { on_clk(); });
-}
-
-std::size_t WideLaneDriver::clocks_per_cell() const {
-  return (atm::kCellBytes + lane_bytes_ - 1) / lane_bytes_;
-}
-
-void WideLaneDriver::enqueue(const atm::Cell& c) {
-  const auto bytes = c.to_bytes();
-  buffer_.insert(buffer_.end(), bytes.begin(), bytes.end());
-  // Pad to a whole number of lane words so the next cell starts aligned.
-  while (buffer_.size() % lane_bytes_ != 0) buffer_.push_back(0);
-}
-
-void WideLaneDriver::on_clk() {
-  if (buffer_.empty()) {
-    valid_.write(rtl::Logic::L0);
-    sync_.write(rtl::Logic::L0);
-    phase_ = 0;
-    return;
-  }
-  std::uint64_t word = 0;
-  for (std::size_t i = 0; i < lane_bytes_ && !buffer_.empty(); ++i) {
-    word |= static_cast<std::uint64_t>(buffer_.front()) << (8 * i);
-    buffer_.pop_front();
-  }
-  data_.write_uint(word);
-  valid_.write(rtl::Logic::L1);
-  sync_.write(phase_ == 0 ? rtl::Logic::L1 : rtl::Logic::L0);
-  ++phase_;
-  if (phase_ == clocks_per_cell()) {
-    phase_ = 0;
-    ++cells_;
-  }
-}
-
-// --- WideLaneMonitor ---------------------------------------------------------
-
-WideLaneMonitor::WideLaneMonitor(rtl::Simulator& sim, std::string name,
-                                 rtl::Signal clk, rtl::Bus data,
-                                 rtl::Signal sync, rtl::Signal valid,
-                                 std::size_t lane_bytes)
-    : Module(sim, std::move(name)), clk_(clk), data_(data), sync_(sync),
-      valid_(valid), lane_bytes_(lane_bytes) {
-  require(lane_bytes == 1 || lane_bytes == 2 || lane_bytes == 4,
-          "WideLaneMonitor: lane width must be 1, 2 or 4 bytes");
-  require(data_.width() == 8 * lane_bytes,
-          "WideLaneMonitor: data bus width mismatch");
-  bind_port(clk_, rtl::PortDir::kIn, "clk");
-  bind_port(data_, rtl::PortDir::kIn, 8 * lane_bytes, "data");
-  bind_port(sync_, rtl::PortDir::kIn, "sync");
-  bind_port(valid_, rtl::PortDir::kIn, "valid");
-  clocked("observe", clk_, [this] { on_clk(); });
-}
-
-void WideLaneMonitor::on_clk() {
-  if (!valid_.read_bool()) return;
-  if (sync_.read_bool()) shift_.clear();
-  const std::uint64_t word = data_.read_uint();
-  for (std::size_t i = 0; i < lane_bytes_; ++i) {
-    shift_.push_back(static_cast<std::uint8_t>(word >> (8 * i) & 0xFF));
-  }
-  if (shift_.size() >= atm::kCellBytes) {
-    const atm::Cell c = atm::Cell::from_bytes(shift_.data(), true);
-    cells_.push_back(c);
-    if (callback_) callback_(c);
-    shift_.clear();
-  }
-}
 
 // --- BusMaster ---------------------------------------------------------------
 

@@ -3,75 +3,22 @@
 //
 // "The user has to specify how high-level protocol data units and abstract
 // data types has to be mapped to bit-level signals using appropriate
-// conversion functions that are provided in the CASTANET library."  This is
-// that library:
-//   * CellLaneMapping — Fig. 4 exactly: a 53-octet ATM cell onto an 8-bit
-//     `atmdata` lane over 53 clocks plus a generated `cellsync`
-//     (hw::CellPortDriver / hw::CellPortMonitor do the per-clock work);
-//   * WideLaneMapping — the same cell on a 16- or 32-bit lane (27/14
-//     clocks), for the E5 width ablation;
-//   * BusMaster — register transactions over the three-signal bus scheme
-//     (§3.3: input, output and a direction control) against a DUT's µP port.
+// conversion functions that are provided in the CASTANET library."  The
+// library has two parts:
+//   * the Fig. 4 cell lane — a 53-octet ATM cell onto an 8-, 16- or 32-bit
+//     `atmdata` lane plus a generated `cellsync` — is hw::CellPortDriver /
+//     hw::CellPortMonitor (src/hw/cell_port.hpp), shared by every rig;
+//   * BusMaster, below — register transactions over the three-signal bus
+//     scheme (§3.3: input, output and a direction control) against a DUT's
+//     µP port.
 #pragma once
 
+#include <deque>
 #include <functional>
 
-#include "src/hw/cell_port.hpp"
 #include "src/rtl/module.hpp"
 
 namespace castanet::cosim {
-
-/// Maps cells to a lane of `lane_bytes` octets per clock (1, 2 or 4).
-/// Cells occupy ceil(53 / lane_bytes) clocks; `sync` marks the first.
-class WideLaneDriver : public rtl::Module {
- public:
-  WideLaneDriver(rtl::Simulator& sim, std::string name, rtl::Signal clk,
-                 rtl::Bus data, rtl::Signal sync, rtl::Signal valid,
-                 std::size_t lane_bytes);
-
-  void enqueue(const atm::Cell& c);
-  bool idle() const { return buffer_.empty(); }
-  std::uint64_t cells_driven() const { return cells_; }
-  /// Clocks needed per cell at this width.
-  std::size_t clocks_per_cell() const;
-
- private:
-  void on_clk();
-
-  rtl::Signal clk_;
-  rtl::Bus data_;
-  rtl::Signal sync_;
-  rtl::Signal valid_;
-  std::size_t lane_bytes_;
-  std::deque<std::uint8_t> buffer_;
-  std::size_t phase_ = 0;
-  std::uint64_t cells_ = 0;
-};
-
-/// Reassembles cells from a wide lane (inverse of WideLaneDriver).
-class WideLaneMonitor : public rtl::Module {
- public:
-  using CellCallback = std::function<void(const atm::Cell&)>;
-
-  WideLaneMonitor(rtl::Simulator& sim, std::string name, rtl::Signal clk,
-                  rtl::Bus data, rtl::Signal sync, rtl::Signal valid,
-                  std::size_t lane_bytes);
-
-  void set_callback(CellCallback cb) { callback_ = std::move(cb); }
-  const std::vector<atm::Cell>& cells() const { return cells_; }
-
- private:
-  void on_clk();
-
-  rtl::Signal clk_;
-  rtl::Bus data_;
-  rtl::Signal sync_;
-  rtl::Signal valid_;
-  std::size_t lane_bytes_;
-  std::vector<std::uint8_t> shift_;
-  std::vector<atm::Cell> cells_;
-  CellCallback callback_;
-};
 
 /// Microprocessor-bus master executing queued register reads/writes against
 /// a slave with {addr, bidirectional data, cs, rw} — the bus-interface

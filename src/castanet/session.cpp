@@ -7,17 +7,6 @@
 
 namespace castanet::cosim {
 
-namespace {
-/// Process-wide session elaboration hook (see set_elaboration_hook).
-/// Written once at program setup, read at the first run_until; install it
-/// before any session runs.
-VerificationSession::ElaborationHook g_session_hook;
-}  // namespace
-
-void VerificationSession::set_elaboration_hook(ElaborationHook hook) {
-  g_session_hook = std::move(hook);
-}
-
 VerificationSession::VerificationSession(netsim::Simulation& net,
                                          netsim::Node& node, unsigned streams,
                                          Params params)
@@ -35,22 +24,12 @@ std::size_t VerificationSession::attach(DutBackend& backend) {
   return backends_.size() - 1;
 }
 
-void VerificationSession::set_primary(std::size_t index) {
-  require(index < backends_.size(), "VerificationSession: primary out of range");
-  require(!ran_, "VerificationSession: set the primary before running");
-  primary_ = index;
-}
-
 void VerificationSession::run_until(SimTime limit) {
   require(!backends_.empty(),
           "VerificationSession: attach at least one backend before running");
   if (!ran_) {
-    comparator_.attach(backends_.size(), primary_);
+    comparator_.attach(backends_.size());
     ran_ = true;
-    // Opt-in elaboration hook (see set_elaboration_hook): the session is
-    // fully assembled — backends attached, primary chosen — and nothing has
-    // run yet, so static analysis sees the same structures the run will use.
-    if (g_session_hook) g_session_hook(*this);
   }
   assign_tracks();
   run_loop(limit);
@@ -140,7 +119,7 @@ void VerificationSession::handle_response(std::size_t backend, TimedMessage m,
     }
     divergences_seen_ = n_div;
   }
-  if (backend != primary_) return;  // secondary backends are pure checkers
+  if (backend != 0) return;  // backends after the primary are pure checkers
   if (telemetry::enabled() && m.cell) {
     // Cells leaving the DUT: observed here, not in GatewayProcess, because
     // scenarios may install a response handler that bypasses emit_response

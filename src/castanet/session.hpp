@@ -54,13 +54,10 @@ class VerificationSession {
   VerificationSession& operator=(const VerificationSession&) = delete;
 
   /// Attaches a backend (not owned; must outlive the session) and returns
-  /// its index.  Attach every backend before the first run_until; index 0
-  /// is the primary unless set_primary overrides.
+  /// its index.  Attach every backend before the first run_until.  The
+  /// first one attached (index 0) is the primary: its responses re-enter
+  /// the network model and are the comparator's golden stream.
   std::size_t attach(DutBackend& backend);
-  /// Selects which backend's responses re-enter the network model and act
-  /// as the comparator's golden stream.
-  void set_primary(std::size_t index);
-  std::size_t primary() const { return primary_; }
   std::size_t backend_count() const { return backends_.size(); }
   DutBackend& backend(std::size_t i) { return *backends_.at(i); }
 
@@ -68,13 +65,6 @@ class VerificationSession {
   const GatewayProcess& gateway() const { return *gateway_; }
   const Params& params() const { return params_; }
 
-  /// Opt-in elaboration hook, installed process-wide (e.g. by
-  /// lint::install_elaboration_hooks): invoked once per session at the
-  /// first run_until, after backends are attached and the comparator is
-  /// wired but before any network event executes.  A throwing hook aborts
-  /// the run before anything advanced.
-  using ElaborationHook = std::function<void(VerificationSession&)>;
-  static void set_elaboration_hook(ElaborationHook hook);
   /// The gateway -> session transport (what the gateway's streams feed).
   MessageTransport& gateway_transport() { return *from_gateway_; }
 
@@ -132,7 +122,6 @@ class VerificationSession {
   GatewayProcess* gateway_ = nullptr;
   Params params_;
   std::vector<DutBackend*> backends_;
-  std::size_t primary_ = 0;
   SessionComparator comparator_;
   ResponseHandler on_response_;
   bool ran_ = false;

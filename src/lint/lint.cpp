@@ -1,7 +1,5 @@
 #include "src/lint/lint.hpp"
 
-#include <utility>
-
 #include "src/castanet/backend.hpp"
 
 namespace castanet::lint {
@@ -25,15 +23,7 @@ Report analyze_session(cosim::VerificationSession& session,
         DataflowOptions dopts = opts.dataflow_options;
         dopts.scope = b.name();
         dopts.suppressions = opts.suppressions;
-        const DataflowStats stats = analyze_dataflow(r->hdl(), dopts, report);
-        if (opts.dataflow_stats != nullptr) {
-          opts.dataflow_stats->processes_probed += stats.processes_probed;
-          opts.dataflow_stats->probe_evaluations += stats.probe_evaluations;
-          opts.dataflow_stats->fixpoint_passes += stats.fixpoint_passes;
-          opts.dataflow_stats->degraded_processes += stats.degraded_processes;
-          opts.dataflow_stats->constant_signals += stats.constant_signals;
-          opts.dataflow_stats->wall_ns += stats.wall_ns;
-        }
+        analyze_dataflow(r->hdl(), dopts, report);
       }
     } else if (auto* brd = dynamic_cast<cosim::BoardBackend*>(&b)) {
       analyze_board_config(brd->board().config(), b.name(), report);
@@ -41,33 +31,6 @@ Report analyze_session(cosim::VerificationSession& session,
   }
   if (opts.strict) report.throw_if(Severity::kError);
   return report;
-}
-
-void install_elaboration_hooks(HookConfig cfg) {
-  // Each hook captures its own copy; the shared_ptr-free copies keep the
-  // config alive for as long as the hooks are installed.
-  const HookConfig sim_cfg = cfg;
-  rtl::Simulator::set_elaboration_hook([sim_cfg](rtl::Simulator& sim) {
-    Report report;
-    analyze_netlist(sim, NetlistOptions{}, report);
-    if (sim_cfg.dataflow) analyze_dataflow(sim, DataflowOptions{}, report);
-    if (sim_cfg.sink) sim_cfg.sink(report);
-    if (sim_cfg.strict) report.throw_if(Severity::kError);
-  });
-  cosim::VerificationSession::set_elaboration_hook(
-      [cfg = std::move(cfg)](cosim::VerificationSession& session) {
-        Options opts;
-        opts.depth = NetlistDepth::kElaboration;
-        opts.dataflow = cfg.dataflow;
-        Report report = analyze_session(session, opts);
-        if (cfg.sink) cfg.sink(report);
-        if (cfg.strict) report.throw_if(Severity::kError);
-      });
-}
-
-void clear_elaboration_hooks() {
-  rtl::Simulator::set_elaboration_hook({});
-  cosim::VerificationSession::set_elaboration_hook({});
 }
 
 }  // namespace castanet::lint

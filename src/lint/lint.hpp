@@ -8,18 +8,13 @@
 // analyze_session() runs all three over a fully attached
 // VerificationSession: sync rules on the session, netlist rules on every
 // RtlBackend's HDL kernel, board rules on every BoardBackend's
-// configuration.  The castanet_lint CLI and the lint tests use this.
-//
-// install_elaboration_hooks() arms the opt-in hooks so analysis runs
-// automatically inside normal execution: every rtl::Simulator is checked at
-// the end of initialize(), every VerificationSession at its first
-// run_until (after attach / comparator wiring, before any network event).
-// With `strict` set, error-severity findings abort elaboration with a
-// LintError instead of surfacing hours later as a runtime throw.
+// configuration.  The castanet_lint CLI and the lint tests use this.  With
+// Options::strict set it throws LintError on error-severity findings, so a
+// test bench that calls it after attaching its backends and before running
+// stops at elaboration instead of at a runtime throw hours later.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "src/castanet/session.hpp"
 #include "src/lint/board_rules.hpp"
@@ -53,9 +48,6 @@ struct Options {
   /// Budget knobs and constant seeds forwarded to analyze_dataflow when
   /// `dataflow` is set (scope/suppressions are filled per backend).
   DataflowOptions dataflow_options;
-  /// When non-null, accumulates the per-backend dataflow stats (the CLI
-  /// uses this for the metrics snapshot).
-  DataflowStats* dataflow_stats = nullptr;
 };
 
 /// Runs every analyzer family over `session` and its attached backends.
@@ -63,27 +55,5 @@ struct Options {
 /// error-severity findings; otherwise inspect the returned report.
 Report analyze_session(cosim::VerificationSession& session,
                        const Options& opts = {});
-
-struct HookConfig {
-  /// Promote error-severity findings to LintError, aborting elaboration.
-  bool strict = false;
-  /// Also run the DF-* dataflow rules in both hooks (default-budget
-  /// DataflowOptions).  DF findings are warnings, so strict mode stays
-  /// safe on clean designs.
-  bool dataflow = false;
-  /// Invoked with every finished (possibly clean) report, before the strict
-  /// check; use to log or collect findings in non-strict mode.
-  std::function<void(const Report&)> sink;
-};
-
-/// Installs the process-wide elaboration hooks on rtl::Simulator and
-/// cosim::VerificationSession (see file comment).  The simulator hook runs
-/// the netlist rules at kElaboration depth; the session hook runs the full
-/// analyze_session at kElaboration depth (no kernel is advanced behind the
-/// caller's back).  Install before elaborating; not thread-safe.
-void install_elaboration_hooks(HookConfig cfg);
-
-/// Removes both hooks.
-void clear_elaboration_hooks();
 
 }  // namespace castanet::lint

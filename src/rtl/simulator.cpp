@@ -6,17 +6,6 @@
 
 namespace castanet::rtl {
 
-namespace {
-/// Process-wide elaboration hook (see set_elaboration_hook).  Written once
-/// at program setup, read from initialize(); not synchronized — install it
-/// before any simulator elaborates.
-Simulator::ElaborationHook g_elaboration_hook;
-}  // namespace
-
-void Simulator::set_elaboration_hook(ElaborationHook hook) {
-  g_elaboration_hook = std::move(hook);
-}
-
 SignalId Simulator::create_signal(std::string name, std::size_t width,
                                   Logic init) {
   require(width > 0, "create_signal: width must be > 0");
@@ -529,7 +518,6 @@ void Simulator::initialize() {
     batch_scratch_.clear();
     run_time_point(batch_scratch_, all);
   }
-  if (g_elaboration_hook) g_elaboration_hook(*this);
 }
 
 SimTime Simulator::next_activity() const {

@@ -247,17 +247,6 @@ class Simulator {
   /// poked signal before simulation resumes.
   void set_value_for_analysis(SignalId s, const LogicVector& v);
 
-  bool initialized() const { return initialized_; }
-
-  /// Opt-in elaboration hook, installed process-wide (e.g. by
-  /// lint::install_elaboration_hooks): invoked once per simulator at the
-  /// end of initialize(), when the design is fully elaborated and every
-  /// process has executed its initialization run.  Install before
-  /// elaborating any design and never from a worker thread; a throwing
-  /// hook propagates out of initialize()/run_until.
-  using ElaborationHook = std::function<void(Simulator&)>;
-  static void set_elaboration_hook(ElaborationHook hook);
-
   // --- signal access ----------------------------------------------------
   /// Inline fast path: every read_bool()/read() in module code lands here,
   /// so the common (no read-tracking) case must be two loads.

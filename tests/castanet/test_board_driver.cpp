@@ -119,7 +119,6 @@ TEST_F(BoardDriverTest, EmptyCellListIsNoop) {
   BoardCellStream stream(board, {1024, board::kMaxBoardClockHz});
   const auto result = stream.run(*dut.adapter, {});
   EXPECT_EQ(result.test_cycles, 0u);
-  EXPECT_EQ(result.responses.size(), 0u);
 }
 
 TEST_F(BoardDriverTest, TestCycleShorterThanCellRejected) {

@@ -2,70 +2,12 @@
 
 #include <gtest/gtest.h>
 
-#include "src/core/error.hpp"
-
 #include "tests/hw/hw_fixture.hpp"
 
 namespace castanet::cosim {
 namespace {
 
 using hw::testing::ClockedTest;
-
-atm::Cell mk_cell(std::uint16_t vci) {
-  atm::Cell c;
-  c.header.vpi = 4;
-  c.header.vci = vci;
-  for (std::size_t i = 0; i < atm::kPayloadBytes; ++i) {
-    c.payload[i] = static_cast<std::uint8_t>(vci + i);
-  }
-  return c;
-}
-
-class LaneParamTest : public ClockedTest,
-                      public ::testing::WithParamInterface<std::size_t> {};
-
-TEST_P(LaneParamTest, RoundTripAtEveryWidth) {
-  // Fig. 4 generalized: the same cell over 8/16/32-bit lanes.
-  const std::size_t lane_bytes = GetParam();
-  rtl::Bus data(&sim, sim.create_signal("data", 8 * lane_bytes));
-  rtl::Signal sync(&sim, sim.create_signal("sync", 1));
-  rtl::Signal valid(&sim, sim.create_signal("valid", 1));
-  WideLaneDriver drv(sim, "drv", clk, data, sync, valid, lane_bytes);
-  WideLaneMonitor mon(sim, "mon", clk, data, sync, valid, lane_bytes);
-
-  for (std::uint16_t i = 0; i < 4; ++i) drv.enqueue(mk_cell(100 + i));
-  run_cycles(4 * drv.clocks_per_cell() + 8);
-  ASSERT_EQ(mon.cells().size(), 4u);
-  for (std::uint16_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(mon.cells()[i], mk_cell(100 + i));
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(LaneWidths, LaneParamTest,
-                         ::testing::Values(1, 2, 4));
-
-TEST_F(ClockedTest, ClocksPerCellMatchesWidth) {
-  rtl::Bus d8(&sim, sim.create_signal("d8", 8));
-  rtl::Bus d16(&sim, sim.create_signal("d16", 16));
-  rtl::Bus d32(&sim, sim.create_signal("d32", 32));
-  rtl::Signal s(&sim, sim.create_signal("s", 1));
-  rtl::Signal v(&sim, sim.create_signal("v", 1));
-  EXPECT_EQ(WideLaneDriver(sim, "a", clk, d8, s, v, 1).clocks_per_cell(), 53u);
-  EXPECT_EQ(WideLaneDriver(sim, "b", clk, d16, s, v, 2).clocks_per_cell(),
-            27u);
-  EXPECT_EQ(WideLaneDriver(sim, "c", clk, d32, s, v, 4).clocks_per_cell(),
-            14u);
-}
-
-TEST_F(ClockedTest, LaneWidthMismatchRejected) {
-  rtl::Bus d8(&sim, sim.create_signal("d8", 8));
-  rtl::Signal s(&sim, sim.create_signal("s", 1));
-  rtl::Signal v(&sim, sim.create_signal("v", 1));
-  EXPECT_THROW(WideLaneDriver(sim, "bad", clk, d8, s, v, 2),
-               castanet::LogicError);
-  EXPECT_THROW(WideLaneDriver(sim, "bad2", clk, d8, s, v, 3),
-               castanet::LogicError);
-}
 
 // --- BusMaster against a simple register-file slave --------------------------
 

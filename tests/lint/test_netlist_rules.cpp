@@ -100,20 +100,17 @@ TEST(NetlistRules, WidthMismatchOnDeclaredBinding) {
 }
 
 TEST(NetlistRules, CellPortMonitorOnNarrowBusCaughtStatically) {
-  // A CellPortMonitor only reads its port, so a mis-sized data bus never
-  // throws at runtime — the static width check is the only net.
+  // A CellPortMonitor takes its lane width from the data bus, so a 4-bit
+  // bus, which is not 8, 16 or 32 bits wide, is rejected when the monitor
+  // is built, before any clock runs.  WidthMismatchOnDeclaredBinding keeps
+  // NET-WIDTH-MISMATCH covered.
   rtl::Simulator sim;
   rtl::Signal clk(&sim, sim.create_signal("clk", 1, rtl::Logic::L0));
   hw::CellPort port;
   port.data = rtl::Bus(&sim, sim.create_signal("p.data", 4));
   port.sync = rtl::Signal(&sim, sim.create_signal("p.sync", 1));
   port.valid = rtl::Signal(&sim, sim.create_signal("p.valid", 1));
-  hw::CellPortMonitor mon(sim, "mon", clk, port);
-  const Report r = analyze(sim, NetlistDepth::kElaboration);
-  ASSERT_TRUE(r.has("NET-WIDTH-MISMATCH"));
-  EXPECT_NE(r.by_rule("NET-WIDTH-MISMATCH").front()->location.find(
-                "mon.data"),
-            std::string::npos);
+  EXPECT_THROW(hw::CellPortMonitor(sim, "mon", clk, port), LogicError);
 }
 
 TEST(NetlistRules, UndrivenUninitializedInputIsAnError) {
@@ -156,22 +153,27 @@ TEST(NetlistRules, ExternallyDrivenInputIsNotUndriven) {
   EXPECT_FALSE(r.has("NET-UNDRIVEN-CONST"));
 }
 
-// --- elaboration hooks ------------------------------------------------------
+// --- strict session analysis ------------------------------------------------
 
-class HooksTest : public ::testing::Test {
- protected:
-  void TearDown() override { clear_elaboration_hooks(); }
-};
-
-TEST_F(HooksTest, StrictHookAbortsElaborationOnContention) {
-  HookConfig cfg;
-  cfg.strict = true;
-  install_elaboration_hooks(cfg);
+TEST(NetlistRules, StrictSessionAnalysisThrowsOnContention) {
+  // The elaboration gate a test bench runs after attaching its backends and
+  // before run_until: a strict analyze_session throws on the contended bus
+  // of an RTL backend.
   rtl::Simulator sim;
   const auto s = sim.create_signal("bus", 1, rtl::Logic::Z);
   sim.add_process("a", {}, [&] { sim.schedule_write(s, rtl::Logic::L0); });
   sim.add_process("b", {}, [&] { sim.schedule_write(s, rtl::Logic::L1); });
-  EXPECT_THROW(sim.initialize(), LintError);
+  netsim::Simulation net;
+  cosim::VerificationSession session(net, net.add_node("env"), 1, {});
+  cosim::RtlBackend rtl("rtl", sim, {cosim::SyncPolicy::kGlobalOrder, kClk});
+  rtl.entity().register_input(0, 1, [](const cosim::TimedMessage&) {});
+  session.attach(rtl);
+  const Report r = analyze_session(session);
+  ASSERT_TRUE(r.has("NET-CONTENTION"));
+  EXPECT_EQ(r.errors(), r.by_rule("NET-CONTENTION").size());
+  Options opts;
+  opts.strict = true;
+  EXPECT_THROW(analyze_session(session, opts), LintError);
 }
 
 // --- per-signal rule suppressions -------------------------------------------
@@ -236,24 +238,6 @@ TEST(NetlistRules, SuppressionsForwardedThroughSessionOptions) {
   EXPECT_EQ(merged.suppressed(), 2u);
   EXPECT_NE(merged.to_text().find("2 suppressed"), std::string::npos);
   EXPECT_NE(merged.to_json().find("\"suppressed\": 2"), std::string::npos);
-}
-
-TEST_F(HooksTest, SinkSeesCleanReportWithoutThrowing) {
-  std::size_t reports_seen = 0;
-  std::size_t errors_seen = 0;
-  HookConfig cfg;
-  cfg.sink = [&](const Report& r) {
-    ++reports_seen;
-    errors_seen += r.errors();
-  };
-  install_elaboration_hooks(cfg);
-  rtl::Simulator sim;
-  const auto a = sim.create_signal("a", 1, rtl::Logic::L0);
-  const auto b = sim.create_signal("b", 1, rtl::Logic::L0);
-  sim.add_process("buf", {a}, [&] { sim.schedule_write(b, sim.value(a)); });
-  sim.initialize();
-  EXPECT_EQ(reports_seen, 1u);
-  EXPECT_EQ(errors_seen, 0u);
 }
 
 }  // namespace
