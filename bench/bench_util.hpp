@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/core/json.hpp"
 #include "src/core/telemetry.hpp"
 
 namespace castanet::bench {
@@ -34,7 +35,7 @@ inline void rule(char c = '-') {
 
 /// Machine-readable results alongside the human tables.  Every bench binary
 /// accepts `--json <path>`; when present, the report writes one JSON object
-/// per run:
+/// per run through core/json:
 ///
 ///   {"bench": "e1_cosim_speed",
 ///    "rows": [{"config": "...", "metrics": {"wall_seconds": 1.5, ...}}]}
@@ -55,15 +56,11 @@ class JsonReport {
 
   /// Starts a result row; subsequent metric() calls attach to it.
   void begin_row(std::string config) {
-    rows_.push_back(RowData{std::move(config), {}});
+    rows_.push_back(Row{std::move(config), json::Value{json::Object{}}});
   }
-  void metric(const char* key, double v) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.9g", v);
-    add(key, buf);
-  }
+  void metric(const char* key, double v) { add(key, v); }
   void metric(const char* key, std::uint64_t v) {
-    add(key, std::to_string(v));
+    add(key, static_cast<std::int64_t>(v));
   }
 
   /// Idempotent; also called by the destructor.
@@ -74,77 +71,70 @@ class JsonReport {
       std::fprintf(stderr, "JsonReport: cannot open %s\n", path_.c_str());
       return;
     }
-    std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"rows\": [",
-                 escape(bench_).c_str());
-    for (std::size_t r = 0; r < rows_.size(); ++r) {
-      std::fprintf(f, "%s\n    {\"config\": \"%s\", \"metrics\": {",
-                   r ? "," : "", escape(rows_[r].config).c_str());
-      for (std::size_t k = 0; k < rows_[r].kv.size(); ++k) {
-        std::fprintf(f, "%s\"%s\": %s", k ? ", " : "",
-                     escape(rows_[r].kv[k].first).c_str(),
-                     rows_[r].kv[k].second.c_str());
-      }
-      std::fprintf(f, "}}");
+    json::Value rows{json::Array{}};
+    for (const Row& r : rows_) {
+      json::Value row{json::Object{}};
+      row.set("config", r.config);
+      row.set("metrics", r.metrics);
+      rows.push_back(std::move(row));
     }
-    std::fprintf(f, "\n  ]\n}\n");
+    json::Value doc{json::Object{}};
+    doc.set("bench", bench_);
+    doc.set("rows", std::move(rows));
+    const std::string text = doc.dump(2) + "\n";
+    std::fwrite(text.data(), 1, text.size(), f);
     std::fclose(f);
     written_ = true;
   }
 
  private:
-  struct RowData {
+  struct Row {
     std::string config;
-    std::vector<std::pair<std::string, std::string>> kv;
+    json::Value metrics;  ///< object, keys in insertion order
   };
 
-  void add(const char* key, std::string rendered) {
+  void add(const char* key, json::Value v) {
     if (rows_.empty()) begin_row("default");
-    rows_.back().kv.emplace_back(key, std::move(rendered));
-  }
-
-  static std::string escape(const std::string& s) {
-    std::string out;
-    for (char c : s) {
-      if (c == '"' || c == '\\') out.push_back('\\');
-      out.push_back(c);
-    }
-    return out;
+    rows_.back().metrics.set(key, std::move(v));
   }
 
   std::string bench_;
   std::string path_;
-  std::vector<RowData> rows_;
+  std::vector<Row> rows_;
   bool written_ = false;
 };
 
-/// Opt-in telemetry for benches: `--trace <path>` enables the hub and writes
-/// a Chrome trace at destruction, `--trace-out <path>` streams the trace
-/// ring to disk as it fills (no drop-oldest; use for runs longer than the
-/// ring), `--metrics <path>` writes the flat metrics snapshot (JSON).
-/// Without any flag the hub stays disabled, so the default bench numbers
-/// measure the enabled()-check fast path only.
+/// Opt-in telemetry for benches: `--trace <path>` enables the hub and
+/// streams a Chrome trace to the file as the run goes, `--metrics <path>`
+/// writes the flat metrics snapshot (JSON) at destruction.  Without either
+/// flag the hub stays disabled, so the default bench numbers measure the
+/// enabled()-check fast path only.
 class TelemetryCli {
  public:
   TelemetryCli(int argc, char** argv) {
     for (int i = 1; i + 1 < argc; ++i) {
       if (std::string(argv[i]) == "--trace") trace_path_ = argv[i + 1];
-      if (std::string(argv[i]) == "--trace-out") stream_path_ = argv[i + 1];
       if (std::string(argv[i]) == "--metrics") metrics_path_ = argv[i + 1];
     }
     if (active()) telemetry::Hub::instance().enable();
-    if (!stream_path_.empty() &&
-        !telemetry::Hub::instance().stream_trace_to(stream_path_)) {
-      std::fprintf(stderr, "TelemetryCli: cannot open %s\n",
-                   stream_path_.c_str());
-    }
+    // A file that cannot be opened is reported at destruction, when
+    // stop_trace_stream() finds no file attached.
+    if (!trace_path_.empty())
+      telemetry::Hub::instance().stream_trace_to(trace_path_);
   }
   ~TelemetryCli() {
     if (!active()) return;
     auto& hub = telemetry::Hub::instance();
-    if (!stream_path_.empty()) hub.stop_trace_stream();
-    if (!trace_path_.empty() && !hub.write_chrome_trace(trace_path_))
-      std::fprintf(stderr, "TelemetryCli: cannot write %s\n",
-                   trace_path_.c_str());
+    if (!trace_path_.empty()) {
+      if (hub.stop_trace_stream()) {
+        std::printf(
+            "chrome trace written: %s (%llu events)\n", trace_path_.c_str(),
+            static_cast<unsigned long long>(hub.trace_events_streamed()));
+      } else {
+        std::fprintf(stderr, "TelemetryCli: cannot write %s\n",
+                     trace_path_.c_str());
+      }
+    }
     if (!metrics_path_.empty()) {
       if (std::FILE* f = std::fopen(metrics_path_.c_str(), "w")) {
         const std::string json = hub.snapshot().to_json();
@@ -158,13 +148,11 @@ class TelemetryCli {
     hub.disable();
   }
   bool active() const {
-    return !trace_path_.empty() || !stream_path_.empty() ||
-           !metrics_path_.empty();
+    return !trace_path_.empty() || !metrics_path_.empty();
   }
 
  private:
   std::string trace_path_;
-  std::string stream_path_;
   std::string metrics_path_;
 };
 

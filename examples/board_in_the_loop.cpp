@@ -18,9 +18,9 @@
 //     the rig is clean.
 //
 // Build & run:  ./build/examples/board_in_the_loop [--trace PATH]
-// --trace enables the telemetry hub across all three rigs and writes one
-// Chrome trace_event JSON; an instant marker on the main row separates the
-// rigs in the timeline.
+// --trace enables the telemetry hub across all three rigs and streams one
+// Chrome trace_event JSON to PATH; an instant marker on the main row
+// separates the rigs in the timeline.
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -93,7 +93,14 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc)
       trace_path = argv[++i];
   }
-  if (!trace_path.empty()) telemetry::Hub::instance().enable();
+  if (!trace_path.empty()) {
+    telemetry::Hub::instance().enable();
+    if (!telemetry::Hub::instance().stream_trace_to(trace_path)) {
+      std::fprintf(stderr, "error: cannot write trace to %s\n",
+                   trace_path.c_str());
+      return 1;
+    }
+  }
   const auto mark_rig = [&](double index) {
     if (telemetry::enabled())
       telemetry::instant("rig start", telemetry::kMainTrack,
@@ -128,16 +135,14 @@ int main(int argc, char** argv) {
   std::printf("overall: %s\n", ok ? "PASS" : "FAIL");
   if (!trace_path.empty()) {
     auto& hub = telemetry::Hub::instance();
-    if (hub.write_chrome_trace(trace_path)) {
-      std::printf("chrome trace written: %s (%llu events, %llu dropped)\n",
-                  trace_path.c_str(),
-                  static_cast<unsigned long long>(hub.trace_events_recorded()),
-                  static_cast<unsigned long long>(hub.trace_events_dropped()));
-    } else {
+    if (!hub.stop_trace_stream()) {
       std::fprintf(stderr, "error: cannot write trace to %s\n",
                    trace_path.c_str());
       return 1;
     }
+    std::printf("chrome trace written: %s (%llu events)\n",
+                trace_path.c_str(),
+                static_cast<unsigned long long>(hub.trace_events_streamed()));
   }
   return ok ? 0 : 1;
 }

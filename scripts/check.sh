@@ -15,7 +15,8 @@
 #
 # The default run also validates the metrics JSON schema (switch_coverify
 # --metrics writes a snapshot, castanet_report --validate round-trips it)
-# and parses a switch_coverify --trace file with castanet_report.
+# and parses the --trace files of switch_coverify and bench_e1 with
+# castanet_report.
 #
 # Flags combine; --asan and --ubsan together use one address,undefined tree.
 #
@@ -78,6 +79,27 @@ if command -v python3 >/dev/null 2>&1; then
   python3 -c "import json,sys; json.load(open(sys.argv[1]))" "$TRACE_OUT"
 fi
 echo "trace OK: $TRACE_OUT"
+
+echo "== bench telemetry smoke (bench_e1 --trace --metrics)"
+# Every bench_e* streams its trace through bench::TelemetryCli; the file
+# must parse and hold at least one event besides the track metadata.
+# castanet_report prints its span table on stderr only when the trace has
+# complete events.
+BENCH_TRACE="$BUILD/e1_trace.json"
+BENCH_METRICS="$BUILD/e1_metrics.json"
+CASTANET_E1_CELLS=200 "$BUILD/bench/bench_e1_cosim_speed" \
+  --trace "$BENCH_TRACE" --metrics "$BENCH_METRICS" >/dev/null
+"$BUILD/tools/castanet_report" "$BENCH_METRICS" --trace "$BENCH_TRACE" \
+  >/dev/null 2>"$BUILD/e1_report.txt"
+grep -q "^top spans by total duration" "$BUILD/e1_report.txt" || {
+  echo "check.sh: bench trace holds no events" >&2; exit 1; }
+if command -v python3 >/dev/null 2>&1; then
+  python3 -c "import json,sys
+events = json.load(open(sys.argv[1]))['traceEvents']
+assert any(e['ph'] != 'M' for e in events), 'no events besides metadata'" \
+    "$BENCH_TRACE"
+fi
+echo "bench trace OK: $BENCH_TRACE"
 
 echo "== lint schema (castanet_lint --json, --validate round-trip)"
 # Same contract as the metrics schema gate above, for the lint report

@@ -286,8 +286,7 @@ SessionResult decode_result(const std::vector<std::uint8_t>& bytes) {
 }
 
 /// Rewrites the spec's per-session output paths (trace_out, metrics_out) so
-/// concurrent sessions never share a file (the satellite fix for
-/// --trace-out collisions, extended to the metrics exports).
+/// concurrent sessions never share a file.
 SessionSpec retag_traces(const SessionSpec& spec, int worker) {
   SessionSpec out = spec;
   for (const char* key : {"trace_out", "metrics_out"}) {

@@ -105,8 +105,7 @@ FarmReport run_farm(const std::vector<SessionSpec>& specs,
                     const SessionRunner& runner, const FarmParams& params);
 
 // ---------------------------------------------------------------------------
-// Generic fork()-based work pool (the farm's engine; also used to
-// parallelize RegressionSuite::cross_run).  Workers start through
+// Generic fork()-based work pool (the farm's engine).  Workers start through
 // transport::fork_child; the parent dispatches item indices, each worker
 // calls `run` and ships the returned bytes back.
 

@@ -1,10 +1,9 @@
 #include "src/castanet/regression.hpp"
 
+#include <cctype>
 #include <fstream>
 #include <sstream>
 
-#include "src/castanet/farm.hpp"
-#include "src/castanet/wire.hpp"
 #include "src/core/error.hpp"
 
 namespace castanet::cosim {
@@ -59,86 +58,6 @@ std::vector<CaseReport> RegressionSuite::run(
   return reports;
 }
 
-namespace {
-
-/// One case against every binding — the unit the farm shards.
-std::vector<CaseReport> cross_run_case(
-    const RegressionCase& c,
-    const std::vector<RegressionSuite::NamedBinding>& bindings) {
-  std::vector<CaseReport> reports;
-  CaseResult primary;
-  std::string primary_error;
-  try {
-    primary = bindings.front().run(c);
-  } catch (const Error& e) {
-    primary_error = std::string("primary binding '") + bindings.front().name +
-                    "' threw: " + e.what();
-  }
-  for (std::size_t b = 1; b < bindings.size(); ++b) {
-    CaseReport report;
-    report.name = c.name + ":" + bindings[b].name;
-    if (!primary_error.empty()) {
-      report.mismatches = 1;
-      report.detail = primary_error;
-      reports.push_back(std::move(report));
-      continue;
-    }
-    CaseResult result;
-    try {
-      result = bindings[b].run(c);
-    } catch (const Error& e) {
-      report.mismatches = 1;
-      report.detail = std::string("device binding threw: ") + e.what();
-      reports.push_back(std::move(report));
-      continue;
-    }
-    ResponseComparator cmp;
-    for (const atm::Cell& cell : primary.output) cmp.expect(cell);
-    for (const atm::Cell& cell : result.output) cmp.actual(cell);
-    std::uint64_t id = 0;
-    for (const auto& [name, want] : primary.counters) {
-      auto it = result.counters.find(name);
-      cmp.compare_value(id++, want,
-                        it == result.counters.end() ? ~std::uint64_t{0}
-                                                    : it->second,
-                        name);
-    }
-    cmp.finish();
-    report.passed = cmp.clean();
-    report.mismatches = cmp.mismatches().size();
-    if (!report.passed) report.detail = cmp.report();
-    reports.push_back(std::move(report));
-  }
-  return reports;
-}
-
-std::vector<std::uint8_t> encode_reports(
-    const std::vector<CaseReport>& reports) {
-  wire::Writer w;
-  w.u32(static_cast<std::uint32_t>(reports.size()));
-  for (const CaseReport& r : reports) {
-    w.str(r.name);
-    w.u8(r.passed ? 1 : 0);
-    w.u64(r.mismatches);
-    w.str(r.detail);
-  }
-  return w.take();
-}
-
-std::vector<CaseReport> decode_reports(const std::vector<std::uint8_t>& bytes) {
-  wire::Reader rd(bytes);
-  std::vector<CaseReport> reports(rd.u32());
-  for (CaseReport& r : reports) {
-    r.name = rd.str();
-    r.passed = rd.u8() != 0;
-    r.mismatches = static_cast<std::size_t>(rd.u64());
-    r.detail = rd.str();
-  }
-  return reports;
-}
-
-}  // namespace
-
 std::vector<CaseReport> RegressionSuite::cross_run(
     const std::vector<NamedBinding>& bindings) const {
   require(bindings.size() >= 2,
@@ -146,44 +65,49 @@ std::vector<CaseReport> RegressionSuite::cross_run(
           "other binding");
   std::vector<CaseReport> reports;
   for (const RegressionCase& c : cases_) {
-    std::vector<CaseReport> case_reports = cross_run_case(c, bindings);
-    reports.insert(reports.end(),
-                   std::make_move_iterator(case_reports.begin()),
-                   std::make_move_iterator(case_reports.end()));
-  }
-  return reports;
-}
-
-std::vector<CaseReport> RegressionSuite::cross_run(
-    const std::vector<NamedBinding>& bindings, int jobs) const {
-  if (jobs <= 1 || cases_.size() <= 1) return cross_run(bindings);
-  require(bindings.size() >= 2,
-          "RegressionSuite::cross_run: need a primary and at least one "
-          "other binding");
-  std::vector<std::vector<CaseReport>> per_case(cases_.size());
-  farm::fork_map(
-      cases_.size(), jobs,
-      [&](std::size_t item, int) {
-        return encode_reports(cross_run_case(cases_[item], bindings));
-      },
-      [&](std::size_t item, const std::vector<std::uint8_t>& bytes) {
-        per_case[item] = decode_reports(bytes);
-      },
-      [&](std::size_t item, const std::string& detail) {
-        // Synthesize the same report shape the serial path would produce.
-        for (std::size_t b = 1; b < bindings.size(); ++b) {
-          CaseReport r;
-          r.name = cases_[item].name + ":" + bindings[b].name;
-          r.mismatches = 1;
-          r.detail = detail;
-          per_case[item].push_back(std::move(r));
-        }
-      });
-  std::vector<CaseReport> reports;
-  for (std::vector<CaseReport>& case_reports : per_case) {
-    reports.insert(reports.end(),
-                   std::make_move_iterator(case_reports.begin()),
-                   std::make_move_iterator(case_reports.end()));
+    CaseResult primary;
+    std::string primary_error;
+    try {
+      primary = bindings.front().run(c);
+    } catch (const Error& e) {
+      primary_error = std::string("primary binding '") +
+                      bindings.front().name + "' threw: " + e.what();
+    }
+    for (std::size_t b = 1; b < bindings.size(); ++b) {
+      CaseReport report;
+      report.name = c.name + ":" + bindings[b].name;
+      if (!primary_error.empty()) {
+        report.mismatches = 1;
+        report.detail = primary_error;
+        reports.push_back(std::move(report));
+        continue;
+      }
+      CaseResult result;
+      try {
+        result = bindings[b].run(c);
+      } catch (const Error& e) {
+        report.mismatches = 1;
+        report.detail = std::string("device binding threw: ") + e.what();
+        reports.push_back(std::move(report));
+        continue;
+      }
+      ResponseComparator cmp;
+      for (const atm::Cell& cell : primary.output) cmp.expect(cell);
+      for (const atm::Cell& cell : result.output) cmp.actual(cell);
+      std::uint64_t id = 0;
+      for (const auto& [name, want] : primary.counters) {
+        auto it = result.counters.find(name);
+        cmp.compare_value(id++, want,
+                          it == result.counters.end() ? ~std::uint64_t{0}
+                                                      : it->second,
+                          name);
+      }
+      cmp.finish();
+      report.passed = cmp.clean();
+      report.mismatches = cmp.mismatches().size();
+      if (!report.passed) report.detail = cmp.report();
+      reports.push_back(std::move(report));
+    }
   }
   return reports;
 }

@@ -79,15 +79,6 @@ class RegressionSuite {
   std::vector<CaseReport> cross_run(
       const std::vector<NamedBinding>& bindings) const;
 
-  /// Parallel cross_run: cases are independent (each binding rebuilds its
-  /// simulators from reset), so they shard across `jobs` forked worker
-  /// processes (farm::fork_map) — a whole case, all bindings, per work
-  /// unit.  Report order and content match the serial overload; `jobs` <= 1
-  /// falls back to it.  A worker death fails only its in-flight case.
-  /// Call from a single-threaded process (fork safety).
-  std::vector<CaseReport> cross_run(const std::vector<NamedBinding>& bindings,
-                                    int jobs) const;
-
   static bool all_passed(const std::vector<CaseReport>& reports);
   static std::string summary(const std::vector<CaseReport>& reports);
 

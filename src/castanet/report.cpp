@@ -26,8 +26,8 @@ bool same_double(double a, double b) {
 
 std::vector<FlowRow> RunReport::flow_table() const {
   // Flow rows are published as flow.<key>.latency_seconds (histogram) plus
-  // flow.<key>.cells_in/cells_out/drops counters; the histogram row anchors
-  // the table and the counters are looked up by name.
+  // flow.<key>.cells_in/cells_out counters; the histogram row anchors the
+  // table and the counters are looked up by name.
   std::vector<FlowRow> out;
   constexpr const char* kPrefix = "flow.";
   constexpr const char* kSuffix = ".latency_seconds";
@@ -45,7 +45,6 @@ std::vector<FlowRow> RunReport::flow_table() const {
     const std::string base = std::string(kPrefix) + row.flow + ".";
     row.cells_in = row_count(merged, base + "cells_in");
     row.cells_out = row_count(merged, base + "cells_out");
-    row.drops = row_count(merged, base + "drops");
     row.samples = r.hist.count();
     if (row.samples > 0) {
       row.p50 = r.hist.quantile(0.50);
@@ -72,8 +71,6 @@ json::Value RunReport::to_json() const {
     row.set("divergences",
             static_cast<std::int64_t>(
                 row_count(s.snapshot, "session.divergences")));
-    row.set("trace_events",
-            static_cast<std::int64_t>(s.snapshot.trace_events));
     shard_rows.push_back(std::move(row));
   }
   doc.set("shards", std::move(shard_rows));
@@ -84,7 +81,6 @@ json::Value RunReport::to_json() const {
     row.set("flow", f.flow);
     row.set("cells_in", static_cast<std::int64_t>(f.cells_in));
     row.set("cells_out", static_cast<std::int64_t>(f.cells_out));
-    row.set("drops", static_cast<std::int64_t>(f.drops));
     row.set("samples", static_cast<std::int64_t>(f.samples));
     row.set("p50", f.p50);
     row.set("p90", f.p90);
@@ -125,19 +121,18 @@ std::string RunReport::to_table() const {
   const std::vector<FlowRow> flows = flow_table();
   if (!flows.empty()) {
     out += "\nper-flow cell latency (seconds)\n";
-    std::snprintf(line, sizeof line, "%-16s %8s %8s %6s %11s %11s %11s %11s\n",
-                  "flow", "in", "out", "drops", "p50", "p90", "p99", "p99.9");
+    std::snprintf(line, sizeof line, "%-16s %8s %8s %11s %11s %11s %11s\n",
+                  "flow", "in", "out", "p50", "p90", "p99", "p99.9");
     out += line;
-    out.append(88, '-');
+    out.append(81, '-');
     out += "\n";
     for (const FlowRow& f : flows) {
       std::snprintf(line, sizeof line,
-                    "%-16s %8llu %8llu %6llu %11.3g %11.3g %11.3g %11.3g\n",
+                    "%-16s %8llu %8llu %11.3g %11.3g %11.3g %11.3g\n",
                     f.flow.c_str(),
                     static_cast<unsigned long long>(f.cells_in),
-                    static_cast<unsigned long long>(f.cells_out),
-                    static_cast<unsigned long long>(f.drops), f.p50, f.p90,
-                    f.p99, f.p999);
+                    static_cast<unsigned long long>(f.cells_out), f.p50,
+                    f.p90, f.p99, f.p999);
       out += line;
     }
   }
@@ -265,10 +260,6 @@ std::string validate_metrics_json(const std::string& text) {
                "\"";
       }
     }
-  }
-  if (first.trace_events != second.trace_events ||
-      first.trace_dropped != second.trace_dropped) {
-    return "round-trip changed the trace totals";
   }
   return "";
 }

@@ -32,7 +32,6 @@ struct FlowRow {
   std::string flow;  ///< "vpi/vci@stream"
   std::uint64_t cells_in = 0;
   std::uint64_t cells_out = 0;
-  std::uint64_t drops = 0;
   std::uint64_t samples = 0;  ///< latency histogram count
   double p50 = 0.0, p90 = 0.0, p99 = 0.0, p999 = 0.0;
 };

@@ -15,7 +15,7 @@ namespace {
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
 /// Opens a Chrome trace document; rows follow one per line, then
-/// Hub::trace_tail closes it.
+/// Hub::finalize_stream closes it.
 constexpr const char* kTraceHeader = "{\"traceEvents\": [\n";
 
 /// Appends one row to a Chrome trace document, comma-separated.
@@ -25,9 +25,8 @@ void append_row(std::string& out, bool& first, const json::Value& row) {
   out += row.dump();
 }
 
-/// One Chrome trace_event row for `e` (shared by the in-memory exporter and
-/// the stream flusher).  `track_count` clamps unknown tracks onto the main
-/// row.
+/// One Chrome trace_event row for `e`.  `track_count` clamps unknown tracks
+/// onto the main row.
 json::Value trace_event_row(const TraceEvent& e, std::size_t track_count) {
   const bool complete = e.phase == TraceEvent::Phase::kComplete;
   const std::size_t tid = e.track < track_count ? e.track : 0;
@@ -98,10 +97,8 @@ Hub& Hub::instance() {
   return hub;
 }
 
-void Hub::enable(std::size_t ring_capacity) {
+void Hub::enable() {
   reset();
-  ring_capacity_ = ring_capacity == 0 ? 1 : ring_capacity;
-  ring_.reserve(std::min<std::size_t>(ring_capacity_, 4096));
   epoch_ = std::chrono::steady_clock::now();
   g_enabled = true;
 }
@@ -114,10 +111,6 @@ void Hub::reset() {
   published_.clear();
   if (stream_ != nullptr) finalize_stream();
   track_names_.clear();
-  ring_.clear();
-  ring_head_ = 0;
-  ring_full_ = false;
-  dropped_ = 0;
   streamed_ = 0;
 }
 
@@ -173,23 +166,9 @@ TrackId Hub::track(const std::string& name) {
 }
 
 void Hub::record(const TraceEvent& e) {
-  if (!on()) return;
-  if (ring_.size() < ring_capacity_ && !ring_full_) {
-    ring_.push_back(e);
-    if (ring_.size() == ring_capacity_) ring_full_ = true;
-    return;
-  }
-  if (stream_ != nullptr) {
-    // Streaming: a full ring spills to the file and keeps recording — long
-    // runs lose nothing.
-    flush_stream();
-    ring_.push_back(e);
-    return;
-  }
-  // Full: overwrite the oldest (head_ marks it), count the drop.
-  ring_[ring_head_] = e;
-  ring_head_ = (ring_head_ + 1) % ring_capacity_;
-  ++dropped_;
+  if (!on() || stream_ == nullptr) return;
+  buffer_.push_back(e);
+  if (buffer_.size() == kChunkEvents) flush_stream();
 }
 
 bool Hub::stream_trace_to(const std::string& path) {
@@ -197,15 +176,15 @@ bool Hub::stream_trace_to(const std::string& path) {
   stream_ = std::fopen(path.c_str(), "w");
   if (stream_ == nullptr) return false;
   stream_first_ = true;
+  stream_ok_ = std::fputs(kTraceHeader, stream_) >= 0;
   streamed_ = 0;
-  std::fputs(kTraceHeader, stream_);
   return true;
 }
 
 bool Hub::stop_trace_stream() {
   if (stream_ == nullptr) return false;
   finalize_stream();
-  return true;
+  return stream_ok_;
 }
 
 void Hub::flush_stream() {
@@ -213,60 +192,53 @@ void Hub::flush_stream() {
   // each flushed chunk is sorted by start time locally; chunks flush in
   // wall-clock order, so the file stays roughly sorted overall — Perfetto
   // re-sorts on load regardless.
-  std::stable_sort(ring_.begin(), ring_.end(),
+  std::stable_sort(buffer_.begin(), buffer_.end(),
                    [](const TraceEvent& a, const TraceEvent& b) {
                      return a.ts_us < b.ts_us;
                    });
   const std::size_t tracks =
       track_names_.empty() ? 1 : track_names_.size();
   std::string rows;
-  for (const TraceEvent& e : ring_)
+  for (const TraceEvent& e : buffer_)
     append_row(rows, stream_first_, trace_event_row(e, tracks));
-  std::fwrite(rows.data(), 1, rows.size(), stream_);
-  streamed_ += ring_.size();
-  ring_.clear();
-  ring_head_ = 0;
-  ring_full_ = false;
-  std::fflush(stream_);
+  if (std::fwrite(rows.data(), 1, rows.size(), stream_) != rows.size() ||
+      std::fflush(stream_) != 0) {
+    stream_ok_ = false;
+  }
+  streamed_ += buffer_.size();
+  buffer_.clear();
 }
 
 void Hub::finalize_stream() {
   flush_stream();
-  const std::string tail = trace_tail(stream_first_);
-  std::fwrite(tail.data(), 1, tail.size(), stream_);
-  std::fclose(stream_);
-  stream_ = nullptr;
-  stream_first_ = true;
-}
-
-std::string Hub::trace_tail(bool first) const {
   std::vector<std::string> tracks = track_names_;
   if (tracks.empty()) tracks.push_back("main");
-  std::string out;
+  std::string tail;
   json::Value process{json::Object{}};
   process.set("name", "castanet");
-  append_row(out, first, metadata_row("process_name", 0, std::move(process)));
+  append_row(tail, stream_first_,
+             metadata_row("process_name", 0, std::move(process)));
   for (std::size_t t = 0; t < tracks.size(); ++t) {
     json::Value name{json::Object{}};
     name.set("name", tracks[t]);
-    append_row(out, first, metadata_row("thread_name", t, std::move(name)));
+    append_row(tail, stream_first_,
+               metadata_row("thread_name", t, std::move(name)));
     // Force track order to registration order (backends in attach order).
     json::Value order{json::Object{}};
     order.set("sort_index", static_cast<std::int64_t>(t));
-    append_row(out, first,
+    append_row(tail, stream_first_,
                metadata_row("thread_sort_index", t, std::move(order)));
   }
   json::Value other{json::Object{}};
-  other.set("trace_dropped", static_cast<std::int64_t>(dropped_));
   other.set("trace_streamed", static_cast<std::int64_t>(streamed_));
-  out += "\n], \"displayTimeUnit\": \"ms\", \"otherData\": " + other.dump() +
-         "}\n";
-  return out;
+  tail += "\n], \"displayTimeUnit\": \"ms\", \"otherData\": " +
+          other.dump() + "}\n";
+  if (std::fwrite(tail.data(), 1, tail.size(), stream_) != tail.size())
+    stream_ok_ = false;
+  if (std::fclose(stream_) != 0) stream_ok_ = false;
+  stream_ = nullptr;
+  stream_first_ = true;
 }
-
-std::uint64_t Hub::trace_events_recorded() const { return ring_.size(); }
-
-std::uint64_t Hub::trace_events_dropped() const { return dropped_; }
 
 std::uint64_t Hub::trace_events_streamed() const { return streamed_; }
 
@@ -277,7 +249,7 @@ double Hub::now_us() const {
 }
 
 // ---------------------------------------------------------------------------
-// Exporters.
+// Metrics snapshot.
 
 MetricsSnapshot Hub::snapshot() const {
   MetricsSnapshot snap;
@@ -295,8 +267,6 @@ MetricsSnapshot Hub::snapshot() const {
             [](const MetricRow& a, const MetricRow& b) {
               return a.name < b.name;
             });
-  snap.trace_events = trace_events_recorded();
-  snap.trace_dropped = trace_events_dropped();
   return snap;
 }
 
@@ -339,8 +309,6 @@ json::Value MetricsSnapshot::to_json_value() const {
   }
   json::Value doc{json::Object{}};
   doc.set("metrics", json::Value{std::move(metrics)});
-  doc.set("trace_events", static_cast<std::int64_t>(trace_events));
-  doc.set("trace_dropped", static_cast<std::int64_t>(trace_dropped));
   return doc;
 }
 
@@ -395,9 +363,6 @@ MetricsSnapshot MetricsSnapshot::from_json(const json::Value& doc) {
             [](const MetricRow& a, const MetricRow& b) {
               return a.name < b.name;
             });
-  snap.trace_events = static_cast<std::uint64_t>(doc.int_or("trace_events", 0));
-  snap.trace_dropped =
-      static_cast<std::uint64_t>(doc.int_or("trace_dropped", 0));
   return snap;
 }
 
@@ -459,8 +424,6 @@ void MetricsSnapshot::merge_from(const MetricsSnapshot& other) {
     }
   }
   rows = std::move(merged);
-  trace_events += other.trace_events;
-  trace_dropped += other.trace_dropped;
 }
 
 const MetricRow* MetricsSnapshot::find(const std::string& name) const {
@@ -507,47 +470,7 @@ std::string MetricsSnapshot::to_table() const {
                   r.empty() ? "-" : cell(r.max).c_str(), value.c_str());
     out += line;
   }
-  if (trace_events || trace_dropped) {
-    std::snprintf(line, sizeof(line),
-                  "trace: %llu events buffered, %llu dropped (oldest)\n",
-                  static_cast<unsigned long long>(trace_events),
-                  static_cast<unsigned long long>(trace_dropped));
-    out += line;
-  }
   return out;
-}
-
-std::string Hub::chrome_trace_json() const {
-  std::vector<TraceEvent> events;
-  if (!ring_full_) {
-    events = ring_;
-  } else {
-    // Oldest-first: the ring wrapped, so head_ is the oldest entry.
-    events.reserve(ring_.size());
-    for (std::size_t i = 0; i < ring_.size(); ++i)
-      events.push_back(ring_[(ring_head_ + i) % ring_.size()]);
-  }
-  // Perfetto sorts complete events per track by ts; spans are recorded when
-  // they end, so the ring is only roughly ordered — sort for well-formed
-  // nesting.
-  std::stable_sort(events.begin(), events.end(),
-                   [](const TraceEvent& a, const TraceEvent& b) {
-                     return a.ts_us < b.ts_us;
-                   });
-  const std::size_t tracks = track_names_.empty() ? 1 : track_names_.size();
-  std::string out = kTraceHeader;
-  bool first = true;
-  for (const TraceEvent& e : events)
-    append_row(out, first, trace_event_row(e, tracks));
-  return out + trace_tail(first);
-}
-
-bool Hub::write_chrome_trace(const std::string& path) const {
-  const std::string json = chrome_trace_json();
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) return false;
-  const bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
-  return std::fclose(f) == 0 && ok;
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
-// Telemetry: counters, published statistics, span timers and a bounded
-// in-memory event-trace ring, shared by every layer of the co-verification
-// stack (sync protocol, session, both simulation kernels).
+// Telemetry: counters, published statistics, span timers and a Chrome
+// event trace streamed to a file, shared by every layer of the
+// co-verification stack (sync protocol, session, both simulation kernels).
 //
 // Design constraints, in order:
 //   1. Compiled-in but CHEAP when no sink is attached: every instrumentation
@@ -8,14 +8,15 @@
 //      bool — and does nothing else while the hub is disabled.  Benches run
 //      with the hub disabled and must not regress.
 //   2. Single-threaded: every process records on its one thread, so counters
-//      are plain fields and the trace ring a plain drop-oldest buffer.  A
-//      forked process (farm worker, backend host) records into its own copy
-//      of the hub; farm workers ship snapshots back to the parent, which
-//      merges them.
+//      are plain fields and the trace buffer a plain vector.  A forked
+//      process (farm worker, backend host) records into its own copy of the
+//      hub; farm workers ship snapshots back to the parent, which merges
+//      them.
 //   3. Two exporters, both rendered through core/json: a Chrome trace_event
 //      JSON file (one timeline row per backend, openable in chrome://tracing
-//      or Perfetto) and a flat metrics snapshot (JSON + human-readable
-//      table) that benches and examples emit alongside their --json output.
+//      or Perfetto) that keeps every recorded event, and a flat metrics
+//      snapshot (JSON + human-readable table) that benches and examples emit
+//      alongside their --json output.
 //
 // The Hub is the process's one metrics registry.  A snapshot row is one of
 // three kinds: counter, time_average and histogram.  Components either
@@ -23,9 +24,10 @@
 //   * keep their own statistics (ConservativeSync's lag histogram and queue
 //     depths, the kernel counters, the flow registry) and publish_* them
 //     into the snapshot at a quiescent point (end of run_until, finish()).
-// Trace events (spans, instants) are pushed into the ring as they happen.
-// A farm worker ships its snapshot to the parent as to_json() text, the
-// same document castanet_report reads and merges.
+// Trace events (spans, instants) are buffered as they happen and written to
+// the attached trace file in chunks; with no file attached they are not
+// kept.  A farm worker ships its snapshot to the parent as to_json() text,
+// the same document castanet_report reads and merges.
 #pragma once
 
 #include <array>
@@ -63,7 +65,7 @@ class Counter {
   std::uint64_t v_ = 0;
 };
 
-/// One entry of the trace ring.  `name` must be a static-lifetime string
+/// One trace event.  `name` must be a static-lifetime string
 /// (instrumentation sites use literals); numeric args only, so no ownership.
 struct TraceEvent {
   enum class Phase : std::uint8_t { kComplete, kInstant };
@@ -118,8 +120,6 @@ void merge_metric_row(MetricRow& into, const MetricRow& from);
 
 struct MetricsSnapshot {
   std::vector<MetricRow> rows;  ///< sorted by name
-  std::uint64_t trace_events = 0;
-  std::uint64_t trace_dropped = 0;
 
   /// to_json_value().dump(2).
   std::string to_json() const;
@@ -132,7 +132,7 @@ struct MetricsSnapshot {
   static MetricsSnapshot from_json(const json::Value& doc);
 
   /// Merges another shard's snapshot into this one, row-matched by name
-  /// (see merge_metric_row for per-kind semantics); trace totals sum.
+  /// (see merge_metric_row for per-kind semantics).
   /// Associative and commutative for counters and histograms.
   void merge_from(const MetricsSnapshot& other);
 
@@ -142,18 +142,17 @@ struct MetricsSnapshot {
 
 class Hub {
  public:
-  static constexpr std::size_t kDefaultRingCapacity = 1u << 16;
-
   static Hub& instance();
 
-  /// Attaches the sink: clears all previous state, arms the enabled flag and
-  /// (re)starts the wall-clock epoch.  Instrumentation everywhere begins to
-  /// record.  Idempotent w.r.t. capacity only when re-enabling.
-  void enable(std::size_t ring_capacity = kDefaultRingCapacity);
+  /// Attaches the sink: clears all previous state (finalizing an attached
+  /// trace file), arms the enabled flag and (re)starts the wall-clock
+  /// epoch.  Instrumentation everywhere begins to record.
+  void enable();
   /// Detaches the sink; instrumentation reverts to the single-flag-check
   /// fast path.  Recorded data stays readable until reset()/enable().
   void disable();
-  /// disable() plus discard of all metrics, tracks and trace events.
+  /// disable() plus discard of all metrics and tracks; an attached trace
+  /// file is finalized first.
   void reset();
 
   static bool on() { return g_enabled; }
@@ -171,65 +170,53 @@ class Hub {
   /// Registers (or looks up) a named timeline row.  Stable until reset().
   TrackId track(const std::string& name);
 
-  // --- trace ring ---------------------------------------------------------
-  /// Drop-oldest bounded ring; no-op while disabled.  While a trace stream
-  /// is attached (stream_trace_to), a full ring flushes to the stream file
-  /// instead of dropping its oldest entry.
+  // --- trace --------------------------------------------------------------
+  /// Buffers one event for the attached trace file; a no-op while disabled
+  /// or while no file is attached.  A full buffer is written to the file.
   void record(const TraceEvent& e);
-  std::uint64_t trace_events_recorded() const;
-  std::uint64_t trace_events_dropped() const;
-  /// Events flushed to the stream file so far (excludes whatever is still
-  /// buffered in the ring).
+  /// Events written to the trace file so far; after stop_trace_stream(),
+  /// every event recorded while it was attached.
   std::uint64_t trace_events_streamed() const;
   double now_us() const;  ///< wall time relative to the epoch
 
-  // --- trace streaming ----------------------------------------------------
-  /// Attaches a Chrome-trace stream file: the JSON header is written now and
-  /// from here on a full ring flushes its events to the file (periodic
-  /// flush) instead of overwriting the oldest — multi-minute runs keep every
-  /// event.  Returns false if the file cannot be opened.  The file is not
-  /// valid JSON until stop_trace_stream() writes the track metadata and
-  /// footer; reset()/enable() finalize an attached stream implicitly.
+  /// Attaches a Chrome trace_event file (open in chrome://tracing or
+  /// https://ui.perfetto.dev): the JSON header is written now, and from
+  /// here on every recorded event reaches the file, in chunks sorted by
+  /// start time.  Call after enable().  Returns false if the file cannot be
+  /// opened.  The file is not valid JSON until stop_trace_stream() writes
+  /// the track metadata and footer; reset()/enable() finalize an attached
+  /// file implicitly.
   bool stream_trace_to(const std::string& path);
-  /// Flushes the remaining ring, appends track metadata and the footer, and
-  /// closes the stream file.  Returns false when no stream is attached.
+  /// Writes the buffered events, the track metadata and the footer, and
+  /// closes the file.  Returns false when no file is attached or a write to
+  /// it failed.
   bool stop_trace_stream();
 
-  // --- exporters ----------------------------------------------------------
+  // --- metrics export -----------------------------------------------------
   MetricsSnapshot snapshot() const;
-  /// Chrome trace_event JSON ("traceEvents" array plus track-name metadata);
-  /// open in chrome://tracing or https://ui.perfetto.dev.  Returns false on
-  /// I/O failure.
-  bool write_chrome_trace(const std::string& path) const;
-  std::string chrome_trace_json() const;
 
  private:
   Hub() = default;
 
   static bool g_enabled;
+  /// Events buffered before a write to the trace file.
+  static constexpr std::size_t kChunkEvents = std::size_t{1} << 16;
 
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, MetricRow> published_;
 
-  /// Writes the ring's events (sorted by timestamp) to the stream file and
-  /// empties the ring.
+  /// Writes the buffered events (sorted by start time) to the trace file
+  /// and empties the buffer.
   void flush_stream();
-  /// flush + metadata + footer + close.
+  /// flush + process and track metadata + footer + close.
   void finalize_stream();
-  /// Everything after the last event row, shared by both Chrome exporters:
-  /// the process and track metadata rows, then the footer closing the
-  /// document.  `first` says no row has been written yet.
-  std::string trace_tail(bool first) const;
 
   std::vector<std::string> track_names_;  ///< index == TrackId; [0] = "main"
-  std::vector<TraceEvent> ring_;
-  std::size_t ring_capacity_ = kDefaultRingCapacity;
-  std::size_t ring_head_ = 0;  ///< next write position once full
-  bool ring_full_ = false;
-  std::uint64_t dropped_ = 0;
-  std::FILE* stream_ = nullptr;      ///< attached trace stream (or null)
+  std::vector<TraceEvent> buffer_;   ///< events not yet in the file
+  std::FILE* stream_ = nullptr;      ///< attached trace file (or null)
   bool stream_first_ = true;         ///< no event row written yet
-  std::uint64_t streamed_ = 0;       ///< events flushed to the stream
+  bool stream_ok_ = true;            ///< every write to the file succeeded
+  std::uint64_t streamed_ = 0;       ///< events written to the file
   std::chrono::steady_clock::time_point epoch_{};
 };
 

@@ -41,12 +41,6 @@ void FlowRegistry::note_out_slow(const FlowKey& key, SimTime now) {
   }
 }
 
-void FlowRegistry::note_drop_slow(const FlowKey& key) {
-  FlowStats& f = flows_[resolve(key)];
-  ++f.drops;
-  if (!f.pending.empty()) f.pending.pop_front();
-}
-
 const FlowStats* FlowRegistry::find(const FlowKey& key) const {
   const auto it = flows_.find(key);
   return it != flows_.end() ? &it->second : nullptr;
@@ -59,7 +53,6 @@ void FlowRegistry::publish(const std::string& prefix,
     const std::string base = prefix + "." + key.to_string();
     hub.publish_count(base + ".cells_in", f.cells_in);
     hub.publish_count(base + ".cells_out", f.cells_out);
-    hub.publish_count(base + ".drops", f.drops);
     hub.publish_histogram(base + ".latency_seconds", f.latency);
     hub.publish_time_avg(base + ".in_flight", f.in_flight, now_seconds);
   }

@@ -54,7 +54,6 @@ struct FlowKey {
 struct FlowStats {
   std::uint64_t cells_in = 0;
   std::uint64_t cells_out = 0;
-  std::uint64_t drops = 0;
   Log2Histogram latency;       ///< end-to-end cell latency, seconds
   TimeAverageStat in_flight;   ///< cells inside the DUT over time
   std::deque<SimTime> pending; ///< entry stamps of cells not yet out
@@ -75,10 +74,6 @@ class FlowRegistry {
     if (!telemetry::enabled()) return;
     note_out_slow(key, now);
   }
-  void note_drop(const FlowKey& key) {
-    if (!telemetry::enabled()) return;
-    note_drop_slow(key);
-  }
 
   /// Declares that cells observed leaving on `out` entered on `in` (header
   /// translation).  Installed by whoever knows the routing table.
@@ -89,9 +84,9 @@ class FlowRegistry {
   bool empty() const { return flows_.empty(); }
 
   /// Publishes one row set per flow into the Hub:
-  ///   flow.<key>.cells_in / cells_out / drops   counters
-  ///   flow.<key>.latency_seconds                histogram
-  ///   flow.<key>.in_flight                      time average
+  ///   flow.<key>.cells_in / cells_out   counters
+  ///   flow.<key>.latency_seconds        histogram
+  ///   flow.<key>.in_flight              time average
   void publish(const std::string& prefix, double now_seconds) const;
 
   void clear() { flows_.clear(); aliases_.clear(); }
@@ -99,7 +94,6 @@ class FlowRegistry {
  private:
   void note_in_slow(const FlowKey& key, SimTime now);
   void note_out_slow(const FlowKey& key, SimTime now);
-  void note_drop_slow(const FlowKey& key);
   FlowKey resolve(const FlowKey& key) const;
 
   std::map<FlowKey, FlowStats> flows_;

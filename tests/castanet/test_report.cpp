@@ -45,7 +45,6 @@ MetricsSnapshot flow_snapshot(std::uint64_t in, std::uint64_t out,
   MetricsSnapshot s;
   s.rows.push_back(counter("flow.1/100@0.cells_in", in));
   s.rows.push_back(counter("flow.1/100@0.cells_out", out));
-  s.rows.push_back(counter("flow.1/100@0.drops", 0));
   s.rows.push_back(latency_hist("flow.1/100@0.latency_seconds", lat));
   s.rows.push_back(counter("session.responses", out));
   return s;
@@ -59,7 +58,6 @@ TEST(RunReport, FlowTableExtractsQuantilesAndCompanionCounters) {
   EXPECT_EQ(flows[0].flow, "1/100@0");
   EXPECT_EQ(flows[0].cells_in, 10u);
   EXPECT_EQ(flows[0].cells_out, 9u);
-  EXPECT_EQ(flows[0].drops, 0u);
   EXPECT_EQ(flows[0].samples, 4u);
   EXPECT_GT(flows[0].p50, 0.0);
   EXPECT_GE(flows[0].p99, flows[0].p50);

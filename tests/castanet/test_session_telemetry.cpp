@@ -4,12 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "src/castanet/backend.hpp"
 #include "src/castanet/session.hpp"
+#include "src/core/json.hpp"
 #include "src/core/telemetry.hpp"
 #include "src/hw/cell_bits.hpp"
 #include "src/hw/cell_rx.hpp"
@@ -94,8 +98,19 @@ bool ends_with(const std::string& s, const std::string& suffix) {
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
+std::string read_and_remove(const std::string& path) {
+  std::ostringstream body;
+  body << std::ifstream(path).rdbuf();
+  std::remove(path.c_str());
+  return body.str();
+}
+
 TEST_F(SessionTelemetryTest, RunRecordsSpansAndMetrics) {
-  telemetry::Hub::instance().enable();
+  auto& hub = telemetry::Hub::instance();
+  const std::string path =
+      ::testing::TempDir() + "castanet_session_trace.json";
+  hub.enable();
+  ASSERT_TRUE(hub.stream_trace_to(path));
   TelemetryRig rig(20, SimTime::from_us(5));
   rig.session.run_until(SimTime::from_us(500));
   rig.session.comparator().finish();
@@ -103,10 +118,11 @@ TEST_F(SessionTelemetryTest, RunRecordsSpansAndMetrics) {
       << rig.session.comparator().report();
 
   // Grant spans, the kernel slices inside them, and the network kernel's
-  // slices all landed in the ring.
-  auto& hub = telemetry::Hub::instance();
-  EXPECT_GT(hub.trace_events_recorded(), 0u);
-  const std::string trace = hub.chrome_trace_json();
+  // slices all landed in the trace file, which parses.
+  ASSERT_TRUE(hub.stop_trace_stream());
+  EXPECT_GT(hub.trace_events_streamed(), 0u);
+  const std::string trace = read_and_remove(path);
+  EXPECT_NO_THROW(json::parse(trace));
   EXPECT_NE(trace.find("\"grant\""), std::string::npos);
   EXPECT_NE(trace.find("\"rtl.slice\""), std::string::npos);
   // Every kernel-slice argument survives into the trace.
@@ -188,12 +204,18 @@ TEST_F(SessionTelemetryTest, RunRecordsSpansAndMetrics) {
 }
 
 TEST_F(SessionTelemetryTest, DisabledHubRecordsNothing) {
+  // A trace file attached to a disabled hub stays empty.
+  auto& hub = telemetry::Hub::instance();
+  const std::string path =
+      ::testing::TempDir() + "castanet_session_disabled.json";
+  ASSERT_TRUE(hub.stream_trace_to(path));
   TelemetryRig rig(10, SimTime::from_us(5));
   rig.session.run_until(SimTime::from_us(250));
   rig.session.comparator().finish();
   EXPECT_TRUE(rig.session.comparator().clean());
-  auto& hub = telemetry::Hub::instance();
-  EXPECT_EQ(hub.trace_events_recorded(), 0u);
+  ASSERT_TRUE(hub.stop_trace_stream());
+  EXPECT_EQ(hub.trace_events_streamed(), 0u);
+  read_and_remove(path);
   EXPECT_TRUE(hub.snapshot().rows.empty());
   // The always-on component-local statistics still accumulate.
   const auto stats = rig.session.stats();

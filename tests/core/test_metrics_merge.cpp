@@ -145,7 +145,6 @@ MetricsSnapshot make_snapshot(std::uint64_t counter_val, double base) {
   s.rows.push_back(std::move(h));
   s.rows.push_back(
       make_row("c.value", Kind::kTimeAverage, 1, base, kNaN, base, base));
-  s.trace_events = 10;
   return s;
 }
 
@@ -163,7 +162,6 @@ TEST(MetricsSnapshot, MergeFromSumsAndUnions) {
   EXPECT_EQ(a.find("b.hist")->count, 4u);
   EXPECT_EQ(a.find("c.value")->count, 2u);
   EXPECT_EQ(a.find("c.value")->last, 8.0);  // b was merged last
-  EXPECT_EQ(a.trace_events, 20u);
   // Rows stay sorted by name (merge_from's invariant).
   for (std::size_t i = 1; i < a.rows.size(); ++i) {
     EXPECT_LT(a.rows[i - 1].name, a.rows[i].name);
@@ -201,7 +199,6 @@ TEST(MetricsSnapshot, JsonRoundTripIsStructurallyExact) {
   }
   EXPECT_EQ(back.find("c.value")->last, 0.25);
   EXPECT_TRUE(back.find("b.hist")->hist.identical(s.find("b.hist")->hist));
-  EXPECT_EQ(back.trace_events, s.trace_events);
 
   // And the string form parses back the same way.
   const MetricsSnapshot again =
@@ -214,19 +211,16 @@ TEST(MetricsSnapshot, EmptySnapshotJsonRoundTrips) {
   const MetricsSnapshot back =
       MetricsSnapshot::from_json(json::parse(MetricsSnapshot{}.to_json()));
   EXPECT_TRUE(back.rows.empty());
-  EXPECT_EQ(back.trace_events, 0u);
-  EXPECT_EQ(back.trace_dropped, 0u);
 }
 
 TEST(MetricsSnapshot, JsonRoundTripKeepsNaNExtremaAndValues) {
   // NaN (no sample, or not applicable) travels as null and comes back as
-  // NaN, not 0; finite values come back bit-exact; so do both trace totals.
+  // NaN, not 0; finite values come back bit-exact.
   MetricsSnapshot s = make_snapshot(5, 0.1);
   s.rows.push_back(
       make_row("d.avg", Kind::kTimeAverage, 3, 1.0 / 3.0, kNaN, 30.0, 8.0));
   s.rows.push_back(
       make_row("e.idle", Kind::kTimeAverage, 0, kNaN, kNaN, kNaN, kNaN));
-  s.trace_dropped = 1;
   const MetricsSnapshot back =
       MetricsSnapshot::from_json(json::parse(s.to_json()));
   ASSERT_EQ(back.rows.size(), s.rows.size());
@@ -246,8 +240,6 @@ TEST(MetricsSnapshot, JsonRoundTripKeepsNaNExtremaAndValues) {
   EXPECT_TRUE(std::isnan(idle.max));
   EXPECT_EQ(back.find("b.hist")->sum, s.find("b.hist")->sum);
   EXPECT_TRUE(std::isnan(back.find("b.hist")->last));
-  EXPECT_EQ(back.trace_events, 10u);
-  EXPECT_EQ(back.trace_dropped, 1u);
 }
 
 TEST(MetricsSnapshot, FromJsonRejectsNonSnapshots) {

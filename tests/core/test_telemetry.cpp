@@ -1,8 +1,10 @@
-// Telemetry hub: counters, published rows, span timers, trace-ring
-// overflow, and exports that parse back through core/json.
+// Telemetry hub: counters, published rows, span timers, the trace file
+// (every event kept past one buffer chunk), and exports that parse back
+// through core/json.
 #include "src/core/telemetry.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <cstddef>
 #include <cstdio>
@@ -54,6 +56,22 @@ class TelemetryTest : public ::testing::Test {
  protected:
   void SetUp() override { Hub::instance().reset(); }
   void TearDown() override { Hub::instance().reset(); }
+
+  /// enable() plus a trace file at a per-test path.
+  void enable_with_trace() {
+    Hub::instance().enable();
+    ASSERT_TRUE(Hub::instance().stream_trace_to(path_));
+  }
+  /// Finalizes the trace file and returns it parsed.
+  json::Value finish_trace() {
+    EXPECT_TRUE(Hub::instance().stop_trace_stream());
+    return json::parse(read_and_remove(path_));
+  }
+
+  const std::string path_ =
+      ::testing::TempDir() + "castanet_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".json";
 };
 
 TEST_F(TelemetryTest, DisabledByDefault) {
@@ -76,13 +94,13 @@ TEST_F(TelemetryTest, CounterAccumulates) {
 }
 
 TEST_F(TelemetryTest, SpanRecordsCompleteEvent) {
-  Hub::instance().enable();
+  enable_with_trace();
   {
     Span s("unit.span", kMainTrack);
     s.arg("x", 1.5);
   }
-  EXPECT_EQ(Hub::instance().trace_events_recorded(), 1u);
-  const json::Value trace = json::parse(Hub::instance().chrome_trace_json());
+  const json::Value trace = finish_trace();
+  EXPECT_EQ(Hub::instance().trace_events_streamed(), 1u);
   const std::vector<json::Value> spans = rows_with_phase(trace, "X");
   ASSERT_EQ(spans.size(), 1u);
   EXPECT_EQ(spans[0].string_or("name", ""), "unit.span");
@@ -94,9 +112,9 @@ TEST_F(TelemetryTest, SpanRecordsCompleteEvent) {
 }
 
 TEST_F(TelemetryTest, InstantRecordsPointEvent) {
-  Hub::instance().enable();
+  enable_with_trace();
   instant("unit.mark", kMainTrack, {{"k", 2.0}});
-  const json::Value trace = json::parse(Hub::instance().chrome_trace_json());
+  const json::Value trace = finish_trace();
   const std::vector<json::Value> marks = rows_with_phase(trace, "i");
   ASSERT_EQ(marks.size(), 1u);
   EXPECT_EQ(marks[0].string_or("name", ""), "unit.mark");
@@ -107,111 +125,100 @@ TEST_F(TelemetryTest, InstantRecordsPointEvent) {
 
 TEST_F(TelemetryTest, RecordIsNoOpWhileDisabled) {
   // Spans/instants are only constructed behind enabled() checks in product
-  // code, but Hub::record itself must also be safe to call when disabled.
+  // code, but Hub::record itself must also be safe to call when disabled,
+  // even with a trace file attached.
+  enable_with_trace();
+  Hub::instance().disable();
   TraceEvent e;
   e.name = "ignored";
   Hub::instance().record(e);
-  EXPECT_EQ(Hub::instance().trace_events_recorded(), 0u);
+  const json::Value trace = finish_trace();
+  EXPECT_EQ(Hub::instance().trace_events_streamed(), 0u);
+  EXPECT_TRUE(rows_with_phase(trace, "i").empty());
 }
 
-TEST_F(TelemetryTest, RingDropsOldestOnOverflow) {
-  constexpr std::size_t kCap = 8;
-  Hub::instance().enable(kCap);
-  Hub::instance().track("row");  // exercise a non-main track too
-  for (int i = 0; i < 20; ++i) {
-    TraceEvent e;
-    e.name = (i < 12) ? "old" : "new";
-    e.phase = TraceEvent::Phase::kInstant;
-    e.ts_us = static_cast<double>(i);
-    Hub::instance().record(e);
-  }
-  // The ring holds the newest kCap events; the 12 oldest were dropped.
-  EXPECT_EQ(Hub::instance().trace_events_recorded(), kCap);
-  EXPECT_EQ(Hub::instance().trace_events_dropped(), 12u);
-  // Only events 12..19 survive, all named "new".
-  const std::string json = Hub::instance().chrome_trace_json();
-  EXPECT_EQ(json.find("\"old\""), std::string::npos);
-  EXPECT_NE(json.find("\"new\""), std::string::npos);
-  const MetricsSnapshot snap = Hub::instance().snapshot();
-  EXPECT_EQ(snap.trace_events, kCap);
-  EXPECT_EQ(snap.trace_dropped, 12u);
+TEST_F(TelemetryTest, EnabledHubWithNoFileWritesNothing) {
+  // Without a trace file the hub keeps no events: a file attached later
+  // holds only what was recorded after it was attached.
+  Hub::instance().enable();
+  { Span s("before", kMainTrack); }
+  instant("before", kMainTrack);
+  EXPECT_EQ(Hub::instance().trace_events_streamed(), 0u);
+  ASSERT_TRUE(Hub::instance().stream_trace_to(path_));
+  instant("after", kMainTrack);
+  const json::Value trace = finish_trace();
+  EXPECT_EQ(Hub::instance().trace_events_streamed(), 1u);
+  EXPECT_TRUE(rows_with_phase(trace, "X").empty());
+  const std::vector<json::Value> marks = rows_with_phase(trace, "i");
+  ASSERT_EQ(marks.size(), 1u);
+  EXPECT_EQ(marks[0].string_or("name", ""), "after");
 }
 
-TEST_F(TelemetryTest, StreamTraceToDiskInsteadOfDropping) {
-  // With an attached stream, a full ring flushes to disk instead of
-  // dropping its oldest events; stop_trace_stream finalizes the file into
-  // valid Chrome trace JSON covering EVERY recorded event.
-  constexpr std::size_t kCap = 8;
-  const std::string path = ::testing::TempDir() + "castanet_stream_test.json";
-  Hub::instance().enable(kCap);
-  ASSERT_TRUE(Hub::instance().stream_trace_to(path));
-  for (int i = 0; i < 30; ++i) {
+TEST_F(TelemetryTest, StreamKeepsEveryEventPastOneChunk) {
+  // The hub writes its buffer to the file every 65,536 events; a run that
+  // records more keeps every event, and stop_trace_stream finalizes the
+  // file into valid Chrome trace JSON.
+  constexpr int kEvents = 65'536 + 100;
+  enable_with_trace();
+  for (int i = 0; i < kEvents; ++i) {
     TraceEvent e;
     e.name = "ev";
     e.phase = TraceEvent::Phase::kInstant;
     e.ts_us = static_cast<double>(i);
     Hub::instance().record(e);
   }
-  EXPECT_TRUE(Hub::instance().stop_trace_stream());
-  EXPECT_EQ(Hub::instance().trace_events_streamed(), 30u);
-  EXPECT_EQ(Hub::instance().trace_events_dropped(), 0u);
-
-  const json::Value trace = json::parse(read_and_remove(path));
+  const json::Value trace = finish_trace();
+  EXPECT_EQ(Hub::instance().trace_events_streamed(),
+            static_cast<std::uint64_t>(kEvents));
   EXPECT_EQ(trace.string_or("displayTimeUnit", ""), "ms");
-  EXPECT_EQ(trace.find("otherData")->int_or("trace_streamed", -1), 30);
-  // All 30 instants made it to disk (they exceed the ring capacity).
+  EXPECT_EQ(trace.find("otherData")->int_or("trace_streamed", -1), kEvents);
+  EXPECT_EQ(trace.find("otherData")->find("trace_dropped"), nullptr);
+  // Every instant made it to disk, each exactly once and in order.
   const std::vector<json::Value> events = rows_with_phase(trace, "i");
-  ASSERT_EQ(events.size(), 30u);
-  for (const json::Value& e : events) EXPECT_EQ(e.string_or("name", ""), "ev");
+  ASSERT_EQ(events.size(), static_cast<std::size_t>(kEvents));
+  for (int i = 0; i < kEvents; ++i) {
+    ASSERT_EQ(events[i].string_or("name", ""), "ev") << i;
+    ASSERT_EQ(events[i].find("ts")->as_double(), static_cast<double>(i)) << i;
+  }
   // A second stop without a stream reports failure.
   EXPECT_FALSE(Hub::instance().stop_trace_stream());
 }
 
+TEST_F(TelemetryTest, StopReportsAFailedWrite) {
+  // /dev/full accepts the open and fails every write with ENOSPC.
+  struct stat st {};
+  if (::stat("/dev/full", &st) != 0 || !S_ISCHR(st.st_mode))
+    GTEST_SKIP() << "no /dev/full";
+  Hub::instance().enable();
+  ASSERT_TRUE(Hub::instance().stream_trace_to("/dev/full"));
+  instant("lost", kMainTrack);
+  EXPECT_FALSE(Hub::instance().stop_trace_stream());
+}
+
 TEST_F(TelemetryTest, ResetFinalizesAnActiveStream) {
-  const std::string path = ::testing::TempDir() + "castanet_stream_reset.json";
-  Hub::instance().enable(4);
-  ASSERT_TRUE(Hub::instance().stream_trace_to(path));
+  enable_with_trace();
   instant("mark", kMainTrack);
   Hub::instance().reset();  // must close and finalize, not leak the FILE
-  const json::Value trace = json::parse(read_and_remove(path));
+  const json::Value trace = json::parse(read_and_remove(path_));
   const std::vector<json::Value> marks = rows_with_phase(trace, "i");
   ASSERT_EQ(marks.size(), 1u);
   EXPECT_EQ(marks[0].string_or("name", ""), "mark");
 }
 
-TEST_F(TelemetryTest, StreamAndMemoryExportsListTheSameTracks) {
-  // Both exporters end with the same tail (metadata rows + footer): the
-  // same spans written to a stream and rendered in memory both parse and
-  // name the same tracks.
-  const std::string path = ::testing::TempDir() + "castanet_stream_tail.json";
-  Hub::instance().enable();
-  ASSERT_TRUE(Hub::instance().stream_trace_to(path));
-  const TrackId rtl = Hub::instance().track("backend:rtl");
-  const TrackId ref = Hub::instance().track("backend:reference");
-  { Span s("grant", rtl); }
-  { Span s("grant", ref); }
-  const json::Value memory = json::parse(Hub::instance().chrome_trace_json());
-  ASSERT_TRUE(Hub::instance().stop_trace_stream());
-  const json::Value stream = json::parse(read_and_remove(path));
-
-  const std::vector<std::string> want{"main", "backend:rtl",
-                                      "backend:reference"};
-  EXPECT_EQ(thread_names(memory), want);
-  EXPECT_EQ(thread_names(stream), want);
-  EXPECT_EQ(rows_with_phase(memory, "X").size(), 2u);
-  EXPECT_EQ(rows_with_phase(stream, "X").size(), 2u);
-}
-
 TEST_F(TelemetryTest, TracksAreStableByName) {
-  Hub::instance().enable();
+  enable_with_trace();
   const TrackId a = Hub::instance().track("backend:rtl");
   const TrackId b = Hub::instance().track("backend:ref");
   EXPECT_NE(a, kMainTrack);
   EXPECT_NE(a, b);
   EXPECT_EQ(Hub::instance().track("backend:rtl"), a);
-  const std::string json = Hub::instance().chrome_trace_json();
-  EXPECT_NE(json.find("thread_name"), std::string::npos);
-  EXPECT_NE(json.find("backend:rtl"), std::string::npos);
+  { Span s("grant", a); }
+  { Span s("grant", b); }
+  // The file names every track in registration order, main first.
+  const json::Value trace = finish_trace();
+  const std::vector<std::string> want{"main", "backend:rtl", "backend:ref"};
+  EXPECT_EQ(thread_names(trace), want);
+  EXPECT_EQ(rows_with_phase(trace, "X").size(), 2u);
 }
 
 TEST_F(TelemetryTest, PublishedRowsAppearInSnapshot) {
@@ -256,12 +263,13 @@ TEST_F(TelemetryTest, EmptyStatRendersAsEmptyNotZero) {
 }
 
 TEST_F(TelemetryTest, ResetDiscardsEverything) {
-  Hub::instance().enable();
+  enable_with_trace();
   Hub::instance().counter("c").add(5);
   instant("gone", kMainTrack);
   Hub::instance().reset();
+  read_and_remove(path_);
   EXPECT_FALSE(enabled());
-  EXPECT_EQ(Hub::instance().trace_events_recorded(), 0u);
+  EXPECT_EQ(Hub::instance().trace_events_streamed(), 0u);
   Hub::instance().enable();
   EXPECT_TRUE(Hub::instance().snapshot().rows.empty());
   // Re-fetching the name creates a fresh zeroed handle.
@@ -272,7 +280,7 @@ TEST_F(TelemetryTest, ResetDiscardsEverything) {
 // Both exports parse back through core/json.
 
 TEST_F(TelemetryTest, ChromeTraceJsonIsWellFormed) {
-  Hub::instance().enable();
+  enable_with_trace();
   const std::string name = "backend:\"quoted\\name\"";
   const TrackId t = Hub::instance().track(name);
   {
@@ -280,7 +288,7 @@ TEST_F(TelemetryTest, ChromeTraceJsonIsWellFormed) {
     s.arg("nested", 1.0);
     instant("inner", t);
   }
-  const json::Value trace = json::parse(Hub::instance().chrome_trace_json());
+  const json::Value trace = finish_trace();
   ASSERT_TRUE(trace.is_object());
   ASSERT_TRUE(trace.find("traceEvents")->is_array());
   // The track name comes back exactly, quotes and backslash included.
@@ -311,7 +319,7 @@ TEST_F(TelemetryTest, ControlCharactersSurviveExport) {
   // both exports give the names back unchanged.
   const std::string metric = "m\tcol\nrow";
   const std::string track = "backend:\tx\ny";
-  Hub::instance().enable();
+  enable_with_trace();
   Hub::instance().counter(metric).add(2);
   const TrackId t = Hub::instance().track(track);
   { Span s("span", t); }
@@ -322,7 +330,7 @@ TEST_F(TelemetryTest, ControlCharactersSurviveExport) {
   EXPECT_EQ(back.rows[0].name, metric);
   EXPECT_EQ(back.rows[0].count, 2u);
 
-  const json::Value trace = json::parse(Hub::instance().chrome_trace_json());
+  const json::Value trace = finish_trace();
   const std::vector<std::string> names = thread_names(trace);
   ASSERT_EQ(names.size(), 2u);
   EXPECT_EQ(names[t], track);

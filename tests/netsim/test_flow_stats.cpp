@@ -92,19 +92,6 @@ TEST_F(FlowStatsTest, AliasChargesOutputCellsToTheInputFlow) {
   EXPECT_EQ(reg.find(out), nullptr);
 }
 
-TEST_F(FlowStatsTest, DropsConsumeThePendingEntry) {
-  const FlowKey key{3, 33, 0};
-  reg.note_in(key, SimTime::from_us(1));
-  reg.note_in(key, SimTime::from_us(2));
-  reg.note_drop(key);
-  reg.note_out(key, SimTime::from_us(9));  // pairs with the 2us entry
-  const FlowStats* f = reg.find(key);
-  ASSERT_NE(f, nullptr);
-  EXPECT_EQ(f->drops, 1u);
-  EXPECT_EQ(f->cells_out, 1u);
-  EXPECT_DOUBLE_EQ(f->latency.min(), 7e-6);
-}
-
 TEST_F(FlowStatsTest, PublishEmitsPerFlowRows) {
   const FlowKey key{1, 101, 2};
   reg.note_in(key, SimTime::from_us(5));
@@ -119,7 +106,6 @@ TEST_F(FlowStatsTest, PublishEmitsPerFlowRows) {
   EXPECT_EQ(lat->kind, telemetry::MetricRow::Kind::kHistogram);
   EXPECT_EQ(lat->hist.count(), 1u);
   EXPECT_NE(snap.find("flow.1/101@2.in_flight"), nullptr);
-  EXPECT_NE(snap.find("flow.1/101@2.drops"), nullptr);
 }
 
 TEST_F(FlowStatsTest, DisabledPathMakesZeroAllocationsAndRecordsNothing) {
@@ -130,7 +116,6 @@ TEST_F(FlowStatsTest, DisabledPathMakesZeroAllocationsAndRecordsNothing) {
   for (int i = 0; i < 1000; ++i) {
     reg.note_in(key, SimTime::from_us(i));
     reg.note_out(key, SimTime::from_us(i + 1));
-    reg.note_drop(key);
   }
   EXPECT_EQ(g_allocations.load(), before);
   EXPECT_TRUE(reg.empty());
