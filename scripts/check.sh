@@ -93,6 +93,11 @@ CASTANET_E1_CELLS=200 "$BUILD/bench/bench_e1_cosim_speed" \
   >/dev/null 2>"$BUILD/e1_report.txt"
 grep -q "^top spans by total duration" "$BUILD/e1_report.txt" || {
   echo "check.sh: bench trace holds no events" >&2; exit 1; }
+# A trace alone, with no metrics file, is summarized too.
+"$BUILD/tools/castanet_report" --trace "$BENCH_TRACE" \
+  >/dev/null 2>"$BUILD/e1_trace_report.txt"
+grep -q "^grant " "$BUILD/e1_trace_report.txt" || {
+  echo "check.sh: trace-only report names no grant span" >&2; exit 1; }
 if command -v python3 >/dev/null 2>&1; then
   python3 -c "import json,sys
 events = json.load(open(sys.argv[1]))['traceEvents']

@@ -168,7 +168,18 @@ TrackId Hub::track(const std::string& name) {
 void Hub::record(const TraceEvent& e) {
   if (!on() || stream_ == nullptr) return;
   buffer_.push_back(e);
-  if (buffer_.size() == kChunkEvents) flush_stream();
+  if (buffer_.size() < kChunkEvents) return;
+  // The write lands inside whatever span is open; a span of its own on the
+  // main row tells the two apart.  It goes into the next chunk.
+  TraceEvent flush;
+  flush.name = "trace.flush";
+  flush.phase = TraceEvent::Phase::kComplete;
+  flush.ts_us = now_us();
+  flush.nargs = 1;
+  flush.args[0] = {"events", static_cast<double>(buffer_.size())};
+  flush_stream();
+  flush.dur_us = now_us() - flush.ts_us;
+  buffer_.push_back(flush);
 }
 
 bool Hub::stream_trace_to(const std::string& path) {

@@ -172,7 +172,9 @@ class Hub {
 
   // --- trace --------------------------------------------------------------
   /// Buffers one event for the attached trace file; a no-op while disabled
-  /// or while no file is attached.  A full buffer is written to the file.
+  /// or while no file is attached.  A full buffer is written to the file,
+  /// and that write is recorded as a "trace.flush" span on the main row
+  /// (arg `events`), so it is not read as work of the span it interrupts.
   void record(const TraceEvent& e);
   /// Events written to the trace file so far; after stop_trace_stream(),
   /// every event recorded while it was attached.

@@ -173,6 +173,15 @@ class LogicVector {
            sbo_[1] == ((code >> 1) & 1) && sbo_[2] == ((code >> 2) & 1) &&
            sbo_[3] == (code >> 3);
   }
+  /// Makes this width-1 vector equal scalar(v) in place, one store per
+  /// plane.  A clock edge writes its level with it: assigning scalar(v)
+  /// instead reads the temporary's four word stores back as two wider loads,
+  /// which the store buffer cannot forward (DESIGN.md §7.2).
+  void set_scalar(Logic v) {
+    require(width_ == 1, "LogicVector::set_scalar: width is not 1");
+    const auto code = static_cast<std::uint64_t>(v);
+    for (std::size_t p = 0; p < kPlanes; ++p) sbo_[p] = (code >> p) & 1;
+  }
   /// True when this equals from_uint(value, width()) — every bit a strong
   /// '0'/'1' matching `value` — without building the vector.
   bool equals_uint(std::uint64_t value) const {

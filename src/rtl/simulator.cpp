@@ -317,19 +317,26 @@ std::uint64_t Simulator::clock_rising_edges(ClockId c) const {
   return clocks_[c].rising_edges;
 }
 
-void Simulator::fire_edge(ClockState& c) {
+std::optional<Logic> Simulator::spend_edge(ClockState& c) {
   if (!c.running) {
     c.next = SimTime::max();
-    return;
+    return std::nullopt;
   }
+  const bool rising = c.rising_next;
+  if (rising) ++c.rising_edges;
+  c.next = now_ + (rising ? c.high : c.low);
+  c.rising_next = !rising;
+  return rising ? Logic::L1 : Logic::L0;
+}
+
+void Simulator::fire_edge(ClockState& c) {
+  const std::optional<Logic> level = spend_edge(c);
+  if (!level) return;
   // Staged as an external zero-delay write queued now would be, so it is
   // stamped as one (see write_target).
   signals_[c.sig].queued_drain = drain_serial_;
-  pending_edges_.push_back({c.sig, c.rising_next ? Logic::L1 : Logic::L0,
-                            static_cast<std::uint32_t>(next_delta_.size())});
-  if (c.rising_next) ++c.rising_edges;
-  c.next = now_ + (c.rising_next ? c.high : c.low);
-  c.rising_next = !c.rising_next;
+  pending_edges_.push_back(
+      {c.sig, *level, static_cast<std::uint32_t>(next_delta_.size())});
 }
 
 void Simulator::schedule_callback(SimTime delay, SmallFn fn) {
@@ -389,7 +396,7 @@ void Simulator::stage_edge(const PendingEdge& e) {
   if (slot == nullptr) {
     st.drivers.push_back({kExternalProcess, scalar(e.level)});
   } else if (!slot->value.equals_scalar(e.level)) {
-    slot->value = scalar(e.level);
+    slot->value.set_scalar(e.level);
   } else {
     return;  // identical re-stage, as in stage()
   }
@@ -420,29 +427,28 @@ void Simulator::commit(SignalId sig) {
   st.effective = *next;
   st.changed_serial = delta_serial_;
   ++stats_.value_changes;
-  // Edge filter, computed at most once: a change that is not a rising edge
-  // of bit 0 wakes no edge-restricted entry, so on a net with only such
-  // entries (a clock's falling edge) the walk is skipped outright.
-  bool rising_known = false, rising = false;
-  const auto is_rising = [&] {
-    if (!rising_known) {
-      rising =
-          to_bool(st.effective.bit(0)) && !to_bool(st.previous.bit(0), false);
-      rising_known = true;
-    }
-    return rising;
-  };
+  // The edge test reads bit 0 only where an entry is restricted to rising
+  // edges; a net of level-sensitive entries never asks.
+  const bool rising = st.level_entries != st.sensitive.size() &&
+                      to_bool(st.effective.bit(0)) &&
+                      !to_bool(st.previous.bit(0), false);
+  wake_sensitive(sig, st, rising);
+}
+
+void Simulator::wake_sensitive(SignalId sig, SignalState& st, bool rising) {
   if (st.clocked_entries == st.sensitive.size()) {
     // Only clocked bodies (every clock in src/hw): a rising edge wakes each
     // of them, and none can be queued yet this delta — it sits on no other
     // net — so the list goes in whole, with no per-entry test or stamp.
-    if (!st.sensitive.empty() && is_rising()) {
+    if (!st.sensitive.empty() && rising) {
       runnable_.insert(runnable_.end(), st.sensitive.begin(),
                        st.sensitive.end());
     }
-  } else if (st.level_entries != 0 || is_rising()) {
+  } else if (st.level_entries != 0 || rising) {
+    // A change that is not a rising edge of bit 0 wakes no edge-restricted
+    // entry, so on a net with only such entries the walk is skipped.
     for (std::size_t i = 0; i < st.sensitive.size(); ++i) {
-      if (st.sensitive_rising[i] != 0 && !is_rising()) continue;
+      if (st.sensitive_rising[i] != 0 && !rising) continue;
       enqueue_runnable(st.sensitive[i]);
     }
   }
@@ -539,9 +545,71 @@ bool Simulator::step_time() {
   return true;
 }
 
+bool Simulator::edges_only(SimTime t) const {
+  if (!next_delta_.empty() || !pending_edges_.empty() ||
+      (!timed_.empty() && timed_.front().t == t)) {
+    return false;
+  }
+  for (std::size_t i = 0; i < clocks_.size(); ++i) {
+    const ClockState& c = clocks_[i];
+    if (c.next != t) continue;
+    const std::vector<DriverSlot>& drivers = signals_[c.sig].drivers;
+    if (drivers.size() != 1 || drivers.front().pid != kExternalProcess) {
+      return false;
+    }
+    for (std::size_t j = 0; j < i; ++j) {
+      if (clocks_[j].next == t && clocks_[j].sig == c.sig) return false;
+    }
+  }
+  return true;
+}
+
+void Simulator::run_edge_delta() {
+  bool opened = false;
+  // By index, over the clocks there are now: an observer may add one.
+  const std::size_t n = clocks_.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    if (clocks_[i].next != now_) continue;
+    const SignalId sig = clocks_[i].sig;
+    const std::optional<Logic> level = spend_edge(clocks_[i]);
+    if (!level) continue;
+    if (!opened) {
+      // The delta run_time_point opens to drain an empty next_delta_.
+      ++delta_serial_;
+      ++stats_.delta_cycles;
+      runnable_.clear();
+      ++drain_serial_;
+      opened = true;
+    }
+    // stage_edge and commit() of the net's single driver, in place.
+    ++stats_.transactions;
+    SignalState& st = signals_[sig];
+    LogicVector& slot = st.drivers.front().value;
+    if (slot.equals_scalar(*level)) continue;
+    slot.set_scalar(*level);
+    if (st.effective.equals_scalar(*level)) continue;
+    const Logic was = st.effective.bit(0);
+    st.previous.set_scalar(was);
+    st.effective.set_scalar(*level);
+    st.changed_serial = delta_serial_;
+    ++stats_.value_changes;
+    wake_sensitive(sig, st, *level == Logic::L1 && !to_bool(was));
+  }
+  if (opened) execute_runnable();
+  if (next_delta_.empty()) {
+    ++delta_serial_;  // closes the time point, as run_time_point does
+  } else {
+    run_time_point(batch_scratch_);
+  }
+}
+
 void Simulator::step_to(SimTime t) {
   now_ = t;
   ++stats_.time_points;
+  if (edges_only(t)) {
+    run_edge_delta();
+    return;
+  }
   for (ClockState& c : clocks_) {
     if (c.next == t) fire_edge(c);
   }

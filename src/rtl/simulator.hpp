@@ -10,13 +10,16 @@
 //
 // Scheduling structures are built for the hot path.  Clocks are kernel
 // data, not callbacks: each add_clock entry is a signal, its next edge time
-// and its two half periods, kept in a small vector the kernel scans, and a
-// due edge is a (signal, level) pair that the next drained delta writes
-// straight into the clock net's driver slot — no transaction, callback,
-// bucket or allocation.  Clocked processes are kernel data too: an
-// add_clocked_process body is known by its clock, so a rising edge of a
-// net that carries only such bodies appends its whole sensitivity list to
-// the runnable set and each body is called directly, with no edge guard.
+// and its two half periods, kept in a small vector the kernel scans.  A
+// time point of edges alone writes each level and its net's value in place
+// and wakes the net's processes at once; an edge that shares its time point
+// with other activity is a (signal, level) pair that the next drained delta
+// writes straight into the clock net's driver slot.  Neither builds a
+// transaction, callback, bucket or allocation.  Clocked processes are
+// kernel data too: an add_clocked_process body is known by its clock, so a
+// rising edge of a net that carries only such bodies appends its whole
+// sensitivity list to the runnable set and each body is called directly,
+// with no edge guard.
 // Delayed transactions and timed callbacks are entries of one binary
 // min-heap ordered by (time, insertion sequence), each holding its
 // transaction or SmallFn callback in place; the heap rarely holds more than
@@ -35,6 +38,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <span>
 #include <string>
 #include <variant>
@@ -457,6 +461,10 @@ class Simulator {
   /// Queues a validated write (or captures it under probe_process).
   void enqueue(SignalId s, LogicVector&& v, SimTime delay);
   void push_timed(SimTime when, std::variant<Transaction, SmallFn> what);
+  /// Spends clock `c`'s edge due at now_ and moves its next edge on.
+  /// Returns the level the edge drives, or nothing once `c` is stopped
+  /// (the clock then goes idle).
+  std::optional<Logic> spend_edge(ClockState& c);
   /// Appends clock `c`'s due edge at now_ to pending_edges_ (nothing once
   /// stopped) and moves its next edge on.
   void fire_edge(ClockState& c);
@@ -478,13 +486,32 @@ class Simulator {
   /// resolved planes differ from the current value commits the change and
   /// wakes the (edge-filtered) sensitive processes.
   void commit(SignalId sig);
+  /// Wake-up half of a committed change of `sig`: queues its
+  /// level-sensitive processes and, when `rising` (a rising edge of bit 0),
+  /// its edge-restricted ones, re-arms the gated processes in its
+  /// wake_watch and calls the change observers.  `rising` is read only on
+  /// nets with an edge-restricted entry.
+  void wake_sensitive(SignalId sig, SignalState& st, bool rising);
   /// Runs every process in runnable_ (skipping gated ones) and resets
   /// current_process_.
   void execute_runnable();
   /// Executes the time point at `t`, which next_activity() returned: fires
   /// the due clock edges, takes every timed entry due at `t` off the heap,
-  /// runs the callbacks among them, then the delta cycles.
+  /// runs the callbacks among them, then the delta cycles.  A time point of
+  /// clock edges alone takes run_edge_delta instead.
   void step_to(SimTime t);
+  /// True when nothing but clock edges is due at `t`, each on a net of its
+  /// own whose single driver is the edge's kExternalProcess slot: no write
+  /// is queued, no edge pending and no timed entry due at `t`.
+  bool edges_only(SimTime t) const;
+  /// Runs an edges_only time point at now_ (DESIGN.md §7.2): spends each
+  /// due clock's edge in add_clock order and, for a running one, writes its
+  /// level into the driver slot and the net's value in place and wakes the
+  /// net's processes as commit() would, all in the one delta that draining
+  /// an empty next_delta_ opens.  The delta loop runs only for the writes
+  /// the woken processes queue.  Counts, order and serials are those of the
+  /// pending-edge path.
+  void run_edge_delta();
   /// Executes one complete time point: delta cycles (stage, commit,
   /// execute) until no transaction or edge is pending.  The delta that
   /// drains next_delta_ stages the pending edges among its writes, each

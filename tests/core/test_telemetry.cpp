@@ -157,7 +157,8 @@ TEST_F(TelemetryTest, EnabledHubWithNoFileWritesNothing) {
 TEST_F(TelemetryTest, StreamKeepsEveryEventPastOneChunk) {
   // The hub writes its buffer to the file every 65,536 events; a run that
   // records more keeps every event, and stop_trace_stream finalizes the
-  // file into valid Chrome trace JSON.
+  // file into valid Chrome trace JSON.  The one write of a full buffer adds
+  // its own "trace.flush" span.
   constexpr int kEvents = 65'536 + 100;
   enable_with_trace();
   for (int i = 0; i < kEvents; ++i) {
@@ -169,10 +170,17 @@ TEST_F(TelemetryTest, StreamKeepsEveryEventPastOneChunk) {
   }
   const json::Value trace = finish_trace();
   EXPECT_EQ(Hub::instance().trace_events_streamed(),
-            static_cast<std::uint64_t>(kEvents));
+            static_cast<std::uint64_t>(kEvents + 1));
   EXPECT_EQ(trace.string_or("displayTimeUnit", ""), "ms");
-  EXPECT_EQ(trace.find("otherData")->int_or("trace_streamed", -1), kEvents);
+  EXPECT_EQ(trace.find("otherData")->int_or("trace_streamed", -1),
+            kEvents + 1);
   EXPECT_EQ(trace.find("otherData")->find("trace_dropped"), nullptr);
+  const std::vector<json::Value> spans = rows_with_phase(trace, "X");
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_EQ(spans[0].string_or("name", ""), "trace.flush");
+  EXPECT_EQ(spans[0].int_or("tid", -1), 0);
+  EXPECT_EQ(spans[0].find("args")->find("events")->as_double(), 65536.0);
+  EXPECT_GE(spans[0].find("dur")->as_double(), 0.0);
   // Every instant made it to disk, each exactly once and in order.
   const std::vector<json::Value> events = rows_with_phase(trace, "i");
   ASSERT_EQ(events.size(), static_cast<std::size_t>(kEvents));

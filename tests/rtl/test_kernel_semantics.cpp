@@ -608,6 +608,64 @@ TEST(KernelClocked, MixedNetKeepsRegistrationOrderAndLevelWakeups) {
   }
 }
 
+TEST(KernelClock, SelfGatedBodyWokenByItsOwnClockRunsEveryCycle) {
+  // The body gates itself after every run but lists its own clock as a wake
+  // signal: each edge re-arms it as it commits, so the body runs at every
+  // rising edge and no wakeup is skipped.
+  Simulator sim;
+  const SignalId clk = sim.create_signal("clk", 1, Logic::L0);
+  std::vector<bool> saw_edge;
+  const ProcessId g =
+      sim.add_clocked_process("g", clk, ParkingBody{&sim, clk, &saw_edge});
+  sim.set_wake_signals(g, {clk});
+  const ClockId c =
+      sim.add_clock(clk, SimTime::from_ns(10), SimTime::from_ns(10));
+  sim.initialize();
+  const KernelStats before = sim.stats();
+  sim.run_until(SimTime::from_ns(100));  // rising 10..100, falling 15..95
+  EXPECT_EQ(saw_edge, std::vector<bool>(10, true));
+  EXPECT_EQ(sim.clock_rising_edges(c), 10u);
+  EXPECT_EQ(sim.stats().process_activations - before.process_activations,
+            10u);
+  EXPECT_EQ(sim.stats().gated_skips, 0u);
+  EXPECT_EQ(sim.stats().delta_cycles - before.delta_cycles, 19u);
+  EXPECT_TRUE(sim.process_gated(g));  // parked by its last run
+}
+
+TEST(KernelClock, TwoClocksOnOneNetStageInAddOrderAndCommitOnce) {
+  // Both clocks drive the net's one kExternalProcess slot.  From 5 ns on
+  // their edges coincide with opposite levels: both stage, in add_clock
+  // order, and the net commits once, to the level of the clock added last
+  // — so at 5 ns it holds its '1' and nothing changes.
+  Simulator sim;
+  const SignalId clk = sim.create_signal("clk", 1, Logic::L0);
+  std::vector<Edge> edges;
+  record_edges(sim, {clk}, edges);
+  int calls = 0;
+  sim.add_clocked_process("p", clk, [&] { ++calls; });
+  const ClockId a = sim.add_clock(clk, SimTime::from_ns(10), SimTime::zero());
+  const ClockId b =
+      sim.add_clock(clk, SimTime::from_ns(10), SimTime::from_ns(5));
+  sim.run_until(SimTime::from_ns(30));
+  const auto ns = [](std::int64_t n) { return SimTime::from_ns(n); };
+  const std::vector<Edge> want = {
+      {ns(0), clk, Logic::L1},  {ns(10), clk, Logic::L0},
+      {ns(15), clk, Logic::L1}, {ns(20), clk, Logic::L0},
+      {ns(25), clk, Logic::L1}, {ns(30), clk, Logic::L0}};
+  EXPECT_EQ(edges, want);
+  EXPECT_EQ(sim.clock_rising_edges(a), 4u);
+  EXPECT_EQ(sim.clock_rising_edges(b), 3u);
+  EXPECT_EQ(calls, 3);  // the rising commits at 0, 15 and 25 ns
+  const KernelStats& st = sim.stats();
+  // The two '0's, then one edge at 0 ns and two at each later time.
+  EXPECT_EQ(st.transactions, 15u);
+  EXPECT_EQ(st.value_changes, 6u);
+  EXPECT_EQ(st.time_points, 7u);
+  EXPECT_EQ(st.delta_cycles, 8u);  // initialization, then one per time
+  EXPECT_EQ(st.process_activations, 4u);
+  EXPECT_EQ(st.gated_skips, 0u);
+}
+
 // --- write elision ------------------------------------------------------------
 
 TEST(WriteElision, SameActivationOverrideKeepsLastWriteWins) {

@@ -8,9 +8,11 @@
 //
 //   castanet_report shard1.metrics.json shard2.metrics.json
 //   castanet_report m/*.json --trace t/*.json --out run_report.json
+//   castanet_report --trace run.trace.json         # span table only
 //   castanet_report --validate report.json        # metrics-schema gate
 //
 //   --trace FILE...   Chrome trace files to aggregate into the span table
+//                     (at least one metrics or trace file is required)
 //   --top N           span table size (default 10)
 //   --out FILE        write the report JSON here (table always on stderr)
 //   --validate FILE   schema check only: the file must round-trip through
@@ -30,8 +32,9 @@ namespace {
 
 int usage(const char* argv0) {
   std::cerr << "usage: " << argv0
-            << " METRICS.json... [--trace TRACE.json...] [--top N]\n"
-               "       [--out FILE] | --validate FILE\n";
+            << " [METRICS.json...] [--trace TRACE.json...] [--top N]\n"
+               "       [--out FILE] | --validate FILE\n"
+               "(at least one METRICS.json or TRACE.json)\n";
   return 2;
 }
 
@@ -78,7 +81,7 @@ int report_main(int argc, char** argv) {
       metrics_paths.push_back(arg);
     }
   }
-  if (metrics_paths.empty()) return usage(argv[0]);
+  if (metrics_paths.empty() && trace_paths.empty()) return usage(argv[0]);
 
   const cosim::report::RunReport rep =
       cosim::report::consolidate(metrics_paths, trace_paths, top_n);
