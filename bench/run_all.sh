@@ -1,25 +1,52 @@
 #!/bin/sh
 # Runs every bench_e* binary with --json and composes the per-bench reports
-# into one machine-readable file (default: BENCH_PR8.json in the repo root).
-# Each bench also runs with the telemetry hub enabled (--metrics); the flat
-# metrics snapshots are archived next to the report as METRICS_PR<n>.json,
-# together with a merged farm-telemetry run report (per-shard snapshots from
-# the farm smoke experiment consolidated by the parent) under "farm".
+# into one machine-readable file.  Each bench also runs with the telemetry
+# hub enabled (--metrics); the flat metrics snapshots are written next to
+# the report (out.json -> out.metrics.json), together with a merged
+# farm-telemetry run report (per-shard snapshots from the farm smoke
+# experiment consolidated by the parent) under "farm".
 #
-#   bench/run_all.sh [output.json]
+#   bench/run_all.sh output.json         report and out.metrics.json there
+#   PR_NUMBER=<n> bench/run_all.sh       archive: BENCH_PR<n>.json and
+#                                        METRICS_PR<n>.json in the repo root
+#
+# With neither an output path nor PR_NUMBER it prints this usage and exits 2,
+# so no run overwrites a checked-in archive by default.  A relative output
+# or METRICS_OUT path is taken from the directory the script is called from.
 #
 # Environment:
 #   BUILD_DIR          build tree containing bench/ binaries (default: build)
-#   PR_NUMBER          stamped into the report and the default filename
+#   PR_NUMBER          stamped into both reports ("pr"; null when unset)
+#   METRICS_OUT        metrics file path (overrides the default above)
 #   CASTANET_E1_REPS   E1 repetitions per configuration (default here: 9 —
 #                      E1 compares configurations A/B/C/R, and single runs on
 #                      a shared machine are too noisy for their ratios)
 set -eu
 
+if [ $# -eq 0 ] && [ -z "${PR_NUMBER:-}" ]; then
+  echo "usage: bench/run_all.sh OUTPUT.json  (or PR_NUMBER=<n> bench/run_all.sh)" >&2
+  exit 2
+fi
+caller=$(pwd)
+absolute() {
+  case $1 in
+    /*) printf '%s' "$1" ;;
+    *) printf '%s/%s' "$caller" "$1" ;;
+  esac
+}
+if [ -n "${METRICS_OUT:-}" ]; then METRICS_OUT=$(absolute "$METRICS_OUT"); fi
+if [ $# -gt 0 ]; then
+  OUT=$(absolute "$1")
+  : "${METRICS_OUT:=${OUT%.json}.metrics.json}"
+else
+  # The archive names, relative to the repo root.
+  OUT=BENCH_PR${PR_NUMBER}.json
+  : "${METRICS_OUT:=METRICS_PR${PR_NUMBER}.json}"
+fi
+PR=${PR_NUMBER:-null}
+
 cd "$(dirname "$0")/.."
 BUILD=${BUILD_DIR:-build}
-PR=${PR_NUMBER:-10}
-OUT=${1:-BENCH_PR${PR}.json}
 : "${CASTANET_E1_REPS:=9}"
 export CASTANET_E1_REPS
 
@@ -100,7 +127,6 @@ fi
 # produced the numbers above.  One repetition suffices for counters.  Not
 # every bench is telemetry-instrumented (bench::TelemetryCli); the ones
 # that are not simply write no snapshot and are skipped.
-METRICS_OUT=${METRICS_OUT:-METRICS_PR${PR}.json}
 metrics_benches=""
 for b in $BENCHES; do
   echo "== bench_$b --metrics"
@@ -131,7 +157,7 @@ done
 # Merged farm telemetry: the smoke experiment with per-worker metrics
 # shipping enabled; the parent merges the per-shard snapshots into one run
 # report (counters summed, histograms bucket-merged) which is archived
-# verbatim under "farm" in METRICS_PR<n>.json.
+# verbatim under "farm" in the metrics file.
 FARM_REPORT=""
 if [ -x "$FARM_BIN" ]; then
   echo "== castanet_farm farm_smoke --report (merged shard telemetry)"

@@ -58,60 +58,6 @@ std::vector<CaseReport> RegressionSuite::run(
   return reports;
 }
 
-std::vector<CaseReport> RegressionSuite::cross_run(
-    const std::vector<NamedBinding>& bindings) const {
-  require(bindings.size() >= 2,
-          "RegressionSuite::cross_run: need a primary and at least one "
-          "other binding");
-  std::vector<CaseReport> reports;
-  for (const RegressionCase& c : cases_) {
-    CaseResult primary;
-    std::string primary_error;
-    try {
-      primary = bindings.front().run(c);
-    } catch (const Error& e) {
-      primary_error = std::string("primary binding '") +
-                      bindings.front().name + "' threw: " + e.what();
-    }
-    for (std::size_t b = 1; b < bindings.size(); ++b) {
-      CaseReport report;
-      report.name = c.name + ":" + bindings[b].name;
-      if (!primary_error.empty()) {
-        report.mismatches = 1;
-        report.detail = primary_error;
-        reports.push_back(std::move(report));
-        continue;
-      }
-      CaseResult result;
-      try {
-        result = bindings[b].run(c);
-      } catch (const Error& e) {
-        report.mismatches = 1;
-        report.detail = std::string("device binding threw: ") + e.what();
-        reports.push_back(std::move(report));
-        continue;
-      }
-      ResponseComparator cmp;
-      for (const atm::Cell& cell : primary.output) cmp.expect(cell);
-      for (const atm::Cell& cell : result.output) cmp.actual(cell);
-      std::uint64_t id = 0;
-      for (const auto& [name, want] : primary.counters) {
-        auto it = result.counters.find(name);
-        cmp.compare_value(id++, want,
-                          it == result.counters.end() ? ~std::uint64_t{0}
-                                                      : it->second,
-                          name);
-      }
-      cmp.finish();
-      report.passed = cmp.clean();
-      report.mismatches = cmp.mismatches().size();
-      if (!report.passed) report.detail = cmp.report();
-      reports.push_back(std::move(report));
-    }
-  }
-  return reports;
-}
-
 bool RegressionSuite::all_passed(const std::vector<CaseReport>& reports) {
   for (const CaseReport& r : reports) {
     if (!r.passed) return false;

@@ -64,21 +64,6 @@ class RegressionSuite {
   /// counters are ignored (goldens define the contract).
   std::vector<CaseReport> run(const DeviceBinding& device) const;
 
-  /// A device binding with a display name, for cross-backend regression.
-  struct NamedBinding {
-    std::string name;
-    DeviceBinding run;
-  };
-
-  /// The VerificationSession idea at regression granularity: runs every
-  /// case against every binding and compares each non-primary binding's
-  /// results against the FIRST binding's (output cells per VC, counters by
-  /// name — the primary's counters define the contract).  Goldens are not
-  /// consulted.  One report per (case, non-primary binding), named
-  /// "<case>:<binding>".
-  std::vector<CaseReport> cross_run(
-      const std::vector<NamedBinding>& bindings) const;
-
   static bool all_passed(const std::vector<CaseReport>& reports);
   static std::string summary(const std::vector<CaseReport>& reports);
 

@@ -332,11 +332,10 @@ std::optional<Logic> Simulator::spend_edge(ClockState& c) {
 void Simulator::fire_edge(ClockState& c) {
   const std::optional<Logic> level = spend_edge(c);
   if (!level) return;
-  // Staged as an external zero-delay write queued now would be, so it is
+  // The transaction an external zero-delay write queued now would be,
   // stamped as one (see write_target).
   signals_[c.sig].queued_drain = drain_serial_;
-  pending_edges_.push_back(
-      {c.sig, *level, static_cast<std::uint32_t>(next_delta_.size())});
+  next_delta_.push_back({c.sig, kExternalProcess, scalar(*level)});
 }
 
 void Simulator::schedule_callback(SimTime delay, SmallFn fn) {
@@ -387,20 +386,6 @@ void Simulator::stage(Transaction& t) {
     return;
   }
   mark_staged(t.sig, st);
-}
-
-void Simulator::stage_edge(const PendingEdge& e) {
-  SignalState& st = signals_[e.sig];
-  ++stats_.transactions;
-  DriverSlot* slot = find_driver(st, kExternalProcess);
-  if (slot == nullptr) {
-    st.drivers.push_back({kExternalProcess, scalar(e.level)});
-  } else if (!slot->value.equals_scalar(e.level)) {
-    slot->value.set_scalar(e.level);
-  } else {
-    return;  // identical re-stage, as in stage()
-  }
-  mark_staged(e.sig, st);
 }
 
 void Simulator::commit(SignalId sig) {
@@ -472,24 +457,16 @@ void Simulator::execute_runnable() {
 void Simulator::run_time_point(std::vector<Transaction>& batch,
                                std::span<const ProcessId> preactivated) {
   bool first = true;
-  while (!batch.empty() || !next_delta_.empty() || !pending_edges_.empty() ||
+  while (!batch.empty() || !next_delta_.empty() ||
          (first && !preactivated.empty())) {
     ++delta_serial_;
     ++stats_.delta_cycles;
     runnable_.clear();
-    std::size_t next = 0;
     if (batch.empty()) {
       batch.swap(next_delta_);
       ++drain_serial_;  // every queued zero-delay write is staged below
-      // Each edge stages behind the writes queued before it fired and ahead
-      // of the rest: issue order, as if it had been queued with them.
-      for (const PendingEdge& e : pending_edges_) {
-        for (; next < e.queued_before; ++next) stage(batch[next]);
-        stage_edge(e);
-      }
-      pending_edges_.clear();
     }
-    for (; next < batch.size(); ++next) stage(batch[next]);
+    for (Transaction& t : batch) stage(t);
     batch.clear();
     for (SignalId s : dirty_signals_) commit(s);
     dirty_signals_.clear();
@@ -527,7 +504,7 @@ void Simulator::initialize() {
 }
 
 SimTime Simulator::next_activity() const {
-  if (!next_delta_.empty() || !pending_edges_.empty()) return now_;
+  if (!next_delta_.empty()) return now_;
   SimTime t = timed_.empty() ? SimTime::max() : timed_.front().t;
   for (const ClockState& c : clocks_) t = std::min(t, c.next);
   return t;
@@ -546,8 +523,7 @@ bool Simulator::step_time() {
 }
 
 bool Simulator::edges_only(SimTime t) const {
-  if (!next_delta_.empty() || !pending_edges_.empty() ||
-      (!timed_.empty() && timed_.front().t == t)) {
+  if (!next_delta_.empty() || (!timed_.empty() && timed_.front().t == t)) {
     return false;
   }
   for (std::size_t i = 0; i < clocks_.size(); ++i) {
@@ -581,7 +557,8 @@ void Simulator::run_edge_delta() {
       ++drain_serial_;
       opened = true;
     }
-    // stage_edge and commit() of the net's single driver, in place.
+    // stage() and commit() of the edge's write to the net's single driver,
+    // in place.
     ++stats_.transactions;
     SignalState& st = signals_[sig];
     LogicVector& slot = st.drivers.front().value;
@@ -643,32 +620,31 @@ void Simulator::run_until(SimTime limit) {
   // past is a no-op — simulated time never regresses, and callers (e.g.
   // window-grant loops re-issuing a stale horizon) may safely pass one.
   if (limit < now_) return;
+  std::optional<telemetry::Span> span;
+  std::uint64_t activations0 = 0, deltas0 = 0, elided0 = 0, callbacks0 = 0;
   if (telemetry::enabled()) {
-    const std::uint64_t activations0 = stats_.process_activations;
-    const std::uint64_t deltas0 = stats_.delta_cycles;
-    const std::uint64_t elided0 = stats_.writes_elided;
-    const std::uint64_t callbacks0 = stats_.callbacks;
-    telemetry::Span span("rtl.slice", telemetry_track_);
-    span.arg("from_us", now_.seconds() * 1e6);
-    span.arg("to_us", limit.seconds() * 1e6);
-    while (true) {
-      const SimTime t = next_activity();
-      if (t == SimTime::max() || t > limit) break;
-      step_to(t);
-    }
-    span.arg("activations",
-             static_cast<double>(stats_.process_activations - activations0));
-    span.arg("delta_cycles",
-             static_cast<double>(stats_.delta_cycles - deltas0));
-    span.arg("writes_elided",
-             static_cast<double>(stats_.writes_elided - elided0));
-    span.arg("callbacks", static_cast<double>(stats_.callbacks - callbacks0));
-  } else {
-    while (true) {
-      const SimTime t = next_activity();
-      if (t == SimTime::max() || t > limit) break;
-      step_to(t);
-    }
+    activations0 = stats_.process_activations;
+    deltas0 = stats_.delta_cycles;
+    elided0 = stats_.writes_elided;
+    callbacks0 = stats_.callbacks;
+    span.emplace("rtl.slice", telemetry_track_);
+    span->arg("from_us", now_.seconds() * 1e6);
+    span->arg("to_us", limit.seconds() * 1e6);
+  }
+  while (true) {
+    const SimTime t = next_activity();
+    if (t == SimTime::max() || t > limit) break;
+    step_to(t);
+  }
+  if (span) {
+    span->arg("activations",
+              static_cast<double>(stats_.process_activations - activations0));
+    span->arg("delta_cycles",
+              static_cast<double>(stats_.delta_cycles - deltas0));
+    span->arg("writes_elided",
+              static_cast<double>(stats_.writes_elided - elided0));
+    span->arg("callbacks",
+              static_cast<double>(stats_.callbacks - callbacks0));
   }
   if (now_ < limit) now_ = limit;
 }

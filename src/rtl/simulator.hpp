@@ -12,14 +12,13 @@
 // data, not callbacks: each add_clock entry is a signal, its next edge time
 // and its two half periods, kept in a small vector the kernel scans.  A
 // time point of edges alone writes each level and its net's value in place
-// and wakes the net's processes at once; an edge that shares its time point
-// with other activity is a (signal, level) pair that the next drained delta
-// writes straight into the clock net's driver slot.  Neither builds a
-// transaction, callback, bucket or allocation.  Clocked processes are
-// kernel data too: an add_clocked_process body is known by its clock, so a
-// rising edge of a net that carries only such bodies appends its whole
-// sensitivity list to the runnable set and each body is called directly,
-// with no edge guard.
+// and wakes the net's processes at once, with no transaction, callback,
+// bucket or allocation; an edge that shares its time point with other
+// activity is queued as the external zero-delay write it stands for.
+// Clocked processes are kernel data too: an add_clocked_process body is
+// known by its clock, so a rising edge of a net that carries only such
+// bodies appends its whole sensitivity list to the runnable set and each
+// body is called directly, with no edge guard.
 // Delayed transactions and timed callbacks are entries of one binary
 // min-heap ordered by (time, insertion sequence), each holding its
 // transaction or SmallFn callback in place; the heap rarely holds more than
@@ -307,14 +306,14 @@ class Simulator {
   /// write now, a rising edge at now() + phase, then one every `period` —
   /// high for period/2, low for the rest.  Every write of the clock, the
   /// '0' included (even when a running process calls add_clock), is a
-  /// kExternalProcess write.  Each edge opens a time point and stages in
-  /// the delta that drains the zero-delay writes: after those queued before
-  /// it, in add_clock order, and ahead of that time point's callbacks; a
-  /// delayed batch due at the same time stages one delta before it
-  /// (DESIGN.md §7.2).  Throws LogicError for a non-scalar signal, a
-  /// period <= 0 or a negative phase.
+  /// kExternalProcess write.  Each edge opens a time point and stages as a
+  /// zero-delay write queued when it fires: after the writes queued before
+  /// it, in add_clock order, and before the writes that time point's
+  /// callbacks queue; a delayed batch due at the same time stages one delta
+  /// before it (DESIGN.md §7.2).  Throws LogicError for a non-scalar
+  /// signal, a period <= 0 or a negative phase.
   ClockId add_clock(SignalId sig, SimTime period, SimTime phase);
-  /// Stops clock `c`.  Its pending edge still opens its time point but
+  /// Stops clock `c`.  Its next edge still opens its time point but
   /// writes nothing; after that the clock is idle.
   void stop_clock(ClockId c);
   /// Rising edges clock `c` has driven so far.
@@ -412,16 +411,8 @@ class Simulator {
     if (a.t != b.t) return a.t > b.t;
     return a.seq > b.seq;
   }
-  /// A clock edge fired at now_ and not yet staged (see fire_edge).
-  struct PendingEdge {
-    SignalId sig;
-    Logic level;
-    /// next_delta_.size() when the edge fired: the writes that stage
-    /// ahead of it.
-    std::uint32_t queued_before;
-  };
   /// One add_clock entry.  `next` is SimTime::max() once a stopped clock
-  /// has spent its pending edge.
+  /// has spent its next edge.
   struct ClockState {
     SignalId sig;
     SimTime next;
@@ -465,8 +456,8 @@ class Simulator {
   /// Returns the level the edge drives, or nothing once `c` is stopped
   /// (the clock then goes idle).
   std::optional<Logic> spend_edge(ClockState& c);
-  /// Appends clock `c`'s due edge at now_ to pending_edges_ (nothing once
-  /// stopped) and moves its next edge on.
+  /// Queues clock `c`'s due edge at now_ into next_delta_ as an external
+  /// zero-delay write (nothing once stopped) and moves its next edge on.
   void fire_edge(ClockState& c);
   void enqueue_runnable(ProcessId p);
   /// Apply phase, first half: moves the transaction's value into its driver
@@ -474,9 +465,6 @@ class Simulator {
   /// deferred to commit() so N same-delta transactions on one signal cost
   /// one resolution, not N.
   void stage(Transaction& t);
-  /// stage() of a pending edge: its level goes straight into the clock
-  /// net's kExternalProcess slot, with no Transaction.
-  void stage_edge(const PendingEdge& e);
   /// `pid`'s driver slot on `st`, or nullptr before its first write.
   static DriverSlot* find_driver(SignalState& st, ProcessId pid);
   /// Marks a signal whose driver slot changed as dirty for this delta.
@@ -502,20 +490,18 @@ class Simulator {
   void step_to(SimTime t);
   /// True when nothing but clock edges is due at `t`, each on a net of its
   /// own whose single driver is the edge's kExternalProcess slot: no write
-  /// is queued, no edge pending and no timed entry due at `t`.
+  /// is queued and no timed entry is due at `t`.
   bool edges_only(SimTime t) const;
   /// Runs an edges_only time point at now_ (DESIGN.md §7.2): spends each
   /// due clock's edge in add_clock order and, for a running one, writes its
   /// level into the driver slot and the net's value in place and wakes the
   /// net's processes as commit() would, all in the one delta that draining
   /// an empty next_delta_ opens.  The delta loop runs only for the writes
-  /// the woken processes queue.  Counts, order and serials are those of the
-  /// pending-edge path.
+  /// the woken processes queue.  Counts, order and serials are those of
+  /// staging each edge as an external write (fire_edge).
   void run_edge_delta();
   /// Executes one complete time point: delta cycles (stage, commit,
-  /// execute) until no transaction or edge is pending.  The delta that
-  /// drains next_delta_ stages the pending edges among its writes, each
-  /// behind the writes queued before it fired.  `preactivated` processes
+  /// execute) until no transaction is pending.  `preactivated` processes
   /// run in the first delta whether or not a signal woke them; a clocked
   /// one among them counts its activation but runs only if its clock rose.
   void run_time_point(std::vector<Transaction>& batch,
@@ -543,9 +529,6 @@ class Simulator {
   std::vector<ProcessState> processes_;  // index 0 reserved (external)
   std::vector<Transaction> next_delta_;
   std::vector<ClockState> clocks_;  // in add_clock order; scanned linearly
-  /// Edges fired at now_, in firing order; staged and cleared by the delta
-  /// that drains next_delta_.
-  std::vector<PendingEdge> pending_edges_;
 
   // Future activity other than clock edges: a binary min-heap (due_after).
   std::vector<TimedEntry> timed_;

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "src/castanet/backend.hpp"
-#include "src/castanet/regression.hpp"
 #include "src/core/error.hpp"
 #include "src/hw/cell_bits.hpp"
 #include "src/hw/cell_rx.hpp"
@@ -317,38 +316,6 @@ TEST(VerificationSession, AttachAfterRunRejected) {
   session.run_until(SimTime::from_us(10));
   ReferenceBackend late("late", sync_params());
   EXPECT_THROW(session.attach(late), Error);
-}
-
-// ---------------------------------------------------------------------------
-// Cross-binding regression (the session idea at regression granularity).
-
-TEST(RegressionCrossRun, AgreementAndDisagreementPerBinding) {
-  RegressionSuite suite;
-  RegressionCase rc;
-  rc.name = "echo";
-  rc.stimulus.append({SimTime::zero(), mk(1, 0xAB)});
-  suite.add_case(std::move(rc));
-
-  const auto echo = [](const RegressionCase& c) {
-    CaseResult r;
-    for (const auto& a : c.stimulus.arrivals()) r.output.push_back(a.cell);
-    r.counters["count"] = c.stimulus.size();
-    return r;
-  };
-  const auto miscounting = [&](const RegressionCase& c) {
-    CaseResult r = echo(c);
-    r.counters["count"] += 1;
-    return r;
-  };
-  const auto reports = suite.cross_run({{"rtl", echo},
-                                        {"reference", echo},
-                                        {"board", miscounting}});
-  ASSERT_EQ(reports.size(), 2u);
-  EXPECT_EQ(reports[0].name, "echo:reference");
-  EXPECT_TRUE(reports[0].passed);
-  EXPECT_EQ(reports[1].name, "echo:board");
-  EXPECT_FALSE(reports[1].passed);
-  EXPECT_FALSE(RegressionSuite::all_passed(reports));
 }
 
 }  // namespace

@@ -4,7 +4,9 @@
 // pathological feedback, the contract of kernel-owned clocks (add_clock)
 // and of clocked processes (add_clocked_process), and the write elision at
 // schedule_write — fixtures for each of its conditions plus a randomized
-// differential against runs that defeat it.
+// differential against runs that defeat it.  Randomized differentials also
+// hold a kernel clock to the writes it replaces, and its direct edge path
+// to the general one.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -389,7 +391,7 @@ TEST(KernelClock, ZeroDelayWriteQueuedBeforeASameTimeEdgeCommitsFirst) {
 TEST(KernelClock, CallbackWriteAtAnEdgeTimeOverridesTheEdge) {
   // The callback's write and the edge share the kExternalProcess slot; the
   // callback runs after the edge fired, so its write stages last and wins.
-  // Until it stages, the pending edge is activity due now.
+  // Until it stages, the queued edge is activity due now.
   Simulator sim;
   const SignalId clk = sim.create_signal("clk", 1, Logic::L0);
   std::vector<Edge> edges;
@@ -810,6 +812,9 @@ struct Commit {
 
 struct NetlistRun {
   std::vector<Commit> commits;
+  /// The same commits unsorted, in commit order, each with its absolute
+  /// delta (stats().delta_cycles when it committed).
+  std::vector<Commit> raw;
   KernelStats stats;
 };
 
@@ -855,10 +860,11 @@ enum class Clocking {
 /// Seeded random netlist: scalars and buses (one wider than 64 bits),
 /// clocked processes with private state, an acyclic layer of combinational
 /// processes, multi-driver nets whose drivers alternate between a value
-/// and release, and external stimulus.  Runs `cycles` clock periods.
+/// and release, and external stimulus.  Runs `cycles` clock periods.  With
+/// `edge_callbacks`, a no-op timed callback shares every edge's time point.
 NetlistRun run_random_netlist(std::uint32_t seed, bool shadow,
                               Clocking clocking = Clocking::kGuarded,
-                              int cycles = 120) {
+                              bool edge_callbacks = false, int cycles = 120) {
   std::mt19937 rng(seed);
   const auto roll = [&](std::uint32_t n) {
     return static_cast<std::uint32_t>(rng() % n);
@@ -880,13 +886,17 @@ NetlistRun run_random_netlist(std::uint32_t seed, bool shadow,
   sigs.push_back(clk.id());
 
   // A deterministic function of the read values (hashing the MSB-first
-  // strings covers U/X/Z/W bits too).
+  // strings covers U/X/Z/W bits too) and of their edge state in this delta.
   const auto digest = [&sim](const std::vector<SignalId>& reads,
                              std::uint64_t salt) {
     std::uint64_t h = salt * 0x9e3779b97f4a7c15ULL;
     for (SignalId r : reads) {
       h = (h ^ std::hash<std::string>{}(sim.value(r).to_string())) *
           0x100000001b3ULL;
+      const std::uint64_t edge = (sim.event(r) ? 1u : 0u) |
+                                 (sim.rose(r) ? 2u : 0u) |
+                                 (sim.fell(r) ? 4u : 0u);
+      h = (h ^ edge) * 0x100000001b3ULL;
     }
     return h;
   };
@@ -987,6 +997,7 @@ NetlistRun run_random_netlist(std::uint32_t seed, bool shadow,
       sim.schedule_write(clk.id(), e % 2 ? Logic::L1 : Logic::L0,
                          SimTime::from_ns(5 * e));
     }
+    if (edge_callbacks) sim.schedule_callback(SimTime::from_ns(5 * e), [] {});
     if (roll(5) == 0) {
       sim.schedule_write(ext_in, LogicVector::from_uint(roll(16), 4),
                          SimTime::from_ns(5 * e + 2));
@@ -998,7 +1009,7 @@ NetlistRun run_random_netlist(std::uint32_t seed, bool shadow,
 
   // Rank each commit's delta within its time point; order within one delta
   // follows signal discovery and is not part of the contract.
-  NetlistRun run{{}, sim.stats()};
+  NetlistRun run{{}, raw, sim.stats()};
   std::int64_t t = -1;
   int last_serial = -1, rank = -1;
   for (Commit c : raw) {
@@ -1069,6 +1080,34 @@ TEST(KernelClock, RandomNetlistsMatchTransactionDrivenClock) {
     EXPECT_EQ(w.time_points, c.time_points) << "seed " << seed;
     EXPECT_EQ(w.gated_skips, c.gated_skips) << "seed " << seed;
     EXPECT_EQ(w.callbacks, c.callbacks) << "seed " << seed;
+  }
+}
+
+TEST(KernelClock, RandomNetlistsDirectAndGenericEdgePathsAgree) {
+  // Alone at its time point an edge takes the direct path
+  // (run_edge_delta); a no-op callback at every edge time sends each one
+  // down the general path, the delta loop, as an external write.  Both
+  // commit the same values in the same deltas and in the same order, and
+  // count the same but for the callbacks.
+  constexpr std::uint64_t kEdges = 240;  // two per cycle over 120 cycles
+  for (std::uint32_t seed = 1; seed <= 12; ++seed) {
+    const NetlistRun direct =
+        run_random_netlist(seed, false, Clocking::kKernelClock);
+    const NetlistRun generic =
+        run_random_netlist(seed, false, Clocking::kKernelClock, true);
+    ASSERT_FALSE(direct.raw.empty()) << "seed " << seed;
+    EXPECT_EQ(direct.raw, generic.raw) << "seed " << seed;
+    const KernelStats& d = direct.stats;
+    const KernelStats& g = generic.stats;
+    EXPECT_EQ(d.transactions, g.transactions) << "seed " << seed;
+    EXPECT_EQ(d.writes_elided, g.writes_elided) << "seed " << seed;
+    EXPECT_EQ(d.value_changes, g.value_changes) << "seed " << seed;
+    EXPECT_EQ(d.process_activations, g.process_activations)
+        << "seed " << seed;
+    EXPECT_EQ(d.delta_cycles, g.delta_cycles) << "seed " << seed;
+    EXPECT_EQ(d.time_points, g.time_points) << "seed " << seed;
+    EXPECT_EQ(d.gated_skips, g.gated_skips) << "seed " << seed;
+    EXPECT_EQ(d.callbacks + kEdges, g.callbacks) << "seed " << seed;
   }
 }
 

@@ -26,7 +26,9 @@
 //   trace_out              telemetry trace path; automatically tagged with
 //                          the session id + worker so runs never collide
 //   metrics_out            per-session metrics JSON path, tagged like
-//                          trace_out; implies telemetry capture
+//                          trace_out; implies telemetry capture.  A session
+//                          whose trace or metrics file cannot be written
+//                          fails, so the run exits 1
 //   metrics                bool: capture a telemetry snapshot per session
 //                          and ship it to the parent for the merged report
 #include <cstring>
@@ -84,32 +86,48 @@ class ScopedTelemetry {
               !trace_out_.empty();
     if (!active_) return;
     telemetry::Hub::instance().enable();
+    // A file that does not open is reported by capture(): with no file
+    // attached, stop_trace_stream() returns false.
     if (!trace_out_.empty()) {
       telemetry::Hub::instance().stream_trace_to(trace_out_);
     }
   }
 
   /// Captures the final Hub snapshot into the result (shipped to the farm
-  /// parent over the socketpair) and the metrics_out file.  Call once, after
-  /// the scenario finished and published its stats.
+  /// parent over the socketpair), finishes the trace file and writes the
+  /// metrics_out file.  A file that cannot be opened or fully written fails
+  /// the session.  Call once, after the scenario finished and published its
+  /// stats.
   void capture(SessionResult& r) {
     if (!active_) return;
-    r.metrics = telemetry::Hub::instance().snapshot();
+    telemetry::Hub& hub = telemetry::Hub::instance();
+    r.metrics = hub.snapshot();
     r.has_metrics = true;
+    if (!trace_out_.empty() && !hub.stop_trace_stream()) {
+      fail(r, "cannot write trace to " + trace_out_);
+    }
     if (!metrics_out_.empty()) {
       std::ofstream f(metrics_out_);
-      if (f) f << r.metrics.to_json() << "\n";
+      f << r.metrics.to_json() << "\n";
+      f.close();
+      if (!f) fail(r, "cannot write metrics to " + metrics_out_);
     }
   }
 
   ~ScopedTelemetry() {
     if (active_) {
+      // Only a session that threw before capture() still has a stream open.
       telemetry::Hub::instance().stop_trace_stream();
       telemetry::Hub::instance().disable();
     }
   }
 
  private:
+  static void fail(SessionResult& r, const std::string& why) {
+    r.ok = false;
+    r.error += (r.error.empty() ? "" : "; ") + why;
+  }
+
   bool active_ = false;
   std::string metrics_out_;
   std::string trace_out_;
