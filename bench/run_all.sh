@@ -1,10 +1,11 @@
 #!/bin/sh
 # Runs every bench_e* binary with --json and composes the per-bench reports
-# into one machine-readable file.  Each bench also runs with the telemetry
-# hub enabled (--metrics); the flat metrics snapshots are written next to
-# the report (out.json -> out.metrics.json), together with a merged
-# farm-telemetry run report (per-shard snapshots from the farm smoke
-# experiment consolidated by the parent) under "farm".
+# into one machine-readable file.  The two telemetry-instrumented benches
+# (bench_e1, bench_e3) also run with the telemetry hub enabled
+# (--metrics); their flat metrics snapshots are written next to the report
+# (out.json -> out.metrics.json), together with a merged farm-telemetry
+# run report (per-shard snapshots from the farm smoke experiment
+# consolidated by the parent) under "farm".
 #
 #   bench/run_all.sh output.json         report and out.metrics.json there
 #   PR_NUMBER=<n> bench/run_all.sh       archive: BENCH_PR<n>.json and
@@ -124,18 +125,17 @@ fi
 
 # Separate telemetry pass: --metrics enables the hub, which perturbs the
 # timing fast path, so the snapshots must not come from the runs that
-# produced the numbers above.  One repetition suffices for counters.  Not
-# every bench is telemetry-instrumented (bench::TelemetryCli); the ones
-# that are not simply write no snapshot and are skipped.
-metrics_benches=""
-for b in $BENCHES; do
+# produced the numbers above.  One repetition suffices for counters.  Only
+# these two benches build a bench::TelemetryCli; the others take no
+# --metrics.
+metrics_benches="e1_cosim_speed e3_sync_protocol"
+for b in $metrics_benches; do
   echo "== bench_$b --metrics"
   CASTANET_E1_REPS=1 "$BUILD/bench/bench_$b" --metrics "$tmp/$b.metrics.json" \
     > /dev/null
-  if [ -s "$tmp/$b.metrics.json" ]; then
-    metrics_benches="$metrics_benches $b"
-  else
-    echo "   (no telemetry hub in bench_$b; skipped)"
+  if [ ! -s "$tmp/$b.metrics.json" ]; then
+    echo "run_all: bench_$b wrote no metrics snapshot" >&2
+    exit 1
   fi
 done
 

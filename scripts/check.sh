@@ -6,7 +6,9 @@
 #   scripts/check.sh           # build + ctest
 #   scripts/check.sh --asan    # + ASan build, full ctest suite
 #   scripts/check.sh --ubsan   # + UBSan build, full ctest suite
-#   scripts/check.sh --lint    # + castanet_lint on both example designs
+#   scripts/check.sh --lint    # + castanet_lint --dataflow --strict on both
+#                              #   example designs, gated against the
+#                              #   baseline tests/lint/examples_baseline.json
 #   scripts/check.sh --tidy    # + clang-tidy over src/ (needs clang-tidy)
 #   scripts/check.sh --bench-smoke  # + bench_e1 small-workload regression gate
 #   scripts/check.sh --farm    # + session-farm smoke (2 workers x 4 sessions,
@@ -81,8 +83,9 @@ fi
 echo "trace OK: $TRACE_OUT"
 
 echo "== bench telemetry smoke (bench_e1 --trace --metrics)"
-# Every bench_e* streams its trace through bench::TelemetryCli; the file
-# must parse and hold at least one event besides the track metadata.
+# bench_e1 and bench_e3 stream their traces through bench::TelemetryCli
+# (the other benches have no telemetry hub); the file must parse and hold
+# at least one event besides the track metadata.
 # castanet_report prints its span table on stderr only when the trace has
 # complete events.
 BENCH_TRACE="$BUILD/e1_trace.json"
@@ -109,7 +112,7 @@ echo "bench trace OK: $BENCH_TRACE"
 echo "== lint schema (castanet_lint --json, --validate round-trip)"
 # Same contract as the metrics schema gate above, for the lint report
 # format: the --json document must survive from_json/to_json_value with
-# structural identity (key order, summary counts, suppressed total).
+# structural identity (key order, summary counts).
 LINT_JSON="$BUILD/lint_report.json"
 "$BUILD/tools/castanet_lint" --design all --json > "$LINT_JSON"
 "$BUILD/tools/castanet_lint" --validate "$LINT_JSON"

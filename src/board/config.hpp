@@ -9,6 +9,7 @@
 // control-port mappings automatically.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -69,6 +70,17 @@ struct IoPortMapping {
   std::uint64_t dut_drives_value = 1;
 };
 
+/// One violation of the board rules (the BRD-* rules of castanet-lint,
+/// DESIGN.md §10.2).
+struct ConfigFinding {
+  std::string rule;   ///< stable rule ID, e.g. "BRD-PIN-OVERLAP"
+  std::string port;   ///< "inport 3", "ioport #0", or "config"
+  /// Index into the port's slices, for BRD-LANE-RANGE and BRD-PIN-OVERLAP.
+  std::optional<std::size_t> slice;
+  std::string message;
+  std::string fix_hint;
+};
+
 struct ConfigDataSet {
   std::vector<InportMapping> inports;
   std::vector<OutportMapping> outports;
@@ -79,10 +91,15 @@ struct ConfigDataSet {
   /// board clock / gating_factor.
   unsigned gating_factor = 1;
 
-  /// Validates lane ranges, overlap rules (tester-driven slices must not
-  /// overlap each other; DUT-driven slices must not overlap each other or
-  /// tester-driven ones), width consistency and the 64-bit port limit
-  /// (a port value is one uint64_t).  Throws ConfigError.
+  /// Every board-rule violation: gating factor, width against slices, the
+  /// 64-bit port limit (a port value is one uint64_t), lane range, pin
+  /// overlap (slices of the same drive direction must not share a pin;
+  /// opposite directions may, which is how an I/O port pairs its halves),
+  /// the ctrl write value, duplicate port IDs, and I/O-port references,
+  /// widths and direction flags.  Empty for a valid configuration.
+  std::vector<ConfigFinding> findings() const;
+
+  /// Throws ConfigError naming the first of findings(), if any.
   void validate() const;
 };
 

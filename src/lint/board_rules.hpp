@@ -1,11 +1,9 @@
 // Board-configuration analyzers over a board::ConfigDataSet (DESIGN.md §10).
 //
-// ConfigDataSet::validate() is the runtime gate: it throws on the first
-// violation when a board is programmed.  The lint analyzer covers the same
-// ground plus the cross-mapping rules validate() cannot afford to check on
-// every download, and it *collects* every finding instead of stopping at the
-// first — the difference between "the board refused this config" and a
-// review of the whole configuration data set.
+// The BRD-* rules live once, in ConfigDataSet::findings().  validate(), the
+// runtime gate, throws the first finding when a board is programmed; the
+// lint reports every finding as an error diagnostic, so a review sees the
+// whole configuration data set, not just what the board refused first.
 #pragma once
 
 #include <string>
@@ -15,11 +13,12 @@
 
 namespace castanet::lint {
 
-/// Runs every board rule on `cfg` and appends findings to `report`.
-/// `scope` prefixes locations when several configs share one report (may be
-/// empty).  Never throws on config defects — inspect the report.  When a
-/// BRD-PIN-OVERLAP or BRD-LANE-RANGE finding has a concrete relocation in
-/// the proposed remap (propose_pin_remap), the fix hint names it.
+/// Appends one error diagnostic per ConfigDataSet::findings() entry to
+/// `report`.  `scope` prefixes locations when several configs share one
+/// report (may be empty).  Never throws on config defects — inspect the
+/// report.  When a BRD-PIN-OVERLAP or BRD-LANE-RANGE finding has a concrete
+/// relocation in the proposed remap (propose_pin_remap), the fix hint names
+/// it.
 void analyze_board_config(const board::ConfigDataSet& cfg,
                           const std::string& scope, Report& report);
 
@@ -44,11 +43,11 @@ struct PinRemap {
 /// BRD-LANE-RANGE report: walk the mappings in declaration order
 /// (inports, ctrlports, then outports), let the first claimant of a pin
 /// keep it, and move each conflicting or out-of-range slice to the lowest
-/// free contiguous run of its width.  Tester-driven slices avoid other
-/// tester pins; DUT-driven slices avoid both planes (the
-/// ConfigDataSet::validate contract).  Slices whose width itself is
-/// invalid (nbits 0 or > 8) cannot be relocated and are left in place
-/// with `ok = false`.
+/// free contiguous run of its width.  A slice conflicts by the board's own
+/// overlap rule: only with slices of the same drive direction.  A moved
+/// tester-driven slice avoids tester pins; a moved DUT-driven slice avoids
+/// both planes.  Slices whose width itself is invalid (nbits 0 or > 8)
+/// cannot be relocated and are left in place with `ok = false`.
 PinRemap propose_pin_remap(const board::ConfigDataSet& cfg);
 
 /// Renders a configuration data set as the text `castanet_lint

@@ -7,7 +7,6 @@
 #include <map>
 #include <set>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -31,6 +30,13 @@ constexpr std::uint8_t kMayX = 4;
 constexpr std::uint8_t kTop = kMay0 | kMay1 | kMayX;
 
 constexpr rtl::SignalId kNone = static_cast<rtl::SignalId>(-1);
+
+/// Free-bit enumeration budget per process per pass: a process whose
+/// candidate input combinations exceed it degrades to ⊤.
+constexpr std::size_t kMaxProbeEvalsPerProcess = 64;
+/// Fixpoint sweep cap: on hitting it without convergence every signal still
+/// in flux degrades to ⊤ (soundness over precision).
+constexpr std::size_t kMaxFixpointPasses = 8;
 
 std::uint8_t alpha_bit(rtl::Logic l) {
   if (rtl::is_01(l)) return rtl::to_bool(l) ? kMay1 : kMay0;
@@ -88,27 +94,15 @@ class Engine {
     sim_.set_read_tracking(true);
     sim_.initialize();
 
-    const bool value_rules =
-        !rule_fully_suppressed(opts_.suppressions, "DF-STUCK") ||
-        !rule_fully_suppressed(opts_.suppressions, "DF-DEAD-BRANCH") ||
-        !rule_fully_suppressed(opts_.suppressions, "DF-X-SOURCE") ||
-        !rule_fully_suppressed(opts_.suppressions, "DF-X-SINK") ||
-        !rule_fully_suppressed(opts_.suppressions, "DF-UNREACHABLE-STATE");
-    const bool cone_rules =
-        !rule_fully_suppressed(opts_.suppressions, "DF-CDC") ||
-        !rule_fully_suppressed(opts_.suppressions, "DF-RESET");
-
-    if (value_rules || cone_rules) classify();
-    if (value_rules) {
-      seed();
-      fixpoint();
-      restore();
-      report_stuck();
-      report_dead_branches();
-      report_x();
-      report_unreachable_states();
-    }
-    if (cone_rules) report_clock_cones();
+    classify();
+    seed();
+    fixpoint();
+    restore();
+    report_stuck();
+    report_dead_branches();
+    report_x();
+    report_unreachable_states();
+    report_clock_cones();
 
     sim_.set_read_tracking(prev_tracking);
     stats_.wall_ns = static_cast<std::uint64_t>(
@@ -195,19 +189,6 @@ class Engine {
         if (xish) origin_[s] = s;
       }
     }
-    // Pinned constants (BRD config values, tie-off assertions).
-    for (const auto& [name, val] : opts_.seeds) {
-      for (rtl::SignalId s = 0; s < n; ++s) {
-        if (sim_.signal_name(s) != name || sim_.width(s) != val.width()) {
-          continue;
-        }
-        for (std::size_t b = 0; b < val.width(); ++b) {
-          abs_[s][b] = alpha_bit(val.bit(b));
-        }
-        locked_[s] = 1;
-        origin_[s] = kNone;
-      }
-    }
     // Everything the engine will not probe — sequential bodies (internal
     // C++ state), fallback (cyclic) regions — degrades its outputs to ⊤ up
     // front: those values are whatever execution makes them.
@@ -222,7 +203,7 @@ class Engine {
   void fixpoint() {
     changed_ = true;
     std::size_t pass = 0;
-    while (changed_ && pass < opts_.max_fixpoint_passes) {
+    while (changed_ && pass < kMaxFixpointPasses) {
       changed_ = false;
       ++pass;
       for (rtl::ProcessId p : comb_order_) {
@@ -293,7 +274,7 @@ class Engine {
             if (m & c) fb.cands[fb.ncand++] = c;
           }
           combos *= fb.ncand;
-          if (combos > opts_.max_probe_evals_per_process) {
+          if (combos > kMaxProbeEvalsPerProcess) {
             over_budget = true;
             break;
           }
@@ -407,10 +388,6 @@ class Engine {
 
   // --- rules -------------------------------------------------------------
 
-  bool suppressed(std::string_view rule, const std::string& signal) {
-    return is_suppressed(opts_.suppressions, rule, signal, report_);
-  }
-
   /// True when every driver of `s` is a combinational process the engine
   /// enumerated completely — the precondition for claiming "provably".
   bool proven_cone(rtl::SignalId s) const {
@@ -425,7 +402,6 @@ class Engine {
   }
 
   void report_stuck() {
-    if (rule_fully_suppressed(opts_.suppressions, "DF-STUCK")) return;
     for (rtl::SignalId s = 0; s < abs_.size(); ++s) {
       if (locked_[s] || !proven_cone(s)) continue;
       bool constant = true;
@@ -440,7 +416,6 @@ class Engine {
       ++stats_.constant_signals;
       if (opts_.facts) opts_.facts->stuck.push_back({s, v});
       const std::string name = sim_.signal_name(s);
-      if (suppressed("DF-STUCK", name)) continue;
       report_.add("DF-STUCK", Severity::kWarning, kFamily,
                   qualify(opts_.scope, "signal '" + name + "'"),
                   "provably constant at \"" + v.to_string() +
@@ -452,15 +427,14 @@ class Engine {
   }
 
   void report_dead_branches() {
-    if (rule_fully_suppressed(opts_.suppressions, "DF-DEAD-BRANCH")) return;
     const std::vector<rtl::GuardDecl>& guards = sim_.guards();
     for (std::size_t i = 0; i < guards.size(); ++i) {
       const rtl::GuardDecl& g = guards[i];
       // The guard value must be a *proof*, not an assumption: a fully
-      // enumerated combinational cone, or a seed the user pinned.  An
-      // undriven tie-off (a reset the test bench simply has not driven
-      // yet) is NET-UNDRIVEN-CONST territory, not a dead branch.
-      if (!proven_cone(g.sig) && !locked_[g.sig]) continue;
+      // enumerated combinational cone.  An undriven tie-off (a reset the
+      // test bench simply has not driven yet) is NET-UNDRIVEN-CONST
+      // territory, not a dead branch.
+      if (!proven_cone(g.sig)) continue;
       const std::uint8_t m = abs_[g.sig][0];
       // Conservative: the branch is dead only when the guard bit has
       // exactly the inactive polarity (an X could still read as either
@@ -469,7 +443,6 @@ class Engine {
       if (!dead) continue;
       if (opts_.facts) opts_.facts->dead_guards.push_back(i);
       const std::string name = sim_.signal_name(g.sig);
-      if (suppressed("DF-DEAD-BRANCH", name)) continue;
       const char* what = g.kind == rtl::GuardKind::kReset ? "reset " : "";
       report_.add(
           "DF-DEAD-BRANCH", Severity::kWarning, kFamily,
@@ -484,11 +457,6 @@ class Engine {
   }
 
   void report_x() {
-    const bool want_source =
-        !rule_fully_suppressed(opts_.suppressions, "DF-X-SOURCE");
-    const bool want_sink =
-        !rule_fully_suppressed(opts_.suppressions, "DF-X-SINK");
-    if (!want_source && !want_sink) return;
     std::vector<std::uint8_t> reached(abs_.size(), 0);
     for (rtl::SignalId s = 0; s < abs_.size(); ++s) {
       if (origin_[s] == kNone) continue;
@@ -510,9 +478,7 @@ class Engine {
       }
       if (sink_desc.empty()) continue;
       reached[origin_[s]] = 1;
-      if (!want_sink) continue;
       const std::string name = sim_.signal_name(s);
-      if (suppressed("DF-X-SINK", name)) continue;
       std::string path = "'" + sim_.signal_name(s) + "'";
       for (rtl::SignalId cur = s; cur != origin_[s] && pred_[cur] != kNone;
            cur = pred_[cur]) {
@@ -527,29 +493,23 @@ class Engine {
           "drive or initialize the source input; the unknown value will be "
           "latched/exported here");
     }
-    if (!want_source) return;
     for (rtl::SignalId r = 0; r < abs_.size(); ++r) {
       if (origin_[r] != r || reached[r]) continue;
       const bool consumed = !sim_.readers_of(r).empty() ||
                             !sim_.sensitive_processes(r).empty();
       if (!consumed) continue;
       const std::string name = sim_.signal_name(r);
-      if (suppressed("DF-X-SOURCE", name)) continue;
       report_.add("DF-X-SOURCE", Severity::kWarning, kFamily,
                   qualify(opts_.scope, "signal '" + name + "'"),
                   "declared input has no driver and an uninitialized value "
                   "(\"" +
                       saved_[r].to_string() +
                       "\"); its unknown bits feed the logic reading it",
-                  "connect a driver, give the signal a defined init value, "
-                  "or pin it with an analysis seed");
+                  "connect a driver or give the signal a defined init value");
     }
   }
 
   void report_unreachable_states() {
-    if (rule_fully_suppressed(opts_.suppressions, "DF-UNREACHABLE-STATE")) {
-      return;
-    }
     for (const rtl::FsmDecl& f : sim_.fsms()) {
       // Meaningful only when the next-state cone was fully enumerated;
       // otherwise its abstraction is ⊤ and every encoding is producible.
@@ -562,7 +522,6 @@ class Engine {
         }
         if (producible) continue;
         const std::string name = sim_.signal_name(f.state);
-        if (suppressed("DF-UNREACHABLE-STATE", name)) continue;
         report_.add(
             "DF-UNREACHABLE-STATE", Severity::kWarning, kFamily,
             qualify(opts_.scope, "signal '" + name + "'"),
@@ -667,9 +626,6 @@ class Engine {
   }
 
   void report_clock_cones() {
-    const bool want_cdc = !rule_fully_suppressed(opts_.suppressions, "DF-CDC");
-    const bool want_reset =
-        !rule_fully_suppressed(opts_.suppressions, "DF-RESET");
     for (rtl::ProcessId p = 1; p < info_.size(); ++p) {
       if (info_[p].kind != rtl::ProcKind::kSequential) continue;
       const Domain dom = domain_of(p);
@@ -681,49 +637,41 @@ class Engine {
         }
       }
       const std::vector<rtl::SignalId> clks = clocks_of(p);
-      if (want_cdc) {
-        for (rtl::SignalId s : info_[p].inputs) {
-          if (std::find(clks.begin(), clks.end(), s) != clks.end()) continue;
-          if (reset_sigs.count(s)) continue;  // DF-RESET owns reset nets
-          const Domain& t = seq_taint(s);
-          Domain foreign;
-          std::set_difference(t.begin(), t.end(), dom.begin(), dom.end(),
-                              std::inserter(foreign, foreign.begin()));
-          if (foreign.empty()) continue;
-          const std::string name = sim_.signal_name(s);
-          if (suppressed("DF-CDC", name)) continue;
-          report_.add(
-              "DF-CDC", Severity::kWarning, kFamily,
-              qualify(opts_.scope, "signal '" + name + "'"),
-              "register process '" + sim_.process_name(p) +
-                  "' (clock domain " + domain_names(dom) +
-                  ") samples this signal, which is derived from clock "
-                  "domain " +
-                  domain_names(foreign) +
-                  " — clock-domain crossing without a declared synchronizer",
-              "add a two-flop synchronizer in the sampling domain or move "
-              "the producer onto the same clock");
-        }
+      for (rtl::SignalId s : info_[p].inputs) {
+        if (std::find(clks.begin(), clks.end(), s) != clks.end()) continue;
+        if (reset_sigs.count(s)) continue;  // DF-RESET owns reset nets
+        const Domain& t = seq_taint(s);
+        Domain foreign;
+        std::set_difference(t.begin(), t.end(), dom.begin(), dom.end(),
+                            std::inserter(foreign, foreign.begin()));
+        if (foreign.empty()) continue;
+        report_.add(
+            "DF-CDC", Severity::kWarning, kFamily,
+            qualify(opts_.scope, "signal '" + sim_.signal_name(s) + "'"),
+            "register process '" + sim_.process_name(p) +
+                "' (clock domain " + domain_names(dom) +
+                ") samples this signal, which is derived from clock "
+                "domain " +
+                domain_names(foreign) +
+                " — clock-domain crossing without a declared synchronizer",
+            "add a two-flop synchronizer in the sampling domain or move "
+            "the producer onto the same clock");
       }
-      if (want_reset) {
-        for (rtl::SignalId r : reset_sigs) {
-          const Domain& t = seq_taint(r);
-          Domain foreign;
-          std::set_difference(t.begin(), t.end(), dom.begin(), dom.end(),
-                              std::inserter(foreign, foreign.begin()));
-          if (foreign.empty()) continue;
-          const std::string name = sim_.signal_name(r);
-          if (suppressed("DF-RESET", name)) continue;
-          report_.add(
-              "DF-RESET", Severity::kWarning, kFamily,
-              qualify(opts_.scope, "signal '" + name + "'"),
-              "reset of process '" + sim_.process_name(p) +
-                  "' (clock domain " + domain_names(dom) +
-                  ") is derived from clock domain " + domain_names(foreign) +
-                  " — cross-domain reset release is unsynchronized",
-              "generate the reset in the consuming clock domain or "
-              "synchronize its deassertion");
-        }
+      for (rtl::SignalId r : reset_sigs) {
+        const Domain& t = seq_taint(r);
+        Domain foreign;
+        std::set_difference(t.begin(), t.end(), dom.begin(), dom.end(),
+                            std::inserter(foreign, foreign.begin()));
+        if (foreign.empty()) continue;
+        report_.add(
+            "DF-RESET", Severity::kWarning, kFamily,
+            qualify(opts_.scope, "signal '" + sim_.signal_name(r) + "'"),
+            "reset of process '" + sim_.process_name(p) +
+                "' (clock domain " + domain_names(dom) +
+                ") is derived from clock domain " + domain_names(foreign) +
+                " — cross-domain reset release is unsynchronized",
+            "generate the reset in the consuming clock domain or "
+            "synchronize its deassertion");
       }
     }
   }

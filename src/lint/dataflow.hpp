@@ -35,14 +35,11 @@
 #include <vector>
 
 #include "src/lint/diagnostic.hpp"
-#include "src/lint/suppress.hpp"
 #include "src/rtl/simulator.hpp"
 
 namespace castanet::lint {
 
-/// Work/precision counters for one analyze_dataflow run.  The suppression
-/// fast path is observable here: a fully suppressed value-rule family does
-/// zero probe work.
+/// Work/precision counters for one analyze_dataflow run.
 struct DataflowStats {
   std::uint64_t processes_probed = 0;    ///< comb processes enumerated
   std::uint64_t probe_evaluations = 0;   ///< sandboxed body executions
@@ -55,7 +52,7 @@ struct DataflowStats {
 /// Test/introspection hook: the machine-readable facts behind the
 /// diagnostics, filled when DataflowOptions::facts is set.
 struct DataflowFacts {
-  /// Signals proved constant (DF-STUCK eligible, before suppressions).
+  /// Signals proved constant (each one a DF-STUCK finding).
   std::vector<std::pair<rtl::SignalId, rtl::LogicVector>> stuck;
   /// Indices into Simulator::guards() proved never taken.
   std::vector<std::size_t> dead_guards;
@@ -64,18 +61,6 @@ struct DataflowFacts {
 struct DataflowOptions {
   /// Prefix for diagnostic locations (e.g. the backend name).
   std::string scope;
-  /// Applied *before* rule families run: a rule suppressed on every signal
-  /// skips its analysis entirely (suppress.hpp).
-  std::vector<RuleSuppression> suppressions;
-  /// Free-bit enumeration budget per process per pass; a process whose
-  /// candidate combinations exceed it degrades to ⊤.
-  std::size_t max_probe_evals_per_process = 64;
-  /// Fixpoint sweep cap; on hitting it without convergence every signal
-  /// still in flux degrades to ⊤ (soundness over precision).
-  std::size_t max_fixpoint_passes = 8;
-  /// Named constant seeds pinned before the fixpoint (BRD config values,
-  /// tied-off mode pins): signal name -> value.  Unknown names are ignored.
-  std::vector<std::pair<std::string, rtl::LogicVector>> seeds;
   /// When set, filled with the facts behind the report (oracle tests).
   DataflowFacts* facts = nullptr;
 };

@@ -48,7 +48,6 @@ std::vector<const Diagnostic*> Report::by_rule(std::string_view rule) const {
 
 void Report::merge(const Report& other) {
   diags_.insert(diags_.end(), other.diags_.begin(), other.diags_.end());
-  suppressed_ += other.suppressed_;
 }
 
 namespace {
@@ -81,9 +80,7 @@ std::string Report::to_text() const {
   std::ostringstream os;
   for (const Diagnostic* d : severity_sorted(diags_)) render_line(os, *d);
   os << "castanet-lint: " << errors() << " error(s), " << warnings()
-     << " warning(s), " << notes() << " note(s)";
-  if (suppressed_) os << ", " << suppressed_ << " suppressed";
-  os << "\n";
+     << " warning(s), " << notes() << " note(s)\n";
   return os.str();
 }
 
@@ -108,8 +105,6 @@ json::Value Report::to_json_value() const {
   root.emplace_back("warnings",
                     json::Value(static_cast<std::int64_t>(warnings())));
   root.emplace_back("notes", json::Value(static_cast<std::int64_t>(notes())));
-  root.emplace_back("suppressed",
-                    json::Value(static_cast<std::int64_t>(suppressed_)));
   return json::Value(std::move(root));
 }
 
@@ -141,8 +136,6 @@ Report Report::from_json(const json::Value& v) {
     d.fix_hint = e.string_or("fix_hint", "");
     r.add(std::move(d));
   }
-  const std::int64_t sup = v.int_or("suppressed", 0);
-  for (std::int64_t i = 0; i < sup; ++i) r.note_suppressed();
   return r;
 }
 

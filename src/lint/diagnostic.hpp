@@ -4,8 +4,8 @@
 // analyzer family it came from, the elaborated object it points at, a
 // message and an optional fix hint.  A Report collects diagnostics across
 // analyzer families, renders them as text or JSON (for the castanet_lint
-// CLI), and can promote errors to exceptions (the `strict` elaboration
-// hooks).
+// CLI), and can promote errors to exceptions (analyze_session with
+// Options::strict).
 #pragma once
 
 #include <cstddef>
@@ -31,7 +31,7 @@ struct Diagnostic {
   std::string fix_hint;   ///< how to fix it (optional)
 };
 
-/// Thrown by Report::throw_if (strict mode): static analysis found
+/// Thrown by Report::throw_if (Options::strict): static analysis found
 /// diagnostics at or above the requested severity.
 class LintError : public Error {
  public:
@@ -52,11 +52,6 @@ class Report {
   std::size_t warnings() const { return count(Severity::kWarning); }
   std::size_t notes() const { return count(Severity::kNote); }
   bool empty() const { return diags_.empty(); }
-
-  /// Analyzers call this when a suppression withheld a finding, so reports
-  /// still show that findings were silenced rather than absent.
-  void note_suppressed() { ++suppressed_; }
-  std::size_t suppressed() const { return suppressed_; }
 
   /// True if any diagnostic carries rule ID `rule`.
   bool has(std::string_view rule) const;
@@ -80,12 +75,11 @@ class Report {
   static Report from_json(const json::Value& v);
 
   /// Throws LintError listing the offending diagnostics when any diagnostic
-  /// has severity >= `threshold` (strict elaboration hooks).
+  /// has severity >= `threshold` (analyze_session with Options::strict).
   void throw_if(Severity threshold) const;
 
  private:
   std::vector<Diagnostic> diags_;
-  std::size_t suppressed_ = 0;
 };
 
 /// Schema gate for CLI lint JSON (castanet_lint --json / --validate).

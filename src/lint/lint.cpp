@@ -11,18 +11,11 @@ Report analyze_session(cosim::VerificationSession& session,
   for (std::size_t i = 0; i < session.backend_count(); ++i) {
     cosim::DutBackend& b = session.backend(i);
     if (auto* r = dynamic_cast<cosim::RtlBackend*>(&b)) {
-      NetlistOptions nopts;
-      nopts.depth = opts.depth;
-      nopts.scope = b.name();
-      nopts.suppressions = opts.suppressions;
-      if (opts.depth == NetlistDepth::kProbed) {
-        settle(r->hdl(), r->sync().params().clock_period, opts.settle_cycles);
-      }
-      analyze_netlist(r->hdl(), nopts, report);
+      settle(r->hdl(), r->sync().params().clock_period);
+      analyze_netlist(r->hdl(), b.name(), report);
       if (opts.dataflow) {
-        DataflowOptions dopts = opts.dataflow_options;
+        DataflowOptions dopts;
         dopts.scope = b.name();
-        dopts.suppressions = opts.suppressions;
         analyze_dataflow(r->hdl(), dopts, report);
       }
     } else if (auto* brd = dynamic_cast<cosim::BoardBackend*>(&b)) {

@@ -15,8 +15,8 @@
 namespace castanet::lint {
 
 /// Runs every sync rule on `session` (its gateway, params and attached
-/// backends) and appends findings to `report`.  Call after every attach();
-/// the session's elaboration hook runs this at exactly the right moment.
+/// backends) and appends findings to `report`.  Call after every attach(),
+/// as analyze_session does.
 void analyze_session_sync(cosim::VerificationSession& session,
                           Report& report);
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/error.hpp"
+#include "tests/board/adder_config.hpp"
 
 namespace castanet::board {
 namespace {
@@ -39,18 +40,6 @@ class AdderDut : public BehavioralDut {
   std::uint64_t reg_ = 0;
   std::uint64_t latch_ = 0;
 };
-
-ConfigDataSet adder_config() {
-  ConfigDataSet cfg;
-  cfg.inports.push_back({0, 8, {{0, 0, 8}}});
-  cfg.inports.push_back({1, 8, {{1, 0, 8}}});
-  cfg.inports.push_back({2, 8, {{2, 0, 8}}});  // bus, tester side
-  cfg.outports.push_back({0, 8, {{8, 0, 8}}});
-  cfg.outports.push_back({1, 8, {{9, 0, 8}}});  // bus, DUT side
-  cfg.ctrlports.push_back({0, 1, {{3, 0, 1}}, 0});
-  cfg.ioports.push_back({2, 1, 0, 8, 1});
-  return cfg;
-}
 
 class BoardTest : public ::testing::Test {
  protected:

@@ -188,7 +188,7 @@ void run_trial(const TrialConfig& cfg) {
         << sim.guards()[gi].label << "')";
   }
 
-  // Sanity: the machinery actually ran (nothing suppressed it).
+  // Sanity: the machinery actually ran.
   EXPECT_GE(stats.fixpoint_passes, 1u);
 }
 

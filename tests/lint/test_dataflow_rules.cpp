@@ -342,65 +342,6 @@ TEST(DataflowRules, ResetFromForeignDomainIsReportedAsResetNotCdc) {
             false);
 }
 
-// --- suppressions gate the analysis, not just the reporting -----------------
-
-TEST(DataflowRules, FullySuppressedFamilyDoesZeroDataflowWork) {
-  rtl::Simulator sim;
-  const auto a = sim.create_signal("a", 1, rtl::Logic::L0);
-  const auto y = sim.create_signal("y", 1);
-  sim.add_process("buf", {a},
-                  [&] { sim.schedule_write(y, sim.value(a).bit(0)); });
-  DataflowOptions opts;
-  opts.suppressions.push_back({"DF-*", "*"});
-  Report r;
-  const DataflowStats stats = analyze(sim, r, opts);
-  EXPECT_EQ(stats.probe_evaluations, 0u);
-  EXPECT_EQ(stats.fixpoint_passes, 0u);
-  EXPECT_EQ(stats.processes_probed, 0u);
-  EXPECT_TRUE(r.empty());
-}
-
-TEST(DataflowRules, PerSignalSuppressionStillRunsTheAnalysis) {
-  rtl::Simulator sim;
-  const auto a = sim.create_signal("a", 1, rtl::Logic::L0);
-  const auto y = sim.create_signal("y", 1);
-  sim.add_process("buf", {a},
-                  [&] { sim.schedule_write(y, sim.value(a).bit(0)); });
-  DataflowOptions opts;
-  opts.suppressions.push_back({"DF-STUCK", "y"});
-  Report r;
-  const DataflowStats stats = analyze(sim, r, opts);
-  EXPECT_FALSE(r.has("DF-STUCK"));
-  EXPECT_EQ(r.suppressed(), 1u);
-  EXPECT_GT(stats.probe_evaluations, 0u);
-}
-
-// --- seeds ------------------------------------------------------------------
-
-TEST(DataflowRules, SeedPinsAnExternallyDrivenModePin) {
-  rtl::Simulator sim;
-  const auto mode = sim.create_signal("mode", 1, rtl::Logic::L0);
-  const auto y = sim.create_signal("y", 1);
-  sim.add_process("buf", {mode},
-                  [&] { sim.schedule_write(y, sim.value(mode).bit(0)); });
-  sim.initialize();
-  sim.schedule_write(mode, rtl::Logic::L1);  // externally driven: ⊤ ...
-  sim.step_time();
-  {
-    Report r;
-    analyze(sim, r);
-    EXPECT_FALSE(r.has("DF-STUCK"));
-  }
-  // ... unless the user pins it: BRD config values / tied-off mode pins.
-  DataflowOptions opts;
-  opts.seeds.emplace_back("mode", rtl::LogicVector::from_uint(1, 1));
-  Report r;
-  analyze(sim, r, opts);
-  ASSERT_TRUE(r.has("DF-STUCK"));
-  EXPECT_NE(r.by_rule("DF-STUCK").front()->message.find("\"1\""),
-            std::string::npos);
-}
-
 // --- the sandbox restores the simulation -----------------------------------
 
 TEST(DataflowRules, AnalysisLeavesSignalValuesUntouched) {

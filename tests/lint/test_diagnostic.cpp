@@ -105,12 +105,9 @@ TEST(ReportJson, ValueRoundTripPreservesEverything) {
   r.add(mk("NET-A", Severity::kError));
   r.add({"DF-STUCK", Severity::kWarning, "dataflow", "rtl: signal 'y'",
          "provably constant", "tie it off"});
-  r.note_suppressed();
-  r.note_suppressed();
   const Report back = Report::from_json(r.to_json_value());
   EXPECT_EQ(back.to_json_value().dump(), r.to_json_value().dump());
   EXPECT_EQ(back.diagnostics().size(), 2u);
-  EXPECT_EQ(back.suppressed(), 2u);
   EXPECT_TRUE(back.has("DF-STUCK"));
   EXPECT_EQ(back.by_rule("DF-STUCK").front()->fix_hint, "tie it off");
 }
@@ -152,7 +149,7 @@ TEST(ReportJson, FromJsonRejectsMalformedReports) {
   EXPECT_THROW(
       Report::from_json(json::parse(
           "{\"diagnostics\": [{\"rule\": \"X\", \"severity\": \"fatal\"}], "
-          "\"errors\": 0, \"warnings\": 0, \"notes\": 0, \"suppressed\": 0}")),
+          "\"errors\": 0, \"warnings\": 0, \"notes\": 0}")),
       LintError);
 }
 

@@ -11,11 +11,9 @@ namespace {
 
 constexpr SimTime kClk = SimTime::from_ns(50);
 
-Report analyze(rtl::Simulator& sim, NetlistDepth depth) {
-  NetlistOptions opts;
-  opts.depth = depth;
+Report analyze(rtl::Simulator& sim) {
   Report report;
-  analyze_netlist(sim, opts, report);
+  analyze_netlist(sim, "", report);
   return report;
 }
 
@@ -26,7 +24,7 @@ TEST(NetlistRules, ResolvedBusWithReleasedDriverIsANote) {
   const auto s = sim.create_signal("bus", 1, rtl::Logic::Z);
   sim.add_process("tri", {}, [&] { sim.schedule_write(s, rtl::Logic::Z); });
   sim.add_process("drv", {}, [&] { sim.schedule_write(s, rtl::Logic::L1); });
-  const Report r = analyze(sim, NetlistDepth::kElaboration);
+  const Report r = analyze(sim);
   EXPECT_TRUE(r.has("NET-MULTI-DRIVEN"));
   EXPECT_FALSE(r.has("NET-CONTENTION"));
   EXPECT_EQ(r.errors(), 0u);
@@ -37,7 +35,7 @@ TEST(NetlistRules, ConflictingStrongDriversAreContention) {
   const auto s = sim.create_signal("bus", 1, rtl::Logic::Z);
   sim.add_process("a", {}, [&] { sim.schedule_write(s, rtl::Logic::L0); });
   sim.add_process("b", {}, [&] { sim.schedule_write(s, rtl::Logic::L1); });
-  const Report r = analyze(sim, NetlistDepth::kElaboration);
+  const Report r = analyze(sim);
   ASSERT_TRUE(r.has("NET-CONTENTION"));
   EXPECT_EQ(r.by_rule("NET-CONTENTION").front()->severity, Severity::kError);
   // The diagnostic names both drivers.
@@ -58,7 +56,7 @@ TEST(NetlistRules, CombinationalLoopIsReportedWithItsPath) {
                   [&] { sim.schedule_write(s1, sim.value(s2)); });
   sim.add_process("back", {s1},
                   [&] { sim.schedule_write(s2, sim.value(s1)); });
-  const Report r = analyze(sim, NetlistDepth::kElaboration);
+  const Report r = analyze(sim);
   ASSERT_TRUE(r.has("NET-COMB-LOOP"));
   const Diagnostic& d = *r.by_rule("NET-COMB-LOOP").front();
   EXPECT_EQ(d.severity, Severity::kError);
@@ -82,7 +80,7 @@ TEST(NetlistRules, ClockedRingIsNotACombinationalLoop) {
   });
   rtl::ClockGen gen(sim, clk, kClk);
   settle(sim, kClk);
-  const Report r = analyze(sim, NetlistDepth::kProbed);
+  const Report r = analyze(sim);
   EXPECT_FALSE(r.has("NET-COMB-LOOP"));
 }
 
@@ -92,7 +90,7 @@ TEST(NetlistRules, WidthMismatchOnDeclaredBinding) {
   rtl::Simulator sim;
   const auto s = sim.create_signal("narrow", 4);
   sim.declare_port_binding(s, rtl::PortDir::kIn, 8, "mon.data");
-  const Report r = analyze(sim, NetlistDepth::kElaboration);
+  const Report r = analyze(sim);
   ASSERT_TRUE(r.has("NET-WIDTH-MISMATCH"));
   const Diagnostic& d = *r.by_rule("NET-WIDTH-MISMATCH").front();
   EXPECT_EQ(d.severity, Severity::kError);
@@ -117,7 +115,7 @@ TEST(NetlistRules, UndrivenUninitializedInputIsAnError) {
   rtl::Simulator sim;
   const auto s = sim.create_signal("dangling", 1);  // init U
   sim.declare_port_binding(s, rtl::PortDir::kIn, 1, "dut.enable");
-  const Report r = analyze(sim, NetlistDepth::kProbed);
+  const Report r = analyze(sim);
   ASSERT_TRUE(r.has("NET-UNDRIVEN"));
   EXPECT_EQ(r.by_rule("NET-UNDRIVEN").front()->severity, Severity::kError);
 }
@@ -126,19 +124,11 @@ TEST(NetlistRules, UndrivenDefinedInputIsATieOffNote) {
   rtl::Simulator sim;
   const auto s = sim.create_signal("tied", 1, rtl::Logic::L0);
   sim.declare_port_binding(s, rtl::PortDir::kIn, 1, "dut.enable");
-  const Report r = analyze(sim, NetlistDepth::kProbed);
+  const Report r = analyze(sim);
   EXPECT_FALSE(r.has("NET-UNDRIVEN"));
   ASSERT_TRUE(r.has("NET-UNDRIVEN-CONST"));
   EXPECT_EQ(r.by_rule("NET-UNDRIVEN-CONST").front()->severity,
             Severity::kNote);
-}
-
-TEST(NetlistRules, UndrivenRulesNeedProbedDepth) {
-  rtl::Simulator sim;
-  const auto s = sim.create_signal("dangling", 1);
-  sim.declare_port_binding(s, rtl::PortDir::kIn, 1, "dut.enable");
-  const Report r = analyze(sim, NetlistDepth::kElaboration);
-  EXPECT_FALSE(r.has("NET-UNDRIVEN"));
 }
 
 TEST(NetlistRules, ExternallyDrivenInputIsNotUndriven) {
@@ -148,7 +138,7 @@ TEST(NetlistRules, ExternallyDrivenInputIsNotUndriven) {
   sim.schedule_write(s, rtl::Logic::L0);  // test-bench write (external)
   sim.initialize();
   sim.step_time();
-  const Report r = analyze(sim, NetlistDepth::kProbed);
+  const Report r = analyze(sim);
   EXPECT_FALSE(r.has("NET-UNDRIVEN"));
   EXPECT_FALSE(r.has("NET-UNDRIVEN-CONST"));
 }
@@ -174,70 +164,6 @@ TEST(NetlistRules, StrictSessionAnalysisThrowsOnContention) {
   Options opts;
   opts.strict = true;
   EXPECT_THROW(analyze_session(session, opts), LintError);
-}
-
-// --- per-signal rule suppressions -------------------------------------------
-
-TEST(NetlistRules, SuppressionWithholdsRuleOnNamedSignal) {
-  rtl::Simulator sim;
-  const auto s = sim.create_signal("bus", 1, rtl::Logic::Z);
-  sim.add_process("a", {}, [&] { sim.schedule_write(s, rtl::Logic::L0); });
-  sim.add_process("b", {}, [&] { sim.schedule_write(s, rtl::Logic::L1); });
-  NetlistOptions opts;
-  opts.suppressions.push_back({"NET-CONTENTION", "bus"});
-  Report r;
-  analyze_netlist(sim, opts, r);
-  EXPECT_FALSE(r.has("NET-CONTENTION"));
-  EXPECT_EQ(r.errors(), 0u);
-  EXPECT_EQ(r.suppressed(), 1u);
-}
-
-TEST(NetlistRules, SuppressionIsRuleSpecific) {
-  // Suppressing a different rule on the same signal changes nothing.
-  rtl::Simulator sim;
-  const auto s = sim.create_signal("bus", 1, rtl::Logic::Z);
-  sim.add_process("a", {}, [&] { sim.schedule_write(s, rtl::Logic::L0); });
-  sim.add_process("b", {}, [&] { sim.schedule_write(s, rtl::Logic::L1); });
-  NetlistOptions opts;
-  opts.suppressions.push_back({"NET-UNDRIVEN", "bus"});
-  Report r;
-  analyze_netlist(sim, opts, r);
-  EXPECT_TRUE(r.has("NET-CONTENTION"));
-  EXPECT_EQ(r.suppressed(), 0u);
-}
-
-TEST(NetlistRules, SuppressionPrefixGlobAndWildcardRule) {
-  rtl::Simulator sim;
-  const auto s1 = sim.create_signal("sw.rx0.tied", 1, rtl::Logic::L0);
-  const auto s2 = sim.create_signal("sw.rx1.tied", 1, rtl::Logic::L0);
-  const auto s3 = sim.create_signal("other.tied", 1, rtl::Logic::L0);
-  sim.declare_port_binding(s1, rtl::PortDir::kIn, 1, "rx0.en");
-  sim.declare_port_binding(s2, rtl::PortDir::kIn, 1, "rx1.en");
-  sim.declare_port_binding(s3, rtl::PortDir::kIn, 1, "o.en");
-  NetlistOptions opts;
-  opts.depth = NetlistDepth::kProbed;
-  opts.suppressions.push_back({"*", "sw.rx*"});
-  Report r;
-  analyze_netlist(sim, opts, r);
-  // The two sw.rx* tie-off notes are withheld; the third survives.
-  ASSERT_EQ(r.by_rule("NET-UNDRIVEN-CONST").size(), 1u);
-  EXPECT_NE(r.by_rule("NET-UNDRIVEN-CONST").front()->location.find(
-                "other.tied"),
-            std::string::npos);
-  EXPECT_EQ(r.suppressed(), 2u);
-}
-
-TEST(NetlistRules, SuppressionsForwardedThroughSessionOptions) {
-  // The umbrella Options allowlist reaches every backend's netlist pass and
-  // the suppressed count survives the report merge into the summary text.
-  Report r;
-  r.note_suppressed();
-  r.note_suppressed();
-  Report merged;
-  merged.merge(r);
-  EXPECT_EQ(merged.suppressed(), 2u);
-  EXPECT_NE(merged.to_text().find("2 suppressed"), std::string::npos);
-  EXPECT_NE(merged.to_json().find("\"suppressed\": 2"), std::string::npos);
 }
 
 }  // namespace

@@ -249,6 +249,18 @@ int usage(const char* argv0) {
   return 2;
 }
 
+/// One "[PASS]"/"[FAIL]" line per session on stderr, or per failed session
+/// with `failed_only`.
+void print_results(const std::vector<SessionResult>& results,
+                   bool failed_only) {
+  for (const SessionResult& r : results) {
+    if (failed_only && r.ok) continue;
+    std::cerr << "  [" << (r.ok ? "PASS" : "FAIL") << "] " << r.id;
+    if (!r.error.empty()) std::cerr << " — " << r.error;
+    std::cerr << "\n";
+  }
+}
+
 bool results_identical(const std::vector<SessionResult>& a,
                        const std::vector<SessionResult>& b) {
   if (a.size() != b.size()) return false;
@@ -356,6 +368,15 @@ int farm_main(int argc, char** argv) {
   if (check) {
     const cosim::farm::FarmReport baseline =
         cosim::farm::run_serial(specs, run_session);
+    // A failed session is reported as a failure, not compared: its error
+    // may name its output path, which carries the worker only when farmed.
+    if (!report.all_ok() || !baseline.all_ok()) {
+      std::cerr << "castanet_farm: sessions failed in the farmed run:\n";
+      print_results(report.results, /*failed_only=*/true);
+      std::cerr << "castanet_farm: sessions failed in the serial run:\n";
+      print_results(baseline.results, /*failed_only=*/true);
+      return 1;
+    }
     if (!results_identical(report.results, baseline.results)) {
       std::cerr << "castanet_farm: FARM/SERIAL MISMATCH\n"
                 << "farm:   " << report.to_json().dump(2) << "\n"
@@ -408,11 +429,7 @@ int farm_main(int argc, char** argv) {
     f << json << "\n";
     std::cerr << "castanet_farm: report written to " << out_path << "\n";
   }
-  for (const SessionResult& r : report.results) {
-    std::cerr << "  [" << (r.ok ? "PASS" : "FAIL") << "] " << r.id;
-    if (!r.error.empty()) std::cerr << " — " << r.error;
-    std::cerr << "\n";
-  }
+  print_results(report.results, /*failed_only=*/false);
   return report.all_ok() ? 0 : 1;
 }
 

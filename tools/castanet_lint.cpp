@@ -5,9 +5,8 @@
 // §10/§13) on each and reports the findings.
 //
 //   castanet_lint [--design switch|board|all] [--json] [--strict]
-//                 [--depth elaboration|probed] [--dataflow]
-//                 [--suppress RULE@SIGNAL]... [--baseline FILE]
-//                 [--metrics FILE] [--fix-dry-run]
+//                 [--dataflow] [--baseline FILE] [--metrics FILE]
+//                 [--fix-dry-run]
 //   castanet_lint --validate FILE
 //
 //   --design      which rig(s) to analyze                   (default: all)
@@ -15,21 +14,12 @@
 //   --strict      abort on the first design with error-severity findings,
 //                 via Report::throw_if (exit 2) — the CI wiring uses the
 //                 default mode and the exit code instead
-//   --depth       elaboration = no kernel advances; probed = settle each
-//                 RTL backend a few clock periods for the full rule set
-//                 (default: probed)
 //   --dataflow    also run the DF-* abstract-interpretation rules
 //                 (src/lint/dataflow.hpp) on every RTL backend
-//   --suppress    withhold findings of RULE on the named signal
-//                 (repeatable; SIGNAL may end in '*' for a prefix glob,
-//                 RULE may be '*' or a prefix glob like 'DF-*'; a bare
-//                 SIGNAL with no '@' suppresses every rule on it).
-//                 Suppressed findings are counted in the report summary,
-//                 and a rule suppressed on every signal skips its
-//                 analysis entirely.
 //   --baseline    JSON file of known findings ({"switch": [{"rule": ...,
 //                 "location": ...}], "board": [...]}); exit 1 when any
-//                 diagnostic is NOT in the baseline (CI ratchet)
+//                 diagnostic is NOT in the baseline (CI ratchet).  This is
+//                 how a known finding is accepted.
 //   --metrics     enable the telemetry hub and write its snapshot
 //                 (including the lint.dataflow.* counters) to FILE
 //   --fix-dry-run for board configs with pin conflicts, print the patched
@@ -66,9 +56,8 @@ struct DesignReport {
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--design switch|board|all] [--json] [--strict]\n"
-               "       [--depth elaboration|probed] [--dataflow]\n"
-               "       [--suppress RULE@SIGNAL]... [--baseline FILE]\n"
-               "       [--metrics FILE] [--fix-dry-run]\n"
+               "       [--dataflow] [--baseline FILE] [--metrics FILE]\n"
+               "       [--fix-dry-run]\n"
                "       %s --validate FILE\n",
                argv0, argv0);
   return 2;
@@ -140,28 +129,6 @@ int main(int argc, char** argv) {
       metrics_path = argv[++i];
     } else if (std::strcmp(argv[i], "--validate") == 0 && i + 1 < argc) {
       validate_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--suppress") == 0 && i + 1 < argc) {
-      const std::string spec = argv[++i];
-      const std::size_t at = spec.find('@');
-      lint::RuleSuppression s;
-      if (at == std::string::npos) {
-        s.rule = "*";
-        s.signal = spec;
-      } else {
-        s.rule = spec.substr(0, at);
-        s.signal = spec.substr(at + 1);
-      }
-      if (s.signal.empty()) return usage(argv[0]);
-      opts.suppressions.push_back(std::move(s));
-    } else if (std::strcmp(argv[i], "--depth") == 0 && i + 1 < argc) {
-      const std::string d = argv[++i];
-      if (d == "elaboration") {
-        opts.depth = lint::NetlistDepth::kElaboration;
-      } else if (d == "probed") {
-        opts.depth = lint::NetlistDepth::kProbed;
-      } else {
-        return usage(argv[0]);
-      }
     } else {
       return usage(argv[0]);
     }
