@@ -33,7 +33,6 @@
 
 #include "bench/bench_util.hpp"
 #include "src/atm/hec.hpp"
-#include "src/castanet/comparator.hpp"
 #include "src/castanet/remote.hpp"
 #include "src/castanet/session.hpp"
 #include "src/core/transport.hpp"
@@ -273,7 +272,6 @@ struct SwitchRtlRig {
   rtl::ClockGen clock{hdl, clk, kClk};
   hw::AtmSwitch sw{hdl, "sw", clk, rst};
   cosim::RtlBackend rtl{"rtl", hdl, sync_params()};
-  cosim::ResponseComparator cmp;
   std::vector<std::unique_ptr<hw::CellPortDriver>> drivers;
   std::vector<std::unique_ptr<hw::CellPortMonitor>> monitors;
 
@@ -284,7 +282,6 @@ struct SwitchRtlRig {
           hdl, "drv" + std::to_string(p), clk, sw.phys_in(p)));
       monitors.push_back(std::make_unique<hw::CellPortMonitor>(
           hdl, "mon" + std::to_string(p), clk, sw.phys_out(p)));
-      monitors[p]->set_callback([this](const atm::Cell& c) { cmp.actual(c); });
       rtl.entity().register_input(
           static_cast<cosim::MessageType>(p), 53,
           [this, p](const cosim::TimedMessage& m) {

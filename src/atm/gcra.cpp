@@ -26,25 +26,4 @@ void Gcra::reset() {
   nonconforming_ = 0;
 }
 
-bool DualGcra::conforms(SimTime t) {
-  // Evaluate both buckets' conformance before updating either, so a cell
-  // rejected by one bucket does not consume credit in the other.
-  const bool pcr_ok =
-      pcr_.conforming_count() + pcr_.nonconforming_count() == 0 ||
-      !(t < pcr_.tat() - pcr_.limit());
-  const bool scr_ok =
-      scr_.conforming_count() + scr_.nonconforming_count() == 0 ||
-      !(t < scr_.tat() - scr_.limit());
-  if (pcr_ok && scr_ok) {
-    pcr_.conforms(t);
-    scr_.conforms(t);
-    return true;
-  }
-  // Record the violation on whichever bucket failed (for statistics) without
-  // advancing the TATs.
-  if (!pcr_ok) pcr_.conforms(t);
-  if (!scr_ok) scr_.conforms(t);
-  return false;
-}
-
 }  // namespace castanet::atm

@@ -1,7 +1,8 @@
 // Generic Cell Rate Algorithm (ITU-T I.371 / ATM Forum UNI 4.0), virtual
-// scheduling formulation.  Used by the usage-parameter-control (policing)
-// hardware and its algorithmic reference model — the "ATM traffic
-// management sector" applications the paper targets.
+// scheduling formulation: the traffic contract of the "ATM traffic
+// management sector" applications the paper targets, and the reference the
+// GCRA boundary conformance vectors (traffic/conformance) are checked
+// against.
 #pragma once
 
 #include <cstdint>
@@ -24,8 +25,6 @@ class Gcra {
 
   /// The theoretical arrival time of the next cell.
   SimTime tat() const { return tat_; }
-  SimTime increment() const { return increment_; }
-  SimTime limit() const { return limit_; }
 
   std::uint64_t conforming_count() const { return conforming_; }
   std::uint64_t nonconforming_count() const { return nonconforming_; }
@@ -39,23 +38,6 @@ class Gcra {
   bool first_ = true;
   std::uint64_t conforming_ = 0;
   std::uint64_t nonconforming_ = 0;
-};
-
-/// Dual leaky bucket: PCR policing plus SCR/MBS policing, both must pass.
-class DualGcra {
- public:
-  DualGcra(SimTime pcr_increment, SimTime pcr_limit, SimTime scr_increment,
-           SimTime scr_limit)
-      : pcr_(pcr_increment, pcr_limit), scr_(scr_increment, scr_limit) {}
-
-  bool conforms(SimTime t);
-
-  const Gcra& pcr() const { return pcr_; }
-  const Gcra& scr() const { return scr_; }
-
- private:
-  Gcra pcr_;
-  Gcra scr_;
 };
 
 }  // namespace castanet::atm

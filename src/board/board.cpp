@@ -38,9 +38,6 @@ struct OutportView {
 
 }  // namespace
 
-HardwareTestBoard::HardwareTestBoard(ScsiChannel::Params scsi)
-    : scsi_(scsi) {}
-
 void HardwareTestBoard::configure(const ConfigDataSet& cfg) {
   cfg.validate();
   cfg_ = cfg;
@@ -104,6 +101,12 @@ HardwareTestBoard::RunStats HardwareTestBoard::run_test_cycle(
   if (clock_hz == 0 || clock_hz > kMaxBoardClockHz) {
     throw ConfigError("board: clock beyond the 20 MHz board maximum");
   }
+  if (clock_hz < cfg_.gating_factor) {
+    throw ConfigError("board: a " + std::to_string(clock_hz) +
+                      " Hz clock divided by gating factor " +
+                      std::to_string(cfg_.gating_factor) +
+                      " leaves the DUT no clock");
+  }
   if (duration == 0) duration = stimulus_length();
   if (duration == 0 || duration > kMaxTestCycle) {
     throw ConfigError("board: test cycle duration must be in 1.." +
@@ -127,7 +130,7 @@ HardwareTestBoard::RunStats HardwareTestBoard::run_test_cycle(
   const auto paired = [&](unsigned IoPortMapping::*side, unsigned port) {
     BusControl bus;
     for (const IoPortMapping& io : cfg_.ioports) {
-      if (io.*side == port) bus.io = &io;  // the last pairing wins
+      if (io.*side == port) bus.io = &io;
     }
     if (bus.io == nullptr) return bus;
     for (const CtrlportMapping& m : cfg_.ctrlports) {

@@ -29,8 +29,6 @@ namespace castanet::board {
 
 class HardwareTestBoard {
  public:
-  explicit HardwareTestBoard(ScsiChannel::Params scsi = {});
-
   /// Validates and installs the configuration data set; clears memories.
   /// The configuration upload itself costs one SCSI transfer.
   void configure(const ConfigDataSet& cfg);
@@ -42,7 +40,8 @@ class HardwareTestBoard {
   void load_ctrl(unsigned ctrlport, std::vector<std::uint64_t> values);
 
   /// Runs one hardware activity cycle of `duration` board clocks at
-  /// `clock_hz` (<= 20 MHz; the DUT sees clock_hz / gating_factor).
+  /// `clock_hz` (<= 20 MHz and >= the gating factor; the DUT sees
+  /// clock_hz / gating_factor).
   /// `duration` 0 derives the duration automatically from the longest
   /// loaded stimulus (§3.3's automatic calculation from control-port data).
   struct RunStats {

@@ -160,6 +160,18 @@ void check_ioports(Findings& out, const ConfigDataSet& cfg) {
     }
     for (std::size_t j = 0; j < i; ++j) {
       const IoPortMapping& o = cfg.ioports[j];
+      // A bus half takes its drive direction from the one ioport that
+      // pairs it; a second pairing would give it two.
+      const auto shared = [&](PortRef ref) {
+        out.push_back({"BRD-IO-SHARED", port(), std::nullopt,
+                       "pairs " + ref.label() + ", which ioport #" +
+                           std::to_string(j) +
+                           " already pairs: the port would take its drive "
+                           "direction from two ioports",
+                       "pair each inport and outport in at most one ioport"});
+      };
+      if (o.inport == m.inport) shared({"inport", m.inport});
+      if (o.outport == m.outport) shared({"outport", m.outport});
       if (o.ctrlport != m.ctrlport ||
           o.dut_drives_value == m.dut_drives_value) {
         continue;

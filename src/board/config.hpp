@@ -96,7 +96,8 @@ struct ConfigDataSet {
   /// overlap (slices of the same drive direction must not share a pin;
   /// opposite directions may, which is how an I/O port pairs its halves),
   /// the ctrl write value, duplicate port IDs, and I/O-port references,
-  /// widths and direction flags.  Empty for a valid configuration.
+  /// widths, direction flags and shared bus halves (an inport or outport
+  /// paired by two ioports).  Empty for a valid configuration.
   std::vector<ConfigFinding> findings() const;
 
   /// Throws ConfigError naming the first of findings(), if any.

@@ -43,7 +43,7 @@ class CellPortDriver : public rtl::Module {
 
   /// Enqueues a cell for transmission (takes clocks_per_cell() edges).
   void enqueue(const atm::Cell& c);
-  /// Enqueues raw 53-byte data (for HEC-corrupted conformance vectors).
+  /// Enqueues raw 53-byte data (how a test injects a corrupted HEC).
   void enqueue_bytes(const std::array<std::uint8_t, atm::kCellBytes>& bytes);
   bool idle() const { return buffer_.empty(); }
   std::uint64_t cells_driven() const { return cells_driven_; }

@@ -87,29 +87,4 @@ std::uint64_t AccountingRef::charge(std::size_t index) const {
   return charges_[index];
 }
 
-// --- PolicerRef --------------------------------------------------------------
-
-void PolicerRef::configure(atm::VcId vc, SimTime increment, SimTime limit,
-                           bool tag_instead_of_drop) {
-  vcs_.emplace(vc, VcState{atm::Gcra(increment, limit), tag_instead_of_drop});
-}
-
-PolicerRef::Verdict PolicerRef::filter(SimTime t, const atm::Cell& c) {
-  auto it = vcs_.find({c.header.vpi, c.header.vci});
-  if (it == vcs_.end()) {
-    ++passed_;
-    return Verdict::kPass;
-  }
-  if (it->second.gcra.conforms(t)) {
-    ++passed_;
-    return Verdict::kPass;
-  }
-  if (it->second.tag) {
-    ++tagged_;
-    return Verdict::kTag;
-  }
-  ++dropped_;
-  return Verdict::kDrop;
-}
-
 }  // namespace castanet::hw

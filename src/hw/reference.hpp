@@ -12,8 +12,6 @@
 
 #include "src/atm/cell.hpp"
 #include "src/atm/connection.hpp"
-#include "src/atm/gcra.hpp"
-#include "src/dsim/time.hpp"
 #include "src/hw/accounting.hpp"
 
 namespace castanet::hw {
@@ -73,32 +71,6 @@ class AccountingRef {
   std::vector<std::uint64_t> charges_;
   bool unknown_vc_seen_ = false;
   std::uint64_t cells_observed_ = 0;
-};
-
-/// Cell-level policing reference on simulated time.
-class PolicerRef {
- public:
-  enum class Verdict { kPass, kTag, kDrop };
-
-  void configure(atm::VcId vc, SimTime increment, SimTime limit,
-                 bool tag_instead_of_drop = false);
-
-  /// Applies GCRA to a cell arriving at `t`; kPass for unconfigured VCs.
-  Verdict filter(SimTime t, const atm::Cell& c);
-
-  std::uint64_t passed() const { return passed_; }
-  std::uint64_t dropped() const { return dropped_; }
-  std::uint64_t tagged() const { return tagged_; }
-
- private:
-  struct VcState {
-    atm::Gcra gcra;
-    bool tag;
-  };
-  std::unordered_map<atm::VcId, VcState, atm::VcIdHash> vcs_;
-  std::uint64_t passed_ = 0;
-  std::uint64_t dropped_ = 0;
-  std::uint64_t tagged_ = 0;
 };
 
 }  // namespace castanet::hw

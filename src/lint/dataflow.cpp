@@ -101,7 +101,6 @@ class Engine {
     report_stuck();
     report_dead_branches();
     report_x();
-    report_unreachable_states();
     report_clock_cones();
 
     sim_.set_read_tracking(prev_tracking);
@@ -506,31 +505,6 @@ class Engine {
                       saved_[r].to_string() +
                       "\"); its unknown bits feed the logic reading it",
                   "connect a driver or give the signal a defined init value");
-    }
-  }
-
-  void report_unreachable_states() {
-    for (const rtl::FsmDecl& f : sim_.fsms()) {
-      // Meaningful only when the next-state cone was fully enumerated;
-      // otherwise its abstraction is ⊤ and every encoding is producible.
-      for (const rtl::LogicVector& enc : f.states) {
-        bool producible = true;
-        for (std::size_t b = 0; b < enc.width() && producible; ++b) {
-          const std::uint8_t need =
-              rtl::to_bool(enc.bit(b)) ? kMay1 : kMay0;
-          producible = (abs_[f.next][b] & need) != 0;
-        }
-        if (producible) continue;
-        const std::string name = sim_.signal_name(f.state);
-        report_.add(
-            "DF-UNREACHABLE-STATE", Severity::kWarning, kFamily,
-            qualify(opts_.scope, "signal '" + name + "'"),
-            "FSM '" + f.context + "': state encoding \"" + enc.to_string() +
-                "\" is never produced by its next-state cone ('" +
-                sim_.signal_name(f.next) + "')",
-            "remove the unreachable state or fix the next-state logic that "
-            "should reach it");
-      }
     }
   }
 

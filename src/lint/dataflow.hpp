@@ -10,8 +10,6 @@
 //   DF-X-SOURCE          uninitialized/undriven net consumed by logic
 //   DF-X-SINK            such a net's unknown value reaching a register
 //                        or output port (with the propagation path)
-//   DF-UNREACHABLE-STATE declared FSM encoding never produced by its
-//                        next-state cone
 //   DF-CDC               register sampling data from a foreign clock cone
 //   DF-RESET             declared reset derived from a foreign clock cone
 //

@@ -149,16 +149,6 @@ class Module {
                           name_ + "." + local);
     }
   }
-  /// Declares a state machine: `state` register, its `next`-state signal
-  /// and the legal encodings (Simulator::declare_fsm; consumed by the
-  /// DF-UNREACHABLE-STATE dataflow rule).  Descriptive only.
-  void fsm_on(const Bus& state, const Bus& next,
-              std::vector<LogicVector> states, const std::string& local) {
-    if (state.valid() && next.valid()) {
-      sim_->declare_fsm(state.id(), next.id(), std::move(states),
-                        name_ + "." + local);
-    }
-  }
 
   /// Registers a process that runs `fn` on every rising edge of `clk`
   /// (Simulator::add_clocked_process): the kernel knows the body by its

@@ -166,18 +166,6 @@ void Simulator::declare_guard(ProcessId pid, SignalId sig, bool active_high,
   guard_decls_.push_back({pid, sig, active_high, kind, std::move(label)});
 }
 
-void Simulator::declare_fsm(SignalId state, SignalId next,
-                            std::vector<LogicVector> states,
-                            std::string context) {
-  require(state < signals_.size() && next < signals_.size(),
-          "declare_fsm: unknown signal");
-  for (const LogicVector& v : states) {
-    require(v.width() == signals_[state].width,
-            "declare_fsm: state encoding width mismatch");
-  }
-  fsm_decls_.push_back({state, next, std::move(states), std::move(context)});
-}
-
 Simulator::ProbeResult Simulator::probe_process(ProcessId p) {
   require(p != kExternalProcess && p < processes_.size(),
           "probe_process: unknown process");

@@ -91,16 +91,6 @@ struct GuardDecl {
   std::string label;  ///< "module.process" of the declaring module
 };
 
-/// A module's declaration of a finite state machine: the state register
-/// signal, the combinational next-state signal feeding it, and the legal
-/// state encodings.  Consumed by the DF-UNREACHABLE-STATE dataflow rule.
-struct FsmDecl {
-  SignalId state = 0;
-  SignalId next = 0;
-  std::vector<LogicVector> states;
-  std::string context;
-};
-
 /// A module's declared expectation about a signal it is bound to: the
 /// direction it uses the signal in and the width its logic assumes.  Purely
 /// descriptive — recording one never changes simulation behavior; the lint
@@ -214,11 +204,6 @@ class Simulator {
   void declare_guard(ProcessId pid, SignalId sig, bool active_high,
                      GuardKind kind, std::string label);
   const std::vector<GuardDecl>& guards() const { return guard_decls_; }
-
-  /// Declares a state machine (see FsmDecl); module helpers call this.
-  void declare_fsm(SignalId state, SignalId next,
-                   std::vector<LogicVector> states, std::string context);
-  const std::vector<FsmDecl>& fsms() const { return fsm_decls_; }
 
   // --- analysis sandbox (consumed by lint::analyze_dataflow) ------------
   /// One signal write captured during a probe (the value the process would
@@ -559,7 +544,6 @@ class Simulator {
   std::vector<ChangeObserver> observers_;
   std::vector<PortBinding> bindings_;
   std::vector<GuardDecl> guard_decls_;
-  std::vector<FsmDecl> fsm_decls_;
   KernelStats stats_;
   telemetry::TrackId telemetry_track_ = telemetry::kMainTrack;
 };

@@ -82,23 +82,4 @@ std::vector<CellArrival> gcra_boundary_vectors(
   return out;
 }
 
-std::vector<CorruptedCell> hec_single_bit_error_vectors(atm::VcId vc,
-                                                        SimTime period,
-                                                        std::size_t count) {
-  std::vector<CorruptedCell> out;
-  SimTime t = SimTime::zero();
-  for (std::size_t i = 0; i < count; ++i) {
-    atm::Cell c;
-    c.header.vpi = vc.vpi;
-    c.header.vci = vc.vci;
-    c.payload[0] = static_cast<std::uint8_t>(i & 0xFF);
-    CorruptedCell cc{t, c.to_bytes()};
-    const std::size_t bit = i % 40;  // any of the 5 header octets
-    cc.bytes[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
-    out.push_back(cc);
-    t += period;
-  }
-  return out;
-}
-
 }  // namespace castanet::traffic

@@ -2,9 +2,9 @@
 // Conformance Test Vectors" stimuli of Fig. 1).
 //
 // Unlike the stochastic models, conformance vectors are deterministic
-// patterns that probe protocol corner cases: header field sweeps, HEC error
-// injection, and GCRA boundary timing (cells exactly at / just inside / just
-// outside the contract).
+// patterns that probe protocol corner cases: header field sweeps and GCRA
+// boundary timing (cells exactly at / just inside / just outside the
+// contract).
 #pragma once
 
 #include <cstdint>
@@ -28,16 +28,5 @@ std::vector<CellArrival> header_sweep_vectors(SimTime period,
 std::vector<CellArrival> gcra_boundary_vectors(
     atm::VcId vc, SimTime increment, SimTime limit, std::size_t count,
     std::vector<std::size_t>& violations_out);
-
-/// Corrupts single header bits of otherwise valid cells: cell i has header
-/// bit (i mod 40) flipped after HEC computation, so a correction-mode
-/// receiver must repair every one of them.
-struct CorruptedCell {
-  SimTime time;
-  std::array<std::uint8_t, atm::kCellBytes> bytes;
-};
-std::vector<CorruptedCell> hec_single_bit_error_vectors(atm::VcId vc,
-                                                        SimTime period,
-                                                        std::size_t count);
 
 }  // namespace castanet::traffic

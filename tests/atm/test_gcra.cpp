@@ -134,39 +134,5 @@ INSTANTIATE_TEST_SUITE_P(
                       GcraParams{10, 25}, GcraParams{100, 10},
                       GcraParams{3, 300}, GcraParams{1, 1}));
 
-TEST(DualGcra, PcrAndScrBothEnforced) {
-  // PCR: 1 cell / 10us (tau 0); SCR: 1 cell / 50us with burst tolerance for
-  // MBS=3: tau_s = (MBS-1)*(Ts - Tp) = 2*40us = 80us.
-  DualGcra g(SimTime::from_us(10), SimTime::zero(), SimTime::from_us(50),
-             SimTime::from_us(80));
-  SimTime t = SimTime::zero();
-  // A burst of 3 at PCR spacing passes.
-  EXPECT_TRUE(g.conforms(t));
-  t += SimTime::from_us(10);
-  EXPECT_TRUE(g.conforms(t));
-  t += SimTime::from_us(10);
-  EXPECT_TRUE(g.conforms(t));
-  // Fourth cell at PCR spacing busts the SCR bucket.
-  t += SimTime::from_us(10);
-  EXPECT_FALSE(g.conforms(t));
-}
-
-TEST(DualGcra, PcrViolationRejectedEvenIfScrOk) {
-  DualGcra g(SimTime::from_us(10), SimTime::zero(), SimTime::from_us(20),
-             SimTime::from_us(200));
-  EXPECT_TRUE(g.conforms(SimTime::zero()));
-  // 1us later: SCR bucket has plenty of tolerance, PCR does not.
-  EXPECT_FALSE(g.conforms(SimTime::from_us(1)));
-}
-
-TEST(DualGcra, RejectedCellConsumesNoCreditInEitherBucket) {
-  DualGcra g(SimTime::from_us(10), SimTime::zero(), SimTime::from_us(20),
-             SimTime::from_us(200));
-  EXPECT_TRUE(g.conforms(SimTime::zero()));
-  EXPECT_FALSE(g.conforms(SimTime::from_us(1)));
-  // The legitimate next time still conforms in both buckets.
-  EXPECT_TRUE(g.conforms(SimTime::from_us(10)));
-}
-
 }  // namespace
 }  // namespace castanet::atm

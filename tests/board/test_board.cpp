@@ -89,6 +89,17 @@ TEST_F(BoardTest, ClockBeyondBoardMaximumRejected) {
   EXPECT_THROW(board.run_test_cycle(dut, 1, 25'000'000), ConfigError);
 }
 
+TEST_F(BoardTest, ClockBelowGatingFactorRejected) {
+  // 2 Hz / 4 is a 0 Hz DUT clock: no hardware activity time is defined.
+  ConfigDataSet cfg = adder_config();
+  cfg.gating_factor = 4;
+  board.configure(cfg);
+  board.load_stimulus(0, std::vector<std::uint64_t>(8, 1));
+  EXPECT_THROW(board.run_test_cycle(dut, 8, 2), ConfigError);
+  EXPECT_EQ(board.test_cycles_run(), 0u);
+  EXPECT_NO_THROW(board.run_test_cycle(dut, 8, 4));  // a 1 Hz DUT clock
+}
+
 TEST_F(BoardTest, BidirectionalBusBothPhases) {
   // Cycle 0-1: tester drives 0x5A onto the bus (ctrl=0).
   // Cycle 2-3: DUT drives; the capture must show the echoed 0x5A.

@@ -130,6 +130,24 @@ TEST(BoardConfig, IoPortWidthsMustMatch) {
   EXPECT_THROW(cfg.validate(), ConfigError);
 }
 
+TEST(BoardConfig, IoPortsMustNotShareABusHalf) {
+  // Both ioports pair inport 0, each with its own direction ctrlport: the
+  // board could not tell which of the two drives it.
+  ConfigDataSet cfg;
+  cfg.inports.push_back({0, 8, {{0, 0, 8}}});
+  cfg.outports.push_back({0, 8, {{1, 0, 8}}});
+  cfg.outports.push_back({1, 8, {{2, 0, 8}}});
+  cfg.ctrlports.push_back({0, 1, {{3, 0, 1}}, 1});
+  cfg.ctrlports.push_back({1, 1, {{3, 1, 1}}, 0});
+  cfg.ioports.push_back({0, 0, 0, 8, 1});
+  cfg.ioports.push_back({0, 1, 1, 8, 1});
+  const std::vector<ConfigFinding> found = cfg.findings();
+  ASSERT_EQ(found.size(), 1u);
+  EXPECT_EQ(found.front().rule, "BRD-IO-SHARED");
+  EXPECT_EQ(found.front().port, "ioport #1");
+  EXPECT_THROW(cfg.validate(), ConfigError);
+}
+
 TEST(BoardConfig, ZeroGatingFactorRejected) {
   ConfigDataSet cfg = minimal_config();
   cfg.gating_factor = 0;

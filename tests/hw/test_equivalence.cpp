@@ -7,8 +7,6 @@
 
 #include "src/core/rng.hpp"
 #include "src/hw/accounting.hpp"
-#include "src/hw/cell_bits.hpp"
-#include "src/hw/policer.hpp"
 #include "src/hw/reference.hpp"
 #include "tests/hw/hw_fixture.hpp"
 
@@ -20,76 +18,6 @@ using testing::ClockedTest;
 class SeededEquivalence : public ClockedTest,
                           public ::testing::WithParamInterface<std::uint64_t> {
 };
-
-// --- policer RTL vs atm::Gcra reference -------------------------------------
-
-TEST_P(SeededEquivalence, PolicerMatchesReferenceOnRandomTraffic) {
-  Rng rng(GetParam());
-  rtl::Bus cell_in(&sim, sim.create_signal("cell_in", kCellBits));
-  rtl::Signal in_valid(&sim,
-                       sim.create_signal("in_valid", 1, rtl::Logic::L0));
-  GcraPolicer upc(sim, "upc", clk, rst, cell_in, in_valid);
-
-  // Contract: increment 20 cycles, tolerance 35 cycles, on two VCs.
-  const std::uint64_t inc = 20, lim = 35;
-  upc.configure({1, 1}, {inc, lim, false});
-  upc.configure({1, 2}, {inc, lim, true});
-  PolicerRef ref;
-  const SimTime period = SimTime::from_ns(ClockedTest::kPeriodNs);
-  ref.configure({1, 1}, period * static_cast<std::int64_t>(inc),
-                period * static_cast<std::int64_t>(lim), false);
-  ref.configure({1, 2}, period * static_cast<std::int64_t>(inc),
-                period * static_cast<std::int64_t>(lim), true);
-
-  std::vector<std::pair<bool, bool>> rtl_out;  // (delivered, clp)
-  // Level sampling at the falling edge: one verdict per cycle, and
-  // consecutive passes (or drops) hold the line high across cycles, which
-  // edge detection would collapse into one event.
-  sim.add_process("cap", {clk.id()}, [&] {
-    if (!clk.fell()) return;
-    if (upc.out_valid.read_bool()) {
-      rtl_out.emplace_back(true,
-                           bits_to_cell(upc.cell_out.read(), false).header.clp);
-    }
-    if (upc.discard.read_bool()) rtl_out.emplace_back(false, false);
-  });
-
-  std::vector<std::pair<bool, bool>> ref_out;
-  // Present cells at random gaps (0..40 idle cycles) with random VC.
-  // The RTL policer time-stamps by its own tick counter, which counts every
-  // clock including reset cycles; mirror with an explicit tick count.
-  std::uint64_t tick = 0;
-  for (int i = 0; i < 300; ++i) {
-    const std::uint64_t gap = rng.uniform_int(0, 40);
-    run_cycles(gap);
-    tick += gap;
-    atm::Cell c;
-    c.header.vpi = 1;
-    c.header.vci = rng.bernoulli(0.5) ? 1 : 2;
-    c.payload[0] = static_cast<std::uint8_t>(i);
-    cell_in.write(cell_to_bits(c));
-    in_valid.write(rtl::Logic::L1);
-    run_cycles(1);
-    tick += 1;
-    in_valid.write(rtl::Logic::L0);
-    const auto verdict = ref.filter(period * static_cast<std::int64_t>(tick),
-                                    c);
-    switch (verdict) {
-      case PolicerRef::Verdict::kPass: ref_out.emplace_back(true, false); break;
-      case PolicerRef::Verdict::kTag: ref_out.emplace_back(true, true); break;
-      case PolicerRef::Verdict::kDrop: ref_out.emplace_back(false, false); break;
-    }
-  }
-  run_cycles(3);
-  ASSERT_EQ(rtl_out.size(), ref_out.size());
-  for (std::size_t i = 0; i < ref_out.size(); ++i) {
-    EXPECT_EQ(rtl_out[i].first, ref_out[i].first) << "cell " << i;
-    if (rtl_out[i].first && ref_out[i].first) {
-      // Tagging verdicts must agree too (pass with CLP set vs clean).
-      EXPECT_EQ(rtl_out[i].second || !ref_out[i].second, true);
-    }
-  }
-}
 
 // --- accounting RTL vs AccountingRef -----------------------------------------
 

@@ -78,34 +78,5 @@ TEST(AccountingRef, ClearResetsOneIndex) {
   EXPECT_EQ(ref.count(1), 1u);
 }
 
-TEST(PolicerRef, GcraVerdicts) {
-  PolicerRef ref;
-  ref.configure({1, 1}, SimTime::from_us(10), SimTime::zero());
-  EXPECT_EQ(ref.filter(SimTime::zero(), mk(1, 1)), PolicerRef::Verdict::kPass);
-  EXPECT_EQ(ref.filter(SimTime::from_us(1), mk(1, 1)),
-            PolicerRef::Verdict::kDrop);
-  EXPECT_EQ(ref.filter(SimTime::from_us(10), mk(1, 1)),
-            PolicerRef::Verdict::kPass);
-  EXPECT_EQ(ref.passed(), 2u);
-  EXPECT_EQ(ref.dropped(), 1u);
-}
-
-TEST(PolicerRef, TagMode) {
-  PolicerRef ref;
-  ref.configure({1, 1}, SimTime::from_us(10), SimTime::zero(), true);
-  EXPECT_EQ(ref.filter(SimTime::zero(), mk(1, 1)), PolicerRef::Verdict::kPass);
-  EXPECT_EQ(ref.filter(SimTime::from_us(1), mk(1, 1)),
-            PolicerRef::Verdict::kTag);
-  EXPECT_EQ(ref.tagged(), 1u);
-}
-
-TEST(PolicerRef, UnconfiguredPasses) {
-  PolicerRef ref;
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_EQ(ref.filter(SimTime::zero(), mk(3, 3)),
-              PolicerRef::Verdict::kPass);
-  }
-}
-
 }  // namespace
 }  // namespace castanet::hw

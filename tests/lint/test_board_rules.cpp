@@ -136,6 +136,18 @@ ConfigDataSet shared_ctrlport_with_disagreeing_flags() {
   return cfg;
 }
 
+/// Two ioports pair inport 0, each with its own direction ctrlport.
+ConfigDataSet ioports_sharing_an_inport() {
+  ConfigDataSet cfg = base_config();
+  cfg.outports.push_back({0, 8, {{1, 0, 8}}});
+  cfg.outports.push_back({1, 8, {{2, 0, 8}}});
+  cfg.ctrlports.push_back({0, 1, {{3, 0, 1}}, 1});
+  cfg.ctrlports.push_back({1, 1, {{3, 1, 1}}, 0});
+  cfg.ioports.push_back({0, 0, 0, 8});
+  cfg.ioports.push_back({0, 1, 1, 8});
+  return cfg;
+}
+
 ConfigDataSet zero_gating_factor() {
   ConfigDataSet cfg = base_config();
   cfg.gating_factor = 0;
@@ -250,6 +262,15 @@ TEST(BoardRules, SharedCtrlportWithDisagreeingFlags) {
   ASSERT_TRUE(r.has("BRD-CTRL-CONFLICT"));
 }
 
+TEST(BoardRules, IoPortsSharingAnInport) {
+  const Report r = analyze(ioports_sharing_an_inport());
+  ASSERT_EQ(r.diagnostics().size(), 1u) << r.to_text();
+  const Diagnostic& d = r.diagnostics().front();
+  EXPECT_EQ(d.rule, "BRD-IO-SHARED");
+  EXPECT_EQ(d.severity, Severity::kError);
+  EXPECT_EQ(d.location, "ioport #1");
+}
+
 TEST(BoardRules, ZeroGatingFactor) {
   const Report r = analyze(zero_gating_factor());
   ASSERT_TRUE(r.has("BRD-GATING"));
@@ -283,6 +304,7 @@ TEST(BoardRules, ValidateAgreesWithTheLint) {
       io_port_width_mismatch,
       unreachable_direction_flag,
       shared_ctrlport_with_disagreeing_flags,
+      ioports_sharing_an_inport,
       zero_gating_factor,
       outport_on_missing_lane,
       slice_wider_than_a_lane,

@@ -215,43 +215,6 @@ TEST(DataflowRules, InternalConditionallyDrivenNetDoesNotTaint) {
   EXPECT_TRUE(df_rules(r).empty());
 }
 
-// --- DF-UNREACHABLE-STATE ---------------------------------------------------
-
-TEST(DataflowRules, EncodingNeverProducedByNextStateConeIsReported) {
-  rtl::Simulator sim;
-  rtl::Signal clk(&sim, sim.create_signal("clk", 1, rtl::Logic::L0));
-  const auto in = sim.create_signal("in", 1, rtl::Logic::L0);
-  const auto st = sim.create_signal("st", 2, rtl::Logic::L0);
-  const auto nx = sim.create_signal("nx", 2, rtl::Logic::L0);
-  // Next-state logic can only produce 00 and 01: bit 1 is hardwired low.
-  sim.add_process("nsl", {in}, [&] {
-    rtl::LogicVector v(2, rtl::Logic::L0);
-    v.set_bit(0, sim.value(in).bit(0));
-    sim.schedule_write(nx, v);
-  });
-  const auto reg = sim.add_process("reg", {clk.id()}, [&, clk] {
-    const rtl::LogicVector v = sim.value(nx);
-    if (clk.rose()) sim.schedule_write(st, v);
-  });
-  sim.restrict_sensitivity_to_rising(reg, clk.id());
-  sim.declare_fsm(st, nx,
-                  {rtl::LogicVector::from_uint(0, 2),
-                   rtl::LogicVector::from_uint(1, 2),
-                   rtl::LogicVector::from_uint(2, 2)},
-                  "m.fsm");
-  sim.initialize();
-  sim.schedule_write(in, rtl::Logic::L1);  // external driver: in is ⊤
-  sim.step_time();
-  Report r;
-  analyze(sim, r);
-  EXPECT_EQ(df_rules(r), std::set<std::string>{"DF-UNREACHABLE-STATE"});
-  const Diagnostic& d = *r.by_rule("DF-UNREACHABLE-STATE").front();
-  EXPECT_NE(d.location.find("signal 'st'"), std::string::npos);
-  EXPECT_NE(d.message.find("m.fsm"), std::string::npos);
-  // Encodings 00 and 01 are producible: exactly one unreachable state.
-  EXPECT_EQ(r.by_rule("DF-UNREACHABLE-STATE").size(), 1u);
-}
-
 // --- DF-CDC / DF-RESET ------------------------------------------------------
 
 TEST(DataflowRules, RegisterSamplingForeignDomainDataIsACrossing) {

@@ -5,7 +5,6 @@
 #include <set>
 
 #include "src/atm/gcra.hpp"
-#include "src/atm/hec.hpp"
 
 namespace castanet::traffic {
 namespace {
@@ -65,37 +64,6 @@ TEST(GcraBoundary, ZeroToleranceContract) {
     if (!g.conforms(v[i].time)) got.push_back(i);
   }
   EXPECT_EQ(got, bad);
-}
-
-TEST(HecErrorVectors, EveryCellHasExactlyOneHeaderBitFlipped) {
-  const auto v = hec_single_bit_error_vectors({1, 1}, SimTime::from_us(3), 80);
-  ASSERT_EQ(v.size(), 80u);
-  for (const CorruptedCell& cc : v) {
-    std::uint8_t h[5];
-    for (int i = 0; i < 5; ++i) h[i] = cc.bytes[static_cast<std::size_t>(i)];
-    EXPECT_EQ(atm::check_and_correct(h), atm::HecResult::kCorrected);
-  }
-}
-
-TEST(HecErrorVectors, AllFortyBitPositionsCycled) {
-  const auto v = hec_single_bit_error_vectors({1, 1}, SimTime::from_us(3), 40);
-  // Rebuild the clean cell and diff to find the flipped bit per vector.
-  std::set<int> positions;
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    atm::Cell c;
-    c.header.vpi = 1;
-    c.header.vci = 1;
-    c.payload[0] = static_cast<std::uint8_t>(i & 0xFF);
-    const auto clean = c.to_bytes();
-    for (int bit = 0; bit < 40; ++bit) {
-      const auto byte = static_cast<std::size_t>(bit / 8);
-      if ((clean[byte] ^ v[i].bytes[byte]) &
-          static_cast<std::uint8_t>(1u << (bit % 8))) {
-        positions.insert(bit);
-      }
-    }
-  }
-  EXPECT_EQ(positions.size(), 40u);
 }
 
 }  // namespace
